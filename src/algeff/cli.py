@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .comodels import Done, cointerpret_tree, validate_comodel
 from .errors import AlgeffError, ParseError, TypeMismatch, UnboundVariable, UnknownOperation
-from .free import default_budget, normalize
+from .free import normalize
 from .interp import (
     HandlerClosure,
     HandlerVerdict,
@@ -38,7 +38,7 @@ from .parser import (
     parse_theory_file,
     parse_value_text,
 )
-from .printer import render_elem, render_outcome, render_tree, render_type
+from .printer import render_elem, render_outcome, render_tree
 
 OK, FAILED, STUCK, BAD_INPUT = 0, 1, 2, 3
 
@@ -63,8 +63,15 @@ def _load_theory(path: str):
         raise _CliError(f"{path}: {exc}", BAD_INPUT) from None
 
 
+def _is_path(path_or_text: str) -> bool:
+    try:
+        return Path(path_or_text).exists()
+    except OSError:  # e.g. inline program text too long to be a file name
+        return False
+
+
 def _load_program(path_or_text: str):
-    text = _read(path_or_text) if Path(path_or_text).exists() else path_or_text
+    text = _read(path_or_text) if _is_path(path_or_text) else path_or_text
     try:
         return parse_program(text)
     except ParseError as exc:
@@ -162,9 +169,7 @@ def cmd_check(args) -> int:
         raise _CliError(str(exc), FAILED) from None
     if not isinstance(htype, THandler):
         raise _CliError(f"expected a handler, found {htype}", FAILED)
-    result = check_handler_equations(
-        HandlerClosure(value, base_env()), theory, htype.out, default_budget()
-    )
+    result = check_handler_equations(HandlerClosure(value, base_env()), theory, htype.out)
     if result.skipped:
         print(f"skipped (uncovered operations): {', '.join(result.skipped)}")
     if result.verdict is HandlerVerdict.RESPECTED:
@@ -194,7 +199,7 @@ def cmd_normalize(args) -> int:
 def cmd_type(args) -> int:
     theory = _load_theory(args.theory)
     program = _load_program(args.prog)
-    print(render_type(_typecheck(theory, program)))
+    print(_typecheck(theory, program))
     return OK
 
 
@@ -255,7 +260,7 @@ def cmd_repl(args) -> int:
                 continue
             if line.startswith(":type "):
                 program = parse_program(line[len(":type "):])
-                print(render_type(typecheck_comp(theory, program)))
+                print(typecheck_comp(theory, program))
                 continue
             if line.startswith(":normalize "):
                 program = parse_program(line[len(":normalize "):])
@@ -270,7 +275,7 @@ def cmd_repl(args) -> int:
                     continue
                 name, world_text = rest[0], rest[1]
                 comodel = comodels.get(name)
-                if comodel is None and Path(name).exists():
+                if comodel is None and _is_path(name):
                     comodel = parse_comodel_file(_read(name), theory)
                 if comodel is None:
                     print(f"no comodel {name!r} loaded")

@@ -3,14 +3,16 @@
 Computations returning values from X while performing a theory's operations
 are represented by trees over X, understood up to the congruence the
 equations generate.  This module provides the monad structure (eta, lift,
-sequencing, generic operations), canonical normal forms where a normalizer
-is known, and a budgeted congruence search for tree equality elsewhere.
+sequencing, generic operations), canonical normal forms for theories whose
+laws are exactly a built-in's, and a budgeted congruence search for tree
+equality elsewhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum as PyEnum
@@ -19,7 +21,7 @@ from typing import Callable, Iterator, Mapping
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
 from .models import FiniteModel, interpret_term
 from .terms import OpNode, Return, Theory, Tree, make_tree_op, sort_key, tree_leaves
-from .theories import choice_theory
+from .theories import choice_theory, semilattice_theory, single_state_theory
 from .universe import BOOL
 
 DEFAULT_BUDGET = 10000
@@ -162,29 +164,106 @@ def _normalize_semilattice(theory: Theory, t: Tree) -> Tree:
     return out
 
 
-_NORMALIZERS = {
-    "single_state": _normalize_single_state,
-    "semilattice": _normalize_semilattice,
-}
+@dataclass(frozen=True)
+class _Strategy:
+    """The proof strategies a theory earns by having exactly a built-in's laws:
+    a normalizer, and small validating models (carrier, operation tables)
+    that refute equality soundly."""
+
+    normalize: Callable[[Theory, Tree], Tree] | None = None
+    refuters: tuple = ()
+
+
+def _single_state_twin(theory: Theory) -> Theory | None:
+    if not theory.has_op("get"):
+        return None
+    try:
+        return single_state_theory(theory.op("get").arity)
+    except EmptyStateUniverse:
+        return None
+
+
+# Each entry builds the built-in a theory is compared with (the single-state
+# one over the theory's own get arity), so a match depends on the laws
+# alone, never on what the theory is called.
+_BUILTIN_STRATEGIES = (
+    (_single_state_twin, _Strategy(normalize=_normalize_single_state)),
+    (lambda theory: semilattice_theory(), _Strategy(normalize=_normalize_semilattice)),
+    (
+        lambda theory: choice_theory(),
+        _Strategy(
+            refuters=(
+                (BOOL, {"choose": lambda p, ab: ab[0] or ab[1]}),
+                (BOOL, {"choose": lambda p, ab: ab[0] and ab[1]}),
+            )
+        ),
+    ),
+)
+
+
+def _instance_pairs(theory: Theory) -> Iterator[frozenset]:
+    """The theory's non-trivial equation instances as unordered tree pairs."""
+    for eq in theory.eqs:
+        for p in eq.param_universe.iter_elements():
+            pair = frozenset((eq.lhs(p), eq.rhs(p)))
+            if len(pair) == 2:
+                yield pair
+
+
+def _same_instances(theory: Theory, twin: Theory) -> bool:
+    # the twin's instances are built only while they match, so a large
+    # built-in costs little when the theory's own laws are small
+    mine = frozenset(_instance_pairs(theory))
+    theirs = set()
+    for pair in _instance_pairs(twin):
+        if pair not in mine:
+            return False
+        theirs.add(pair)
+    return len(theirs) == len(mine)
+
+
+# weakly keyed, so that a theory parsed for one command does not outlive it
+_STRATEGIES = weakref.WeakKeyDictionary()
+
+
+def _strategy(theory: Theory) -> _Strategy:
+    """The strategy of the built-in whose operations and equation instances
+    are exactly the theory's, or none; resolved once per theory object."""
+    found = _STRATEGIES.get(theory)
+    if found is None:
+        found = _Strategy()
+        ops = frozenset(theory.ops)
+        for twin_of, strategy in _BUILTIN_STRATEGIES:
+            twin = twin_of(theory)
+            if (
+                twin is not None
+                and frozenset(twin.ops) == ops
+                and _same_instances(theory, twin)
+            ):
+                found = strategy
+                break
+        _STRATEGIES[theory] = found
+    return found
 
 
 def has_normalizer(theory: Theory) -> bool:
-    return not theory.eqs or theory.name in _NORMALIZERS
+    return not theory.eqs or _strategy(theory).normalize is not None
 
 
 def normalize(theory: Theory, t: Tree) -> Tree:
     """A canonical representative of t's congruence class.
 
     Equation-free theories normalize to the tree itself (the congruence is
-    equality there); single-state and semilattice theories have dedicated
-    strategies.  Raises NoNormalizer for anything else.
+    equality there).  A theory whose operations and equation instances are
+    exactly those of the built-in single-state theory over its own ``get``
+    arity, or of the built-in semilattice, has that built-in's normalizer,
+    whatever the theory is called.  Raises NoNormalizer for anything else.
     """
     if not theory.eqs:
         return t
-    try:
-        strategy = _NORMALIZERS[theory.name]
-    except KeyError:
-        raise NoNormalizer(f"no normalization strategy for theory {theory.name!r}") from None
+    strategy = _strategy(theory).normalize
+    if strategy is None:
+        raise NoNormalizer(f"no normalization strategy for theory {theory.name!r}")
     return strategy(theory, t)
 
 
@@ -198,21 +277,11 @@ class TreeEq(PyEnum):
     UNKNOWN = "unknown"
 
 
-def _refutation_models(theory: Theory) -> list:
-    """Small validating models used to soundly refute equality."""
-    if theory is choice_theory():
-        return [
-            FiniteModel(theory, {"choose": lambda p, ab: ab[0] or ab[1]}, BOOL),
-            FiniteModel(theory, {"choose": lambda p, ab: ab[0] and ab[1]}, BOOL),
-        ]
-    return []
-
-
 def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
     gens = sorted(set(tree_leaves(t1)) | set(tree_leaves(t2)), key=sort_key)
-    for model in _refutation_models(theory):
-        carrier = model.carrier.elements()
-        for picks in itertools.product(carrier, repeat=len(gens)):
+    for carrier, ops in _strategy(theory).refuters:
+        model = FiniteModel(theory, ops, carrier)
+        for picks in itertools.product(carrier.elements(), repeat=len(gens)):
             valuation = dict(zip(gens, picks))
             if interpret_term(model, t1, valuation) != interpret_term(model, t2, valuation):
                 return True
@@ -287,10 +356,12 @@ def _rewrites(theory: Theory, t: Tree, pool) -> Iterator[Tree]:
 def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = None) -> TreeEq:
     """Decide t1 ~ t2 modulo the theory's equations.
 
-    With a registered normalizer the answer is exact.  Otherwise equality is
-    searched for by applying equation instances breadth-first from both
-    trees until the frontiers meet or the step budget runs out; DISTINCT is
-    only ever reported when a small validating model separates the trees.
+    With a normalizer (see ``normalize``) the answer is exact.  Otherwise
+    equality is searched for by applying equation instances breadth-first
+    from both trees until the frontiers meet or the step budget runs out;
+    DISTINCT is only ever reported when a small validating model separates
+    the trees, and only theories with exactly the built-in choice laws
+    have such models.
     """
     if budget is None:
         budget = default_budget()

@@ -14,7 +14,7 @@ from enum import Enum as PyEnum
 from typing import Any, Mapping
 
 from .errors import AlgeffError
-from .free import FreeElement, eta, generic_op, has_normalizer, normalize, sequence
+from .free import FreeElement, default_budget, eta, generic_op, has_normalizer, normalize, sequence
 from .lang import (
     App,
     BoolLit,
@@ -354,6 +354,9 @@ def _both(a, b):
 
 
 def compare_trees(t1, t2, ctype: CompType, theory: Theory):
+    if isinstance(t1, Leaf) and isinstance(t2, Leaf):
+        # the normal form of return v has only v at its leaves
+        return compare_values(t1.value, t2.value, ctype.value, theory)
     canonical = has_normalizer(theory)
     if canonical:
         try:
@@ -387,13 +390,14 @@ def check_handler_equations(
     symbolic value per context generator; both sides are folded through the
     clauses and compared at the handler's output type.  A violation is a
     definite counterexample; equations mentioning unhandled operations are
-    skipped and reported.
+    skipped and reported.  At most ``budget`` instances are checked (by
+    default ``default_budget()``); any left over make the verdict unknown.
     """
     covered = {cl.op for cl in h.code.clauses}
     skipped = []
     unknown = False
     checked = 0
-    budget = budget if budget is not None else 10000
+    budget = budget if budget is not None else default_budget()
 
     def push(tree) -> FreeElement:
         if isinstance(tree, Leaf):

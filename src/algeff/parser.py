@@ -507,46 +507,21 @@ class _Parser:
         context = self.universe()
         self.eat_punct(")")
         self.eat_punct(":")
-        lhs_mark = self.i
-        self._skip_balanced_until_equals(theory)
-        rhs_mark = self.i
-
-        def make_side(mark):
-            def side(p):
-                sub = _Parser.__new__(_Parser)
-                sub.toks = self.toks
-                sub.i = mark
-                env = {param_name: p} if param_name is not None else {}
-                return sub.tree(theory, env)
-
-            return side
-
-        lhs = make_side(lhs_mark)
-        rhs = make_side(rhs_mark)
-        # move past the right-hand side once to find the semicolon
-        sample = next(iter(param_universe.iter_elements()), None)
-        if sample is None:
-            raise ParseError(
-                self.peek().line, self.peek().col, "forall over an empty universe"
-            )
-        self.tree(theory, {param_name: sample} if param_name is not None else {})
-        self.eat_punct(";")
-        return Equation(eq_name.value, param_universe, context, lhs, rhs)
-
-    def _skip_balanced_until_equals(self, theory):
-        depth = 0
-        while True:
+        if param_universe.is_empty():
             tok = self.peek()
-            if tok.kind == "eof":
-                self.fail("expected = in equation")
-            if tok.kind == "punct" and tok.value == "(":
-                depth += 1
-            elif tok.kind == "punct" and tok.value == ")":
-                depth -= 1
-            elif tok.kind == "punct" and tok.value == "=" and depth == 0:
-                self.next()
-                return
-            self.next()
+            raise ParseError(tok.line, tok.col, "forall over an empty universe")
+        # expand the family into a table once, parsing both sides again for
+        # each parameter
+        mark = self.i
+        lhs, rhs = {}, {}
+        for p in param_universe.iter_elements():
+            self.i = mark
+            env = {param_name: p} if param_name is not None else {}
+            lhs[p] = self.tree(theory, env)
+            self.eat_punct("=")
+            rhs[p] = self.tree(theory, env)
+        self.eat_punct(";")
+        return Equation(eq_name.value, param_universe, context, lhs.__getitem__, rhs.__getitem__)
 
     # -- model and comodel files ----------------------------------------------
 

@@ -59,10 +59,6 @@ def render_tree(t: Tree) -> str:
     return f"{t.op}({render_elem(t.param)}; {subs})"
 
 
-def render_type(t) -> str:
-    return str(t)
-
-
 def _value_needs_parens(v) -> bool:
     return isinstance(v, (lang.Fun, lang.Plus))
 

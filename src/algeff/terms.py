@@ -68,8 +68,9 @@ class Equation:
 class Theory:
     """A named signature plus a family of equations.
 
-    Theories compare by identity; the built-in constructors are memoized so
-    that asking for the same theory twice yields the same object.
+    Theories compare by identity.  The name is a label for messages: proof
+    strategies (see ``free.normalize``) follow from the operations and
+    equation instances alone.
     """
 
     name: str

@@ -1,7 +1,9 @@
 """The built-in equational theories and theory combination.
 
 Each constructor is memoized, so requesting the same theory twice returns
-the same object; theories compare by identity throughout the package.
+the same object.  The single-state, semilattice, and choice theories also
+serve as references: ``free`` gives their normalizer or refutation models to
+any theory whose operations and equation instances are exactly theirs.
 """
 
 from __future__ import annotations

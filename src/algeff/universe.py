@@ -173,11 +173,3 @@ class Product(FiniteUniverse):
 EMPTY = Empty()
 UNIT = Unit()
 BOOL = Bool()
-
-
-def universe_size(u: FiniteUniverse) -> int:
-    return u.size()
-
-
-def enumerate_universe(u: FiniteUniverse) -> list:
-    return u.elements()

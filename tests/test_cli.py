@@ -238,3 +238,23 @@ def test_sample_programs_round_trip_through_the_printer(capsys):
     for name in ("increment.eff", "abort.eff", "hello.eff"):
         ast = parse_program((SAMPLES / name).read_text())
         assert parse_program(render_comp(ast)) == ast
+
+
+def test_normalize_long_inline_program(capsys):
+    steps = "".join(f"do u{i} <- put!({i % 2}) in " for i in range(18))
+    program = steps + "do x <- get!() in return x"
+    assert len(program.encode()) >= 300
+    code, out, _ = invoke(capsys, "normalize", program, "--theory", SAMPLES / "state2.thy")
+    assert code == 0
+    assert out == "get((); put(1; return 1), put(1; return 1))\n"
+
+
+def test_normalize_does_not_depend_on_the_theory_name(capsys, tmp_path):
+    program = "do x <- get!() in do y <- get!() in return (x, y)"
+    text = (SAMPLES / "state2.thy").read_text()
+    cell = tmp_path / "cell.thy"
+    cell.write_text(text.replace("theory single_state", "theory cell"))
+    _, expected, _ = invoke(capsys, "normalize", program, "--theory", SAMPLES / "state2.thy")
+    code, out, _ = invoke(capsys, "normalize", program, "--theory", cell)
+    assert code == 0
+    assert out == expected == "get((); put(0; return (0, 0)), put(1; return (1, 1)))\n"

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,11 @@ from algeff.free import (
     state_normal_form_tree,
     tree_equal_modulo,
 )
+from algeff.parser import parse_theory_file
 from algeff.terms import OpNode, Return
 from algeff.theories import (
     choice_theory,
+    combine,
     empty_theory,
     exception_theory,
     io_theory,
@@ -33,6 +36,7 @@ from algeff.universe import Enum, Fin
 
 from tests.gen import tree_corpus
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 STATE2 = single_state_theory(Fin(2))
 STATE3 = single_state_theory(Fin(3))
 
@@ -377,3 +381,75 @@ def test_rewrite_route_agrees_with_the_denotational_normalizer():
         nf = state_normal_form(STATE3, t)
         f, g = rewrite_normal_form(STATE3, t)
         assert (f, g) == (nf.f, nf.g)
+
+
+# ---------------------------------------------------------------------------
+# Strategies follow a theory's laws, not its name
+
+def parsed_sample(name, rename=None):
+    text = (SAMPLES / name).read_text()
+    if rename is not None:
+        _, rest = text.split("{", 1)
+        text = f"theory {rename} {{{rest}"
+    return parse_theory_file(text)
+
+
+def test_a_semilattice_with_only_commutativity_has_no_normalizer():
+    th = parse_theory_file(
+        "theory semilattice {\n"
+        "  op bot : unit ~> empty;\n"
+        "  op join : unit ~> bool;\n"
+        "  equation comm (enum {x, y}) : join((); return x, return y) = join((); return y, return x);\n"
+        "}\n"
+    )
+    x = Return("x")
+    assert not has_normalizer(th)
+    assert tree_equal_modulo(th, OpNode("join", (), (x, x)), x, budget=300) is not TreeEq.EQUAL
+
+
+def test_state_with_abort_compares_abort_without_raising():
+    th = parsed_sample("state10.thy")
+    abort = OpNode("abort", (), ())
+    assert tree_equal_modulo(th, abort, abort) is TreeEq.EQUAL
+    with pytest.raises(NoNormalizer):
+        normalize(th, abort)
+
+
+def test_strategies_do_not_depend_on_the_theory_name():
+    cell = parsed_sample("state2.thy", rename="cell")
+    t = get(STATE2, lambda a: get(STATE2, lambda b: Return((a, b))))
+    assert normalize(cell, t) == normalize(STATE2, t)
+    choice = parsed_sample("choice.thy", rename="coin")
+    assert tree_equal_modulo(choice, Return("x"), Return("y")) is TreeEq.DISTINCT
+
+
+def test_parsed_builtins_give_the_builtin_verdicts():
+    for builtin, name, gens, budget in (
+        (STATE2, "state2.thy", [0, 1], 300),
+        (semilattice_theory(), "semilattice.thy", ["x", "y"], 300),
+        (choice_theory(), "choice.thy", ["x", "y"], 100),
+    ):
+        parsed = parsed_sample(name)
+        corpus = tree_corpus(builtin, gens, 12, 3, seed=31)
+        for t1, t2 in zip(corpus, corpus[1:]):
+            assert tree_equal_modulo(parsed, t1, t2, budget) is tree_equal_modulo(
+                builtin, t1, t2, budget
+            ), (name, t1, t2)
+
+
+def test_combining_with_the_empty_theory_keeps_the_normalizer():
+    th = combine(STATE2, empty_theory())
+    t = put(1, get(STATE2, lambda s: Return(s)))
+    assert normalize(th, t) == normalize(STATE2, t)
+
+
+def test_strategy_resolution_does_not_keep_theories_alive():
+    import gc
+    import weakref
+
+    th = parsed_sample("state2.thy")
+    normalize(th, Return(0))
+    ref = weakref.ref(th)
+    del th
+    gc.collect()
+    assert ref() is None

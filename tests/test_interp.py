@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from algeff.free import FreeElement, eta, lift
@@ -35,6 +37,7 @@ from algeff.lang import (
     typecheck_comp,
     typecheck_value,
 )
+from algeff.parser import parse_theory_file, parse_value_text
 from algeff.terms import OpNode
 from algeff.terms import Return as Leaf
 from algeff.theories import (
@@ -47,6 +50,7 @@ from algeff.universe import Enum, Fin
 
 from tests.test_lang import exception_handler, increment_program, state_passing_handler
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 STATE3 = single_state_theory(Fin(3))
 EXC = exception_theory()
 CHOICE = choice_theory()
@@ -321,3 +325,31 @@ def test_subject_reduction_on_corpus():
         assert tree_ops(tree) <= ctype.dirt
         for leaf in tree_leaves(tree):
             assert value_has_type(leaf, ctype.value), (source, leaf, ctype)
+
+
+def stateh_check(theory):
+    text = (SAMPLES / "stateh.eff").read_text()
+    h, out = checked_handler(theory, parse_value_text(text))
+    return check_handler_equations(h, theory, out)
+
+
+def test_handler_check_compares_leaves_without_normalizing(monkeypatch):
+    import algeff.interp as interp
+
+    calls = []
+    normalize = interp.normalize
+
+    def counting(theory, t):
+        calls.append(t)
+        return normalize(theory, t)
+
+    monkeypatch.setattr(interp, "normalize", counting)
+    assert stateh_check(STATE3).verdict is HandlerVerdict.RESPECTED
+    assert calls == []
+
+
+def test_handler_check_budget_follows_the_environment(monkeypatch):
+    theory = parse_theory_file((SAMPLES / "state2.thy").read_text())
+    assert stateh_check(theory).verdict is HandlerVerdict.RESPECTED
+    monkeypatch.setenv("ALGEFF_BUDGET", "1")
+    assert stateh_check(theory).verdict is HandlerVerdict.UNKNOWN

@@ -13,7 +13,7 @@ from algeff.parser import (
     parse_value_text,
 )
 from algeff.printer import render_comp, render_tree
-from algeff.theories import single_state_theory
+from algeff.theories import choice_theory, semilattice_theory, single_state_theory
 from algeff.universe import Enum, Fin, Product
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -101,17 +101,20 @@ def test_positions_flow_into_type_errors():
 
 
 def test_theory_file_matches_builtin_equations():
-    text = (SAMPLES / "state2.thy").read_text()
-    parsed = parse_theory_file(text)
-    builtin = single_state_theory(Fin(2))
-    assert parsed.op_names() == builtin.op_names()
-    assert [e.name for e in parsed.eqs] == [e.name for e in builtin.eqs]
-    for pe, be in zip(parsed.eqs, builtin.eqs):
-        assert pe.param_universe == be.param_universe
-        assert pe.context == be.context
-        for p in pe.param_universe.elements():
-            assert pe.lhs(p) == be.lhs(p)
-            assert pe.rhs(p) == be.rhs(p)
+    for name, builtin in (
+        ("state2.thy", single_state_theory(Fin(2))),
+        ("semilattice.thy", semilattice_theory()),
+        ("choice.thy", choice_theory()),
+    ):
+        parsed = parse_theory_file((SAMPLES / name).read_text())
+        assert parsed.ops == builtin.ops, name
+        assert [e.name for e in parsed.eqs] == [e.name for e in builtin.eqs], name
+        for pe, be in zip(parsed.eqs, builtin.eqs):
+            assert pe.param_universe == be.param_universe
+            assert pe.context == be.context
+            for p in pe.param_universe.elements():
+                assert pe.lhs(p) == be.lhs(p)
+                assert pe.rhs(p) == be.rhs(p)
 
 
 def test_theory_file_universe_grammar():
