@@ -8,7 +8,8 @@
 
 Exit codes: 0 success (run reached a value / check passed), 1 type errors,
 violations, and runtime failures, 2 a run stuck on an unhandled toplevel
-operation, 3 parse and reference errors.  ALGEFF_BUDGET bounds the
+operation, 3 parse and reference errors, and input nested too deeply for the
+recursive parser, type checker or printer.  ALGEFF_BUDGET bounds the
 congruence search (default 10000 steps).
 """
 
@@ -26,6 +27,7 @@ from .interp import (
     HandlerVerdict,
     base_env,
     check_handler_equations,
+    evaluate,
     run_program,
 )
 from .lang import HandlerLit, THandler, typecheck_comp, typecheck_value
@@ -41,6 +43,11 @@ from .parser import (
 from .printer import render_elem, render_outcome, render_tree
 
 OK, FAILED, STUCK, BAD_INPUT = 0, 1, 2, 3
+
+
+# the parser, the type checker and the printers recurse once per nesting
+# level; evaluation does not
+_TOO_DEEP = "input nested too deeply for the recursive parser, type checker or printer"
 
 
 class _CliError(Exception):
@@ -114,10 +121,10 @@ def cmd_run(args) -> int:
         raise _CliError(f"{args.comodel}: {exc}", BAD_INPUT) from None
     world = _parse_world(args.world, comodel.world)
     try:
-        tree = run_program(program, theory)
+        # only the path the comodel takes is evaluated
+        outcome = cointerpret_tree(world, evaluate(program, base_env(), theory), comodel)
     except AlgeffError as exc:
         raise _CliError(f"runtime error: {exc}", FAILED) from None
-    outcome = cointerpret_tree(world, tree.tree, comodel)
     print(render_outcome(outcome))
     return OK if isinstance(outcome, Done) else STUCK
 
@@ -286,8 +293,8 @@ def cmd_repl(args) -> int:
                     continue
                 typecheck_comp(theory, program)
                 world = _parse_world(world_text, comodel.world)
-                tree = run_program(program, theory)
-                print(render_outcome(cointerpret_tree(world, tree.tree, comodel)))
+                head = evaluate(program, base_env(), theory)
+                print(render_outcome(cointerpret_tree(world, head, comodel)))
                 continue
             if line.startswith(":"):
                 print(f"unknown command {line.split()[0]!r}; :help lists commands")
@@ -298,6 +305,8 @@ def cmd_repl(args) -> int:
             print(render_tree(run_program(program, theory).tree))
         except (_CliError, AlgeffError) as exc:
             print(f"error: {exc}")
+        except RecursionError:
+            print(f"error: {_TOO_DEEP}")
     return OK
 
 
@@ -344,6 +353,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except RecursionError:
+        print(f"error: {_TOO_DEEP}", file=sys.stderr)
+        return BAD_INPUT
 
 
 if __name__ == "__main__":

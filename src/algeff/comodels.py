@@ -20,7 +20,7 @@ from .errors import (
     UnknownOperation,
 )
 from .free import FreeElement
-from .terms import OpNode, Theory, Tree, tree_ops
+from .terms import OpNode, Return, Theory, tree_ops
 from .theories import choice_theory
 from .universe import Enum, Fin, FiniteUniverse
 
@@ -77,18 +77,23 @@ class ComodelViolation:
     rhs_outcome: RunOutcome = None
 
 
-def cointerpret_tree(w0, t: Tree, c: Cointerpretation) -> RunOutcome:
-    """Run a tree from world w0: leaves finish, covered operations step the
-    world, the first uncovered operation gets reported as Stuck."""
+def cointerpret_tree(w0, t, c: Cointerpretation) -> RunOutcome:
+    """Run a tree, or a head-normal computation (``interp.evaluate``), from
+    world w0: leaves finish, covered operations step the world, the first
+    uncovered operation gets reported as Stuck.  A computation is resumed
+    only along the branch each cooperation picks."""
     world = w0
-    while isinstance(t, OpNode):
+    while not isinstance(t, Return):
         coop = c.coops.get(t.op)
         if coop is None:
             if not c.theory.has_op(t.op):
                 raise UnknownOperation(f"tree performs undeclared operation {t.op!r}")
             return Stuck(t.op, t.param, world)
         a, world = coop(t.param, world)
-        t = t.kont[c.theory.op(t.op).arity.index_of(a)]
+        if isinstance(t, OpNode):
+            t = t.kont[c.theory.op(t.op).arity.index_of(a)]
+        else:
+            t = t.resume(a)
     return Done(t.value, world)
 
 

@@ -1,20 +1,42 @@
-"""Big-step evaluation of the core language into free-model elements.
+"""Evaluation of the core language on one explicit-stack machine.
 
-Pure evaluation turns a computation into an effect tree over runtime
-values; handlers fold over that tree by their defining equations.  The
-handler-equation checker replays a theory's laws through a handler's
+A computation evaluates to head-normal form: a ``Return`` leaf, or a
+``Suspended`` operation (op, param, arity) whose ``resume(a)`` runs the
+machine on from the operation's result ``a``.  Consumers pull only what
+they need: ``comodels.cointerpret_tree`` resumes the one branch each
+cooperation picks, while ``materialize`` resumes every branch to build the
+whole effect tree (``eval_pure``/``run_program``, ``handle``,
+normalization, the handler check and printing).
+
+The machine keeps its continuation on a linked stack of frames rather than
+on Python frames, so the depth of a computation costs memory, not
+recursion.  A frame is one of:
+
+- a do frame, ``do x <- [] in rest``: binds the returned value and goes on
+  with ``rest``;
+- a handler frame (deep handling): passes a returned value to the return
+  clause.  An operation performed beneath it that it has a clause for
+  captures the stack segment up to and including the frame as the
+  clause's continuation; applying that continuation pushes the segment
+  back, so handled programs do not recurse either;
+- a replay frame: selects the branch of a concrete tree node by the
+  operation's result, so trees (a handled ``FreeElement``, a continuation
+  over concrete branches) run through the same loop.
+
+The handler-equation checker replays a theory's laws through a handler's
 clauses on symbolic probe continuations and compares the results
 semantically, sampling finite function domains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum as PyEnum
+from functools import cached_property
 from typing import Any, Mapping
 
-from .errors import AlgeffError
-from .free import FreeElement, default_budget, eta, generic_op, has_normalizer, normalize, sequence
+from .errors import AlgeffError, ParameterOutOfUniverse
+from .free import FreeElement, default_budget, eta, has_normalizer, lift, normalize
 from .lang import (
     App,
     BoolLit,
@@ -41,7 +63,7 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, Theory, tree_ops
+from .terms import OpNode, Theory, Tree, tree_ops
 from .terms import Return as Leaf
 from .universe import Enum, Fin, FiniteUniverse, Product
 
@@ -70,19 +92,47 @@ class PrimFun:
     fn: Any
 
 
-@dataclass(frozen=True)
 class KontValue:
-    """A continuation reified as one already-evaluated branch per arity
-    element; applying it selects the branch."""
+    """A continuation over an arity; applying it to an arity element resumes
+    the computation there.
 
-    arity: FiniteUniverse
-    branches: tuple
+    It is either a captured machine stack segment (the continuation of a
+    handled operation) or one concrete branch per arity element.  Either
+    way it compares and hashes by its branches, which a segment
+    materializes on first use.
+    """
 
-    def at(self, a) -> FreeElement:
+    def __init__(self, arity: FiniteUniverse, branches=None, *, segment=None, theory=None):
+        self.arity = arity
+        self.segment = segment
+        self._theory = theory
+        if branches is not None:
+            self.branches = tuple(branches)
+
+    def index(self, a) -> int:
         try:
-            return self.branches[self.arity.index_of(a)]
+            return self.arity.index_of(a)
         except ValueError:
             raise EvalError(f"continuation applied outside its arity: {a!r}") from None
+
+    def at(self, a) -> FreeElement:
+        """The whole computation the continuation resumes at ``a``."""
+        i = self.index(a)
+        if self.segment is None:
+            return self.branches[i]
+        return apply_value(self, a, self._theory)
+
+    @cached_property
+    def branches(self) -> tuple:
+        return tuple(self.at(a) for a in self.arity.iter_elements())
+
+    def __eq__(self, other):
+        if not isinstance(other, KontValue):
+            return NotImplemented
+        return self.arity == other.arity and self.branches == other.branches
+
+    def __hash__(self):
+        return hash((self.arity, self.branches))
 
 
 @dataclass(frozen=True)
@@ -125,26 +175,12 @@ def eval_value(v, env: Mapping, theory: Theory):
     raise EvalError(f"not a value expression: {v!r}")
 
 
-def apply_value(fv, arg, theory: Theory) -> FreeElement:
-    if isinstance(fv, Closure):
-        return eval_pure(fv.body, {**fv.env, fv.param: arg}, theory)
-    if isinstance(fv, PrimFun):
-        try:
-            return eta(theory, fv.fn(arg))
-        except (TypeError, IndexError):
-            raise EvalError(f"{fv.name} applied to {arg!r}") from None
-    if isinstance(fv, KontValue):
-        return fv.at(arg)
-    if isinstance(fv, SymVal):
-        return eta(theory, SymVal(fv.base, fv.args + (arg,)))
-    raise EvalError(f"application of a non-function: {fv!r}")
-
-
 def _adapt(value, u: FiniteUniverse):
     """Fit an integer-valued parameter into its Fin range by wrapping.
 
-    Range integers are modular: the whole tree of a computation is built
-    eagerly, so put!(x+1) must stay total on the last state too.
+    Range integers are modular, so put!(x+1) stays total on the last state
+    too: ``normalize`` and the handler check still build every branch, and
+    a program's meaning must not depend on which branches a consumer pulls.
     """
     if isinstance(u, Fin) and type(value) is int:
         return value % u.n
@@ -153,67 +189,195 @@ def _adapt(value, u: FiniteUniverse):
     return value
 
 
+# ---------------------------------------------------------------------------
+# The machine
+
+# what the control holds: a computation to evaluate (with an environment),
+# a value to return to the top frame, or a concrete tree to replay
+_EVAL, _VALUE, _TREE = 0, 1, 2
+# frames, as tuples on a linked stack (frame, rest) ending in None:
+# (_DO, name, rest, env), (_HANDLER, handler closure), (_REPLAY, node, arity)
+_DO, _HANDLER, _REPLAY = 0, 1, 2
+
+
+@dataclass(frozen=True, eq=False)
+class Suspended:
+    """A computation stopped at an operation no handler takes; ``resume(a)``
+    runs the machine on from the operation's result ``a``."""
+
+    op: str
+    param: Any
+    arity: FiniteUniverse
+    stack: Any = field(repr=False)
+    theory: Theory = field(repr=False)
+
+    def resume(self, a) -> Leaf | Suspended:
+        if not self.arity.contains(a):
+            raise EvalError(f"operation {self.op!r} resumed outside its arity: {a!r}")
+        return _run(self.theory, _VALUE, a, None, self.stack)
+
+
+def _apply(fv, arg, stack) -> tuple:
+    """The machine state (mode, control, env, stack) that applies a function
+    value to an argument on top of ``stack``."""
+    if isinstance(fv, Closure):
+        return _EVAL, fv.body, {**fv.env, fv.param: arg}, stack
+    if isinstance(fv, KontValue):
+        i = fv.index(arg)
+        if fv.segment is None:
+            return _TREE, fv.branches[i].tree, None, stack
+        for frame in reversed(fv.segment):
+            stack = (frame, stack)
+        return _VALUE, arg, None, stack
+    if isinstance(fv, PrimFun):
+        try:
+            return _VALUE, fv.fn(arg), None, stack
+        except (TypeError, IndexError):
+            raise EvalError(f"{fv.name} applied to {arg!r}") from None
+    if isinstance(fv, SymVal):
+        return _VALUE, SymVal(fv.base, fv.args + (arg,)), None, stack
+    raise EvalError(f"application of a non-function: {fv!r}")
+
+
+def _run(theory: Theory, mode: int, x, env, stack) -> Leaf | Suspended:
+    """Run the machine from a state to head-normal form."""
+    while True:
+        if mode == _EVAL:
+            if isinstance(x, Do):
+                stack = ((_DO, x.name, x.rest, env), stack)
+                x = x.first
+                continue
+            if isinstance(x, Return):
+                mode, x = _VALUE, eval_value(x.value, env, theory)
+                continue
+            if isinstance(x, App):
+                fv = eval_value(x.fn, env, theory)
+                mode, x, env, stack = _apply(fv, eval_value(x.arg, env, theory), stack)
+                continue
+            if isinstance(x, If):
+                cond = eval_value(x.cond, env, theory)
+                if type(cond) is not bool:
+                    raise EvalError(f"if expects a boolean, got {cond!r}")
+                x = x.then if cond else x.orelse
+                continue
+            if isinstance(x, WithHandle):
+                hv = eval_value(x.handler, env, theory)
+                if not isinstance(hv, HandlerClosure):
+                    raise EvalError(f"with-handle expects a handler, got {hv!r}")
+                stack = ((_HANDLER, hv), stack)
+                x = x.comp
+                continue
+            if not isinstance(x, OpCall):
+                raise EvalError(f"not a computation expression: {x!r}")
+            op, decl = x.op, theory.op(x.op)
+            param = _adapt(eval_value(x.arg, env, theory), decl.param)
+            if not decl.param.contains(param):
+                raise ParameterOutOfUniverse(
+                    f"{param!r} is not a parameter of {op!r} (expects {decl.param})"
+                )
+        elif mode == _VALUE:
+            if stack is None:
+                return Leaf(x)
+            frame, stack = stack
+            if frame[0] == _DO:
+                _, name, rest, env = frame
+                mode, x, env = _EVAL, rest, {**env, name: x}
+            elif frame[0] == _HANDLER:
+                h = frame[1]
+                mode, x, env = _EVAL, h.code.ret_body, {**h.env, h.code.ret_name: x}
+            else:
+                # resume and continuation application have checked the arity
+                _, node, arity = frame
+                mode, x = _TREE, node.kont[arity.index_of(x)]
+            continue
+        else:
+            if isinstance(x, Leaf):
+                mode, x = _VALUE, x.value
+                continue
+            op, param, decl = x.op, x.param, theory.op(x.op)
+            stack = ((_REPLAY, x, decl.arity), stack)
+        # op(param) is performed: the innermost handler with a clause for op
+        # runs it, outside itself, with the segment up to itself as k
+        segment = []
+        rest = stack
+        while rest is not None:
+            frame, rest = rest
+            segment.append(frame)
+            if frame[0] == _HANDLER:
+                h = frame[1]
+                clause = h.code.clause_for(op)
+                if clause is not None:
+                    k = KontValue(decl.arity, segment=tuple(segment), theory=theory)
+                    env = {**h.env, clause.param_name: param, clause.kont_name: k}
+                    mode, x, stack = _EVAL, clause.body, rest
+                    break
+        else:
+            return Suspended(op, param, decl.arity, stack, theory)
+
+
+_END = object()
+
+
+def materialize(head: Leaf | Suspended) -> Tree:
+    """The whole effect tree of a head-normal computation, built by resuming
+    every branch in arity order; iterative, so deep trees need no
+    recursion."""
+    open_nodes = []  # (suspended operation, arity elements left, subtrees so far)
+    while True:
+        if isinstance(head, Suspended):
+            open_nodes.append((head, iter(head.arity.iter_elements()), []))
+            tree = None
+        else:
+            tree = head
+        while open_nodes:
+            node, elements, subtrees = open_nodes[-1]
+            if tree is not None:
+                subtrees.append(tree)
+            a = next(elements, _END)
+            if a is not _END:
+                head = node.resume(a)
+                break
+            open_nodes.pop()
+            tree = OpNode(node.op, node.param, tuple(subtrees))
+        else:
+            return tree
+
+
+def evaluate(c, env: Mapping, theory: Theory) -> Leaf | Suspended:
+    """Evaluate a computation to head-normal form."""
+    return _run(theory, _EVAL, c, env, None)
+
+
 def eval_pure(c, env: Mapping, theory: Theory) -> FreeElement:
     """Evaluate a computation to an element of the free model over runtime
-    values: returns become leaves, operation calls become nodes, sequencing
-    is Kleisli lifting, and with-handle folds the handler over the tree."""
-    if isinstance(c, Return):
-        return eta(theory, eval_value(c.value, env, theory))
-    if isinstance(c, OpCall):
-        arg = eval_value(c.arg, env, theory)
-        return generic_op(theory, c.op, _adapt(arg, theory.op(c.op).param))
-    if isinstance(c, Do):
-        first = eval_pure(c.first, env, theory)
-        return sequence(first, lambda val: eval_pure(c.rest, {**env, c.name: val}, theory))
-    if isinstance(c, If):
-        cond = eval_value(c.cond, env, theory)
-        if type(cond) is not bool:
-            raise EvalError(f"if expects a boolean, got {cond!r}")
-        return eval_pure(c.then if cond else c.orelse, env, theory)
-    if isinstance(c, App):
-        fv = eval_value(c.fn, env, theory)
-        arg = eval_value(c.arg, env, theory)
-        return apply_value(fv, arg, theory)
-    if isinstance(c, WithHandle):
-        hv = eval_value(c.handler, env, theory)
-        if not isinstance(hv, HandlerClosure):
-            raise EvalError(f"with-handle expects a handler, got {hv!r}")
-        return handle(hv, eval_pure(c.comp, env, theory), theory)
-    raise EvalError(f"not a computation expression: {c!r}")
+    values: returns become leaves, operations nobody handles become nodes
+    (one subtree per arity element), and with-handle handles deeply.  The
+    whole tree is built; ``evaluate`` gives the head-normal form."""
+    return FreeElement(theory, materialize(evaluate(c, env, theory)))
 
 
 def run_program(c, theory: Theory) -> FreeElement:
     return eval_pure(c, base_env(), theory)
 
 
-def handle(h: HandlerClosure, t: FreeElement, theory: Theory | None = None) -> FreeElement:
-    """Fold a handler over an effect tree (deep handling).
+def apply_value(fv, arg, theory: Theory) -> FreeElement:
+    """Apply a function value to an argument; the whole result is built."""
+    return FreeElement(theory, materialize(_run(theory, *_apply(fv, arg, None))))
 
-    Return leaves evaluate the return clause; handled nodes evaluate their
-    clause with the continuation bound to the already-handled subtrees;
-    unhandled nodes are re-emitted around the handled subtrees.
+
+def handle(h: HandlerClosure, t: FreeElement, theory: Theory | None = None) -> FreeElement:
+    """Handle an effect tree deeply, building the whole result.
+
+    The tree is replayed on the machine beneath a handler frame.  Return
+    leaves evaluate the return clause; a handled node evaluates its clause
+    with the continuation bound to the captured rest of the replay (the
+    handled subtrees, each built only when the clause applies it or the
+    result is built); unhandled nodes are re-emitted around the handled
+    subtrees.
     """
     theory = theory if theory is not None else t.theory
-
-    def go(tree) -> FreeElement:
-        if isinstance(tree, Leaf):
-            env = {**h.env, h.code.ret_name: tree.value}
-            return eval_pure(h.code.ret_body, env, theory)
-        handled = tuple(go(sub) for sub in tree.kont)
-        clause = h.code.clause_for(tree.op)
-        if clause is None:
-            return FreeElement(
-                theory, OpNode(tree.op, tree.param, tuple(fe.tree for fe in handled))
-            )
-        decl = theory.op(tree.op)
-        env = {
-            **h.env,
-            clause.param_name: tree.param,
-            clause.kont_name: KontValue(decl.arity, handled),
-        }
-        return eval_pure(clause.body, env, theory)
-
-    return go(t.tree)
+    head = _run(theory, _TREE, t.tree, None, ((_HANDLER, h), None))
+    return FreeElement(theory, materialize(head))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +551,10 @@ def check_handler_equations(
     """Replay each equation family through the handler's clauses.
 
     The generic continuation is instantiated with probe leaves, one fresh
-    symbolic value per context generator; both sides are folded through the
-    clauses and compared at the handler's output type.  A violation is a
-    definite counterexample; equations mentioning unhandled operations are
-    skipped and reported.  At most ``budget`` instances are checked (by
+    symbolic value per context generator; both sides are handled by the
+    clauses (probes pass the return clause untouched) and compared at the
+    handler's output type.  A violation is a definite counterexample;
+    equations mentioning unhandled operations are skipped and reported.  At most ``budget`` instances are checked (by
     default ``default_budget()``); any left over make the verdict unknown.
     """
     covered = {cl.op for cl in h.code.clauses}
@@ -399,18 +563,10 @@ def check_handler_equations(
     checked = 0
     budget = budget if budget is not None else default_budget()
 
-    def push(tree) -> FreeElement:
-        if isinstance(tree, Leaf):
-            return FreeElement(theory, Leaf(SymVal(("kont", tree.value))))
-        branches = tuple(push(sub) for sub in tree.kont)
-        clause = h.code.clause_for(tree.op)
-        decl = theory.op(tree.op)
-        env = {
-            **h.env,
-            clause.param_name: tree.param,
-            clause.kont_name: KontValue(decl.arity, branches),
-        }
-        return eval_pure(clause.body, env, theory)
+    # probe leaves stand for the generic continuation, which the return
+    # clause must not see: the clauses, with the identity return clause
+    passthrough = HandlerClosure(replace(h.code, ret_name="x", ret_body=Return(Var("x"))), h.env)
+    probe = lift(lambda v: eta(theory, SymVal(("kont", v))))
 
     for eq in theory.eqs:
         instances = [(p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements()]
@@ -426,12 +582,13 @@ def check_handler_equations(
                 break
             checked += 1
             try:
-                left = push(lhs)
-                right = push(rhs)
+                left = handle(passthrough, probe(FreeElement(theory, lhs)), theory)
+                right = handle(passthrough, probe(FreeElement(theory, rhs)), theory)
+                # continuations compare by branches, built (and failing) only here
+                verdict = compare_trees(left.tree, right.tree, out_type, theory)
             except AlgeffError:
                 unknown = True
                 continue
-            verdict = compare_trees(left.tree, right.tree, out_type, theory)
             if verdict is False:
                 return HandlerCheck(HandlerVerdict.VIOLATED, eq.name, p, tuple(skipped))
             if verdict is None:

@@ -392,12 +392,14 @@ class _Parser:
             if tok.value == "false":
                 self.next()
                 return False
-            if tok.value == "fst":
+            if tok.value in ("fst", "snd"):
                 self.next()
-                return self.elem(env)[0]
-            if tok.value == "snd":
-                self.next()
-                return self.elem(env)[1]
+                pair = self.elem(env)
+                if type(pair) is not tuple or len(pair) != 2:
+                    raise ParseError(
+                        tok.line, tok.col, f"{tok.value} expects a pair, got {pair!r}"
+                    )
+                return pair[0 if tok.value == "fst" else 1]
             self.next()
             return env.get(tok.value, tok.value)
         if self.at_punct("("):

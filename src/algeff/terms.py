@@ -81,18 +81,19 @@ class Theory:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         object.__setattr__(self, "eqs", tuple(self.eqs))
-        names = [o.name for o in self.ops]
-        if len(set(names)) != len(names):
+        by_name = {o.name: o for o in self.ops}
+        if len(by_name) != len(self.ops):
             raise ValueError(f"duplicate operation names in theory {self.name!r}")
+        object.__setattr__(self, "_by_name", by_name)
 
     def op(self, name: str) -> OpDecl:
-        for o in self.ops:
-            if o.name == name:
-                return o
-        raise UnknownOperation(f"theory {self.name!r} has no operation {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownOperation(f"theory {self.name!r} has no operation {name!r}") from None
 
     def has_op(self, name: str) -> bool:
-        return any(o.name == name for o in self.ops)
+        return name in self._by_name
 
     def op_names(self) -> tuple:
         return tuple(o.name for o in self.ops)

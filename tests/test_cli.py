@@ -258,3 +258,121 @@ def test_normalize_does_not_depend_on_the_theory_name(capsys, tmp_path):
     code, out, _ = invoke(capsys, "normalize", program, "--theory", cell)
     assert code == 0
     assert out == expected == "get((); put(0; return (0, 0)), put(1; return (1, 1)))\n"
+
+
+def puts(n, modulus):
+    return "".join(f"do u <- put!({i % modulus}) in " for i in range(n))
+
+
+def test_run_deep_straight_line_program(capsys, tmp_path):
+    prog = tmp_path / "deep.eff"
+    prog.write_text(puts(400, 10) + "return ()")
+    code, out, _ = invoke(
+        capsys,
+        "run", prog,
+        "--theory", SAMPLES / "state10.thy",
+        "--comodel", SAMPLES / "state10.cmod",
+        "--world", "5",
+    )
+    assert out == "() @ 9\n"
+    assert code == 0
+
+
+def test_normalize_deep_program(capsys, tmp_path):
+    prog = tmp_path / "deep.eff"
+    prog.write_text(puts(400, 2) + "do x <- get!() in return x")
+    code, out, _ = invoke(capsys, "normalize", prog, "--theory", SAMPLES / "state2.thy")
+    assert out == "get((); put(1; return 1), put(1; return 1))\n"
+    assert code == 0
+
+
+def test_state_handler_runs_a_deep_program(capsys, tmp_path):
+    handler = (SAMPLES / "stateh.eff").read_text().split("\n", 1)[1].strip()
+    body = "".join(f"do u <- put!({i % 2}) in " for i in range(1, 300))
+    prog = tmp_path / "deep.eff"
+    prog.write_text(f"do f <- with {handler} handle ({body}do x <- get!() in return x) in f 0")
+    code, out, _ = invoke(
+        capsys,
+        "run", prog,
+        "--theory", SAMPLES / "state10.thy",
+        "--comodel", SAMPLES / "state10.cmod",
+        "--world", "0",
+    )
+    assert out == "(1, 1) @ 0\n"
+    assert code == 0
+
+
+PROBE_THEORY = 'theory probe {\n  op get : unit ~> bool;\n  op print : enum {"a"} ~> unit;\n}\n'
+PROBE_COMODEL = (
+    'comodel probe {\n  world fin 1;\n  get((); 0) = (false; 0);\n'
+    '  print("a"; 0) = ((); 0);\n}\n'
+)
+
+
+def test_run_reports_no_error_from_a_branch_it_never_takes(capsys, tmp_path):
+    theory = tmp_path / "probe.thy"
+    theory.write_text(PROBE_THEORY)
+    comodel = tmp_path / "probe.cmod"
+    comodel.write_text(PROBE_COMODEL)
+    # "zzz" is no parameter of print, but only the true branch performs it
+    program = 'do b <- get!() in if b then print!("zzz") else return ()'
+    code, out, _ = invoke(
+        capsys, "run", program, "--theory", theory, "--comodel", comodel, "--world", "0"
+    )
+    assert (code, out) == (0, "() @ 0\n")
+    code, _, err = invoke(capsys, "normalize", program, "--theory", theory)
+    assert code == 1
+    assert "'zzz' is not a parameter of 'print'" in err
+
+
+def test_fst_of_a_non_pair_in_a_theory_file_exits_3(capsys, tmp_path):
+    theory = tmp_path / "bad.thy"
+    theory.write_text(
+        "theory t {\n"
+        "  op put : fin 2 ~> unit;\n"
+        "  equation e forall p in fin 2 (unit) : "
+        "put(fst p; \\u. return u) = put(fst p; \\u. return u);\n"
+        "}\n"
+    )
+    code, _, err = invoke(capsys, "normalize", "return 1", "--theory", theory)
+    assert code == 3
+    assert "syntax error at 3:" in err
+    assert "fst expects a pair" in err
+
+
+def test_program_too_deep_to_parse_exits_3_without_a_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    prog = tmp_path / "deep.eff"
+    prog.write_text(puts(2000, 10) + "return ()")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "algeff.cli", "run", str(prog),
+         "--theory", str(SAMPLES / "state10.thy"),
+         "--comodel", str(SAMPLES / "state10.cmod"), "--world", "5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stdout + done.stderr
+
+
+def test_repl_survives_a_program_too_deep_to_parse(capsys, monkeypatch):
+    lines = iter(
+        [
+            f":load {SAMPLES / 'state2.thy'}",
+            f":normalize {puts(2000, 2)}return ()",
+            "return true",
+            ":q",
+        ]
+    )
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert "error: input nested too deeply" in out
+    assert "return true" in out

@@ -353,3 +353,87 @@ def test_handler_check_budget_follows_the_environment(monkeypatch):
     assert stateh_check(theory).verdict is HandlerVerdict.RESPECTED
     monkeypatch.setenv("ALGEFF_BUDGET", "1")
     assert stateh_check(theory).verdict is HandlerVerdict.UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# The machine: head-normal forms, demand-driven runs, depth
+
+
+def test_evaluate_stops_at_the_first_unhandled_operation():
+    from algeff.interp import Suspended, evaluate, materialize
+
+    head = evaluate(increment_program(), base_env(), STATE3)
+    assert isinstance(head, Suspended)
+    assert (head.op, head.param, head.arity) == ("get", (), Fin(3))
+    after = head.resume(2)
+    assert (after.op, after.param) == ("put", 0)
+    assert after.resume(()) == Leaf(2)
+    assert materialize(head) == run(increment_program(), STATE3).tree
+    with pytest.raises(EvalError):
+        head.resume(3)
+
+
+def read_chain(reads):
+    prog = Return(Var(f"x{reads - 1}"))
+    for i in reversed(range(reads)):
+        prog = Do(f"x{i}", OpCall("get", UnitLit()), prog)
+    return prog
+
+
+def test_a_run_resumes_only_the_path_the_comodel_takes(monkeypatch):
+    from algeff.comodels import Done, cointerpret_tree, state_comodel
+    from algeff.interp import Suspended, evaluate
+
+    resumed = []
+    resume = Suspended.resume
+
+    def counting(self, a):
+        resumed.append(a)
+        return resume(self, a)
+
+    monkeypatch.setattr(Suspended, "resume", counting)
+    theory = single_state_theory(Fin(10))
+    head = evaluate(read_chain(6), base_env(), theory)
+    assert cointerpret_tree(4, head, state_comodel(theory)) == Done(4, 4)
+    assert len(resumed) <= 6 * 10
+
+
+def test_evaluation_has_no_depth_limit():
+    from algeff.comodels import Done, cointerpret_tree, state_comodel
+    from algeff.interp import evaluate, materialize
+
+    theory = single_state_theory(Fin(10))
+    prog = Return(UnitLit())
+    for i in reversed(range(10000)):
+        prog = Do("u", OpCall("put", IntLit(i)), prog)
+    head = evaluate(prog, base_env(), theory)
+    assert cointerpret_tree(0, head, state_comodel(theory)) == Done((), 9999 % 10)
+    tree = materialize(head)
+    for i in range(10000):
+        assert (tree.op, tree.param) == ("put", i % 10)
+        tree = tree.kont[0]
+    assert tree == Leaf(())
+
+
+def test_deep_handling_has_no_depth_limit():
+    # 10000 puts under the state-passing handler, run from state 0
+    theory = single_state_theory(Fin(10))
+    body = Do("x", OpCall("get", UnitLit()), Return(Var("x")))
+    for i in reversed(range(10000)):
+        body = Do("u", OpCall("put", IntLit(i)), body)
+    prog = Do("f", WithHandle(state_passing_handler(), body), App(Var("f"), IntLit(0)))
+    assert run_program(prog, theory).tree == Leaf((9999 % 10, 9999 % 10))
+
+
+def test_handled_continuations_compare_by_their_branches():
+    # the continuation a handled get captures equals the one over its built branches
+    h = HandlerClosure(
+        HandlerLit("x", Return(Var("x")), (OpClause("get", "u", "k", Return(Var("k"))),)),
+        base_env(),
+    )
+    tree = OpNode("get", (), (Leaf(0), Leaf(1), Leaf(2)))
+    k = handle(h, FreeElement(STATE3, tree)).tree.value
+    assert isinstance(k, KontValue) and k.segment is not None
+    expected = KontValue(Fin(3), tuple(eta(STATE3, v) for v in range(3)))
+    assert k == expected and hash(k) == hash(expected)
+    assert apply_value(k, 2, STATE3).tree == Leaf(2)
