@@ -10,7 +10,7 @@ Exit codes: 0 success (run reached a value / check passed), 1 type errors,
 violations, and runtime failures, 2 a run stuck on an unhandled toplevel
 operation, 3 parse and reference errors, and input nested too deeply for the
 recursive parser, type checker or printer.  ALGEFF_BUDGET bounds the
-congruence search (default 10000 steps).
+congruence search (default 10000 trees expanded).
 """
 
 from __future__ import annotations

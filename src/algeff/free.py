@@ -11,16 +11,17 @@ equality elsewhere.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum as PyEnum
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
 from .models import FiniteModel, interpret_term
-from .terms import OpNode, Return, Theory, Tree, make_tree_op, sort_key, tree_leaves
+from .terms import OpNode, Return, Theory, Tree, make_tree_op, same_value, sort_key, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
 from .universe import BOOL
 
@@ -28,7 +29,8 @@ DEFAULT_BUDGET = 10000
 
 
 def default_budget() -> int:
-    """Congruence-search step bound; ALGEFF_BUDGET overrides the default."""
+    """How many trees the congruence search may expand; ALGEFF_BUDGET
+    overrides the default."""
     raw = os.environ.get("ALGEFF_BUDGET", "")
     try:
         return int(raw) if raw else DEFAULT_BUDGET
@@ -164,14 +166,16 @@ def _normalize_semilattice(theory: Theory, t: Tree) -> Tree:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Strategy:
     """The proof strategies a theory earns by having exactly a built-in's laws:
     a normalizer, and small validating models (carrier, operation tables)
-    that refute equality soundly."""
+    that refute equality soundly.  ``rules`` holds the congruence search's
+    rewrite rules, compiled the first time the theory is searched."""
 
     normalize: Callable[[Theory, Tree], Tree] | None = None
     refuters: tuple = ()
+    rules: tuple | None = None
 
 
 def _single_state_twin(theory: Theory) -> Theory | None:
@@ -228,7 +232,8 @@ _STRATEGIES = weakref.WeakKeyDictionary()
 
 def _strategy(theory: Theory) -> _Strategy:
     """The strategy of the built-in whose operations and equation instances
-    are exactly the theory's, or none; resolved once per theory object."""
+    are exactly the theory's, or none; resolved once per theory object, into
+    a record of the theory's own."""
     found = _STRATEGIES.get(theory)
     if found is None:
         found = _Strategy()
@@ -240,7 +245,7 @@ def _strategy(theory: Theory) -> _Strategy:
                 and frozenset(twin.ops) == ops
                 and _same_instances(theory, twin)
             ):
-                found = strategy
+                found = replace(strategy)
                 break
         _STRATEGIES[theory] = found
     return found
@@ -289,17 +294,20 @@ def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
 
 
 def _subtrees(t: Tree) -> Iterator[Tree]:
-    yield t
-    if isinstance(t, OpNode):
-        for sub in t.kont:
-            yield from _subtrees(sub)
+    """The subtrees of t in preorder."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is OpNode:
+            stack.extend(reversed(node.kont))
 
 
 def _match(pattern: Tree, gens: frozenset, t: Tree, sigma: dict) -> bool:
     """Match a concrete tree against an equation-side pattern whose leaves
     are context generators, extending sigma in place; nonlinear patterns
     require consistent bindings."""
-    if isinstance(pattern, Return):
+    if type(pattern) is Return:
         if pattern.value in gens:
             bound = sigma.get(pattern.value)
             if bound is None:
@@ -307,50 +315,139 @@ def _match(pattern: Tree, gens: frozenset, t: Tree, sigma: dict) -> bool:
                 return True
             return bound == t
         return pattern == t
-    if not isinstance(t, OpNode) or t.op != pattern.op or t.param != pattern.param:
+    if (
+        type(t) is not OpNode
+        or t.op != pattern.op
+        or not same_value(t.param, pattern.param)
+    ):
         return False
-    return all(
-        _match(psub, gens, tsub, sigma) for psub, tsub in zip(pattern.kont, t.kont)
-    )
+    for psub, tsub in zip(pattern.kont, t.kont):
+        if not _match(psub, gens, tsub, sigma):
+            return False
+    return True
 
 
 def _pattern_gens(pattern: Tree, gens: frozenset) -> set:
     return {v for v in tree_leaves(pattern) if v in gens}
 
 
-def _instantiate(pattern: Tree, gens: frozenset, sigma: Mapping) -> Tree:
-    if isinstance(pattern, Return):
-        return sigma[pattern.value] if pattern.value in gens else pattern
-    return OpNode(
-        pattern.op,
-        pattern.param,
-        tuple(_instantiate(sub, gens, sigma) for sub in pattern.kont),
-    )
+def _builder(pattern: Tree, gens: frozenset) -> Callable[[Mapping], Tree]:
+    """The function from a binding of the generators to that instance of
+    the pattern."""
+    if type(pattern) is Return:
+        if pattern.value in gens:
+            return operator.itemgetter(pattern.value)
+        return lambda sigma: pattern
+    op, param = pattern.op, pattern.param
+    subs = tuple(_builder(sub, gens) for sub in pattern.kont)
+    return lambda sigma: OpNode(op, param, tuple([build(sigma) for build in subs]))
 
 
-def _rewrite_everywhere(src, dst, gens, t, pool) -> Iterator[Tree]:
-    sigma: dict = {}
-    if _match(src, gens, t, sigma):
-        missing = sorted(_pattern_gens(dst, gens) - sigma.keys(), key=sort_key)
-        for fillers in itertools.product(pool, repeat=len(missing)):
-            full = dict(sigma)
-            full.update(zip(missing, fillers))
-            yield _instantiate(dst, gens, full)
-    if isinstance(t, OpNode):
-        for i, child in enumerate(t.kont):
-            for new_child in _rewrite_everywhere(src, dst, gens, child, pool):
-                yield OpNode(t.op, t.param, t.kont[:i] + (new_child,) + t.kont[i + 1 :])
+@dataclass(frozen=True)
+class _Rule:
+    """One direction of a non-trivial equation instance: rewrite ``source``
+    to the tree ``build`` makes from the source's generator bindings.
+    ``fresh`` lists, in sort_key order, the generators the target has and
+    the source lacks; the search fills them from its pool."""
+
+    source: Tree
+    gens: frozenset
+    fresh: tuple
+    build: Callable[[Mapping], Tree]
 
 
-def _rewrites(theory: Theory, t: Tree, pool) -> Iterator[Tree]:
-    for eq in theory.eqs:
-        gens = frozenset(eq.context.iter_elements())
-        for p in eq.param_universe.iter_elements():
-            lhs, rhs = eq.lhs(p), eq.rhs(p)
-            if lhs == rhs:
+def _typed(v):
+    # a key that tells apart values == would identify, such as 1 and True
+    return tuple(map(_typed, v)) if type(v) is tuple else (type(v), v)
+
+
+def _shape(t: Tree, gens: frozenset, names: dict) -> tuple:
+    """t in preorder, with each generator replaced by its number in order of
+    first appearance (``names`` carries the numbering across calls)."""
+    out = []
+    for node in _subtrees(t):
+        if type(node) is OpNode:
+            out.append((node.op, _typed(node.param), len(node.kont)))
+        elif node.value in gens:
+            out.append(names.setdefault(node.value, len(names)))
+        else:
+            out.append((_typed(node.value),))
+    return tuple(out)
+
+
+def _rules(theory: Theory) -> tuple:
+    """The theory's rewrite rules in search order: equation, then
+    parameter, then direction; compiled once per theory object.
+
+    A rule that is an earlier one with its generators renamed (as the two
+    directions of commutativity are) is left out: at every position it
+    yields exactly the trees the earlier rule yielded just before, so
+    dropping it changes neither the frontier nor any verdict."""
+    strategy = _strategy(theory)
+    if strategy.rules is None:
+        rules, shapes = [], set()
+        for eq in theory.eqs:
+            gens = frozenset(eq.context.iter_elements())
+            for p in eq.param_universe.iter_elements():
+                lhs, rhs = eq.lhs(p), eq.rhs(p)
+                if lhs == rhs:
+                    continue
+                for src, dst in ((lhs, rhs), (rhs, lhs)):
+                    names: dict = {}
+                    shape = (_shape(src, gens, names), _shape(dst, gens, names))
+                    if shape in shapes:
+                        continue
+                    shapes.add(shape)
+                    fresh = _pattern_gens(dst, gens) - _pattern_gens(src, gens)
+                    fresh = tuple(sorted(fresh, key=sort_key))
+                    rules.append(_Rule(src, gens, fresh, _builder(dst, gens)))
+        strategy.rules = tuple(rules)
+    return strategy.rules
+
+
+def _neighbours(rules: tuple, t: Tree, pool: list) -> Iterator[Tree]:
+    """Every tree one rule application away from t, by rule, then preorder
+    position, then filler product.  A rule whose source has an operation at
+    its head is only tried at positions with that operation and parameter."""
+    nodes, parents, slots = [], [], []
+    heads: dict = {}
+    stack = [(t, -1, 0)]
+    while stack:
+        node, parent, slot = stack.pop()
+        i = len(nodes)
+        nodes.append(node)
+        parents.append(parent)
+        slots.append(slot)
+        if type(node) is OpNode:
+            heads.setdefault((node.op, node.param), []).append(i)
+            kont = node.kont
+            for k in range(len(kont) - 1, -1, -1):
+                stack.append((kont[k], i, k))
+    everywhere = range(len(nodes))
+
+    for rule in rules:
+        src, gens, fresh, build = rule.source, rule.gens, rule.fresh, rule.build
+        where = everywhere if type(src) is Return else heads.get((src.op, src.param), ())
+        for i in where:
+            sigma: dict = {}
+            if not _match(src, gens, nodes[i], sigma):
                 continue
-            yield from _rewrite_everywhere(lhs, rhs, gens, t, pool)
-            yield from _rewrite_everywhere(rhs, lhs, gens, t, pool)
+            if fresh:
+                fills = (
+                    build({**sigma, **dict(zip(fresh, fillers))})
+                    for fillers in itertools.product(pool, repeat=len(fresh))
+                )
+            else:
+                fills = (build(sigma),)
+            for new in fills:
+                # rebuild the spine from position i up to the root
+                j = i
+                while j:
+                    parent = nodes[parents[j]]
+                    kont, k = parent.kont, slots[j]
+                    new = OpNode(parent.op, parent.param, kont[:k] + (new,) + kont[k + 1 :])
+                    j = parents[j]
+                yield new
 
 
 def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = None) -> TreeEq:
@@ -358,7 +455,9 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
 
     With a normalizer (see ``normalize``) the answer is exact.  Otherwise
     equality is searched for by applying equation instances breadth-first
-    from both trees until the frontiers meet or the step budget runs out;
+    from both trees until the frontiers meet or the budget runs out; the
+    budget counts the trees taken off the two frontiers and expanded
+    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``);
     DISTINCT is only ever reported when a small validating model separates
     the trees, and only theories with exactly the built-in choice laws
     have such models.
@@ -372,11 +471,8 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
     if _refutes(theory, t1, t2):
         return TreeEq.DISTINCT
 
-    pool = []
-    for t in (t1, t2):
-        for sub in _subtrees(t):
-            if sub not in pool:
-                pool.append(sub)
+    rules = _rules(theory)
+    pool = list(dict.fromkeys(itertools.chain(_subtrees(t1), _subtrees(t2))))
 
     seen = ({t1}, {t2})
     frontiers = (deque([t1]), deque([t2]))
@@ -388,7 +484,7 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
                 continue
             steps += 1
             t = frontier.popleft()
-            for nt in _rewrites(theory, t, pool):
+            for nt in _neighbours(rules, t, pool):
                 if nt in seen[1 - side]:
                     return TreeEq.EQUAL
                 if nt not in seen[side]:

@@ -51,12 +51,25 @@ def render_outcome(out: RunOutcome) -> str:
 
 
 def render_tree(t: Tree) -> str:
-    if isinstance(t, Return):
-        return f"return {render_elem(t.value)}"
-    if not t.kont:
-        return f"{t.op}({render_elem(t.param)})"
-    subs = ", ".join(render_tree(sub) for sub in t.kont)
-    return f"{t.op}({render_elem(t.param)}; {subs})"
+    # an explicit stack of trees and closing text, so deep trees print too
+    parts = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Return):
+            parts.append(f"return {render_elem(item.value)}")
+        elif not item.kont:
+            parts.append(f"{item.op}({render_elem(item.param)})")
+        else:
+            parts.append(f"{item.op}({render_elem(item.param)}; ")
+            stack.append(")")
+            for i in range(len(item.kont) - 1, 0, -1):
+                stack.append(item.kont[i])
+                stack.append(", ")
+            stack.append(item.kont[0])
+    return "".join(parts)
 
 
 def _value_needs_parens(v) -> bool:

@@ -3,13 +3,18 @@
 A tree is either a ``Return`` leaf over a generator value or an operation
 node carrying a parameter and one subtree per element of the operation's
 arity.  Continuations are stored positionally, indexed by the arity
-universe's canonical enumeration, so structural equality of trees is just
-dataclass equality.
+universe's canonical enumeration, so two trees are equal exactly when they
+have the same shape, operations, parameters and leaves.  Values compare by
+``==`` and by type, through tuples, so ``Return(1) != Return(True)``.
+Trees are immutable.  An operation node caches its hash the first time it
+is asked for; a leaf's hash is its value's.  Equality and hashing recurse
+at most 100 levels at a time and keep deeper subtrees on an explicit list,
+so trees of any depth compare and hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import (
@@ -30,22 +35,151 @@ class OpDecl:
     arity: FiniteUniverse
 
 
-@dataclass(frozen=True)
-class Return:
-    value: Any
+class _Node:
+    """What ``Return`` and ``OpNode`` share: they are immutable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class OpNode:
-    op: str
-    param: Any
-    kont: tuple
+class Return(_Node):
+    """A leaf.  Its hash is its value's, computed when asked for, since the
+    value may be unhashable (a closure with an environment, say)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "kont", tuple(self.kont))
+    __slots__ = ("value",)
 
+    def __init__(self, value: Any):
+        _set_value(self, value)
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __eq__(self, other):
+        if type(other) is Return:
+            return same_value(self.value, other.value)
+        return False if type(other) is OpNode else NotImplemented
+
+    def __repr__(self):
+        return f"Return(value={self.value!r})"
+
+    def __reduce__(self):
+        return Return, (self.value,)
+
+
+class OpNode(_Node):
+    """An operation node.  It caches its hash the first time it is asked
+    for (``_hash`` is None until then), and equality tries identity, then
+    cached hashes, then structure."""
+
+    __slots__ = ("op", "param", "kont", "_hash")
+
+    def __init__(self, op: str, param: Any, kont: tuple):
+        _set_op(self, op)
+        _set_param(self, param)
+        _set_kont(self, kont if type(kont) is tuple else tuple(kont))
+        _set_hash(self, None)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            waiting = [self]
+            while waiting:
+                if _hash_within(waiting[-1], _RECURSION_STEP, waiting) is not None:
+                    waiting.pop()
+            h = self._hash
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not OpNode:
+            return False if type(other) is Return else NotImplemented
+        h, other_h = self._hash, other._hash
+        if h is not None and other_h is not None and h != other_h:
+            return False
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b and not _same_within(a, b, _RECURSION_STEP, pairs):
+                return False
+        return True
+
+    def __repr__(self):
+        return f"OpNode(op={self.op!r}, param={self.param!r}, kont={self.kont!r})"
+
+    def __reduce__(self):
+        return OpNode, (self.op, self.param, self.kont)
+
+
+# the slots' own setters, since __setattr__ refuses every assignment
+_set_value = Return.value.__set__
+_set_op, _set_param, _set_kont = OpNode.op.__set__, OpNode.param.__set__, OpNode.kont.__set__
+_set_hash = OpNode._hash.__set__
 
 Tree = Return | OpNode
+
+
+# Hashing and equality recurse at most this many levels at a time; deeper
+# subtrees wait on an explicit list, so a tree of any depth is fine.
+_RECURSION_STEP = 100
+
+
+def _hash_within(t: OpNode, depth: int, waiting: list):
+    """t's hash, or None after putting a node more than depth levels down on
+    waiting, to be hashed first."""
+    hashes = []
+    for sub in t.kont:
+        if type(sub) is Return:
+            h = hash(sub.value)
+        else:
+            h = sub._hash
+            if h is None:
+                if not depth:
+                    waiting.append(sub)
+                    return None
+                h = _hash_within(sub, depth - 1, waiting)
+                if h is None:
+                    return None
+        hashes.append(h)
+    h = hash((t.op, t.param, tuple(hashes)))
+    _set_hash(t, h)
+    return h
+
+
+def same_value(a, b) -> bool:
+    """a == b, with the same types all the way down through tuples, so that
+    a boolean and an integer are never the same leaf or parameter."""
+    return a is b or (
+        type(a) is type(b)
+        and a == b
+        and (type(a) is not tuple or all(map(same_value, a, b)))
+    )
+
+
+def _same_within(a: Tree, b: Tree, depth: int, pairs: list) -> bool:
+    """False if a and b differ within depth levels; subtree pairs further
+    down go on pairs, to be compared later."""
+    if type(a) is Return:
+        return type(b) is Return and same_value(a.value, b.value)
+    if (
+        type(b) is not OpNode
+        or a.op != b.op
+        or not same_value(a.param, b.param)
+        or len(a.kont) != len(b.kont)
+    ):
+        return False
+    if not depth:
+        pairs.extend(zip(a.kont, b.kont))
+        return True
+    for x, y in zip(a.kont, b.kont):
+        if x is not y and not _same_within(x, y, depth - 1, pairs):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -376,3 +376,11 @@ def test_repl_survives_a_program_too_deep_to_parse(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "error: input nested too deeply" in out
     assert "return true" in out
+
+
+def test_normalize_prints_a_deep_tree(capsys, tmp_path):
+    prog = tmp_path / "deep.eff"
+    prog.write_text('do u <- print!("Hello world!") in ' * 900 + "return ()")
+    code, out, err = invoke(capsys, "normalize", prog, "--theory", SAMPLES / "io_hello.thy")
+    assert code == 0 and err == ""
+    assert out == 'print("Hello world!"; ' * 900 + "return ()" + ")" * 900 + "\n"

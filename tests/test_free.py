@@ -453,3 +453,154 @@ def test_strategy_resolution_does_not_keep_theories_alive():
     del th
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# The congruence search against the search it replaced
+
+
+def reference_search(theory, t1, t2, budget):
+    """The generator-based breadth-first search, kept as the reference for
+    verdicts: every popped tree rebuilds each equation instance and yields
+    its neighbours through one nested generator per tree level."""
+    from algeff.free import _refutes
+    from algeff.terms import sort_key, tree_leaves
+
+    def subtrees(t):
+        yield t
+        if isinstance(t, OpNode):
+            for sub in t.kont:
+                yield from subtrees(sub)
+
+    def match(pattern, gens, t, sigma):
+        if isinstance(pattern, Return):
+            if pattern.value in gens:
+                bound = sigma.get(pattern.value)
+                if bound is None:
+                    sigma[pattern.value] = t
+                    return True
+                return bound == t
+            return pattern == t
+        if not isinstance(t, OpNode) or t.op != pattern.op or t.param != pattern.param:
+            return False
+        return all(match(psub, gens, tsub, sigma) for psub, tsub in zip(pattern.kont, t.kont))
+
+    def instantiate(pattern, gens, sigma):
+        if isinstance(pattern, Return):
+            return sigma[pattern.value] if pattern.value in gens else pattern
+        return OpNode(
+            pattern.op, pattern.param, tuple(instantiate(sub, gens, sigma) for sub in pattern.kont)
+        )
+
+    def rewrite_everywhere(src, dst, gens, t, pool):
+        sigma = {}
+        if match(src, gens, t, sigma):
+            wanted = {v for v in tree_leaves(dst) if v in gens}
+            missing = sorted(wanted - sigma.keys(), key=sort_key)
+            for fillers in itertools.product(pool, repeat=len(missing)):
+                full = dict(sigma)
+                full.update(zip(missing, fillers))
+                yield instantiate(dst, gens, full)
+        if isinstance(t, OpNode):
+            for i, child in enumerate(t.kont):
+                for new_child in rewrite_everywhere(src, dst, gens, child, pool):
+                    yield OpNode(t.op, t.param, t.kont[:i] + (new_child,) + t.kont[i + 1 :])
+
+    def rewrites(t, pool):
+        for eq in theory.eqs:
+            gens = frozenset(eq.context.iter_elements())
+            for p in eq.param_universe.iter_elements():
+                lhs, rhs = eq.lhs(p), eq.rhs(p)
+                if lhs == rhs:
+                    continue
+                yield from rewrite_everywhere(lhs, rhs, gens, t, pool)
+                yield from rewrite_everywhere(rhs, lhs, gens, t, pool)
+
+    if t1 == t2:
+        return TreeEq.EQUAL
+    if _refutes(theory, t1, t2):
+        return TreeEq.DISTINCT
+    pool = []
+    for t in (t1, t2):
+        for sub in subtrees(t):
+            if sub not in pool:
+                pool.append(sub)
+    seen = ({t1}, {t2})
+    frontiers = ([t1], [t2])
+    steps = 0
+    while steps < budget and (frontiers[0] or frontiers[1]):
+        for side in (0, 1):
+            frontier = frontiers[side]
+            if not frontier or steps >= budget:
+                continue
+            steps += 1
+            t = frontier.pop(0)
+            for nt in rewrites(t, pool):
+                if nt in seen[1 - side]:
+                    return TreeEq.EQUAL
+                if nt not in seen[side]:
+                    seen[side].add(nt)
+                    frontier.append(nt)
+    return TreeEq.UNKNOWN
+
+
+def state_chain(rng, ops):
+    """lookups and updates over state(fin 2, fin 2); each lookup ends one
+    branch in a leaf"""
+    if ops == 0:
+        return Return(rng.randrange(2))
+    if rng.random() < 0.5:
+        kids = [state_chain(rng, ops - 1), Return(rng.randrange(2))]
+        rng.shuffle(kids)
+        return OpNode("lookup", rng.randrange(2), tuple(kids))
+    return OpNode("update", (rng.randrange(2), rng.randrange(2)), (state_chain(rng, ops - 1),))
+
+
+def test_search_verdicts_match_the_reference_search_on_the_choice_corpus():
+    th = choice_theory()
+    corpus = tree_corpus(th, ["x", "y", "z"], 40, 3, seed=77)
+    pairs = [(t1, t2) for i, t1 in enumerate(corpus[:20]) for t2 in corpus[i + 1 : i + 6]]
+    assert len(pairs) == 100
+    verdicts = set()
+    for budget in (1, 30, 300):
+        for t1, t2 in pairs:
+            verdict = tree_equal_modulo(th, t1, t2, budget)
+            assert verdict is reference_search(th, t1, t2, budget), (budget, t1, t2)
+            verdicts.add(verdict)
+    assert verdicts == set(TreeEq)
+
+
+def test_search_verdicts_match_the_reference_search_on_state_chains():
+    import random
+
+    from algeff.theories import state_theory
+
+    th = state_theory(Fin(2), Fin(2))
+    rng = random.Random(5)
+    pairs = [(state_chain(rng, 2), state_chain(rng, 2)) for _ in range(20)]
+    verdicts = set()
+    for budget in (3, 30):
+        for t1, t2 in pairs:
+            verdict = tree_equal_modulo(th, t1, t2, budget)
+            assert verdict is reference_search(th, t1, t2, budget), (budget, t1, t2)
+            verdicts.add(verdict)
+    assert verdicts == {TreeEq.EQUAL, TreeEq.UNKNOWN}
+
+
+def test_booleans_and_integers_are_distinct_leaves():
+    assert tree_equal_modulo(empty_theory(), Return(1), Return(True)) is TreeEq.DISTINCT
+    assert tree_equal_modulo(empty_theory(), Return((0, 1)), Return((0, True))) is TreeEq.DISTINCT
+
+
+def test_searching_does_not_keep_theories_alive():
+    import gc
+    import weakref
+
+    th = parsed_sample("choice.thy")
+    x, y = Return("x"), Return("y")
+    t1, t2 = OpNode("choose", (), (x, y)), OpNode("choose", (), (y, x))
+    assert tree_equal_modulo(th, t1, t2, budget=50) is TreeEq.EQUAL
+    ref = weakref.ref(th)
+    del th
+    gc.collect()
+    assert ref() is None

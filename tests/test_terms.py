@@ -150,3 +150,54 @@ def test_tree_depth_and_leaves():
     t = vee(Return("x"), vee(Return("y"), OpNode("bot", (), ())))
     assert tree_depth(t) == 3
     assert list(tree_leaves(t)) == ["x", "y"]
+
+
+def test_trees_respect_the_types_of_their_values():
+    assert len({Return(1), Return(True)}) == 2
+    assert Return(1) != Return(True)
+    assert Return((0, 1)) != Return((0, True))
+    assert Return((0, 1)) == Return((0, 1))
+    put = lambda v: OpNode("put", v, (Return(()),))
+    assert put(1) != put(True)
+    assert len({put(1), put(True)}) == 2
+    assert OpNode("update", (0, 1), ()) != OpNode("update", (0, True), ())
+
+
+def chain(depth, bottom):
+    t = Return(bottom)
+    for i in range(depth):
+        t = OpNode("put", i % 2, (t,))
+    return t
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    a, b = chain(10_000, 0), chain(10_000, 0)
+    assert a is not b
+    assert hash(a) == hash(b)
+    assert a == b
+    assert len({a, b}) == 1
+    c = chain(10_000, 1)
+    assert a != c
+    d = chain(10_000, 0)
+    assert d == a  # d has no cached hash yet
+    assert d == chain(10_000, 0)  # neither has
+
+
+def test_unhashed_leaves_are_fine_until_hashed():
+    t = OpNode("put", 0, (Return({"env": 1}),))
+    assert t == OpNode("put", 0, (Return({"env": 1}),))
+    with pytest.raises(TypeError):
+        hash(t)
+
+
+def test_trees_are_immutable_and_copy():
+    import copy
+    import pickle
+
+    t = OpNode("put", 0, (Return(0),))
+    with pytest.raises(AttributeError):
+        t.param = 1
+    with pytest.raises(AttributeError):
+        Return(0).value = 1
+    assert copy.deepcopy(t) == t
+    assert pickle.loads(pickle.dumps(t)) == t
