@@ -11,16 +11,19 @@ violations, and runtime failures, 2 a run stuck on an unhandled toplevel
 operation, 3 parse and reference errors, and input nested too deeply for the
 recursive parser, type checker or printer.  ALGEFF_BUDGET bounds the
 congruence search (default 10000 trees expanded).
+The REPL runs the commands' own steps, so it prints the same results and
+error messages (on stdout, without the exit code).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .comodels import Done, cointerpret_tree, validate_comodel
-from .errors import AlgeffError, ParseError, TypeMismatch, UnboundVariable, UnknownOperation
+from .comodels import ComodelViolation, Done, cointerpret_tree, validate_comodel
+from .errors import AlgeffError, ParseError
 from .free import normalize
 from .interp import (
     HandlerClosure,
@@ -39,6 +42,7 @@ from .parser import (
     parse_program,
     parse_theory_file,
     parse_value_text,
+    tokenize,
 )
 from .printer import render_elem, render_outcome, render_tree
 
@@ -49,6 +53,14 @@ OK, FAILED, STUCK, BAD_INPUT = 0, 1, 2, 3
 # level; evaluation does not
 _TOO_DEEP = "input nested too deeply for the recursive parser, type checker or printer"
 
+_REPL_HELP = (
+    ":load <file>        load a theory or comodel; check a model or handler\n"
+    ":type <comp>        show a computation's type\n"
+    ":normalize <comp>   evaluate and print the normal form\n"
+    ":run <comodel> <world> [comp]   run against a loaded comodel\n"
+    ":q                  quit"
+)
+
 
 class _CliError(Exception):
     def __init__(self, message, code):
@@ -56,18 +68,43 @@ class _CliError(Exception):
         self.code = code
 
 
+@contextmanager
+def _failing(code, prefix=""):
+    """Report a package error raised in the block as a _CliError with exit
+    code ``code``, its message prefixed by ``prefix``."""
+    try:
+        yield
+    except AlgeffError as exc:
+        raise _CliError(f"{prefix}{exc}", code) from None
+
+
+def _reporting(step, stream) -> int:
+    """Run ``step`` and return its exit code.  A failure is printed to
+    ``stream`` as one ``error:`` line; a package error that no step has
+    classified is a failure (exit 1)."""
+    try:
+        with _failing(FAILED):
+            return step()
+    except _CliError as exc:
+        print(f"error: {exc}", file=stream)
+        return exc.code
+    except RecursionError:
+        print(f"error: {_TOO_DEEP}", file=stream)
+        return BAD_INPUT
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", BAD_INPUT) from None
 
 
-def _load_theory(path: str):
-    try:
-        return parse_theory_file(_read(path))
-    except AlgeffError as exc:
-        raise _CliError(f"{path}: {exc}", BAD_INPUT) from None
+def _load(path: str, parse, *theory):
+    """Parse the file at ``path`` with ``parse``; errors name the file."""
+    text = _read(path)
+    with _failing(BAD_INPUT, f"{path}: "):
+        return parse(text, *theory)
 
 
 def _is_path(path_or_text: str) -> bool:
@@ -77,12 +114,11 @@ def _is_path(path_or_text: str) -> bool:
         return False
 
 
-def _load_program(path_or_text: str):
-    text = _read(path_or_text) if _is_path(path_or_text) else path_or_text
-    try:
-        return parse_program(text)
-    except ParseError as exc:
-        raise _CliError(str(exc), BAD_INPUT) from None
+def _typed(theory, text):
+    """Parse and type-check a computation; return it with its type."""
+    with _failing(BAD_INPUT):
+        program = parse_program(text)
+    return program, typecheck_comp(theory, program)
 
 
 def _parse_world(text: str, world):
@@ -97,83 +133,51 @@ def _parse_world(text: str, world):
     return value
 
 
-def _typecheck(theory, program):
-    try:
-        return typecheck_comp(theory, program)
-    except (TypeMismatch, UnboundVariable, UnknownOperation) as exc:
-        raise _CliError(str(exc), FAILED) from None
-
-
-def _render_valuation(valuation: dict) -> str:
-    def key(k):
-        return k if isinstance(k, str) else render_elem(k)
-
-    return ", ".join(f"{key(k)}={render_elem(v)}" for k, v in valuation.items())
-
-
-def cmd_run(args) -> int:
-    theory = _load_theory(args.theory)
-    program = _load_program(args.prog)
-    _typecheck(theory, program)
-    try:
-        comodel = parse_comodel_file(_read(args.comodel), theory)
-    except AlgeffError as exc:
-        raise _CliError(f"{args.comodel}: {exc}", BAD_INPUT) from None
-    world = _parse_world(args.world, comodel.world)
-    try:
+def _run(theory, program, comodel, world_text: str) -> int:
+    world = _parse_world(world_text, comodel.world)
+    with _failing(FAILED, "runtime error: "):
         # only the path the comodel takes is evaluated
         outcome = cointerpret_tree(world, evaluate(program, base_env(), theory), comodel)
-    except AlgeffError as exc:
-        raise _CliError(f"runtime error: {exc}", FAILED) from None
     print(render_outcome(outcome))
     return OK if isinstance(outcome, Done) else STUCK
 
 
-def cmd_check(args) -> int:
-    theory = _load_theory(args.theory)
-    text = _read(args.file)
-    if args.kind == "model":
-        try:
-            model = parse_model_file(text, theory)
-        except AlgeffError as exc:
-            raise _CliError(f"{args.file}: {exc}", BAD_INPUT) from None
-        violation = validate_model(model)
-        if violation is None:
-            print("Valid")
-            return OK
-        print(
-            f"Violated: equation {violation.equation}, param "
-            f"{render_elem(violation.param)}, valuation [{_render_valuation(violation.valuation)}]"
-        )
-        return FAILED
-    if args.kind == "comodel":
-        try:
-            comodel = parse_comodel_file(text, theory)
-        except AlgeffError as exc:
-            raise _CliError(f"{args.file}: {exc}", BAD_INPUT) from None
-        try:
-            violation = validate_comodel(comodel)
-        except AlgeffError as exc:
-            raise _CliError(str(exc), BAD_INPUT) from None
-        if violation is None:
-            print("Valid")
-            return OK
-        print(
-            f"Violated: equation {violation.equation}, param "
-            f"{render_elem(violation.param)}, world {render_elem(violation.world)}"
-        )
-        return FAILED
-    # handler
-    try:
+def _normalize(theory, program) -> int:
+    print(render_tree(normalize(theory, run_program(program, theory).tree)))
+    return OK
+
+
+def _verdict(violation) -> int:
+    """Print a model's or a comodel's verdict and return its exit code."""
+    if violation is None:
+        print("Valid")
+        return OK
+    if isinstance(violation, ComodelViolation):
+        witness = f"world {render_elem(violation.world)}"
+    else:
+        witness = "valuation [" + ", ".join(
+            f"{k if isinstance(k, str) else render_elem(k)}={render_elem(v)}"
+            for k, v in violation.valuation.items()
+        ) + "]"
+    print(
+        f"Violated: equation {violation.equation}, param {render_elem(violation.param)}, {witness}"
+    )
+    return FAILED
+
+
+def _check_comodel(comodel) -> int:
+    with _failing(BAD_INPUT):
+        violation = validate_comodel(comodel)
+    return _verdict(violation)
+
+
+def _check_handler(theory, path: str) -> int:
+    text = _read(path)
+    with _failing(BAD_INPUT):
         value = parse_value_text(text)
-    except ParseError as exc:
-        raise _CliError(str(exc), BAD_INPUT) from None
     if not isinstance(value, HandlerLit):
-        raise _CliError(f"{args.file} does not contain a handler literal", BAD_INPUT)
-    try:
-        htype = typecheck_value(theory, value)
-    except (TypeMismatch, UnboundVariable, UnknownOperation) as exc:
-        raise _CliError(str(exc), FAILED) from None
+        raise _CliError(f"{path} does not contain a handler literal", BAD_INPUT)
+    htype = typecheck_value(theory, value)
     if not isinstance(htype, THandler):
         raise _CliError(f"expected a handler, found {htype}", FAILED)
     result = check_handler_equations(HandlerClosure(value, base_env()), theory, htype.out)
@@ -183,131 +187,118 @@ def cmd_check(args) -> int:
         print("Respected (bounded)")
         return OK
     if result.verdict is HandlerVerdict.VIOLATED:
-        print(
-            f"Violated: equation {result.equation}, param {render_elem(result.param)}"
-        )
+        print(f"Violated: equation {result.equation}, param {render_elem(result.param)}")
         return FAILED
     print("Unknown")
     return FAILED
 
 
+def _check(kind: str, path: str, theory) -> int:
+    """Check a model, comodel or handler file against ``theory``."""
+    if kind == "model":
+        return _verdict(validate_model(_load(path, parse_model_file, theory)))
+    if kind == "comodel":
+        return _check_comodel(_load(path, parse_comodel_file, theory))
+    return _check_handler(theory, path)
+
+
+def _typed_program(args):
+    """The theory of ``args.theory`` and ``args.prog`` (a file or inline
+    text) parsed and type-checked against it, with its type."""
+    theory = _load(args.theory, parse_theory_file)
+    text = _read(args.prog) if _is_path(args.prog) else args.prog
+    return (theory, *_typed(theory, text))
+
+
+def cmd_run(args) -> int:
+    theory, program, _ = _typed_program(args)
+    return _run(theory, program, _load(args.comodel, parse_comodel_file, theory), args.world)
+
+
+def cmd_check(args) -> int:
+    return _check(args.kind, args.file, _load(args.theory, parse_theory_file))
+
+
 def cmd_normalize(args) -> int:
-    theory = _load_theory(args.theory)
-    program = _load_program(args.prog)
-    _typecheck(theory, program)
-    try:
-        tree = run_program(program, theory)
-        print(render_tree(normalize(theory, tree.tree)))
-    except AlgeffError as exc:
-        raise _CliError(str(exc), FAILED) from None
-    return OK
+    theory, program, _ = _typed_program(args)
+    return _normalize(theory, program)
 
 
 def cmd_type(args) -> int:
-    theory = _load_theory(args.theory)
-    program = _load_program(args.prog)
-    print(_typecheck(theory, program))
+    print(_typed_program(args)[2])
     return OK
 
 
 def cmd_repl(args) -> int:
-    theory = _load_theory(args.theory) if args.theory else None
+    theory = _load(args.theory, parse_theory_file) if args.theory else None
     comodels = {}
-    last = None
+    last = None  # the text of the last computation evaluated
+
+    def command(line):
+        nonlocal theory, last
+        if line == ":help":
+            print(_REPL_HELP)
+        elif line.startswith(":load "):
+            path = line[len(":load "):].strip()
+            text = _read(path)
+            with _failing(BAD_INPUT, f"{path}: "):
+                kind = tokenize(text)[0].value  # comments are skipped
+            if kind == "theory":
+                theory = _load(path, parse_theory_file)
+                print(f"loaded theory {theory.name}")
+            elif kind not in ("model", "comodel", "handler"):
+                print(f"unrecognized file kind in {path}")
+            elif theory is None:
+                print("load a theory first")
+            elif kind == "comodel":
+                comodel = comodels[Path(path).stem] = _load(path, parse_comodel_file, theory)
+                print(f"loaded comodel {Path(path).stem}")
+                _check_comodel(comodel)
+            else:
+                _check(kind, path, theory)
+        elif theory is None:
+            print("no theory loaded; use :load <theory-file>")
+        elif line.startswith(":type "):
+            print(_typed(theory, line[len(":type "):])[1])
+        elif line.startswith(":normalize "):
+            _normalize(theory, _typed(theory, line[len(":normalize "):])[0])
+        elif line.startswith(":run "):
+            rest = line[len(":run "):].split(None, 2)
+            if len(rest) < 2:
+                print("usage: :run <comodel> <world> [comp]")
+                return
+            name, world_text = rest[0], rest[1]
+            comodel = comodels.get(name)
+            if comodel is None and _is_path(name):
+                comodel = _load(name, parse_comodel_file, theory)
+            text = rest[2] if len(rest) > 2 else last
+            if comodel is None:
+                print(f"no comodel {name!r} loaded")
+            elif text is None:
+                print("no computation given or remembered")
+            else:
+                _run(theory, _typed(theory, text)[0], comodel, world_text)
+        elif line.startswith(":"):
+            print(f"unknown command {line.split()[0]!r}; :help lists commands")
+        else:
+            program = _typed(theory, line)[0]
+            last = line
+            print(render_tree(run_program(program, theory).tree))
+
     print("algeff repl; :q quits, :help lists commands")
     while True:
         try:
-            line = input("algeff> ")
+            line = input("algeff> ").strip()
         except EOFError:
             print()
             return OK
         except KeyboardInterrupt:
             print()
             continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            if line in (":q", ":quit"):
-                return OK
-            if line == ":help":
-                print(
-                    ":load <file>        load a theory, model, or comodel file\n"
-                    ":type <comp>        show a computation's type\n"
-                    ":normalize <comp>   evaluate and print the normal form\n"
-                    ":run <comodel> <world> [comp]   run against a loaded comodel\n"
-                    ":q                  quit"
-                )
-                continue
-            if line.startswith(":load "):
-                path = line[len(":load "):].strip()
-                text = _read(path)
-                head = text.split(None, 1)[0] if text.split() else ""
-                if head == "theory":
-                    theory = parse_theory_file(text)
-                    print(f"loaded theory {theory.name}")
-                elif head == "comodel":
-                    if theory is None:
-                        print("load a theory first")
-                        continue
-                    comodels[Path(path).stem] = parse_comodel_file(text, theory)
-                    print(f"loaded comodel {Path(path).stem}")
-                elif head == "model":
-                    if theory is None:
-                        print("load a theory first")
-                        continue
-                    model = parse_model_file(text, theory)
-                    violation = validate_model(model)
-                    print("Valid" if violation is None else f"Violated: {violation.equation}")
-                else:
-                    print(f"unrecognized file kind in {path}")
-                continue
-            if theory is None:
-                print("no theory loaded; use :load <theory-file>")
-                continue
-            if line.startswith(":type "):
-                program = parse_program(line[len(":type "):])
-                print(typecheck_comp(theory, program))
-                continue
-            if line.startswith(":normalize "):
-                program = parse_program(line[len(":normalize "):])
-                typecheck_comp(theory, program)
-                tree = run_program(program, theory)
-                print(render_tree(normalize(theory, tree.tree)))
-                continue
-            if line.startswith(":run "):
-                rest = line[len(":run "):].split(None, 2)
-                if len(rest) < 2:
-                    print("usage: :run <comodel> <world> [comp]")
-                    continue
-                name, world_text = rest[0], rest[1]
-                comodel = comodels.get(name)
-                if comodel is None and _is_path(name):
-                    comodel = parse_comodel_file(_read(name), theory)
-                if comodel is None:
-                    print(f"no comodel {name!r} loaded")
-                    continue
-                program = parse_program(rest[2]) if len(rest) > 2 else last
-                if program is None:
-                    print("no computation given or remembered")
-                    continue
-                typecheck_comp(theory, program)
-                world = _parse_world(world_text, comodel.world)
-                head = evaluate(program, base_env(), theory)
-                print(render_outcome(cointerpret_tree(world, head, comodel)))
-                continue
-            if line.startswith(":"):
-                print(f"unknown command {line.split()[0]!r}; :help lists commands")
-                continue
-            program = parse_program(line)
-            typecheck_comp(theory, program)
-            last = program
-            print(render_tree(run_program(program, theory).tree))
-        except (_CliError, AlgeffError) as exc:
-            print(f"error: {exc}")
-        except RecursionError:
-            print(f"error: {_TOO_DEEP}")
-    return OK
+        if line in (":q", ":quit"):
+            return OK
+        if line:
+            _reporting(lambda: command(line), sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,14 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except RecursionError:
-        print(f"error: {_TOO_DEEP}", file=sys.stderr)
-        return BAD_INPUT
+    return _reporting(lambda: args.fn(args), sys.stderr)
 
 
 if __name__ == "__main__":

@@ -48,9 +48,6 @@ class Cointerpretation:
                     "exists over a nonempty world"
                 )
 
-    def covers(self, op: str) -> bool:
-        return op in self.coops
-
 
 @dataclass(frozen=True)
 class Done:

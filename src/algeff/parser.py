@@ -479,6 +479,10 @@ class _Parser:
             if self.at_word("op"):
                 self.next()
                 op_name = self.eat_ident("an operation name")
+                if partial.has_op(op_name.value):
+                    raise ParseError(
+                        op_name.line, op_name.col, f"duplicate operation {op_name.value!r}"
+                    )
                 self.eat_punct(":")
                 param = self.universe()
                 self.eat_punct("~>")
@@ -553,6 +557,17 @@ class _Parser:
             self.eat_punct("=")
             result = self.elem()
             self.eat_punct(";")
+            decl = theory.op(op_name)
+            if len(args) != decl.arity.size():
+                raise ParseError(
+                    tok.line, tok.col,
+                    f"{op_name} needs {decl.arity.size()} arguments, got {len(args)}",
+                )
+            _require_members(tok, (
+                (param, decl.param, "parameter"),
+                *((a, carrier, "argument") for a in args),
+                (result, carrier, "result"),
+            ))
             key = (op_name, param, tuple(args))
             if key in table:
                 raise ParseError(tok.line, tok.col, f"duplicate entry for {key!r}")
@@ -589,16 +604,12 @@ class _Parser:
             self.eat_punct(")")
             self.eat_punct(";")
             decl = theory.op(op_name)
-            for value, universe, what in (
+            _require_members(tok, (
                 (param, decl.param, "parameter"),
                 (w, world, "world"),
                 (result, decl.arity, "result"),
                 (w2, world, "next world"),
-            ):
-                if not universe.contains(value):
-                    raise ParseError(
-                        tok.line, tok.col, f"{what} {value!r} is not in {universe}"
-                    )
+            ))
             key = (op_name, param, w)
             if key in table:
                 raise ParseError(tok.line, tok.col, f"duplicate entry for {key!r}")
@@ -618,6 +629,14 @@ class _Parser:
             return lambda p, w: table[(name, p, w)]
 
         return Cointerpretation(theory, world, {name: coop(name) for name in covered})
+
+
+def _require_members(tok: Token, checks):
+    """Fail at ``tok`` unless every ``(value, universe, what)`` has its value
+    in its universe."""
+    for value, universe, what in checks:
+        if not universe.contains(value):
+            raise ParseError(tok.line, tok.col, f"{what} {value!r} is not in {universe}")
 
 
 def parse_program(text: str):

@@ -288,12 +288,6 @@ def tree_depth(t: Tree) -> int:
     return 1 + max((tree_depth(sub) for sub in t.kont), default=0)
 
 
-def tree_size(t: Tree) -> int:
-    if isinstance(t, Return):
-        return 1
-    return 1 + sum(tree_size(sub) for sub in t.kont)
-
-
 def rename_tree_ops(t: Tree, mapping: Mapping) -> Tree:
     if isinstance(t, Return):
         return t

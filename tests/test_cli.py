@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from algeff.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -384,3 +386,131 @@ def test_normalize_prints_a_deep_tree(capsys, tmp_path):
     code, out, err = invoke(capsys, "normalize", prog, "--theory", SAMPLES / "io_hello.thy")
     assert code == 0 and err == ""
     assert out == 'print("Hello world!"; ' * 900 + "return ()" + ")" * 900 + "\n"
+
+
+def repl(capsys, monkeypatch, *lines):
+    feed = iter([*lines, ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert main(["repl"]) == 0
+    return capsys.readouterr().out
+
+
+def one_line(name):
+    """A sample program as one REPL line: comment lines dropped."""
+    text = (SAMPLES / name).read_text()
+    return " ".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
+
+
+def _run_transcript(prog, theory, comodel, world):
+    argv = ["run", SAMPLES / prog, "--theory", SAMPLES / theory,
+            "--comodel", SAMPLES / comodel, "--world", world]
+    lines = [f":load {SAMPLES / theory}", f":run {SAMPLES / comodel} {world} {one_line(prog)}"]
+    return argv, lines
+
+
+def _check_transcript(kind, file, theory):
+    argv = ["check", kind, SAMPLES / file, "--theory", SAMPLES / theory]
+    return argv, [f":load {SAMPLES / theory}", f":load {SAMPLES / file}"]
+
+
+README_TRANSCRIPTS = [
+    _run_transcript("increment.eff", "state10.thy", "state10.cmod", "5"),
+    _run_transcript("abort.eff", "state10.thy", "state10.cmod", "5"),
+    _run_transcript("hello.eff", "io_hello.thy", "hello.cmod", "[]"),
+    _check_transcript("comodel", "state10.cmod", "state10.thy"),
+    _check_transcript("model", "badlattice.mod", "semilattice.thy"),
+    _check_transcript("handler", "stateh.eff", "state2.thy"),
+    (
+        ["normalize", "do x <- get!() in do y <- get!() in return (x, y)",
+         "--theory", SAMPLES / "state2.thy"],
+        [f":load {SAMPLES / 'state2.thy'}",
+         ":normalize do x <- get!() in do y <- get!() in return (x, y)"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, lines", README_TRANSCRIPTS, ids=[
+    "run-increment", "run-abort", "run-hello", "check-comodel", "check-model", "check-handler",
+    "normalize",
+])
+def test_repl_prints_the_cli_result_line(capsys, monkeypatch, argv, lines):
+    _, expected, _ = invoke(capsys, *argv)
+    assert len(expected.splitlines()) == 1
+    assert repl(capsys, monkeypatch, *lines).endswith(expected)
+
+
+@pytest.mark.parametrize(
+    "theory, sample, expected",
+    [
+        (None, "state10.thy", "loaded theory single_state\n"),
+        ("semilattice.thy", "badlattice.mod",
+         "Violated: equation comm, param (), valuation [x=false, y=true]\n"),
+        ("choice.thy", "altstream.cmod", "loaded comodel altstream\n"),
+    ],
+    ids=["theory", "model", "comodel"],
+)
+def test_repl_loads_files_that_start_with_a_comment(capsys, monkeypatch, theory, sample, expected):
+    assert (SAMPLES / sample).read_text().startswith("#")
+    lines = [f":load {SAMPLES / theory}"] if theory else []
+    out = repl(capsys, monkeypatch, *lines, f":load {SAMPLES / sample}")
+    assert expected in out
+    assert "error" not in out and "unrecognized" not in out
+
+
+def test_duplicate_operation_in_a_theory_file_exits_3(capsys, monkeypatch, tmp_path):
+    theory = tmp_path / "d.thy"
+    theory.write_text("theory d { op a : unit ~> bool; op a : unit ~> bool; }\n")
+    code, _, err = invoke(capsys, "type", "return 1", "--theory", theory)
+    assert code == 3
+    assert err == f"error: {theory}: syntax error at 1:36: duplicate operation 'a'\n"
+    assert repl(capsys, monkeypatch, f":load {theory}").endswith(err)
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ("join((); true) = true;", "join needs 2 arguments, got 1"),
+        ("bot(7; ) = false;", "parameter 7 is not in"),
+        ("join((); true, false, true) = true;", "join needs 2 arguments, got 3"),
+        ("join((); 0, false) = true;", "argument 0 is not in"),
+    ],
+    ids=["too-few-args", "bad-param", "too-many-args", "arg-outside-carrier"],
+)
+def test_model_file_entries_outside_their_universes_exit_3(capsys, monkeypatch, tmp_path,
+                                                           entry, reason):
+    text = (SAMPLES / "orlattice.mod").read_text()
+    model = tmp_path / "extra.mod"
+    model.write_text(text.replace("}", f"  {entry}\n}}"))
+    code, out, err = invoke(
+        capsys, "check", "model", model, "--theory", SAMPLES / "semilattice.thy"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {model}: syntax error at 8:3: {reason}")
+    session = repl(capsys, monkeypatch, f":load {SAMPLES / 'semilattice.thy'}", f":load {model}")
+    assert session.endswith(err)
+
+
+def test_model_file_result_outside_the_carrier_exits_3(capsys, tmp_path):
+    text = (SAMPLES / "orlattice.mod").read_text()
+    model = tmp_path / "outside.mod"
+    model.write_text(text.replace("join((); true, true) = true;", "join((); true, true) = 3;"))
+    code, _, err = invoke(capsys, "check", "model", model, "--theory", SAMPLES / "semilattice.thy")
+    assert code == 3
+    assert err == f"error: {model}: syntax error at 7:3: result 3 is not in Bool()\n"
+
+
+@pytest.mark.parametrize("role", ["theory", "model", "comodel", "program"])
+def test_non_utf8_input_file_exits_3(capsys, tmp_path, role):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"theory \xff {}\n")
+    files = {"theory": SAMPLES / "state10.thy", "model": SAMPLES / "orlattice.mod",
+             "comodel": SAMPLES / "state10.cmod", "program": SAMPLES / "increment.eff"}
+    files[role] = bad
+    if role == "model":
+        argv = ["check", "model", files["model"], "--theory", SAMPLES / "semilattice.thy"]
+    else:
+        argv = ["run", files["program"], "--theory", files["theory"],
+                "--comodel", files["comodel"], "--world", "5"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
