@@ -165,16 +165,14 @@ def _verdict(violation) -> int:
     return FAILED
 
 
-def _check_comodel(comodel) -> int:
-    with _failing(BAD_INPUT):
+def _check_comodel(comodel, path: str) -> int:
+    with _failing(BAD_INPUT, f"{path}: "):
         violation = validate_comodel(comodel)
     return _verdict(violation)
 
 
 def _check_handler(theory, path: str) -> int:
-    text = _read(path)
-    with _failing(BAD_INPUT):
-        value = parse_value_text(text)
+    value = _load(path, parse_value_text)
     if not isinstance(value, HandlerLit):
         raise _CliError(f"{path} does not contain a handler literal", BAD_INPUT)
     htype = typecheck_value(theory, value)
@@ -198,7 +196,7 @@ def _check(kind: str, path: str, theory) -> int:
     if kind == "model":
         return _verdict(validate_model(_load(path, parse_model_file, theory)))
     if kind == "comodel":
-        return _check_comodel(_load(path, parse_comodel_file, theory))
+        return _check_comodel(_load(path, parse_comodel_file, theory), path)
     return _check_handler(theory, path)
 
 
@@ -253,7 +251,7 @@ def cmd_repl(args) -> int:
             elif kind == "comodel":
                 comodel = comodels[Path(path).stem] = _load(path, parse_comodel_file, theory)
                 print(f"loaded comodel {Path(path).stem}")
-                _check_comodel(comodel)
+                _check_comodel(comodel, path)
             else:
                 _check(kind, path, theory)
         elif theory is None:

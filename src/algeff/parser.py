@@ -19,6 +19,7 @@ Theory files:
       op <ident> : <universe> ~> <universe>;
       equation <name> [forall <ident> in <universe>] (<universe>) : <tree> = <tree>;
     }
+    -- no two operations, and no two equations, share a name
     universe ::= primary { "*" primary }
     primary  ::= "empty" | "unit" | "bool" | "fin" <n>
                | "enum" "{" label {"," label} "}" | "(" universe ")"
@@ -38,7 +39,8 @@ cooperation entry:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import lang
 from .comodels import Cointerpretation
@@ -47,16 +49,26 @@ from .models import FiniteModel, table_model
 from .terms import Equation, OpDecl, OpNode, Return, Theory, check_theory
 from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product
 
-_PUNCT = ("~>", "<-", "->", "=>", "(", ")", "{", "}", ";", ",", "!", "|", "*",
-          ".", "\\", "+", "=", ":")
+# one match per token: the blanks and comments before it, then the token
+_TOKEN = re.compile(r"""
+    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
+    (?: (?P<int> \d+ )
+      | (?P<ident> [^\W\d]\w* )  # or a numeral: see tokenize
+      | (?P<string> "(?: [^"\\\n] | \\. )* ) "?   # without its closing quote
+      | (?P<punct> ~> | <- | -> | => | [(){};,!|*.\\+=:] )
+      | (?P<eof> \Z )
+      | (?P<bad> . )
+    )""", re.VERBOSE | re.DOTALL)
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
 
 _KEYWORDS = frozenset(
     "return do in if then else with handle fun handler true false".split()
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | string | punct | eof
     value: str | int
     line: int
@@ -68,91 +80,56 @@ class Token:
 
 
 def tokenize(text: str) -> list:
+    """The tokens of ``text``, ending with one ``eof`` token.  Lines count the
+    newlines outside string literals; columns count characters from the
+    start of the line, and the ``eof`` column stops at a trailing comment."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            out = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError(start_line, start_col, "unterminated string")
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError(line, col, "dangling escape")
-                    esc = text[i + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    i += 2
-                    col += 2
-                    continue
-                out.append(c)
-                i += 1
-                col += 1
-            toks.append(Token("string", "".join(out), start_line, start_col))
-            continue
-        if ch.isdigit():
-            start_col = col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-    toks.append(Token("eof", "", line, col))
-    return toks
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        blank, start = m.start(), m.start(kind)
+        if blank < start:
+            newline = text.rfind("\n", blank, start)
+            if newline >= 0:
+                line += text.count("\n", blank, newline + 1)
+                line_start = newline + 1
+        col = start - line_start + 1
+        value = m[kind]
+        if kind == "ident":
+            if not (value[0].isalpha() or value[0] == "_"):
+                # a digit or numeral that int() does not read, such as "²"
+                raise ParseError(line, col, f"unexpected character {value[0]!r}")
+        elif kind == "int":
+            value = int(value)
+        elif kind == "string":
+            end = m.end(kind)
+            if m.end() == end:
+                if end < len(text) and text[end] == "\\":
+                    raise ParseError(line, end - line_start + 1, "dangling escape")
+                raise ParseError(line, col, "unterminated string")
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), value[1:])
+        elif kind == "eof":
+            comment = text.find("#", max(blank, line_start))
+            if comment >= 0:
+                col = comment - line_start + 1
+            toks.append(Token("eof", "", line, col))
+            return toks
+        elif kind == "bad":
+            raise ParseError(line, col, f"unexpected character {value!r}")
+        toks.append(Token(kind, value, line, col))
 
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
+        self.toks.append(self.toks[-1])  # a second eof, for peek(1)
         self.i = 0
 
     def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.i]
         self.i += 1
         return tok
 
@@ -374,97 +351,99 @@ class _Parser:
             return tok.value
         return self.eat_ident("an enum label").value
 
-    # -- elements ------------------------------------------------------------
+    # -- elements and equation trees -----------------------------------------
 
-    def elem(self, env=None):
-        env = env or {}
+    # Inside an equation, elements and trees are read once, as templates:
+    # functions from an environment that binds the binders in scope (the
+    # forall parameter and each "\x." binder) to elements.  ``sample`` binds
+    # them to the first elements of their universes, so that a bad fst or
+    # snd fails where it is read; it is None in a body under an empty arity,
+    # which is never instantiated.
+
+    def elem(self):
+        """An element outside any equation."""
+        return self.elem_template({})({})
+
+    def elem_template(self, sample):
         tok = self.peek()
-        if tok.kind == "int":
+        if tok.kind == "int" or tok.kind == "string":
             self.next()
-            return tok.value
-        if tok.kind == "string":
-            self.next()
-            return tok.value
+            return _constant(tok.value)
         if tok.kind == "ident":
-            if tok.value == "true":
-                self.next()
-                return True
-            if tok.value == "false":
-                self.next()
-                return False
-            if tok.value in ("fst", "snd"):
-                self.next()
-                pair = self.elem(env)
-                if type(pair) is not tuple or len(pair) != 2:
-                    raise ParseError(
-                        tok.line, tok.col, f"{tok.value} expects a pair, got {pair!r}"
-                    )
-                return pair[0 if tok.value == "fst" else 1]
             self.next()
-            return env.get(tok.value, tok.value)
+            if tok.value == "true":
+                return _constant(True)
+            if tok.value == "false":
+                return _constant(False)
+            if tok.value in ("fst", "snd"):
+                pair, index = self.elem_template(sample), 0 if tok.value == "fst" else 1
+
+                def project(env):
+                    value = pair(env)
+                    if type(value) is not tuple or len(value) != 2:
+                        raise ParseError(
+                            tok.line, tok.col, f"{tok.value} expects a pair, got {value!r}"
+                        )
+                    return value[index]
+
+                if sample is not None:
+                    project(sample)
+                return project
+            name = tok.value
+            return lambda env: env.get(name, name)
         if self.at_punct("("):
             self.next()
             if self.at_punct(")"):
                 self.next()
-                return ()
-            first = self.elem(env)
+                return _constant(())
+            first = self.elem_template(sample)
             if self.at_punct(","):
                 self.next()
-                second = self.elem(env)
+                second = self.elem_template(sample)
                 self.eat_punct(")")
-                return (first, second)
+                return lambda env: (first(env), second(env))
             self.eat_punct(")")
             return first
         return self.fail("expected an element")
 
-    # -- equation trees ------------------------------------------------------
-
-    def tree(self, theory: Theory, env):
+    def tree(self, theory: Theory, sample):
         tok = self.peek()
         if self.at_word("return"):
             self.next()
-            return Return(self.elem(env))
-        name = self.eat_ident("an operation or return")
-        decl = theory.op(name.value) if theory.has_op(name.value) else None
+            leaf = self.elem_template(sample)
+            return lambda env: Return(leaf(env))
+        name = self.eat_ident("an operation or return").value
+        decl = theory.op(name) if theory.has_op(name) else None
         if decl is None:
-            raise ParseError(tok.line, tok.col, f"unknown operation {name.value!r}")
+            raise ParseError(tok.line, tok.col, f"unknown operation {name!r}")
         self.eat_punct("(")
-        param = self.elem(env)
-        subtrees: tuple
+        param = self.elem_template(sample)
+        count, kont = 0, _constant(())
         if self.at_punct(";"):
             self.next()
-            if self.at_punct("\\"):
-                self.next()
-                binder = self.eat_ident("a binder")
-                self.eat_punct(".")
-                mark = self.i
-                subtrees = []
-                for a in decl.arity.iter_elements():
-                    self.i = mark
-                    subtrees.append(self.tree(theory, {**env, binder.value: a}))
-                if decl.arity.size() == 0:
-                    self._skip_tree(theory)
-                subtrees = tuple(subtrees)
-            else:
-                parsed = [self.tree(theory, env)]
-                while self.at_punct(","):
-                    self.next()
-                    parsed.append(self.tree(theory, env))
-                subtrees = tuple(parsed)
-        else:
-            subtrees = ()
+            count, kont = self.konts(theory, decl.arity, sample)
         self.eat_punct(")")
-        if len(subtrees) != decl.arity.size():
+        if count != decl.arity.size():
             raise ParseError(
-                tok.line,
-                tok.col,
-                f"{name.value} needs {decl.arity.size()} subtrees, got {len(subtrees)}",
+                tok.line, tok.col, f"{name} needs {decl.arity.size()} subtrees, got {count}"
             )
-        return OpNode(name.value, param, subtrees)
+        return lambda env: OpNode(name, param(env), kont(env))
 
-    def _skip_tree(self, theory):
-        # a binder over an empty arity still has a body to move past
-        self.tree(theory, {})
+    def konts(self, theory: Theory, arity: FiniteUniverse, sample):
+        """The subtrees after ``;``: their number, and a template of the tuple."""
+        if self.at_punct("\\"):
+            self.next()
+            binder = self.eat_ident("a binder").value
+            self.eat_punct(".")
+            elements = arity.elements()
+            inner = None if sample is None or not elements else {**sample, binder: elements[0]}
+            body = self.tree(theory, inner)
+            return len(elements), lambda env: tuple(body({**env, binder: a}) for a in elements)
+        subtrees = [self.tree(theory, sample)]
+        while self.at_punct(","):
+            self.next()
+            subtrees.append(self.tree(theory, sample))
+        return len(subtrees), lambda env: tuple(t(env) for t in subtrees)
 
     # -- theory files ----------------------------------------------------------
 
@@ -492,7 +471,9 @@ class _Parser:
                 partial = Theory(name.value, tuple(ops))
             elif self.at_word("equation"):
                 self.next()
-                equations.append(self.equation_decl(partial))
+                equations.append(
+                    self.equation_decl(partial, {eq.name for eq in equations})
+                )
             else:
                 self.fail("expected op, equation, or }")
         self.eat_punct("}")
@@ -500,8 +481,10 @@ class _Parser:
         check_theory(theory)
         return theory
 
-    def equation_decl(self, theory: Theory) -> Equation:
+    def equation_decl(self, theory: Theory, taken) -> Equation:
         eq_name = self.eat_ident("an equation name")
+        if eq_name.value in taken:
+            raise ParseError(eq_name.line, eq_name.col, f"duplicate equation {eq_name.value!r}")
         param_name = None
         param_universe = UNIT
         if self.at_word("forall"):
@@ -516,16 +499,15 @@ class _Parser:
         if param_universe.is_empty():
             tok = self.peek()
             raise ParseError(tok.line, tok.col, "forall over an empty universe")
-        # expand the family into a table once, parsing both sides again for
-        # each parameter
-        mark = self.i
-        lhs, rhs = {}, {}
-        for p in param_universe.iter_elements():
-            self.i = mark
-            env = {param_name: p} if param_name is not None else {}
-            lhs[p] = self.tree(theory, env)
-            self.eat_punct("=")
-            rhs[p] = self.tree(theory, env)
+        envs = {p: {} if param_name is None else {param_name: p}
+                for p in param_universe.iter_elements()}
+        sample = next(iter(envs.values()))
+        lhs_template = self.tree(theory, sample)
+        self.eat_punct("=")
+        rhs_template = self.tree(theory, sample)
+        # expand the family into a table once
+        lhs = {p: lhs_template(env) for p, env in envs.items()}
+        rhs = {p: rhs_template(env) for p, env in envs.items()}
         self.eat_punct(";")
         return Equation(eq_name.value, param_universe, context, lhs.__getitem__, rhs.__getitem__)
 
@@ -629,6 +611,10 @@ class _Parser:
             return lambda p, w: table[(name, p, w)]
 
         return Cointerpretation(theory, world, {name: coop(name) for name in covered})
+
+
+def _constant(value):
+    return lambda env: value
 
 
 def _require_members(tok: Token, checks):

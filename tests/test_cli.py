@@ -514,3 +514,53 @@ def test_non_utf8_input_file_exits_3(capsys, tmp_path, role):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_digit_that_int_cannot_read_is_a_syntax_error(capsys):
+    code, out, err = invoke(capsys, "type", "return ²", "--theory", SAMPLES / "state2.thy")
+    assert (code, out) == (3, "")
+    assert err == "error: syntax error at 1:8: unexpected character '²'\n"
+
+
+def test_duplicate_equation_in_a_theory_file_exits_3(capsys, monkeypatch, tmp_path):
+    theory = tmp_path / "d.thy"
+    theory.write_text(
+        "theory d {\n"
+        "  op a : unit ~> bool;\n"
+        "  equation x (unit) : return () = return ();\n"
+        "  equation x (unit) : a((); return (), return ()) = return ();\n"
+        "}\n"
+    )
+    code, _, err = invoke(capsys, "type", "return 1", "--theory", theory)
+    assert code == 3
+    assert err == f"error: {theory}: syntax error at 4:12: duplicate equation 'x'\n"
+    assert repl(capsys, monkeypatch, f":load {theory}").endswith(err)
+
+
+def test_handler_syntax_errors_name_the_file(capsys, monkeypatch, tmp_path):
+    code, _, err = invoke(
+        capsys, "check", "handler", SAMPLES / "increment.eff", "--theory", SAMPLES / "state10.thy"
+    )
+    assert code == 3
+    assert err == (
+        f"error: {SAMPLES / 'increment.eff'}: syntax error at 2:1: expected a value, found 'do'\n"
+    )
+    handler = tmp_path / "h.eff"
+    handler.write_text("handler { return x -> }\n")
+    code, _, err = invoke(capsys, "check", "handler", handler, "--theory", SAMPLES / "state2.thy")
+    assert code == 3
+    assert err == f"error: {handler}: syntax error at 1:23: expected a computation, found '}}'\n"
+    session = repl(capsys, monkeypatch, f":load {SAMPLES / 'state2.thy'}", f":load {handler}")
+    assert session.endswith(err)
+
+
+def test_comodel_validation_errors_name_the_file(capsys, monkeypatch, tmp_path):
+    comodel = tmp_path / "e.cmod"
+    comodel.write_text("comodel e {\n  world fin 2;\n}\n")
+    code, _, err = invoke(capsys, "check", "comodel", comodel, "--theory", SAMPLES / "state2.thy")
+    assert code == 3
+    assert err == (
+        f"error: {comodel}: equation 'get_get' mentions uncovered operations ['get']\n"
+    )
+    session = repl(capsys, monkeypatch, f":load {SAMPLES / 'state2.thy'}", f":load {comodel}")
+    assert session.endswith("loaded comodel e\n" + err)

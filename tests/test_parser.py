@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,14 +6,17 @@ import pytest
 from algeff import lang
 from algeff.errors import ParseError, TypeMismatch
 from algeff.parser import (
+    _Parser,
     parse_comodel_file,
     parse_element,
     parse_model_file,
     parse_program,
     parse_theory_file,
     parse_value_text,
+    tokenize,
 )
 from algeff.printer import render_comp, render_tree
+from algeff.terms import OpNode
 from algeff.theories import choice_theory, semilattice_theory, single_state_theory
 from algeff.universe import Enum, Fin, Product
 
@@ -186,3 +190,187 @@ def test_rendered_trees_reparse_in_equation_files():
 def test_comment_and_whitespace_insensitivity():
     prog = parse_program("return    true  # trailing comment\n")
     assert prog == lang.Return(lang.BoolLit(True))
+
+
+def test_each_equation_tree_is_read_once(monkeypatch):
+    calls = []
+    tree = _Parser.tree
+
+    def counting(self, *args):
+        calls.append(args)
+        return tree(self, *args)
+
+    monkeypatch.setattr(_Parser, "tree", counting)
+    parse_theory_file((SAMPLES / "state10.thy").read_text())
+    assert len(calls) == 19  # the trees and subtrees written in the file
+
+
+def test_body_under_an_empty_arity_is_never_instantiated():
+    th = parse_theory_file(
+        "theory t {\n"
+        "  op abort : fin 2 ~> empty;\n"
+        "  equation e forall p in fin 2 * fin 2 (unit) :"
+        " abort(fst p; \\z. return fst p) = abort(fst p; \\z. return snd p);\n"
+        "}\n"
+    )
+    assert th.eqs[0].lhs((1, 0)) == OpNode("abort", 1, ())
+    assert th.eqs[0].rhs((0, 1)) == OpNode("abort", 0, ())
+
+
+def test_duplicate_equation_name_is_a_syntax_error_at_the_second_name():
+    text = (
+        "theory t {\n"
+        "  op get : unit ~> bool;\n"
+        "  equation x (unit) : return () = return ();\n"
+        "  equation x (bool) : get((); \\b. return b) = get((); \\b. return b);\n"
+        "}\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_theory_file(text)
+    assert (err.value.line, err.value.col) == (4, 12)
+    assert err.value.reason == "duplicate equation 'x'"
+
+
+# -- the tokenizer against the character loop it replaced ---------------------
+
+_REFERENCE_PUNCT = ("~>", "<-", "->", "=>", "(", ")", "{", "}", ";", ",", "!", "|", "*",
+                    ".", "\\", "+", "=", ":")
+
+
+def _reference_tokenize(text):
+    """The character-by-character tokenizer, as (kind, value, line, col)."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            out = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    raise ParseError(start_line, start_col, "unterminated string")
+                c = text[i]
+                if c == '"':
+                    i += 1
+                    col += 1
+                    break
+                if c == "\\":
+                    if i + 1 >= n:
+                        raise ParseError(line, col, "dangling escape")
+                    esc = text[i + 1]
+                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
+                    i += 2
+                    col += 2
+                    continue
+                out.append(c)
+                i += 1
+                col += 1
+            toks.append(("string", "".join(out), start_line, start_col))
+            continue
+        if ch.isdigit():
+            start_col = col
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("int", int(text[i:j]), line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            start_col = col
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        for p in _REFERENCE_PUNCT:
+            if text.startswith(p, i):
+                toks.append(("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(line, col, f"unexpected character {ch!r}")
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _mutated_samples(count, seed):
+    """Slices of the sample files with one to three characters inserted,
+    replaced or deleted, or cut short."""
+    texts = [path.read_text() for path in sorted(SAMPLES.iterdir())]
+    alphabet = list(' \n\t\r#"\\_-<>~=09x();.,{}|*!+:') + [
+        "\u00b2", "\u00e9", "\u00df", "\u0663", "\u00bd", "\u216b", "\u01c5", "\u00a0", "\x0b",
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = rng.choice(texts)
+        start = rng.randrange(len(base))
+        text = base[start:start + rng.randrange(1, 300)]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            elif edit == 1:
+                text = text[:i] + text[i + 1:]
+            elif edit == 2:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+            else:
+                text = text[:i]
+        yield text
+
+
+_TOKENIZER_CASES = [
+    "return 1 # a trailing comment",
+    "x\n  # a comment on the last line",
+    '"a\\\nb" c',  # an escaped newline does not start a new line
+    '"abc\\',
+    '"abc',
+    "x\u00b2 \u00e9t\u00e9 _\u00bd \u0663\u0664",
+    "\u00bdx",
+    "1\u00b2",
+    "\u00b2",
+]
+
+
+def test_tokenize_matches_the_character_loop():
+    cases = [path.read_text() for path in sorted(SAMPLES.iterdir())]
+    cases += _TOKENIZER_CASES + list(_mutated_samples(2000, seed=6))
+    compared = 0
+    for text in cases:
+        try:
+            expected = _reference_tokenize(text)
+        except ParseError as exc:
+            expected = str(exc)
+        except ValueError:
+            # the character loop read "²" as a digit and crashed in int()
+            with pytest.raises(ParseError, match="unexpected character"):
+                tokenize(text)
+            continue
+        try:
+            got = [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected, text
+        compared += 1
+    assert compared > 1900
