@@ -3,9 +3,12 @@
 Computations returning values from X while performing a theory's operations
 are represented by trees over X, understood up to the congruence the
 equations generate.  This module provides the monad structure (eta, lift,
-sequencing, generic operations), canonical normal forms for theories whose
-laws are exactly a built-in's, and a budgeted congruence search for tree
-equality elsewhere.
+sequencing, generic operations) and decides tree equality from the free
+model where it is known: a theory whose laws are exactly a built-in's gets
+that built-in's normal form (the single-state get/put form, or the sorted
+leaf set that choice and the semilattice share).  Any other theory is
+searched, by a budgeted congruence search, after its own 2-element models
+have had the chance to refute equality.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import operator
 import os
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum as PyEnum
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
-from .models import FiniteModel, interpret_term
+from .models import interpret_term, table_model, validate_model
 from .terms import OpNode, Return, Theory, Tree, make_tree_op, same_value, sort_key, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
 from .universe import BOOL
@@ -155,27 +158,56 @@ def _normalize_single_state(theory: Theory, t: Tree) -> Tree:
     return state_normal_form_tree(theory, state_normal_form(theory, t))
 
 
-def _normalize_semilattice(theory: Theory, t: Tree) -> Tree:
-    # the congruence class of a join tree is the finite set of its leaves
-    leaves = sorted(set(tree_leaves(t)), key=sort_key)
+def _distinct_leaves(values: Iterator) -> list:
+    """The values in sort_key order, each once.  Duplicates are found with
+    same_value among values of equal key, never by hashing, so 1 and True
+    stay apart and closures with environments need no hash."""
+    decorated = sorted(((sort_key(v), v) for v in values), key=operator.itemgetter(0))
+    out: list = []
+    run_key, run = None, []
+    for key, v in decorated:
+        if key != run_key:
+            run_key, run = key, []
+        if not any(same_value(v, w) for w in run):
+            run.append(v)
+            out.append(v)
+    return out
+
+
+def _normalize_leaf_set(theory: Theory, t: Tree) -> Tree:
+    # the free model of an associative, commutative, idempotent operation
+    # is the finite non-empty subsets of the generators, and with a unit all
+    # finite subsets: a tree's class is its set of leaves, rebuilt as a
+    # right-nested chain of the binary operation, or the unit when empty
+    join = bot = None
+    for o in theory.ops:
+        if o.arity.size() == 2:
+            join = o.name
+        else:
+            bot = o.name
+    leaves = _distinct_leaves(tree_leaves(t))
     if not leaves:
-        return OpNode("bot", (), ())
+        return OpNode(bot, (), ())
     out = Return(leaves[-1])
     for v in reversed(leaves[:-1]):
-        out = OpNode("join", (), (Return(v), out))
+        out = OpNode(join, (), (Return(v), out))
     return out
 
 
 @dataclass
 class _Strategy:
-    """The proof strategies a theory earns by having exactly a built-in's laws:
-    a normalizer, and small validating models (carrier, operation tables)
-    that refute equality soundly.  ``rules`` holds the congruence search's
-    rewrite rules, compiled the first time the theory is searched."""
+    """The proof strategies of one theory: a normalizer, which it earns by
+    having exactly a built-in's laws, or else the 2-element models of its
+    laws, which refute equality soundly (``refuters``, found the first time
+    the theory is searched).  ``rules`` holds the congruence search's
+    rewrite rules, compiled the first time the theory is searched.  A
+    built-in's record also keeps its equation instances, to which parsed
+    theories are compared."""
 
     normalize: Callable[[Theory, Tree], Tree] | None = None
-    refuters: tuple = ()
+    refuters: tuple | None = None
     rules: tuple | None = None
+    instances: frozenset | None = None
 
 
 def _single_state_twin(theory: Theory) -> Theory | None:
@@ -191,17 +223,9 @@ def _single_state_twin(theory: Theory) -> Theory | None:
 # one over the theory's own get arity), so a match depends on the laws
 # alone, never on what the theory is called.
 _BUILTIN_STRATEGIES = (
-    (_single_state_twin, _Strategy(normalize=_normalize_single_state)),
-    (lambda theory: semilattice_theory(), _Strategy(normalize=_normalize_semilattice)),
-    (
-        lambda theory: choice_theory(),
-        _Strategy(
-            refuters=(
-                (BOOL, {"choose": lambda p, ab: ab[0] or ab[1]}),
-                (BOOL, {"choose": lambda p, ab: ab[0] and ab[1]}),
-            )
-        ),
-    ),
+    (_single_state_twin, _normalize_single_state),
+    (lambda theory: semilattice_theory(), _normalize_leaf_set),
+    (lambda theory: choice_theory(), _normalize_leaf_set),
 )
 
 
@@ -214,16 +238,12 @@ def _instance_pairs(theory: Theory) -> Iterator[frozenset]:
                 yield pair
 
 
-def _same_instances(theory: Theory, twin: Theory) -> bool:
-    # the twin's instances are built only while they match, so a large
-    # built-in costs little when the theory's own laws are small
-    mine = frozenset(_instance_pairs(theory))
-    theirs = set()
-    for pair in _instance_pairs(twin):
-        if pair not in mine:
-            return False
-        theirs.add(pair)
-    return len(theirs) == len(mine)
+def _builtin_instances(twin: Theory) -> frozenset:
+    # built-ins are memoized, so their instances are built once and kept
+    record = _strategy(twin)
+    if record.instances is None:
+        record.instances = frozenset(_instance_pairs(twin))
+    return record.instances
 
 
 # weakly keyed, so that a theory parsed for one command does not outlive it
@@ -231,28 +251,85 @@ _STRATEGIES = weakref.WeakKeyDictionary()
 
 
 def _strategy(theory: Theory) -> _Strategy:
-    """The strategy of the built-in whose operations and equation instances
-    are exactly the theory's, or none; resolved once per theory object, into
-    a record of the theory's own."""
+    """The theory's own strategy record, resolved once per theory object:
+    the normalizer of the built-in whose operations and equation instances
+    are exactly the theory's, or none."""
     found = _STRATEGIES.get(theory)
     if found is None:
         found = _Strategy()
         ops = frozenset(theory.ops)
-        for twin_of, strategy in _BUILTIN_STRATEGIES:
+        mine = None
+        for twin_of, normalizer in _BUILTIN_STRATEGIES:
             twin = twin_of(theory)
-            if (
-                twin is not None
-                and frozenset(twin.ops) == ops
-                and _same_instances(theory, twin)
-            ):
-                found = replace(strategy)
-                break
+            if twin is None or frozenset(twin.ops) != ops:
+                continue
+            if twin is not theory:
+                if mine is None:
+                    mine = frozenset(_instance_pairs(theory))
+                if mine != _builtin_instances(twin):
+                    continue
+            found.normalize = normalizer
+            break
         _STRATEGIES[theory] = found
     return found
 
 
+# A theory with no normalizer looks for its 2-element models among at most
+# this many tuples of operation tables; op : P ~> A has |P| * 2^|A| entries.
+_MAX_TABLE_TUPLES = 4096
+
+
+def _few_tables(theory: Theory) -> bool:
+    """Whether the operations' tables over BOOL make at most
+    _MAX_TABLE_TUPLES tuples; worked out from the universes' sizes, before
+    any entry is listed."""
+    most = _MAX_TABLE_TUPLES.bit_length() - 1  # entries in all the tables
+    entries = 0
+    for o in theory.ops:
+        params = o.param.size()
+        if params:
+            arity = o.arity.size()
+            if arity > most:
+                return False
+            entries += params << arity
+            if entries > most:
+                return False
+    return True
+
+
+def _two_element_models(theory: Theory) -> tuple:
+    """Every model of the theory on BOOL, by trying each tuple of operation
+    tables, in the style of McCune's Mace4; none past the cap."""
+    if not _few_tables(theory):
+        return ()
+    keys = [
+        (o.name, p, args)
+        for o in theory.ops
+        for p in o.param.iter_elements()
+        for args in itertools.product(BOOL.elements(), repeat=o.arity.size())
+    ]
+    found = []
+    for values in itertools.product(BOOL.elements(), repeat=len(keys)):
+        model = table_model(theory, BOOL, dict(zip(keys, values)))
+        if validate_model(model) is None:
+            found.append(model)
+    return tuple(found)
+
+
+def _refuters(theory: Theory) -> tuple:
+    strategy = _strategy(theory)
+    if strategy.refuters is None:
+        strategy.refuters = _two_element_models(theory)
+    return strategy.refuters
+
+
 def has_normalizer(theory: Theory) -> bool:
     return not theory.eqs or _strategy(theory).normalize is not None
+
+
+def normalizes_to_leaf_sets(theory: Theory) -> bool:
+    """Whether the theory's normal form is the set of a tree's leaves."""
+    return _strategy(theory).normalize is _normalize_leaf_set
 
 
 def normalize(theory: Theory, t: Tree) -> Tree:
@@ -261,8 +338,9 @@ def normalize(theory: Theory, t: Tree) -> Tree:
     Equation-free theories normalize to the tree itself (the congruence is
     equality there).  A theory whose operations and equation instances are
     exactly those of the built-in single-state theory over its own ``get``
-    arity, or of the built-in semilattice, has that built-in's normalizer,
-    whatever the theory is called.  Raises NoNormalizer for anything else.
+    arity, of the built-in semilattice, or of the built-in choice theory,
+    has that built-in's normalizer, whatever the theory is called.  Raises
+    NoNormalizer for anything else.
     """
     if not theory.eqs:
         return t
@@ -283,14 +361,26 @@ class TreeEq(PyEnum):
 
 
 def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
-    gens = sorted(set(tree_leaves(t1)) | set(tree_leaves(t2)), key=sort_key)
-    for carrier, ops in _strategy(theory).refuters:
-        model = FiniteModel(theory, ops, carrier)
-        for picks in itertools.product(carrier.elements(), repeat=len(gens)):
-            valuation = dict(zip(gens, picks))
+    """Whether a 2-element model of the theory tells t1 and t2 apart under
+    some valuation of their leaves; such a model satisfies every law, so
+    the trees are not congruent."""
+    models = _refuters(theory)
+    if not models:
+        return False
+    gens = _distinct_leaves(itertools.chain(tree_leaves(t1), tree_leaves(t2)))
+    t1, t2 = _by_index(t1, gens), _by_index(t2, gens)
+    for model in models:
+        for valuation in itertools.product(model.carrier.elements(), repeat=len(gens)):
             if interpret_term(model, t1, valuation) != interpret_term(model, t2, valuation):
                 return True
     return False
+
+
+def _by_index(t: Tree, gens: list) -> Tree:
+    """t with each leaf replaced by its position in gens."""
+    if type(t) is Return:
+        return Return(next(i for i, g in enumerate(gens) if same_value(g, t.value)))
+    return OpNode(t.op, t.param, tuple(_by_index(sub, gens) for sub in t.kont))
 
 
 def _subtrees(t: Tree) -> Iterator[Tree]:
@@ -457,10 +547,11 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
     equality is searched for by applying equation instances breadth-first
     from both trees until the frontiers meet or the budget runs out; the
     budget counts the trees taken off the two frontiers and expanded
-    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``);
-    DISTINCT is only ever reported when a small validating model separates
-    the trees, and only theories with exactly the built-in choice laws
-    have such models.
+    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``).
+    DISTINCT is only ever reported there when a 2-element model of the
+    theory's laws separates the trees.  Such models are looked for among
+    all tuples of operation tables over ``BOOL``, unless there are more
+    than 4096 tuples, as for ``state(fin 2, fin 2)``.
     """
     if budget is None:
         budget = default_budget()

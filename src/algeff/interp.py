@@ -36,7 +36,15 @@ from functools import cached_property
 from typing import Any, Mapping
 
 from .errors import AlgeffError, ParameterOutOfUniverse
-from .free import FreeElement, default_budget, eta, has_normalizer, lift, normalize
+from .free import (
+    FreeElement,
+    default_budget,
+    eta,
+    has_normalizer,
+    lift,
+    normalize,
+    normalizes_to_leaf_sets,
+)
 from .lang import (
     App,
     BoolLit,
@@ -63,7 +71,7 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, Theory, Tree, tree_ops
+from .terms import OpNode, Theory, Tree, tree_leaves, tree_ops
 from .terms import Return as Leaf
 from .universe import Enum, Fin, FiniteUniverse, Product
 
@@ -456,6 +464,12 @@ def _plain(v) -> bool:
     return type(v) in (bool, int, str)
 
 
+def _first_order(v) -> bool:
+    if type(v) is tuple:
+        return all(_first_order(x) for x in v)
+    return type(v) in (bool, int, str, SymVal)
+
+
 def _at_most_one_inhabitant(vtype) -> bool:
     if isinstance(vtype, (TUnit, TEmpty)):
         return True
@@ -542,7 +556,13 @@ def compare_trees(t1, t2, ctype: CompType, theory: Theory):
             return verdict
         return False if canonical else None
 
-    return walk(t1, t2)
+    verdict = walk(t1, t2)
+    if verdict is False and normalizes_to_leaf_sets(theory):
+        # a leaf set drops only identical leaves, so two extensionally equal
+        # functions may both stay, or pair up with the wrong partners
+        if not all(_first_order(v) for t in (t1, t2) for v in tree_leaves(t)):
+            return None
+    return verdict
 
 
 def check_handler_equations(

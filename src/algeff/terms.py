@@ -266,11 +266,14 @@ def substitute(t: Tree, sigma: Mapping) -> Tree:
 
 
 def tree_leaves(t: Tree) -> Iterator:
-    if isinstance(t, Return):
-        yield t.value
-    else:
-        for sub in t.kont:
-            yield from tree_leaves(sub)
+    """t's leaf values, left to right, at any depth."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Return):
+            yield node.value
+        else:
+            stack.extend(reversed(node.kont))
 
 
 def tree_ops(t: Tree) -> set:

@@ -2,8 +2,9 @@
 
 Each constructor is memoized, so requesting the same theory twice returns
 the same object.  The single-state, semilattice, and choice theories also
-serve as references: ``free`` gives their normalizer or refutation models to
-any theory whose operations and equation instances are exactly theirs.
+serve as references: ``free`` gives their normalizer to any theory whose
+operations and equation instances are exactly theirs (the get/put normal
+form, or the sorted leaf set that choice and the semilattice share).
 """
 
 from __future__ import annotations

@@ -217,11 +217,45 @@ def test_repl_renders_closure_results(capsys, monkeypatch):
 
 def test_normalize_without_a_strategy_exits_1(capsys):
     code, _, err = invoke(
-        capsys, "normalize", "do b <- choose!() in return b",
-        "--theory", SAMPLES / "choice.thy",
+        capsys, "normalize", "return 1", "--theory", SAMPLES / "state10.thy"
     )
     assert code == 1
     assert "no normalization strategy" in err
+
+
+def test_normalize_choice_prints_its_leaf_set(capsys):
+    code, out, _ = invoke(
+        capsys, "normalize", "do b <- choose!() in return b",
+        "--theory", SAMPLES / "choice.thy",
+    )
+    assert out == "choose((); return false, return true)\n"
+    assert code == 0
+
+
+def test_normalize_a_leaf_set_of_functions(capsys):
+    code, out, _ = invoke(
+        capsys, "normalize",
+        "do b <- join!(()) in if b then return (fun x -> return x) else return (fun y -> return y)",
+        "--theory", SAMPLES / "semilattice.thy",
+    )
+    assert out == "join((); return <fun x>, return <fun y>)\n"
+    assert code == 0
+
+
+@pytest.mark.parametrize("theory, join, bot", [
+    ("semilattice.thy", "join", " | bot(u; k) -> return (fun t -> return t)"),
+    ("choice.thy", "choose", ""),
+])
+def test_check_a_handler_into_functions_over_a_leaf_set_theory(capsys, tmp_path, theory, join, bot):
+    # two functions that are equal but not identical may both stay in a
+    # leaf set, so comparing leaf sets of functions is inconclusive
+    handler = tmp_path / "h.eff"
+    handler.write_text(
+        f"handler {{ return x -> return (fun s -> return s) | {join}(u; k) -> "
+        f"do b <- {join}!(()) in if b then k true else return (fun t -> return t){bot} }}\n"
+    )
+    code, out, err = invoke(capsys, "check", "handler", handler, "--theory", SAMPLES / theory)
+    assert (code, out, err) == (1, "Unknown\n", "")
 
 
 def test_type_subcommand_reports_errors_with_exit_1(capsys):

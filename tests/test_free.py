@@ -39,6 +39,7 @@ from tests.gen import tree_corpus
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 STATE2 = single_state_theory(Fin(2))
 STATE3 = single_state_theory(Fin(3))
+CHOICE_EXC = combine(choice_theory(), exception_theory())
 
 
 def get(theory, kont):
@@ -147,6 +148,33 @@ def test_normalize_semilattice_sorted_set():
     assert normalize(th, OpNode("bot", (), ())) == OpNode("bot", (), ())
 
 
+def test_leaf_sets_keep_one_and_true_apart():
+    for th, op in ((semilattice_theory(), "join"), (choice_theory(), "choose")):
+        both = OpNode(op, (), (Return(1), Return(True)))
+        assert tree_equal_modulo(th, both, Return(1)) is TreeEq.DISTINCT
+        assert tree_equal_modulo(th, both, OpNode(op, (), (Return(True), Return(1)))) is TreeEq.EQUAL
+        # booleans sort before integers
+        assert normalize(th, both) == OpNode(op, (), (Return(True), Return(1)))
+    # the refuting models give 1 and True values of their own too
+    both = OpNode("choose", (), (Return(1), Return(True)))
+    assert tree_equal_modulo(CHOICE_EXC, both, Return(1), budget=1) is TreeEq.DISTINCT
+
+
+def test_leaf_sets_never_hash_their_leaves():
+    # lists stand in for closures, whose environments cannot be hashed
+    th = choice_theory()
+    t = OpNode("choose", (), (Return([1]), OpNode("choose", (), (Return([2]), Return([1])))))
+    assert normalize(th, t) == OpNode("choose", (), (Return([1]), Return([2])))
+
+
+def test_normalize_choice_to_its_leaf_set():
+    th = choice_theory()
+    choose = lambda a, b: OpNode("choose", (), (a, b))
+    x, y, z = Return("x"), Return("y"), Return("z")
+    assert normalize(th, choose(z, choose(x, choose(z, y)))) == choose(x, choose(y, z))
+    assert normalize(th, choose(y, y)) == y
+
+
 def test_normalize_equation_free_theories_is_identity():
     th = io_theory(Fin(2))
     t = OpNode("print", 1, (OpNode("read", (), (Return("a"), Return("b"))),))
@@ -156,8 +184,9 @@ def test_normalize_equation_free_theories_is_identity():
 
 def test_normalize_without_strategy_raises():
     with pytest.raises(NoNormalizer):
-        normalize(choice_theory(), Return("x"))
-    assert not has_normalizer(choice_theory())
+        normalize(CHOICE_EXC, Return("x"))
+    assert not has_normalizer(CHOICE_EXC)
+    assert has_normalizer(choice_theory())
     assert has_normalizer(STATE2)
 
 
@@ -228,12 +257,55 @@ def test_tree_equal_modulo_choice_assoc_idem():
 
 
 def test_unknown_when_budget_is_tiny():
-    th = choice_theory()
+    th = CHOICE_EXC
     join = lambda a, b: OpNode("choose", (), (a, b))
     x, y, z = Return("x"), Return("y"), Return("z")
     t1 = join(join(x, y), join(z, x))
     t2 = join(x, join(y, join(z, join(x, x))))
     assert tree_equal_modulo(th, t1, t2, budget=1) is TreeEq.UNKNOWN
+
+
+def test_choice_corpus_is_decided_at_budget_one_by_its_leaf_sets():
+    from algeff.terms import tree_leaves
+
+    th = choice_theory()
+    corpus = tree_corpus(th, ["x", "y", "z"], 40, 3, seed=77)
+    for i, t1 in enumerate(corpus[:20]):
+        for t2 in corpus[i + 1 : i + 6]:
+            same_leaves = set(tree_leaves(t1)) == set(tree_leaves(t2))
+            expected = TreeEq.EQUAL if same_leaves else TreeEq.DISTINCT
+            assert tree_equal_modulo(th, t1, t2, budget=1) is expected, (t1, t2)
+
+
+def test_theories_without_a_normalizer_refute_by_their_2_element_models():
+    from algeff.free import _refuters
+    from algeff.models import validate_model
+    from algeff.theories import group_theory, state_theory
+
+    assert len(_refuters(CHOICE_EXC)) == 4  # or/and, with abort false/true
+    assert len(_refuters(group_theory())) == 2  # xor/xnor
+    for model in _refuters(CHOICE_EXC) + _refuters(group_theory()):
+        assert validate_model(model) is None
+    x, y = Return("x"), Return("y")
+    m = lambda a, b: OpNode("m", (), (a, b))
+    assert tree_equal_modulo(group_theory(), m(x, y), m(y, x), budget=1) is TreeEq.UNKNOWN
+    assert tree_equal_modulo(group_theory(), m(x, x), x, budget=1) is TreeEq.DISTINCT
+
+
+def test_the_model_search_is_capped_before_any_table_is_listed():
+    import time
+
+    from algeff.free import _refuters
+    from algeff.terms import OpDecl, Theory
+    from algeff.theories import state_theory
+    from algeff.universe import UNIT
+
+    assert _refuters(state_theory(Fin(2), Fin(2))) == ()  # 65,536 tuples
+    # 2^30 entries in one table; listing them would not end in time
+    wide = Theory("wide", (OpDecl("get", UNIT, Fin(30)),), singleton_theory().eqs)
+    start = time.perf_counter()
+    assert _refuters(wide) == ()
+    assert time.perf_counter() - start < 1
 
 
 def test_lift_respects_congruence_on_corpus():
@@ -557,8 +629,9 @@ def state_chain(rng, ops):
 
 
 def test_search_verdicts_match_the_reference_search_on_the_choice_corpus():
-    th = choice_theory()
-    corpus = tree_corpus(th, ["x", "y", "z"], 40, 3, seed=77)
+    # choice with abort has the same rewrite rules and no normalizer
+    th = CHOICE_EXC
+    corpus = tree_corpus(choice_theory(), ["x", "y", "z"], 40, 3, seed=77)
     pairs = [(t1, t2) for i, t1 in enumerate(corpus[:20]) for t2 in corpus[i + 1 : i + 6]]
     assert len(pairs) == 100
     verdicts = set()

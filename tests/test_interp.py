@@ -269,6 +269,18 @@ def test_compare_trees_with_normalizer_separates():
     assert compare_trees(t1, Leaf(1), CompType(T_INT, frozenset()), STATE3) is True
 
 
+def test_compare_trees_over_a_leaf_set_of_functions_is_not_separable():
+    from algeff.lang import T_BOOL, CompType, TArrow
+
+    # equal but not identical functions; their environments cannot be hashed
+    f1 = Closure("x", Return(Var("x")), {"n": {}})
+    f2 = Closure("y", Return(Var("y")), {"n": {}})
+    at = CompType(TArrow(T_BOOL, CompType(T_BOOL, frozenset())), frozenset())
+    both = OpNode("choose", (), (Leaf(f1), Leaf(f2)))
+    assert compare_trees(both, Leaf(f1), at, CHOICE) is not False
+    assert compare_trees(both, both, at, CHOICE) is True
+
+
 # ---------------------------------------------------------------------------
 # Subject reduction at the tree level
 
