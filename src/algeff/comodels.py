@@ -10,7 +10,6 @@ checks every equation pointwise over the world.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import (
@@ -20,13 +19,12 @@ from .errors import (
     UnknownOperation,
 )
 from .free import FreeElement
-from .terms import OpNode, Return, Theory, tree_ops
+from .terms import OpNode, Return, Theory, _Node, _set, tree_ops
 from .theories import choice_theory
 from .universe import Enum, Fin, FiniteUniverse
 
 
-@dataclass(frozen=True, eq=False)
-class Cointerpretation:
+class Cointerpretation(_Node):
     """A finite world with cooperations for a subset of a theory's operations.
 
     Coverage may be partial: some operations (abort, say) admit no
@@ -35,43 +33,56 @@ class Cointerpretation:
     produce an element of the empty set.
     """
 
+    __slots__ = ("theory", "world", "coops")
     theory: Theory
     world: FiniteUniverse
     coops: Mapping[str, Callable[[Any, Any], tuple]]
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        for name in self.coops:
-            decl = self.theory.op(name)
-            if decl.arity.is_empty() and not self.world.is_empty():
+    def __init__(self, theory: Theory, world: FiniteUniverse, coops: Mapping):
+        for name in coops:
+            decl = theory.op(name)
+            if decl.arity.is_empty() and not world.is_empty():
                 raise ImpossibleCooperation(
                     f"operation {name!r} has empty arity; no cooperation into it "
                     "exists over a nonempty world"
                 )
+        self._fill(theory, world, coops)
 
 
-@dataclass(frozen=True)
-class Done:
+class Done(_Node):
+    __slots__ = ("value", "world")
     value: Any
     world: Any
 
+    def __init__(self, value, world):
+        _set(self, "value", value)
+        _set(self, "world", world)
 
-@dataclass(frozen=True)
-class Stuck:
+
+class Stuck(_Node):
+    __slots__ = ("op", "param", "world")
     op: str
     param: Any
     world: Any
+
+    def __init__(self, op: str, param, world):
+        self._fill(op, param, world)
 
 
 RunOutcome = Done | Stuck
 
 
-@dataclass(frozen=True)
-class ComodelViolation:
+class ComodelViolation(_Node):
+    __slots__ = ("equation", "param", "world", "lhs_outcome", "rhs_outcome")
     equation: str
     param: Any
     world: Any
-    lhs_outcome: RunOutcome = None
-    rhs_outcome: RunOutcome = None
+    lhs_outcome: RunOutcome
+    rhs_outcome: RunOutcome
+
+    def __init__(self, equation: str, param, world, lhs_outcome=None, rhs_outcome=None):
+        self._fill(equation, param, world, lhs_outcome, rhs_outcome)
 
 
 def cointerpret_tree(w0, t, c: Cointerpretation) -> RunOutcome:

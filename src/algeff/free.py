@@ -18,13 +18,13 @@ import operator
 import os
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum as PyEnum
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
 from .models import interpret_term, table_model, validate_model
-from .terms import OpNode, Return, Theory, Tree, make_tree_op, same_value, sort_key, tree_leaves
+from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
+from .terms import sort_key, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
 from .universe import BOOL
 
@@ -41,16 +41,20 @@ def default_budget() -> int:
         return DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class FreeElement:
+class FreeElement(_Node):
     """An element of the free model: a representative tree over a theory.
 
     Structural equality compares representatives; equality modulo the
     theory is tree_equal_modulo's job.
     """
 
+    __slots__ = ("theory", "tree")
     theory: Theory
     tree: Tree
+
+    def __init__(self, theory: Theory, tree: Tree):
+        _set(self, "theory", theory)
+        _set(self, "tree", tree)
 
 
 def eta(theory: Theory, x) -> FreeElement:
@@ -102,13 +106,16 @@ def sequence(t: FreeElement, h) -> FreeElement:
 # State normal form
 
 
-@dataclass(frozen=True)
-class StateNormalForm:
+class StateNormalForm(_Node):
     """The canonical single-state computation get((); s. put(f(s); _. return g(s)))
     as its two tables f : S -> S and g : S -> V."""
 
+    __slots__ = ("f", "g")
     f: dict
     g: dict
+
+    def __init__(self, f: dict, g: dict):
+        self._fill(f, g)
 
 
 def _single_state_universe(theory: Theory):
@@ -194,7 +201,6 @@ def _normalize_leaf_set(theory: Theory, t: Tree) -> Tree:
     return out
 
 
-@dataclass
 class _Strategy:
     """The proof strategies of one theory: a normalizer, which it earns by
     having exactly a built-in's laws, or else the 2-element models of its
@@ -204,10 +210,14 @@ class _Strategy:
     built-in's record also keeps its equation instances, to which parsed
     theories are compared."""
 
-    normalize: Callable[[Theory, Tree], Tree] | None = None
-    refuters: tuple | None = None
-    rules: tuple | None = None
-    instances: frozenset | None = None
+    __slots__ = ("normalize", "refuters", "rules", "instances")
+    normalize: Callable[[Theory, Tree], Tree] | None
+    refuters: tuple | None
+    rules: tuple | None
+    instances: frozenset | None
+
+    def __init__(self):
+        self.normalize = self.refuters = self.rules = self.instances = None
 
 
 def _single_state_twin(theory: Theory) -> Theory | None:
@@ -433,17 +443,20 @@ def _builder(pattern: Tree, gens: frozenset) -> Callable[[Mapping], Tree]:
     return lambda sigma: OpNode(op, param, tuple([build(sigma) for build in subs]))
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(_Node):
     """One direction of a non-trivial equation instance: rewrite ``source``
     to the tree ``build`` makes from the source's generator bindings.
     ``fresh`` lists, in sort_key order, the generators the target has and
     the source lacks; the search fills them from its pool."""
 
+    __slots__ = ("source", "gens", "fresh", "build")
     source: Tree
     gens: frozenset
     fresh: tuple
     build: Callable[[Mapping], Tree]
+
+    def __init__(self, source: Tree, gens: frozenset, fresh: tuple, build):
+        self._fill(source, gens, fresh, build)
 
 
 def _typed(v):

@@ -30,7 +30,6 @@ semantically, sampling finite function domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum as PyEnum
 from functools import cached_property
 from typing import Any, Mapping
@@ -71,7 +70,7 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, Theory, Tree, tree_leaves, tree_ops
+from .terms import OpNode, Theory, Tree, _Node, _set, tree_leaves, tree_ops
 from .terms import Return as Leaf
 from .universe import Enum, Fin, FiniteUniverse, Product
 
@@ -81,23 +80,34 @@ class EvalError(AlgeffError):
     on well-typed input."""
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(_Node):
+    __slots__ = ("param", "body", "env")
     param: str
     body: Any
     env: dict
 
+    def __init__(self, param: str, body, env: dict):
+        _set(self, "param", param)
+        _set(self, "body", body)
+        _set(self, "env", env)
 
-@dataclass(frozen=True)
-class HandlerClosure:
+
+class HandlerClosure(_Node):
+    __slots__ = ("code", "env")
     code: HandlerLit
     env: dict
 
+    def __init__(self, code: HandlerLit, env: dict):
+        self._fill(code, env)
 
-@dataclass(frozen=True)
-class PrimFun:
+
+class PrimFun(_Node):
+    __slots__ = ("name", "fn")
     name: str
     fn: Any
+
+    def __init__(self, name: str, fn):
+        self._fill(name, fn)
 
 
 class KontValue:
@@ -143,12 +153,16 @@ class KontValue:
         return hash((self.arity, self.branches))
 
 
-@dataclass(frozen=True)
-class SymVal:
+class SymVal(_Node):
     """An opaque symbolic value; applying it records the argument."""
 
+    __slots__ = ("base", "args")
     base: Any
-    args: tuple = ()
+    args: tuple
+
+    def __init__(self, base, args: tuple = ()):
+        _set(self, "base", base)
+        _set(self, "args", args)
 
 
 def base_env() -> dict:
@@ -208,16 +222,26 @@ _EVAL, _VALUE, _TREE = 0, 1, 2
 _DO, _HANDLER, _REPLAY = 0, 1, 2
 
 
-@dataclass(frozen=True, eq=False)
-class Suspended:
+class Suspended(_Node):
     """A computation stopped at an operation no handler takes; ``resume(a)``
-    runs the machine on from the operation's result ``a``."""
+    runs the machine on from the operation's result ``a``.  It compares by
+    identity, and its repr leaves out the stack and the theory."""
 
+    __slots__ = ("op", "param", "arity", "stack", "theory")
+    _fields = ("op", "param", "arity")
     op: str
     param: Any
     arity: FiniteUniverse
-    stack: Any = field(repr=False)
-    theory: Theory = field(repr=False)
+    stack: Any
+    theory: Theory
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, op: str, param, arity: FiniteUniverse, stack, theory: Theory):
+        _set(self, "op", op)
+        _set(self, "param", param)
+        _set(self, "arity", arity)
+        _set(self, "stack", stack)
+        _set(self, "theory", theory)
 
     def resume(self, a) -> Leaf | Suspended:
         if not self.arity.contains(a):
@@ -398,12 +422,15 @@ class HandlerVerdict(PyEnum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class HandlerCheck:
+class HandlerCheck(_Node):
+    __slots__ = ("verdict", "equation", "param", "skipped")
     verdict: HandlerVerdict
-    equation: str | None = None
-    param: Any = None
-    skipped: tuple = ()
+    equation: str | None
+    param: Any
+    skipped: tuple
+
+    def __init__(self, verdict: HandlerVerdict, equation=None, param=None, skipped=()):
+        self._fill(verdict, equation, param, skipped)
 
 
 def _sample_ints(theory: Theory) -> list:
@@ -532,9 +559,14 @@ def _both(a, b):
 
 
 def compare_trees(t1, t2, ctype: CompType, theory: Theory):
+    def leaves(a, b):
+        verdict = compare_values(a.value, b.value, ctype.value, theory)
+        # with no normal form, the equations may still identify different leaves
+        return None if verdict is False and not has_normalizer(theory) else verdict
+
     if isinstance(t1, Leaf) and isinstance(t2, Leaf):
         # the normal form of return v has only v at its leaves
-        return compare_values(t1.value, t2.value, ctype.value, theory)
+        return leaves(t1, t2)
     canonical = has_normalizer(theory)
     if canonical:
         try:
@@ -544,7 +576,7 @@ def compare_trees(t1, t2, ctype: CompType, theory: Theory):
 
     def walk(a, b):
         if isinstance(a, Leaf) and isinstance(b, Leaf):
-            return compare_values(a.value, b.value, ctype.value, theory)
+            return leaves(a, b)
         if isinstance(a, OpNode) and isinstance(b, OpNode):
             if a.op != b.op or a.param != b.param:
                 return False if canonical else None
@@ -585,7 +617,8 @@ def check_handler_equations(
 
     # probe leaves stand for the generic continuation, which the return
     # clause must not see: the clauses, with the identity return clause
-    passthrough = HandlerClosure(replace(h.code, ret_name="x", ret_body=Return(Var("x"))), h.env)
+    code = HandlerLit("x", Return(Var("x")), h.code.clauses, pos=h.code.pos)
+    passthrough = HandlerClosure(code, h.env)
     probe = lift(lambda v: eta(theory, SymVal(("kont", v))))
 
     for eq in theory.eqs:

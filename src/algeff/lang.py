@@ -7,89 +7,114 @@ synthesized bottom-up and only ever grows under subsumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from .errors import TypeMismatch, UnboundVariable, UnknownOperation
-from .terms import Theory
+from .terms import Theory, _Node, _set
 from .universe import Bool, Empty, Enum, Fin, FiniteUniverse, Product, Unit
 
 Pos = Optional[tuple]
-
-
-def _pos_field():
-    return field(default=None, compare=False, repr=False, kw_only=True)
 
 
 # ---------------------------------------------------------------------------
 # Value expressions
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
+    __slots__ = ("name", "pos")
     name: str
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, name, *, pos: Pos = None):
+        self._fill(name, pos)
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(_Node):
+    __slots__ = ("value", "pos")
     value: bool
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, value, *, pos: Pos = None):
+        self._fill(value, pos)
 
 
-@dataclass(frozen=True)
-class UnitLit:
-    pos: Pos = _pos_field()
+class UnitLit(_Node):
+    __slots__ = ("pos",)
+    pos: Pos
+
+    def __init__(self, *, pos: Pos = None):
+        self._fill(pos)
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(_Node):
+    __slots__ = ("value", "pos")
     value: int
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, value, *, pos: Pos = None):
+        self._fill(value, pos)
 
 
-@dataclass(frozen=True)
-class StrLit:
+class StrLit(_Node):
+    __slots__ = ("value", "pos")
     value: str
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, value, *, pos: Pos = None):
+        self._fill(value, pos)
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(_Node):
+    __slots__ = ("first", "second", "pos")
     first: Any
     second: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, first, second, *, pos: Pos = None):
+        self._fill(first, second, pos)
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(_Node):
+    __slots__ = ("left", "right", "pos")
     left: Any
     right: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, left, right, *, pos: Pos = None):
+        self._fill(left, right, pos)
 
 
-@dataclass(frozen=True)
-class Fun:
+class Fun(_Node):
+    __slots__ = ("param", "body", "pos")
     param: str
     body: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, param, body, *, pos: Pos = None):
+        self._fill(param, body, pos)
 
 
-@dataclass(frozen=True)
-class OpClause:
+class OpClause(_Node):
+    __slots__ = ("op", "param_name", "kont_name", "body", "pos")
     op: str
     param_name: str
     kont_name: str
     body: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, op, param_name, kont_name, body, *, pos: Pos = None):
+        self._fill(op, param_name, kont_name, body, pos)
 
 
-@dataclass(frozen=True)
-class HandlerLit:
+class HandlerLit(_Node):
+    __slots__ = ("ret_name", "ret_body", "clauses", "pos")
     ret_name: str
     ret_body: Any
     clauses: tuple
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, ret_name, ret_body, clauses, *, pos: Pos = None):
+        self._fill(ret_name, ret_body, clauses, pos)
 
     def clause_for(self, op: str) -> OpClause | None:
         for clause in self.clauses:
@@ -105,47 +130,70 @@ ValueExpr = Var | BoolLit | UnitLit | IntLit | StrLit | Pair | Plus | Fun | Hand
 # Computation expressions
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(_Node):
+    __slots__ = ("value", "pos")
     value: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, value, *, pos: Pos = None):
+        self._fill(value, pos)
 
 
-@dataclass(frozen=True)
-class OpCall:
+class OpCall(_Node):
+    __slots__ = ("op", "arg", "pos")
     op: str
     arg: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, op, arg, *, pos: Pos = None):
+        _set(self, "op", op)
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Do:
+class Do(_Node):
+    __slots__ = ("name", "first", "rest", "pos")
     name: str
     first: Any
     rest: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, name, first, rest, *, pos: Pos = None):
+        _set(self, "name", name)
+        _set(self, "first", first)
+        _set(self, "rest", rest)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class If:
+class If(_Node):
+    __slots__ = ("cond", "then", "orelse", "pos")
     cond: Any
     then: Any
     orelse: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, cond, then, orelse, *, pos: Pos = None):
+        self._fill(cond, then, orelse, pos)
 
 
-@dataclass(frozen=True)
-class App:
+class App(_Node):
+    __slots__ = ("fn", "arg", "pos")
     fn: Any
     arg: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, fn, arg, *, pos: Pos = None):
+        self._fill(fn, arg, pos)
 
 
-@dataclass(frozen=True)
-class WithHandle:
+class WithHandle(_Node):
+    __slots__ = ("handler", "comp", "pos")
     handler: Any
     comp: Any
-    pos: Pos = _pos_field()
+    pos: Pos
+
+    def __init__(self, handler, comp, *, pos: Pos = None):
+        self._fill(handler, comp, pos)
 
 
 CompExpr = Return | OpCall | Do | If | App | WithHandle
@@ -155,75 +203,96 @@ CompExpr = Return | OpCall | Do | If | App | WithHandle
 # Types
 
 
-@dataclass(frozen=True)
-class TEmpty:
+class TEmpty(_Node):
+    __slots__ = ()
+
     def __str__(self):
         return "empty"
 
 
-@dataclass(frozen=True)
-class TUnit:
+class TUnit(_Node):
+    __slots__ = ()
+
     def __str__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
-class TBool:
+class TBool(_Node):
+    __slots__ = ()
+
     def __str__(self):
         return "bool"
 
 
-@dataclass(frozen=True)
-class TInt:
+class TInt(_Node):
+    __slots__ = ()
+
     def __str__(self):
         return "int"
 
 
-@dataclass(frozen=True)
-class TStr:
+class TStr(_Node):
+    __slots__ = ()
+
     def __str__(self):
         return "str"
 
 
-@dataclass(frozen=True)
-class TProd:
+class TProd(_Node):
+    __slots__ = ("left", "right")
     left: Any
     right: Any
+
+    def __init__(self, left, right):
+        self._fill(left, right)
 
     def __str__(self):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(_Node):
+    __slots__ = ("name",)
     name: int
+
+    def __init__(self, name):
+        self._fill(name)
 
     def __str__(self):
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class CompType:
+class CompType(_Node):
+    __slots__ = ("value", "dirt")
     value: Any
     dirt: frozenset
+
+    def __init__(self, value, dirt):
+        _set(self, "value", value)
+        _set(self, "dirt", dirt)
 
     def __str__(self):
         return f"{self.value} ! {{{', '.join(sorted(self.dirt))}}}"
 
 
-@dataclass(frozen=True)
-class TArrow:
+class TArrow(_Node):
+    __slots__ = ("arg", "result")
     arg: Any
     result: CompType
+
+    def __init__(self, arg, result):
+        self._fill(arg, result)
 
     def __str__(self):
         return f"({self.arg} -> {self.result})"
 
 
-@dataclass(frozen=True)
-class THandler:
+class THandler(_Node):
+    __slots__ = ("inp", "out")
     inp: CompType
     out: CompType
+
+    def __init__(self, inp, out):
+        self._fill(inp, out)
 
     def __str__(self):
         return f"({self.inp}) => ({self.out})"

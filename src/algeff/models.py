@@ -10,46 +10,57 @@ with it exhaustive equation validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
-from .terms import Equation, Return, Theory, Tree
+from .terms import Equation, Return, Theory, Tree, _Node, _set
 from .universe import UNIT, FiniteUniverse, Product
 
 
-@dataclass(frozen=True, eq=False)
-class Interpretation:
+class Interpretation(_Node):
+    __slots__ = ("theory", "ops")
     theory: Theory
     ops: Mapping[str, Callable[[Any, tuple], Any]]
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        for o in self.theory.ops:
-            if o.name not in self.ops:
+    def __init__(self, theory: Theory, ops: Mapping):
+        for o in theory.ops:
+            if o.name not in ops:
                 raise UnknownOperation(
-                    f"interpretation lacks operation {o.name!r} of theory {self.theory.name!r}"
+                    f"interpretation lacks operation {o.name!r} of theory {theory.name!r}"
                 )
+        self._fill(theory, ops)
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteModel(Interpretation):
+    __slots__ = ("carrier",)
     carrier: FiniteUniverse
 
+    def __init__(self, theory: Theory, ops: Mapping, carrier: FiniteUniverse):
+        super().__init__(theory, ops)
+        _set(self, "carrier", carrier)
 
-@dataclass(frozen=True)
-class EquationViolation:
+
+class EquationViolation(_Node):
+    __slots__ = ("equation", "param", "valuation", "lhs_value", "rhs_value")
     equation: str
     param: Any
     valuation: dict
-    lhs_value: Any = None
-    rhs_value: Any = None
+    lhs_value: Any
+    rhs_value: Any
+
+    def __init__(self, equation: str, param, valuation: dict, lhs_value=None, rhs_value=None):
+        self._fill(equation, param, valuation, lhs_value, rhs_value)
 
 
-@dataclass(frozen=True)
-class HomViolation:
+class HomViolation(_Node):
+    __slots__ = ("op", "param", "args")
     op: str
     param: Any
     args: tuple
+
+    def __init__(self, op: str, param, args: tuple):
+        self._fill(op, param, args)
 
 
 def interpret_term(interp: Interpretation, t: Tree, valuation: Mapping) -> Any:

@@ -9,13 +9,14 @@ have the same shape, operations, parameters and leaves.  Values compare by
 Trees are immutable.  An operation node caches its hash the first time it
 is asked for; a leaf's hash is its value's.  Equality and hashing recurse
 at most 100 levels at a time and keep deeper subtrees on an explicit list,
-so trees of any depth compare and hash.
+so trees of any depth compare and hash.  Their base, ``_Node``, is the base
+of every other record class in the package too.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Any, Callable, Iterator, Mapping
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from .errors import (
     IncompleteContinuation,
@@ -23,28 +24,83 @@ from .errors import (
     UnboundGenerator,
     UnknownOperation,
 )
-from .universe import FiniteUniverse
+
+if TYPE_CHECKING:
+    from .universe import FiniteUniverse
+
+# sets a slot past _Node.__setattr__, which refuses every assignment
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class OpDecl:
+class _Node:
+    """An immutable record, with no generated code.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``_set`` or ``_fill``, since assignment raises
+    AttributeError.  Its ``_fields``, unless it lists them, are its public
+    slots but ``pos`` (a source position), its base's first.  Records of one
+    class are equal when their fields are; the hash is the fields' tuple's,
+    the repr ``Name(field=value, ...)``.  A class that compares by identity
+    takes ``object``'s ``__eq__`` and ``__hash__``.  Copies and pickles refill
+    every slot (``_state``) without calling ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _state = ()
+
+    def __init_subclass__(cls):
+        own = tuple(s for s in cls.__dict__.get("__slots__", ()) if s != "__weakref__")
+        cls._state = cls._state + own
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls._fields + tuple(s for s in own if s != "pos" and s[0] != "_")
+        get = attrgetter(*cls._fields) if cls._fields else lambda self: ()
+        # a tuple for one field too, as for any other number
+        cls._values = staticmethod((lambda self: (get(self),)) if len(cls._fields) == 1 else get)
+
+    def _fill(self, *values):
+        """Set the slots to values, in ``_state`` order."""
+        for name, value in zip(self._state, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, name) for name in self._state))
+
+
+def _restore(cls, values):
+    record = object.__new__(cls)
+    record._fill(*values)
+    return record
+
+
+class OpDecl(_Node):
     """An operation symbol with a parameter set and an arity."""
 
+    __slots__ = ("name", "param", "arity")
     name: str
     param: FiniteUniverse
     arity: FiniteUniverse
 
-
-class _Node:
-    """What ``Return`` and ``OpNode`` share: they are immutable."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __init__(self, name: str, param: FiniteUniverse, arity: FiniteUniverse):
+        self._fill(name, param, arity)
 
 
 class Return(_Node):
@@ -63,12 +119,6 @@ class Return(_Node):
         if type(other) is Return:
             return same_value(self.value, other.value)
         return False if type(other) is OpNode else NotImplemented
-
-    def __repr__(self):
-        return f"Return(value={self.value!r})"
-
-    def __reduce__(self):
-        return Return, (self.value,)
 
 
 class OpNode(_Node):
@@ -109,10 +159,8 @@ class OpNode(_Node):
                 return False
         return True
 
-    def __repr__(self):
-        return f"OpNode(op={self.op!r}, param={self.param!r}, kont={self.kont!r})"
-
     def __reduce__(self):
+        # a fresh node, since a hash cached in one process is wrong in another
         return OpNode, (self.op, self.param, self.kont)
 
 
@@ -182,8 +230,7 @@ def _same_within(a: Tree, b: Tree, depth: int, pairs: list) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(_Node):
     """A family of tree pairs over a shared generator context.
 
     ``lhs``/``rhs`` map each element of ``param_universe`` to a tree whose
@@ -191,34 +238,38 @@ class Equation:
     unit universe and ignore their argument.
     """
 
+    __slots__ = ("name", "param_universe", "context", "lhs", "rhs")
     name: str
     param_universe: FiniteUniverse
     context: FiniteUniverse
     lhs: Callable[[Any], Tree]
     rhs: Callable[[Any], Tree]
 
+    def __init__(self, name, param_universe, context, lhs, rhs):
+        self._fill(name, param_universe, context, lhs, rhs)
 
-@dataclass(frozen=True, eq=False)
-class Theory:
+
+class Theory(_Node):
     """A named signature plus a family of equations.
 
-    Theories compare by identity.  The name is a label for messages: proof
-    strategies (see ``free.normalize``) follow from the operations and
-    equation instances alone.
+    Theories compare by identity, and can be weakly referenced.  The name is
+    a label for messages: proof strategies (see ``free.normalize``) follow
+    from the operations and equation instances alone.
     """
 
+    __slots__ = ("name", "ops", "eqs", "renames", "_by_name", "__weakref__")
     name: str
     ops: tuple
-    eqs: tuple = ()
-    renames: tuple = ()  # (original op name, new op name) pairs from combine()
+    eqs: tuple
+    renames: tuple  # (original op name, new op name) pairs from combine()
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "eqs", tuple(self.eqs))
-        by_name = {o.name: o for o in self.ops}
-        if len(by_name) != len(self.ops):
-            raise ValueError(f"duplicate operation names in theory {self.name!r}")
-        object.__setattr__(self, "_by_name", by_name)
+    def __init__(self, name: str, ops, eqs=(), renames: tuple = ()):
+        ops = tuple(ops)
+        by_name = {o.name: o for o in ops}
+        if len(by_name) != len(ops):
+            raise ValueError(f"duplicate operation names in theory {name!r}")
+        self._fill(name, ops, tuple(eqs), renames, by_name)
 
     def op(self, name: str) -> OpDecl:
         try:

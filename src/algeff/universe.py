@@ -8,12 +8,15 @@ their labels, and product elements are pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from .terms import _Node
 
-class FiniteUniverse:
+
+class FiniteUniverse(_Node):
     """Base for the universe shapes; instances are immutable and hashable."""
+
+    __slots__ = ()
 
     def size(self) -> int:
         raise NotImplementedError
@@ -36,8 +39,9 @@ class FiniteUniverse:
         return self.size() == 0
 
 
-@dataclass(frozen=True)
 class Empty(FiniteUniverse):
+    __slots__ = ()
+
     def size(self):
         return 0
 
@@ -51,8 +55,9 @@ class Empty(FiniteUniverse):
         raise ValueError("the empty universe has no elements")
 
 
-@dataclass(frozen=True)
 class Unit(FiniteUniverse):
+    __slots__ = ()
+
     def size(self):
         return 1
 
@@ -68,8 +73,9 @@ class Unit(FiniteUniverse):
         return 0
 
 
-@dataclass(frozen=True)
 class Bool(FiniteUniverse):
+    __slots__ = ()
+
     def size(self):
         return 2
 
@@ -88,15 +94,16 @@ class Bool(FiniteUniverse):
         return 1 if x else 0
 
 
-@dataclass(frozen=True)
 class Fin(FiniteUniverse):
     """The integers 0 .. n-1, for positive n."""
 
+    __slots__ = ("n",)
     n: int
 
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"Fin expects a positive size, got {self.n!r}")
+    def __init__(self, n: int):
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"Fin expects a positive size, got {n!r}")
+        self._fill(n)
 
     def size(self):
         return self.n
@@ -113,19 +120,19 @@ class Fin(FiniteUniverse):
         return x
 
 
-@dataclass(frozen=True)
 class Enum(FiniteUniverse):
     """A universe of named elements; the labels are the elements."""
 
+    __slots__ = ("labels",)
     labels: tuple
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels):
+        labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("enum labels must be distinct")
         if not all(isinstance(l, str) for l in labels):
             raise ValueError("enum labels must be strings")
+        self._fill(labels)
 
     def size(self):
         return len(self.labels)
@@ -142,10 +149,13 @@ class Enum(FiniteUniverse):
         return self.labels.index(x)
 
 
-@dataclass(frozen=True)
 class Product(FiniteUniverse):
+    __slots__ = ("left", "right")
     left: FiniteUniverse
     right: FiniteUniverse
+
+    def __init__(self, left: FiniteUniverse, right: FiniteUniverse):
+        self._fill(left, right)
 
     def size(self):
         return self.left.size() * self.right.size()

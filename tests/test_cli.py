@@ -258,6 +258,39 @@ def test_check_a_handler_into_functions_over_a_leaf_set_theory(capsys, tmp_path,
     assert (code, out, err) == (1, "Unknown\n", "")
 
 
+def test_check_a_handler_that_swaps_commuting_branches_is_not_violated(capsys, tmp_path):
+    # join(y, x) and join(x, y) are equal by comm, though their leaves differ
+    # and the theory has no normal form to show it
+    theory = tmp_path / "comm.thy"
+    theory.write_text(
+        "theory comm {\n  op join : unit ~> bool;\n"
+        "  equation comm (enum {x, y}) : join((); return x, return y) = "
+        "join((); return y, return x);\n}\n"
+    )
+    handler = tmp_path / "h.eff"
+    handler.write_text(
+        "handler { return x -> return x | "
+        "join(u; k) -> do b <- join!(()) in if b then k false else k true }\n"
+    )
+    code, out, err = invoke(capsys, "check", "handler", handler, "--theory", theory)
+    assert out in ("Unknown\n", "Respected (bounded)\n") and err == ""
+    assert code in (0, 1)
+
+
+def test_check_the_identity_handler_over_a_collapsing_theory_is_not_violated(capsys, tmp_path):
+    # x = y identifies every two leaves, so return x and return y are equal
+    theory = tmp_path / "collapse.thy"
+    theory.write_text(
+        "theory collapse {\n  op star : unit ~> empty;\n"
+        "  equation collapse (enum {x, y}) : return x = return y;\n}\n"
+    )
+    handler = tmp_path / "h.eff"
+    handler.write_text("handler { return x -> return x }\n")
+    code, out, err = invoke(capsys, "check", "handler", handler, "--theory", theory)
+    assert out in ("Unknown\n", "Respected (bounded)\n") and err == ""
+    assert code in (0, 1)
+
+
 def test_type_subcommand_reports_errors_with_exit_1(capsys):
     code, _, err = invoke(
         capsys, "type", "if 1 then return true else return false",

@@ -281,6 +281,25 @@ def test_compare_trees_over_a_leaf_set_of_functions_is_not_separable():
     assert compare_trees(both, both, at, CHOICE) is True
 
 
+def test_compare_trees_without_a_normal_form_cannot_separate_leaves():
+    from algeff.lang import T_INT, CompType
+
+    comm = parse_theory_file(
+        "theory comm { op join : unit ~> bool; equation comm (enum {x, y}) : "
+        "join((); return x, return y) = join((); return y, return x); }"
+    )
+    at = CompType(T_INT, frozenset({"join"}))
+    join = lambda a, b: OpNode("join", (), (Leaf(a), Leaf(b)))
+    # equal by comm, though the leaves differ place by place
+    assert compare_trees(join(1, 2), join(2, 1), at, comm) is None
+    assert compare_trees(join(1, 2), join(1, 2), at, comm) is True
+    assert compare_trees(Leaf(1), Leaf(2), at, comm) is None
+    # a theory with no equations has its trees as normal forms
+    free = parse_theory_file("theory free { op join : unit ~> bool; }")
+    assert compare_trees(join(1, 2), join(2, 1), at, free) is False
+    assert compare_trees(Leaf(1), Leaf(2), at, free) is False
+
+
 # ---------------------------------------------------------------------------
 # Subject reduction at the tree level
 
