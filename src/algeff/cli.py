@@ -243,6 +243,7 @@ def cmd_repl(args) -> int:
                 kind = tokenize(text)[0].value  # comments are skipped
             if kind == "theory":
                 theory = _load(path, parse_theory_file)
+                comodels.clear()  # each was read against the theory it replaces
                 print(f"loaded theory {theory.name}")
             elif kind not in ("model", "comodel", "handler"):
                 print(f"unrecognized file kind in {path}")

@@ -95,9 +95,12 @@ def validate_equation(m: FiniteModel, e: Equation) -> EquationViolation | None:
     the first witness in enumeration order is returned."""
     if not isinstance(m, FiniteModel):
         raise NonEnumerableCarrier("equation validation needs an enumerable carrier")
+    sides_of, lhs, rhs = object(), None, None
     for p, valuation in iter_equation_cases(m, e):
-        lv = interpret_term(m, e.lhs(p), valuation)
-        rv = interpret_term(m, e.rhs(p), valuation)
+        if p is not sides_of:  # the cases come parameter by parameter
+            sides_of, lhs, rhs = p, e.lhs(p), e.rhs(p)
+        lv = interpret_term(m, lhs, valuation)
+        rv = interpret_term(m, rhs, valuation)
         if lv != rv:
             return EquationViolation(e.name, p, valuation, lv, rv)
     return None

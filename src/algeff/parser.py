@@ -34,31 +34,39 @@ cooperation entry:
 
     model <name>   { carrier <universe>; <op>(<param>; <args,...>) = <elem>; ... }
     comodel <name> { world <universe>;   <op>(<param>; <world>) = (<elem>; <world'>); ... }
+
+The parser reads token values from one regex pass.  Line and column are
+worked out, by ``tokenize`` over the same regex, only to report them: in a
+syntax error, or as the positions of a program's nodes.  An equation's two
+sides are read once, as templates, and every instance of the family is
+checked where the equation is read, without building its tree; an instance
+is built the first time ``Equation.lhs`` or ``Equation.rhs`` asks for it,
+and kept.  So ``run`` and ``type`` never build an equation instance.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import lang
 from .comodels import Cointerpretation
 from .errors import ParseError
 from .models import FiniteModel, table_model
-from .terms import Equation, OpDecl, OpNode, Return, Theory, check_theory
+from .terms import Equation, OpDecl, OpNode, Return, Theory, leaf_defect, param_defect
 from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product
 
-# one match per token: the blanks and comments before it, then the token
+# one match per token or comment; the blanks between them match nothing
 _TOKEN = re.compile(r"""
-    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
-    (?: (?P<int> \d+ )
-      | (?P<ident> [^\W\d]\w* )  # or a numeral: see tokenize
-      | (?P<string> "(?: [^"\\\n] | \\. )* ) "?   # without its closing quote
-      | (?P<punct> ~> | <- | -> | => | [(){};,!|*.\\+=:] )
-      | (?P<eof> \Z )
-      | (?P<bad> . )
-    )""", re.VERBOSE | re.DOTALL)
+      [(){};,!|*.\\+:] | =>? | ~> | <- | ->
+    | \d+
+    | [^\W\d]\w*                  # an identifier, or a numeral: see _value
+    | "(?: [^"\\\n] | \\. )* "?   # a string, maybe without its closing quote
+    | \#[^\n]*
+    | [^ \t\r\n]                  # any other character is unexpected
+    """, re.VERBOSE | re.DOTALL)
 
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
@@ -66,6 +74,55 @@ _ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itse
 _KEYWORDS = frozenset(
     "return do in if then else with handle fun handler true false".split()
 )
+_PUNCT = frozenset("~> <- -> => ( ) { } ; , ! | * . \\ + = :".split())
+_RESERVED = _KEYWORDS | _PUNCT  # no identifier names one of these
+
+
+class _Quoted:
+    """A string literal's token value, apart from identifiers and punctuation."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+_COMMENT = object()
+
+
+class _Unreadable(ValueError):
+    """A token no value reads: an unexpected character, or an unterminated
+    string.  ``tokenize`` reports it with its position.  It is a ValueError,
+    as int()'s error for a numeral too long to convert is, so that ``_scan``
+    hands both to ``tokenize``, which raises the text's first error."""
+
+
+def _unescape(m) -> str:
+    return _ESCAPES.get(m[1], m[1])
+
+
+def _value(raw: str):
+    """The value of one token's text: an int, a ``_Quoted`` string, an
+    identifier or punctuation as itself, or ``_COMMENT``.  Raises
+    ``_Unreadable`` for a token no value reads."""
+    first = raw[0]
+    if first.isdecimal():
+        return int(raw)
+    if raw in _PUNCT:
+        return raw
+    if first == '"':
+        body = raw[1:-1]
+        # closed when the last quote is not itself escaped
+        if len(raw) < 2 or raw[-1] != '"' or (len(body) - len(body.rstrip("\\"))) % 2:
+            raise _Unreadable
+        return _Quoted(_ESCAPE.sub(_unescape, body) if "\\" in body else body)
+    if first == "#":
+        return _COMMENT
+    if first.isalpha() or first == "_":
+        return raw
+    # a digit or numeral that int() does not read, such as "²", or a stray
+    # character
+    raise _Unreadable
 
 
 class Token(NamedTuple):
@@ -80,193 +137,204 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list:
-    """The tokens of ``text``, ending with one ``eof`` token.  Lines count the
-    newlines outside string literals; columns count characters from the
-    start of the line, and the ``eof`` column stops at a trailing comment."""
+    """The tokens of ``text`` with their positions, ending with one ``eof``
+    token.  Lines count the newlines outside string literals; columns count
+    characters from the start of the line, and the ``eof`` column stops at a
+    trailing comment."""
     toks = []
-    line, line_start = 1, 0
+    line, line_start, end, last_end = 1, 0, 0, 0
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        blank, start = m.start(), m.start(kind)
-        if blank < start:
-            newline = text.rfind("\n", blank, start)
-            if newline >= 0:
-                line += text.count("\n", blank, newline + 1)
-                line_start = newline + 1
-        col = start - line_start + 1
-        value = m[kind]
-        if kind == "ident":
-            if not (value[0].isalpha() or value[0] == "_"):
-                # a digit or numeral that int() does not read, such as "²"
-                raise ParseError(line, col, f"unexpected character {value[0]!r}")
-        elif kind == "int":
-            value = int(value)
-        elif kind == "string":
-            end = m.end(kind)
-            if m.end() == end:
-                if end < len(text) and text[end] == "\\":
-                    raise ParseError(line, end - line_start + 1, "dangling escape")
-                raise ParseError(line, col, "unterminated string")
-            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), value[1:])
-        elif kind == "eof":
-            comment = text.find("#", max(blank, line_start))
-            if comment >= 0:
-                col = comment - line_start + 1
-            toks.append(Token("eof", "", line, col))
-            return toks
-        elif kind == "bad":
-            raise ParseError(line, col, f"unexpected character {value!r}")
-        toks.append(Token(kind, value, line, col))
+        start = m.start()
+        newline = text.rfind("\n", end, start)
+        if newline >= 0:
+            line += text.count("\n", end, newline + 1)
+            line_start = newline + 1
+        end = m.end()
+        raw, col = m[0], start - line_start + 1
+        try:
+            value = _value(raw)
+        except _Unreadable:
+            if raw[0] != '"':
+                raise ParseError(line, col, f"unexpected character {raw[0]!r}") from None
+            if text.startswith("\\", end):
+                raise ParseError(line, col + len(raw), "dangling escape") from None
+            raise ParseError(line, col, "unterminated string") from None
+        if value is _COMMENT:
+            continue
+        last_end = end
+        if type(value) is int:
+            toks.append(Token("int", value, line, col))
+        elif type(value) is _Quoted:
+            toks.append(Token("string", value.text, line, col))
+        else:
+            toks.append(Token("punct" if value in _PUNCT else "ident", value, line, col))
+    newline = text.rfind("\n", end)
+    if newline >= 0:
+        line += text.count("\n", end, newline + 1)
+        line_start = newline + 1
+    comment = text.find("#", max(last_end, line_start))
+    col = (comment if comment >= 0 else len(text)) - line_start + 1
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _scan(text: str) -> list:
+    """The token values of ``text``, comments left out, then None for the
+    end: ``tokenize``'s values, without their positions."""
+    raws = _TOKEN.findall(text)
+    try:
+        values = {raw: _value(raw) for raw in set(raws)}
+    except ValueError:
+        tokenize(text)  # raises the text's first error, with its position
+        raise
+    toks = list(map(values.__getitem__, raws))
+    if _COMMENT in values.values():
+        toks = [tok for tok in toks if tok is not _COMMENT]
+    toks.append(None)
+    return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = tokenize(text)
-        self.toks.append(self.toks[-1])  # a second eof, for peek(1)
+        self.text = text
+        self.toks = _scan(text)
+        self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
+        self.located = None  # tokenize(text), once a position is asked for
+        self.reads = set()  # the binders the template being read looks up
 
-    def peek(self, ahead=0) -> Token:
-        return self.toks[self.i + ahead]
+    def pos(self, i=None) -> tuple:
+        """The (line, col) of token ``i``, by default the next one."""
+        if self.located is None:
+            self.located = tokenize(self.text)
+        return self.located[self.i if i is None else i].pos
 
-    def next(self) -> Token:
+    def at(self, value) -> bool:
+        return self.toks[self.i] == value
+
+    def eat_punct(self, *values):
+        """Read ``values``, one token each, in order."""
+        for value in values:
+            if self.toks[self.i] != value:
+                self.fail(f"expected {value!r}")
+            self.i += 1
+
+    def eat_word(self, value):
+        if self.toks[self.i] != value:
+            self.fail(f"expected keyword {value!r}")
+        self.i += 1
+
+    def eat_ident(self, what="an identifier") -> str:
         tok = self.toks[self.i]
+        if type(tok) is not str or tok in _RESERVED:
+            self.fail(f"expected {what}")
         self.i += 1
         return tok
 
-    def at_punct(self, value) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def at_word(self, value) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == value
-
-    def eat_punct(self, value) -> Token:
-        if not self.at_punct(value):
-            return self.fail(f"expected {value!r}")
-        return self.next()
-
-    def eat_word(self, value) -> Token:
-        if not self.at_word(value):
-            return self.fail(f"expected keyword {value!r}")
-        return self.next()
-
-    def eat_ident(self, what="an identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value in _KEYWORDS:
-            return self.fail(f"expected {what}")
-        return self.next()
-
     def fail(self, message):
-        tok = self.peek()
-        found = tok.value if tok.kind != "eof" else "end of input"
-        raise ParseError(tok.line, tok.col, f"{message}, found {found!r}")
+        tok = self.toks[self.i]
+        found = "end of input" if tok is None else tok.text if type(tok) is _Quoted else tok
+        raise ParseError(*self.pos(), f"{message}, found {found!r}")
 
     def expect_eof(self):
-        if self.peek().kind != "eof":
+        if self.toks[self.i] is not None:
             self.fail("expected end of input")
 
     # -- programs ------------------------------------------------------------
 
     def comp(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value == "return":
-            self.next()
-            return lang.Return(self.value(), pos=tok.pos)
-        if tok.kind == "ident" and tok.value == "do":
-            self.next()
+        tok, pos = self.toks[self.i], self.pos()
+        if tok == "return":
+            self.i += 1
+            return lang.Return(self.value(), pos=pos)
+        if tok == "do":
+            self.i += 1
             name = self.eat_ident("a binder")
             self.eat_punct("<-")
             first = self.comp()
             self.eat_word("in")
             rest = self.comp()
-            return lang.Do(name.value, first, rest, pos=tok.pos)
-        if tok.kind == "ident" and tok.value == "if":
-            self.next()
+            return lang.Do(name, first, rest, pos=pos)
+        if tok == "if":
+            self.i += 1
             cond = self.value()
             self.eat_word("then")
             then = self.comp()
             self.eat_word("else")
             orelse = self.comp()
-            return lang.If(cond, then, orelse, pos=tok.pos)
-        if tok.kind == "ident" and tok.value == "with":
-            self.next()
+            return lang.If(cond, then, orelse, pos=pos)
+        if tok == "with":
+            self.i += 1
             h = self.value()
             self.eat_word("handle")
-            return lang.WithHandle(h, self.comp(), pos=tok.pos)
-        if (
-            tok.kind == "ident"
-            and tok.value not in _KEYWORDS
-            and self.peek(1).kind == "punct"
-            and self.peek(1).value == "!"
-        ):
-            op = self.next()
-            self.eat_punct("!")
+            return lang.WithHandle(h, self.comp(), pos=pos)
+        if type(tok) is str and tok not in _RESERVED and self.toks[self.i + 1] == "!":
+            self.i += 2
             self.eat_punct("(")
-            arg = lang.UnitLit(pos=self.peek().pos) if self.at_punct(")") else self.value()
+            arg = lang.UnitLit(pos=self.pos()) if self.at(")") else self.value()
             self.eat_punct(")")
-            return lang.OpCall(op.value, arg, pos=tok.pos)
+            return lang.OpCall(tok, arg, pos=pos)
         # application, or a parenthesized computation
         mark = self.i
         try:
             fn = self.value()
             arg = self.value()
-            return lang.App(fn, arg, pos=tok.pos)
+            return lang.App(fn, arg, pos=pos)
         except ParseError:
             self.i = mark
-        if self.at_punct("("):
-            self.next()
+        if tok == "(":
+            self.i += 1
             inner = self.comp()
             self.eat_punct(")")
             return inner
         return self.fail("expected a computation")
 
     def value(self):
-        tok = self.peek()
+        pos = self.pos()
         out = self.atom()
-        while self.at_punct("+"):
-            self.next()
-            out = lang.Plus(out, self.atom(), pos=tok.pos)
+        while self.at("+"):
+            self.i += 1
+            out = lang.Plus(out, self.atom(), pos=pos)
         return out
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return lang.IntLit(tok.value, pos=tok.pos)
-        if tok.kind == "string":
-            self.next()
-            return lang.StrLit(tok.value, pos=tok.pos)
-        if tok.kind == "ident":
-            if tok.value == "true":
-                self.next()
-                return lang.BoolLit(True, pos=tok.pos)
-            if tok.value == "false":
-                self.next()
-                return lang.BoolLit(False, pos=tok.pos)
-            if tok.value == "fun":
-                self.next()
+        tok, pos = self.toks[self.i], self.pos()
+        if type(tok) is int:
+            self.i += 1
+            return lang.IntLit(tok, pos=pos)
+        if type(tok) is _Quoted:
+            self.i += 1
+            return lang.StrLit(tok.text, pos=pos)
+        if type(tok) is str and tok not in _PUNCT:
+            if tok == "true":
+                self.i += 1
+                return lang.BoolLit(True, pos=pos)
+            if tok == "false":
+                self.i += 1
+                return lang.BoolLit(False, pos=pos)
+            if tok == "fun":
+                self.i += 1
                 param = self.eat_ident("a parameter name")
                 self.eat_punct("->")
-                return lang.Fun(param.value, self.comp(), pos=tok.pos)
-            if tok.value == "handler":
-                self.next()
-                return self.handler_literal(tok.pos)
-            if tok.value in _KEYWORDS:
+                return lang.Fun(param, self.comp(), pos=pos)
+            if tok == "handler":
+                self.i += 1
+                return self.handler_literal(pos)
+            if tok in _KEYWORDS:
                 self.fail("expected a value")
-            self.next()
-            return lang.Var(tok.value, pos=tok.pos)
-        if tok.kind == "punct" and tok.value == "(":
-            self.next()
-            if self.at_punct(")"):
-                self.next()
-                return lang.UnitLit(pos=tok.pos)
+            self.i += 1
+            return lang.Var(tok, pos=pos)
+        if tok == "(":
+            self.i += 1
+            if self.at(")"):
+                self.i += 1
+                return lang.UnitLit(pos=pos)
             first = self.value()
-            if self.at_punct(","):
-                self.next()
+            if self.at(","):
+                self.i += 1
                 second = self.value()
                 self.eat_punct(")")
-                return lang.Pair(first, second, pos=tok.pos)
+                return lang.Pair(first, second, pos=pos)
             self.eat_punct(")")
             return first
         return self.fail("expected a value")
@@ -278,9 +346,10 @@ class _Parser:
         self.eat_punct("->")
         ret_body = self.comp()
         clauses = []
-        while self.at_punct("|"):
-            self.next()
-            clause_tok = self.eat_ident("an operation name")
+        while self.at("|"):
+            self.i += 1
+            clause_pos = self.pos()
+            op = self.eat_ident("an operation name")
             self.eat_punct("(")
             param = self.eat_ident("a parameter binder")
             self.eat_punct(";")
@@ -288,162 +357,251 @@ class _Parser:
             self.eat_punct(")")
             self.eat_punct("->")
             body = self.comp()
-            clauses.append(
-                lang.OpClause(clause_tok.value, param.value, kont.value, body,
-                              pos=clause_tok.pos)
-            )
+            clauses.append(lang.OpClause(op, param, kont, body, pos=clause_pos))
         self.eat_punct("}")
-        return lang.HandlerLit(ret_name.value, ret_body, tuple(clauses), pos=pos)
+        return lang.HandlerLit(ret_name, ret_body, tuple(clauses), pos=pos)
 
     # -- universes -----------------------------------------------------------
 
     def universe(self) -> FiniteUniverse:
         out = self.universe_primary()
-        while self.at_punct("*"):
-            self.next()
+        while self.at("*"):
+            self.i += 1
             out = Product(out, self.universe_primary())
         return out
 
     def universe_primary(self) -> FiniteUniverse:
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.value == "empty":
-                self.next()
-                return EMPTY
-            if tok.value == "unit":
-                self.next()
-                return UNIT
-            if tok.value == "bool":
-                self.next()
-                return BOOL
-            if tok.value == "fin":
-                self.next()
-                size = self.peek()
-                if size.kind != "int":
-                    self.fail("expected a size after fin")
-                self.next()
-                if size.value < 1:
-                    raise ParseError(size.line, size.col, "fin needs a positive size")
-                return Fin(size.value)
-            if tok.value == "enum":
-                self.next()
-                self.eat_punct("{")
-                labels = [self.enum_label()]
-                while self.at_punct(","):
-                    self.next()
-                    labels.append(self.enum_label())
-                self.eat_punct("}")
-                try:
-                    return Enum(tuple(labels))
-                except ValueError as exc:
-                    raise ParseError(tok.line, tok.col, str(exc)) from None
-        if self.at_punct("("):
-            self.next()
+        tok = self.toks[self.i]
+        if tok == "empty":
+            self.i += 1
+            return EMPTY
+        if tok == "unit":
+            self.i += 1
+            return UNIT
+        if tok == "bool":
+            self.i += 1
+            return BOOL
+        if tok == "fin":
+            self.i += 1
+            size = self.toks[self.i]
+            if type(size) is not int:
+                self.fail("expected a size after fin")
+            if size < 1:
+                raise ParseError(*self.pos(), "fin needs a positive size")
+            self.i += 1
+            return Fin(size)
+        if tok == "enum":
+            at = self.i
+            self.i += 1
+            self.eat_punct("{")
+            labels = [self.enum_label()]
+            while self.at(","):
+                self.i += 1
+                labels.append(self.enum_label())
+            self.eat_punct("}")
+            try:
+                return Enum(tuple(labels))
+            except ValueError as exc:
+                raise ParseError(*self.pos(at), str(exc)) from None
+        if tok == "(":
+            self.i += 1
             out = self.universe()
             self.eat_punct(")")
             return out
         return self.fail("expected a universe")
 
     def enum_label(self) -> str:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.next()
-            return tok.value
-        return self.eat_ident("an enum label").value
+        tok = self.toks[self.i]
+        if type(tok) is _Quoted:
+            self.i += 1
+            return tok.text
+        return self.eat_ident("an enum label")
 
-    # -- elements and equation trees -----------------------------------------
+    # -- elements --------------------------------------------------------------
+
+    def elem(self):
+        """An element outside any equation, read as its value."""
+        tok = self.toks[self.i]
+        if type(tok) is int:
+            self.i += 1
+            return tok
+        if type(tok) is _Quoted:
+            self.i += 1
+            return tok.text
+        if tok == "(":
+            self.i += 1
+            if self.at(")"):
+                self.i += 1
+                return ()
+            first = self.elem()
+            if self.at(","):
+                self.i += 1
+                second = self.elem()
+                self.eat_punct(")")
+                return (first, second)
+            self.eat_punct(")")
+            return first
+        if type(tok) is not str or tok in _PUNCT:
+            return self.fail("expected an element")
+        at = self.i
+        self.i += 1
+        if tok == "true":
+            return True
+        if tok == "false":
+            return False
+        if tok == "fst" or tok == "snd":
+            return self.project(at, self.elem())
+        return tok
+
+    def project(self, at, value):
+        """The ``fst`` or ``snd`` at token ``at`` of ``value``."""
+        name = self.toks[at]
+        if type(value) is not tuple or len(value) != 2:
+            raise ParseError(*self.pos(at), f"{name} expects a pair, got {value!r}")
+        return value[0 if name == "fst" else 1]
+
+    # -- equation templates ----------------------------------------------------
 
     # Inside an equation, elements and trees are read once, as templates:
     # functions from an environment that binds the binders in scope (the
     # forall parameter and each "\x." binder) to elements.  ``sample`` binds
     # them to the first elements of their universes, so that a bad fst or
     # snd fails where it is read; it is None in a body under an empty arity,
-    # which is never instantiated.
-
-    def elem(self):
-        """An element outside any equation."""
-        return self.elem_template({})({})
+    # which is never instantiated.  ``reads`` collects the binders a template
+    # reads: one that reads none has the same value in every environment.
 
     def elem_template(self, sample):
-        tok = self.peek()
-        if tok.kind == "int" or tok.kind == "string":
-            self.next()
-            return _constant(tok.value)
-        if tok.kind == "ident":
-            self.next()
-            if tok.value == "true":
-                return _constant(True)
-            if tok.value == "false":
-                return _constant(False)
-            if tok.value in ("fst", "snd"):
-                pair, index = self.elem_template(sample), 0 if tok.value == "fst" else 1
-
-                def project(env):
-                    value = pair(env)
-                    if type(value) is not tuple or len(value) != 2:
-                        raise ParseError(
-                            tok.line, tok.col, f"{tok.value} expects a pair, got {value!r}"
-                        )
-                    return value[index]
-
-                if sample is not None:
-                    project(sample)
-                return project
-            name = tok.value
-            return lambda env: env.get(name, name)
-        if self.at_punct("("):
-            self.next()
-            if self.at_punct(")"):
-                self.next()
-                return _constant(())
+        tok = self.toks[self.i]
+        if tok == "(" and self.toks[self.i + 1] != ")":
+            self.i += 1
             first = self.elem_template(sample)
-            if self.at_punct(","):
-                self.next()
+            if self.at(","):
+                self.i += 1
                 second = self.elem_template(sample)
                 self.eat_punct(")")
                 return lambda env: (first(env), second(env))
             self.eat_punct(")")
             return first
-        return self.fail("expected an element")
+        if type(tok) is not str or tok in _PUNCT or tok == "true" or tok == "false":
+            value = self.elem()  # a constant, or a syntax error
+            return lambda env: value
+        at = self.i
+        self.i += 1
+        if tok == "fst" or tok == "snd":
+            pair, index = self.elem_template(sample), 0 if tok == "fst" else 1
 
-    def tree(self, theory: Theory, sample):
-        tok = self.peek()
-        if self.at_word("return"):
-            self.next()
-            leaf = self.elem_template(sample)
-            return lambda env: Return(leaf(env))
-        name = self.eat_ident("an operation or return").value
-        decl = theory.op(name) if theory.has_op(name) else None
-        if decl is None:
-            raise ParseError(tok.line, tok.col, f"unknown operation {name!r}")
-        self.eat_punct("(")
-        param = self.elem_template(sample)
-        count, kont = 0, _constant(())
-        if self.at_punct(";"):
-            self.next()
-            count, kont = self.konts(theory, decl.arity, sample)
-        self.eat_punct(")")
-        if count != decl.arity.size():
-            raise ParseError(
-                tok.line, tok.col, f"{name} needs {decl.arity.size()} subtrees, got {count}"
-            )
-        return lambda env: OpNode(name, param(env), kont(env))
+            def project(env):
+                value = pair(env)
+                if type(value) is tuple and len(value) == 2:
+                    return value[index]
+                return self.project(at, value)
 
-    def konts(self, theory: Theory, arity: FiniteUniverse, sample):
-        """The subtrees after ``;``: their number, and a template of the tuple."""
-        if self.at_punct("\\"):
-            self.next()
-            binder = self.eat_ident("a binder").value
+            if sample is not None:
+                project(sample)
+            return project
+        if sample is None:
+            return lambda env: env.get(tok, tok)
+        if tok in sample:
+            self.reads.add(tok)
+            return itemgetter(tok)
+        return lambda env: tok
+
+    def tree(self, theory: Theory, context: FiniteUniverse, sample):
+        """A template of the tree read here, as two functions of an
+        environment: ``build`` makes the tree, and ``check`` evaluates the
+        same elements in the same order, builds nothing, and returns the
+        defect ``check_tree`` would raise first, or None."""
+        outer, self.reads = self.reads, set()
+        at = self.i
+        if self.at("return"):
+            self.i += 1
+            leaf, contains = self.elem_template(sample), context.contains
+
+            def build(env):
+                return Return(leaf(env))
+
+            def check(env):
+                value = leaf(env)
+                return None if contains(value) else leaf_defect(context, value)
+        else:
+            name = self.eat_ident("an operation or return")
+            if not theory.has_op(name):
+                raise ParseError(*self.pos(at), f"unknown operation {name!r}")
+            decl = theory.op(name)
+            self.eat_punct("(")
+            param, contains = self.elem_template(sample), decl.param.contains
+            count, build_kont, check_kont = 0, (lambda env: ()), (lambda env: None)
+            if self.at(";"):
+                self.i += 1
+                count, build_kont, check_kont = self.konts(theory, context, decl.arity, sample)
+            self.eat_punct(")")
+            if count != decl.arity.size():
+                raise ParseError(
+                    *self.pos(at), f"{name} needs {decl.arity.size()} subtrees, got {count}"
+                )
+
+            def build(env):
+                return OpNode(name, param(env), build_kont(env))
+
+            def check(env):
+                p = param(env)
+                defect = None if contains(p) else param_defect(decl, p)
+                below = check_kont(env)
+                return below if defect is None else defect
+
+        if not self.reads:
+            build, check = _once(build), _once(check)
+        outer |= self.reads
+        self.reads = outer
+        return build, check
+
+    def konts(self, theory: Theory, context: FiniteUniverse, arity: FiniteUniverse, sample):
+        """The subtrees after ``;``: their number, and the two templates of
+        their tuple (see ``tree``)."""
+        if self.at("\\"):
+            self.i += 1
+            binder = self.eat_ident("a binder")
             self.eat_punct(".")
             elements = arity.elements()
             inner = None if sample is None or not elements else {**sample, binder: elements[0]}
-            body = self.tree(theory, inner)
-            return len(elements), lambda env: tuple(body({**env, binder: a}) for a in elements)
-        subtrees = [self.tree(theory, sample)]
-        while self.at_punct(","):
-            self.next()
-            subtrees.append(self.tree(theory, sample))
-        return len(subtrees), lambda env: tuple(t(env) for t in subtrees)
+            outer, self.reads = self.reads, set()
+            build_body, check_body = self.tree(theory, context, inner)
+            self.reads.discard(binder)
+
+            def build(env):
+                return tuple([build_body({**env, binder: a}) for a in elements])
+
+            def check(env):
+                first = None
+                for a in elements:
+                    defect = check_body({**env, binder: a})
+                    if first is None:
+                        first = defect
+                return first
+
+            if not self.reads:
+                build, check = _once(build), _once(check)
+            outer |= self.reads
+            self.reads = outer
+            return len(elements), build, check
+        subtrees = [self.tree(theory, context, sample)]
+        while self.at(","):
+            self.i += 1
+            subtrees.append(self.tree(theory, context, sample))
+        builds, checks = zip(*subtrees)
+
+        def build(env):
+            return tuple([build_sub(env) for build_sub in builds])
+
+        def check(env):
+            first = None
+            for check_sub in checks:
+                defect = check_sub(env)
+                if first is None:
+                    first = defect
+            return first
+
+        return len(subtrees), build, check
 
     # -- theory files ----------------------------------------------------------
 
@@ -452,44 +610,48 @@ class _Parser:
         name = self.eat_ident("a theory name")
         self.eat_punct("{")
         ops = []
-        partial = Theory(name.value, ())
+        partial = Theory(name, ())
         equations = []
-        while not self.at_punct("}"):
-            if self.at_word("op"):
-                self.next()
+        defects = []
+        while not self.at("}"):
+            if self.at("op"):
+                self.i += 1
+                at = self.i
                 op_name = self.eat_ident("an operation name")
-                if partial.has_op(op_name.value):
-                    raise ParseError(
-                        op_name.line, op_name.col, f"duplicate operation {op_name.value!r}"
-                    )
+                if partial.has_op(op_name):
+                    raise ParseError(*self.pos(at), f"duplicate operation {op_name!r}")
                 self.eat_punct(":")
                 param = self.universe()
                 self.eat_punct("~>")
                 arity = self.universe()
                 self.eat_punct(";")
-                ops.append(OpDecl(op_name.value, param, arity))
-                partial = Theory(name.value, tuple(ops))
-            elif self.at_word("equation"):
-                self.next()
-                equations.append(
-                    self.equation_decl(partial, {eq.name for eq in equations})
-                )
+                ops.append(OpDecl(op_name, param, arity))
+                partial = Theory(name, tuple(ops))
+            elif self.at("equation"):
+                self.i += 1
+                equation, defect = self.equation_decl(partial, {eq.name for eq in equations})
+                equations.append(equation)
+                if defect is not None:
+                    defects.append(defect)
             else:
                 self.fail("expected op, equation, or }")
         self.eat_punct("}")
-        theory = Theory(name.value, tuple(ops), tuple(equations))
-        check_theory(theory)
-        return theory
+        if defects:
+            raise defects[0]
+        return Theory(name, tuple(ops), tuple(equations))
 
-    def equation_decl(self, theory: Theory, taken) -> Equation:
+    def equation_decl(self, theory: Theory, taken) -> tuple:
+        """The equation read here, and the first defect of its instances, in
+        ``check_theory``'s order, or None."""
+        at = self.i
         eq_name = self.eat_ident("an equation name")
-        if eq_name.value in taken:
-            raise ParseError(eq_name.line, eq_name.col, f"duplicate equation {eq_name.value!r}")
+        if eq_name in taken:
+            raise ParseError(*self.pos(at), f"duplicate equation {eq_name!r}")
         param_name = None
         param_universe = UNIT
-        if self.at_word("forall"):
-            self.next()
-            param_name = self.eat_ident("a parameter name").value
+        if self.at("forall"):
+            self.i += 1
+            param_name = self.eat_ident("a parameter name")
             self.eat_word("in")
             param_universe = self.universe()
         self.eat_punct("(")
@@ -497,19 +659,28 @@ class _Parser:
         self.eat_punct(")")
         self.eat_punct(":")
         if param_universe.is_empty():
-            tok = self.peek()
-            raise ParseError(tok.line, tok.col, "forall over an empty universe")
+            raise ParseError(*self.pos(), "forall over an empty universe")
         envs = {p: {} if param_name is None else {param_name: p}
                 for p in param_universe.iter_elements()}
         sample = next(iter(envs.values()))
-        lhs_template = self.tree(theory, sample)
+        lhs = self.tree(theory, context, sample)
         self.eat_punct("=")
-        rhs_template = self.tree(theory, sample)
-        # expand the family into a table once
-        lhs = {p: lhs_template(env) for p, env in envs.items()}
-        rhs = {p: rhs_template(env) for p, env in envs.items()}
+        rhs = self.tree(theory, context, sample)
+        # Evaluate every instance's elements as building them would, every
+        # lhs and then every rhs, so a bad fst or snd fails here; keep the
+        # defect check_theory meets first: by parameter, lhs before rhs.  A
+        # template that reads no binder is evaluated once, since its value
+        # is the same in every instance.
+        first = None
+        for side, (_, check) in enumerate((lhs, rhs)):
+            for instance, env in enumerate(envs.values()):
+                defect = check(env)
+                if defect is not None and (first is None or (instance, side) < first[0]):
+                    first = (instance, side), defect
         self.eat_punct(";")
-        return Equation(eq_name.value, param_universe, context, lhs.__getitem__, rhs.__getitem__)
+        equation = Equation(eq_name, param_universe, context,
+                            _Instances(lhs[0], envs), _Instances(rhs[0], envs))
+        return equation, None if first is None else first[1]
 
     # -- model and comodel files ----------------------------------------------
 
@@ -521,38 +692,37 @@ class _Parser:
         carrier = self.universe()
         self.eat_punct(";")
         table = {}
-        while not self.at_punct("}"):
-            tok = self.peek()
-            op_name = self.eat_ident("an operation name").value
+        while not self.at("}"):
+            at = self.i
+            op_name = self.eat_ident("an operation name")
             if not theory.has_op(op_name):
-                raise ParseError(tok.line, tok.col, f"unknown operation {op_name!r}")
+                raise ParseError(*self.pos(at), f"unknown operation {op_name!r}")
             self.eat_punct("(")
             param = self.elem()
             args = []
             self.eat_punct(";")
-            if not self.at_punct(")"):
+            if not self.at(")"):
                 args.append(self.elem())
-                while self.at_punct(","):
-                    self.next()
+                while self.at(","):
+                    self.i += 1
                     args.append(self.elem())
-            self.eat_punct(")")
-            self.eat_punct("=")
+            self.eat_punct(")", "=")
             result = self.elem()
             self.eat_punct(";")
             decl = theory.op(op_name)
             if len(args) != decl.arity.size():
                 raise ParseError(
-                    tok.line, tok.col,
+                    *self.pos(at),
                     f"{op_name} needs {decl.arity.size()} arguments, got {len(args)}",
                 )
-            _require_members(tok, (
+            self.require_members(at, (
                 (param, decl.param, "parameter"),
                 *((a, carrier, "argument") for a in args),
                 (result, carrier, "result"),
             ))
             key = (op_name, param, tuple(args))
             if key in table:
-                raise ParseError(tok.line, tok.col, f"duplicate entry for {key!r}")
+                raise ParseError(*self.pos(at), f"duplicate entry for {key!r}")
             table[key] = result
         self.eat_punct("}")
         return table_model(theory, carrier, table)
@@ -566,27 +736,24 @@ class _Parser:
         self.eat_punct(";")
         table = {}
         covered = []
-        while not self.at_punct("}"):
-            tok = self.peek()
-            op_name = self.eat_ident("an operation name").value
+        while not self.at("}"):
+            at = self.i
+            op_name = self.eat_ident("an operation name")
             if not theory.has_op(op_name):
-                raise ParseError(tok.line, tok.col, f"unknown operation {op_name!r}")
+                raise ParseError(*self.pos(at), f"unknown operation {op_name!r}")
             if op_name not in covered:
                 covered.append(op_name)
             self.eat_punct("(")
             param = self.elem()
             self.eat_punct(";")
             w = self.elem()
-            self.eat_punct(")")
-            self.eat_punct("=")
-            self.eat_punct("(")
+            self.eat_punct(")", "=", "(")
             result = self.elem()
             self.eat_punct(";")
             w2 = self.elem()
-            self.eat_punct(")")
-            self.eat_punct(";")
+            self.eat_punct(")", ";")
             decl = theory.op(op_name)
-            _require_members(tok, (
+            self.require_members(at, (
                 (param, decl.param, "parameter"),
                 (w, world, "world"),
                 (result, decl.arity, "result"),
@@ -594,7 +761,7 @@ class _Parser:
             ))
             key = (op_name, param, w)
             if key in table:
-                raise ParseError(tok.line, tok.col, f"duplicate entry for {key!r}")
+                raise ParseError(*self.pos(at), f"duplicate entry for {key!r}")
             table[key] = (result, w2)
         self.eat_punct("}")
         for op_name in covered:
@@ -602,8 +769,7 @@ class _Parser:
             for p, w in itertools.product(decl.param.elements(), world.elements()):
                 if (op_name, p, w) not in table:
                     raise ParseError(
-                        self.peek().line,
-                        self.peek().col,
+                        *self.pos(),
                         f"missing cooperation entry for {op_name!r} at ({p!r}; {w!r})",
                     )
 
@@ -612,17 +778,44 @@ class _Parser:
 
         return Cointerpretation(theory, world, {name: coop(name) for name in covered})
 
+    def require_members(self, at, checks):
+        """Fail at token ``at`` unless every ``(value, universe, what)`` has
+        its value in its universe."""
+        for value, universe, what in checks:
+            if not universe.contains(value):
+                raise ParseError(*self.pos(at), f"{what} {value!r} is not in {universe}")
 
-def _constant(value):
-    return lambda env: value
+
+def _once(template):
+    """A template that reads no binder, worked out in the first environment
+    it is given and then kept: every environment gives it the same value."""
+    kept = []
+
+    def once(env):
+        if not kept:
+            kept.append(template(env))
+        return kept[0]
+
+    return once
 
 
-def _require_members(tok: Token, checks):
-    """Fail at ``tok`` unless every ``(value, universe, what)`` has its value
-    in its universe."""
-    for value, universe, what in checks:
-        if not universe.contains(value):
-            raise ParseError(tok.line, tok.col, f"{what} {value!r} is not in {universe}")
+class _Instances:
+    """One side of a parsed equation family: the tree at each parameter,
+    built from the side's template the first time it is asked for, and
+    kept.  A parameter outside the family raises KeyError."""
+
+    __slots__ = ("build", "envs", "built")
+
+    def __init__(self, build, envs: dict):
+        self.build = build
+        self.envs = envs
+        self.built = {}
+
+    def __call__(self, p):
+        tree = self.built.get(p)
+        if tree is None:
+            tree = self.built[p] = self.build(self.envs[p])
+        return tree
 
 
 def parse_program(text: str):

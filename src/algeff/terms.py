@@ -352,20 +352,34 @@ def rename_tree_ops(t: Tree, mapping: Mapping) -> Tree:
     )
 
 
+def leaf_defect(context: FiniteUniverse, value) -> UnboundGenerator | None:
+    """The error a leaf ``value`` outside ``context`` is, or None."""
+    if context.contains(value):
+        return None
+    return UnboundGenerator(f"leaf {value!r} is not a generator of context {context}")
+
+
+def param_defect(decl: OpDecl, p) -> ParameterOutOfUniverse | None:
+    """The error a parameter ``p`` outside ``decl``'s is, or None."""
+    if decl.param.contains(p):
+        return None
+    return ParameterOutOfUniverse(
+        f"{p!r} is not a parameter of {decl.name!r} (expects {decl.param})"
+    )
+
+
 def check_tree(theory: Theory, context: FiniteUniverse, t: Tree) -> None:
     """Assert that ``t`` is well-formed over the theory's signature with
     generators drawn from ``context``; raises on the first defect."""
     if isinstance(t, Return):
-        if not context.contains(t.value):
-            raise UnboundGenerator(
-                f"leaf {t.value!r} is not a generator of context {context}"
-            )
+        defect = leaf_defect(context, t.value)
+        if defect is not None:
+            raise defect
         return
     decl = theory.op(t.op)
-    if not decl.param.contains(t.param):
-        raise ParameterOutOfUniverse(
-            f"{t.param!r} is not a parameter of {t.op!r} (expects {decl.param})"
-        )
+    defect = param_defect(decl, t.param)
+    if defect is not None:
+        raise defect
     if len(t.kont) != decl.arity.size():
         raise IncompleteContinuation(
             f"node {t.op!r} has {len(t.kont)} subtrees, arity has {decl.arity.size()}"

@@ -621,6 +621,17 @@ def test_handler_syntax_errors_name_the_file(capsys, monkeypatch, tmp_path):
     assert session.endswith(err)
 
 
+def test_loading_a_theory_forgets_the_comodels_read_against_the_last_one(capsys, monkeypatch):
+    session = repl(
+        capsys, monkeypatch,
+        f":load {SAMPLES / 'state2.thy'}",
+        f":load {SAMPLES / 'state2.cmod'}",
+        f":load {SAMPLES / 'state10.thy'}",
+        ":run state2 1 do x <- get!() in put!(x + 5)",
+    )
+    assert session.endswith("Valid\nloaded theory single_state\nno comodel 'state2' loaded\n")
+
+
 def test_comodel_validation_errors_name_the_file(capsys, monkeypatch, tmp_path):
     comodel = tmp_path / "e.cmod"
     comodel.write_text("comodel e {\n  world fin 2;\n}\n")

@@ -18,7 +18,7 @@ from algeff.models import (
     validate_equation,
     validate_model,
 )
-from algeff.terms import OpDecl, OpNode, Return, Theory, substitute
+from algeff.terms import Equation, OpDecl, OpNode, Return, Theory, substitute
 from algeff.theories import group_theory, semilattice_theory, single_state_theory
 from algeff.universe import BOOL, EMPTY, UNIT, Fin
 
@@ -230,6 +230,30 @@ def test_equation_case_count_matches_formula():
         cases = list(iter_equation_cases(m, eq))
         expected = eq.param_universe.size() * 2 ** eq.context.size()
         assert len(cases) == expected
+
+
+def test_validation_fetches_each_side_once_per_parameter():
+    th = single_state_theory(Fin(3))
+    # put_put fails at its fourth parameter, (1, 0)
+    ops = {"get": lambda p, a: a[0], "put": lambda p, a: a[0] if p == 0 else 0}
+    m = FiniteModel(th, ops, Fin(2))
+    for eq in th.eqs:
+        fetched = []
+
+        def side(name, build):
+            def fetch(p):
+                fetched.append((name, p))
+                return build(p)
+            return fetch
+
+        counted = Equation(eq.name, eq.param_universe, eq.context,
+                           side("lhs", eq.lhs), side("rhs", eq.rhs))
+        violation = validate_equation(m, counted)
+        assert violation == validate_equation(m, eq)
+        params = eq.param_universe.elements()
+        if violation is not None:
+            params = params[:params.index(violation.param) + 1]
+        assert fetched == [(name, p) for p in params for name in ("lhs", "rhs")]
 
 
 def test_table_model_checks_totality():

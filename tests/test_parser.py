@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from algeff import lang
-from algeff.errors import ParseError, TypeMismatch
+from algeff import lang, parser
+from algeff.errors import AlgeffError, ParseError, TypeMismatch
 from algeff.parser import (
     _Parser,
+    _Quoted,
+    _scan,
     parse_comodel_file,
     parse_element,
     parse_model_file,
@@ -16,7 +18,7 @@ from algeff.parser import (
     tokenize,
 )
 from algeff.printer import render_comp, render_tree
-from algeff.terms import OpNode
+from algeff.terms import OpNode, Return, check_theory
 from algeff.theories import choice_theory, semilattice_theory, single_state_theory
 from algeff.universe import Enum, Fin, Product
 
@@ -374,3 +376,151 @@ def test_tokenize_matches_the_character_loop():
         assert got == expected, text
         compared += 1
     assert compared > 1900
+
+
+def test_the_fast_scan_reads_the_values_tokenize_reads():
+    cases = [path.read_text() for path in sorted(SAMPLES.iterdir())]
+    cases += _TOKENIZER_CASES + list(_mutated_samples(2000, seed=6))
+    for text in cases:
+        try:
+            expected = [
+                None if t.kind == "eof" else (t.kind == "string", t.value) for t in tokenize(text)
+            ]
+        except (ParseError, ValueError) as exc:
+            expected = (type(exc), str(exc))
+        try:
+            got = [
+                None if v is None else (type(v) is _Quoted, v.text if type(v) is _Quoted else v)
+                for v in _scan(text)
+            ]
+        except (ParseError, ValueError) as exc:
+            got = (type(exc), str(exc))
+        assert got == expected, text
+
+
+# -- equation instances, built on first use ----------------------------------
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("an equation tree was built")
+
+
+def test_parsing_a_theory_builds_no_equation_tree(monkeypatch):
+    monkeypatch.setattr(parser, "OpNode", _refuse_to_build)
+    monkeypatch.setattr(parser, "Return", _refuse_to_build)
+    th = parse_theory_file((SAMPLES / "state10.thy").read_text())
+    assert [e.name for e in th.eqs] == ["get_get", "get_put", "put_get", "put_put"]
+
+
+def test_an_equation_instance_is_built_once_and_kept():
+    th = parse_theory_file((SAMPLES / "state10.thy").read_text())
+    put_put = th.eqs[3]
+    first = put_put.lhs((3, 4))
+    assert put_put.lhs((3, 4)) is first
+    assert first == OpNode("put", 3, (OpNode("put", 4, (Return(()),)),))
+    assert put_put.rhs((3, 4)) is put_put.rhs((3, 4))
+    with pytest.raises(KeyError):
+        put_put.lhs((3, 10))
+
+
+_STATE10 = ("--theory", "state10.thy", "--comodel", "state10.cmod", "--world", "5")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "increment.eff", *_STATE10),
+    ("run", "abort.eff", *_STATE10),
+    ("run", "hello.eff", "--theory", "io_hello.thy", "--comodel", "hello.cmod", "--world", "[]"),
+    ("type", "increment.eff", "--theory", "state10.thy"),
+    ("type", "abort.eff", "--theory", "state10.thy"),
+    ("type", "hello.eff", "--theory", "io_hello.thy"),
+])
+def test_run_and_type_build_no_equation_tree(monkeypatch, capsys, argv):
+    from algeff.cli import main
+
+    monkeypatch.setattr(parser, "OpNode", _refuse_to_build)
+    monkeypatch.setattr(parser, "Return", _refuse_to_build)
+    argv = [str(SAMPLES / a) if (SAMPLES / a).is_file() else a for a in argv]
+    assert main(argv) in (0, 2)
+    assert "error" not in capsys.readouterr().err
+
+
+# Theories whose equation instances are not well-formed.  Each must fail at
+# load with the error check_theory raises on the eager expansion: every
+# instance built, then checked by parameter, lhs before rhs, in preorder.
+_DEFECTIVE_THEORIES = {
+    # put's parameter leaves fin 2 only at the last instance, p = 2
+    "param-at-a-later-instance": (
+        "theory t {\n"
+        "  op put : fin 2 ~> unit;\n"
+        "  equation fine (unit) : put(0; \\u. return u) = put(1; \\u. return u);\n"
+        "  equation e forall p in fin 3 (unit) : put(0; \\u. put(p; \\v. return v))"
+        " = put(0; \\u. return u);\n"
+        "}\n"
+    ),
+    # the rhs's leaf leaves the context at the last instance; the next
+    # equation's defect comes later
+    "leaf-outside-the-context": (
+        "theory t {\n"
+        "  op get : unit ~> fin 2;\n"
+        "  equation e forall p in fin 3 (fin 2) :"
+        " get((); \\s. return s) = get((); \\s. return p);\n"
+        "  equation later (unit) : return 5 = return ();\n"
+        "}\n"
+    ),
+    # the rhs's parameter fails at p = (0, 1), before the lhs's leaf does at
+    # p = (1, 0)
+    "rhs-at-an-earlier-instance-than-lhs": (
+        "theory t {\n"
+        "  op put : fin 1 ~> unit;\n"
+        "  equation e forall p in fin 2 * fin 2 (fin 1) :"
+        " put(0; \\u. return fst p) = put(snd p; \\u. return 0);\n"
+        "}\n"
+    ),
+}
+
+
+def _oracle(text):
+    """The error check_theory raises on the eager expansion of ``text``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "leaf_defect", lambda *args: None)
+        patch.setattr(parser, "param_defect", lambda *args: None)
+        theory = parse_theory_file(text)
+    with pytest.raises(AlgeffError) as err:
+        check_theory(theory)
+    return err.value
+
+
+@pytest.mark.parametrize("name", sorted(_DEFECTIVE_THEORIES))
+def test_a_defective_instance_fails_at_load_as_check_theory_does(name, capsys, tmp_path):
+    from algeff.cli import main
+
+    text = _DEFECTIVE_THEORIES[name]
+    expected = _oracle(text)
+    with pytest.raises(AlgeffError) as err:
+        parse_theory_file(text)
+    assert (type(err.value), str(err.value)) == (type(expected), str(expected))
+    path = tmp_path / "t.thy"
+    path.write_text(text)
+    assert main(["type", "return 1", "--theory", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+
+
+def test_a_bad_fst_in_an_equation_fails_where_it_is_read(capsys, tmp_path):
+    from algeff.cli import main
+
+    # every element of a universe has the same shape, so a bad fst fails on
+    # the first instance, as the template is read
+    text = (
+        "theory t {\n"
+        "  op put : fin 2 ~> unit;\n"
+        "  equation e forall p in fin 2 (unit) :"
+        " put(0; \\u. return u) = put(fst p; \\u. return u);\n"
+        "}\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_theory_file(text)
+    assert (err.value.line, err.value.col, err.value.reason) == (3, 68, "fst expects a pair, got 0")
+    path = tmp_path / "t.thy"
+    path.write_text(text)
+    assert main(["type", "return 1", "--theory", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {err.value}\n"
