@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import lang
@@ -88,6 +87,12 @@ class _Quoted:
 
 
 _COMMENT = object()
+
+
+class _NotAPair(Exception):
+    """A ``fst`` or ``snd`` in an equation template, at token ``args[0]``,
+    of a value that is not a pair; the parser reports it as a ParseError
+    with the token's position and the message ``args[1]``."""
 
 
 class _Unreadable(ValueError):
@@ -201,7 +206,6 @@ class _Parser:
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
         self.located = None  # tokenize(text), once a position is asked for
-        self.reads = set()  # the binders the template being read looks up
 
     def pos(self, i=None) -> tuple:
         """The (line, col) of token ``i``, by default the next one."""
@@ -467,8 +471,9 @@ class _Parser:
     # forall parameter and each "\x." binder) to elements.  ``sample`` binds
     # them to the first elements of their universes, so that a bad fst or
     # snd fails where it is read; it is None in a body under an empty arity,
-    # which is never instantiated.  ``reads`` collects the binders a template
-    # reads: one that reads none has the same value in every environment.
+    # which is never instantiated.  A template raises ``_NotAPair`` for a bad
+    # fst or snd, which ``not_a_pair`` reports; it keeps no reference to the
+    # parser, so a parsed theory keeps none either.
 
     def elem_template(self, sample):
         tok = self.toks[self.i]
@@ -494,24 +499,25 @@ class _Parser:
                 value = pair(env)
                 if type(value) is tuple and len(value) == 2:
                     return value[index]
-                return self.project(at, value)
+                raise _NotAPair(at, f"{tok} expects a pair, got {value!r}")
 
             if sample is not None:
-                project(sample)
+                try:
+                    project(sample)
+                except _NotAPair as exc:
+                    raise self.not_a_pair(exc) from None
             return project
-        if sample is None:
-            return lambda env: env.get(tok, tok)
-        if tok in sample:
-            self.reads.add(tok)
-            return itemgetter(tok)
-        return lambda env: tok
+        return lambda env: env.get(tok, tok)
+
+    def not_a_pair(self, exc) -> ParseError:
+        """The ParseError that reports ``exc``, a ``_NotAPair``."""
+        return ParseError(*self.pos(exc.args[0]), exc.args[1])
 
     def tree(self, theory: Theory, context: FiniteUniverse, sample):
         """A template of the tree read here, as two functions of an
         environment: ``build`` makes the tree, and ``check`` evaluates the
         same elements in the same order, builds nothing, and returns the
         defect ``check_tree`` would raise first, or None."""
-        outer, self.reads = self.reads, set()
         at = self.i
         if self.at("return"):
             self.i += 1
@@ -549,10 +555,6 @@ class _Parser:
                 below = check_kont(env)
                 return below if defect is None else defect
 
-        if not self.reads:
-            build, check = _once(build), _once(check)
-        outer |= self.reads
-        self.reads = outer
         return build, check
 
     def konts(self, theory: Theory, context: FiniteUniverse, arity: FiniteUniverse, sample):
@@ -564,9 +566,7 @@ class _Parser:
             self.eat_punct(".")
             elements = arity.elements()
             inner = None if sample is None or not elements else {**sample, binder: elements[0]}
-            outer, self.reads = self.reads, set()
             build_body, check_body = self.tree(theory, context, inner)
-            self.reads.discard(binder)
 
             def build(env):
                 return tuple([build_body({**env, binder: a}) for a in elements])
@@ -579,10 +579,6 @@ class _Parser:
                         first = defect
                 return first
 
-            if not self.reads:
-                build, check = _once(build), _once(check)
-            outer |= self.reads
-            self.reads = outer
             return len(elements), build, check
         subtrees = [self.tree(theory, context, sample)]
         while self.at(","):
@@ -668,15 +664,16 @@ class _Parser:
         rhs = self.tree(theory, context, sample)
         # Evaluate every instance's elements as building them would, every
         # lhs and then every rhs, so a bad fst or snd fails here; keep the
-        # defect check_theory meets first: by parameter, lhs before rhs.  A
-        # template that reads no binder is evaluated once, since its value
-        # is the same in every instance.
+        # defect check_theory meets first: by parameter, lhs before rhs.
         first = None
-        for side, (_, check) in enumerate((lhs, rhs)):
-            for instance, env in enumerate(envs.values()):
-                defect = check(env)
-                if defect is not None and (first is None or (instance, side) < first[0]):
-                    first = (instance, side), defect
+        try:
+            for side, (_, check) in enumerate((lhs, rhs)):
+                for instance, env in enumerate(envs.values()):
+                    defect = check(env)
+                    if defect is not None and (first is None or (instance, side) < first[0]):
+                        first = (instance, side), defect
+        except _NotAPair as exc:
+            raise self.not_a_pair(exc) from None
         self.eat_punct(";")
         equation = Equation(eq_name, param_universe, context,
                             _Instances(lhs[0], envs), _Instances(rhs[0], envs))
@@ -786,23 +783,13 @@ class _Parser:
                 raise ParseError(*self.pos(at), f"{what} {value!r} is not in {universe}")
 
 
-def _once(template):
-    """A template that reads no binder, worked out in the first environment
-    it is given and then kept: every environment gives it the same value."""
-    kept = []
-
-    def once(env):
-        if not kept:
-            kept.append(template(env))
-        return kept[0]
-
-    return once
-
-
 class _Instances:
     """One side of a parsed equation family: the tree at each parameter,
     built from the side's template the first time it is asked for, and
-    kept.  A parameter outside the family raises KeyError."""
+    kept.  A parameter outside the family raises KeyError.
+
+    Its values never change, so a copy is the object itself.  A pickle
+    holds every tree, and loads as the lookup of a plain dict."""
 
     __slots__ = ("build", "envs", "built")
 
@@ -816,6 +803,15 @@ class _Instances:
         if tree is None:
             tree = self.built[p] = self.build(self.envs[p])
         return tree
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return getattr, ({p: self(p) for p in self.envs}, "__getitem__")
 
 
 def parse_program(text: str):

@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import types
 from pathlib import Path
 
 import pytest
@@ -421,6 +425,48 @@ def test_an_equation_instance_is_built_once_and_kept():
     assert put_put.rhs((3, 4)) is put_put.rhs((3, 4))
     with pytest.raises(KeyError):
         put_put.lhs((3, 10))
+
+
+def _instances_of(eq):
+    params = eq.param_universe.elements()
+    return [eq.lhs(p) for p in params], [eq.rhs(p) for p in params]
+
+
+def test_a_parsed_theory_copies_and_pickles_with_its_instances():
+    th = parse_theory_file((SAMPLES / "state10.thy").read_text())
+    for eq in th.eqs:
+        assert copy.deepcopy(eq) == eq and copy.copy(eq) == eq
+    again = pickle.loads(pickle.dumps(th))
+    assert [eq.name for eq in again.eqs] == [eq.name for eq in th.eqs]
+    for eq, eq_again in zip(th.eqs, again.eqs):
+        assert _instances_of(eq_again) == _instances_of(eq)
+        with pytest.raises(KeyError):
+            eq_again.lhs("outside")
+
+
+def _reaches_a_parser(root) -> bool:
+    """Whether ``root`` holds a ``_Parser``, through fields, containers and
+    closures, but not through a function's module globals."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _Parser):
+            return True
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return False
+
+
+def test_a_parsed_theory_keeps_no_parser():
+    # put_put reads fst and snd, whose templates report a bad pair at load
+    th = parse_theory_file((SAMPLES / "state10.thy").read_text())
+    assert not _reaches_a_parser(th)
+    assert _reaches_a_parser(types.SimpleNamespace(held=[_Parser("x")]))
 
 
 _STATE10 = ("--theory", "state10.thy", "--comodel", "state10.cmod", "--world", "5")
