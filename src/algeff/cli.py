@@ -18,6 +18,7 @@ error messages (on stdout, without the exit code).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -336,8 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built for the first command and kept for the rest."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _argument_parser().parse_args(argv)
     return _reporting(lambda: args.fn(args), sys.stderr)
 
 

@@ -38,10 +38,12 @@ cooperation entry:
 The parser reads token values from one regex pass.  Line and column are
 worked out, by ``tokenize`` over the same regex, only to report them: in a
 syntax error, or as the positions of a program's nodes.  An equation's two
-sides are read once, as templates, and every instance of the family is
-checked where the equation is read, without building its tree; an instance
-is built the first time ``Equation.lhs`` or ``Equation.rhs`` asks for it,
-and kept.  So ``run`` and ``type`` never build an equation instance.
+sides are read once, as templates, and checked once, by the universes their
+elements range over.  Only an equation that fails that check has its
+instances built and checked one by one, to report the first defective one
+as ``check_theory`` would; otherwise an instance is built the first time
+``Equation.lhs`` or ``Equation.rhs`` asks for it, and kept.  So ``run`` and
+``type`` never build an equation instance of a theory that loads.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from typing import NamedTuple
 
 from . import lang
 from .comodels import Cointerpretation
-from .errors import ParseError
+from .errors import ParameterOutOfUniverse, ParseError, UnboundGenerator
 from .models import FiniteModel, table_model
-from .terms import Equation, OpDecl, OpNode, Return, Theory, leaf_defect, param_defect
+from .terms import Equation, OpDecl, OpNode, Return, Theory, check_tree
 from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product
 
 # one match per token or comment; the blanks between them match nothing
@@ -89,17 +91,10 @@ class _Quoted:
 _COMMENT = object()
 
 
-class _NotAPair(Exception):
-    """A ``fst`` or ``snd`` in an equation template, at token ``args[0]``,
-    of a value that is not a pair; the parser reports it as a ParseError
-    with the token's position and the message ``args[1]``."""
-
-
-class _Unreadable(ValueError):
-    """A token no value reads: an unexpected character, or an unterminated
-    string.  ``tokenize`` reports it with its position.  It is a ValueError,
-    as int()'s error for a numeral too long to convert is, so that ``_scan``
-    hands both to ``tokenize``, which raises the text's first error."""
+class _Unreadable(Exception):
+    """A token no value reads: an unexpected character, an unterminated
+    string, or a numeral with more digits than int() converts.  ``tokenize``
+    reports it with its position."""
 
 
 def _unescape(m) -> str:
@@ -112,7 +107,10 @@ def _value(raw: str):
     ``_Unreadable`` for a token no value reads."""
     first = raw[0]
     if first.isdecimal():
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise _Unreadable from None
     if raw in _PUNCT:
         return raw
     if first == '"':
@@ -159,6 +157,10 @@ def tokenize(text: str) -> list:
         try:
             value = _value(raw)
         except _Unreadable:
+            if raw[0].isdecimal():
+                raise ParseError(
+                    line, col, f"integer literal too long ({len(raw)} digits)"
+                ) from None
             if raw[0] != '"':
                 raise ParseError(line, col, f"unexpected character {raw[0]!r}") from None
             if text.startswith("\\", end):
@@ -189,7 +191,7 @@ def _scan(text: str) -> list:
     raws = _TOKEN.findall(text)
     try:
         values = {raw: _value(raw) for raw in set(raws)}
-    except ValueError:
+    except _Unreadable:
         tokenize(text)  # raises the text's first error, with its position
         raise
     toks = list(map(values.__getitem__, raws))
@@ -206,6 +208,7 @@ class _Parser:
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
         self.located = None  # tokenize(text), once a position is asked for
+        self.unproven = False  # whether an equation's universes leave a doubt
 
     def pos(self, i=None) -> tuple:
         """The (line, col) of token ``i``, by default the next one."""
@@ -468,136 +471,98 @@ class _Parser:
 
     # Inside an equation, elements and trees are read once, as templates:
     # functions from an environment that binds the binders in scope (the
-    # forall parameter and each "\x." binder) to elements.  ``sample`` binds
-    # them to the first elements of their universes, so that a bad fst or
-    # snd fails where it is read; it is None in a body under an empty arity,
-    # which is never instantiated.  A template raises ``_NotAPair`` for a bad
-    # fst or snd, which ``not_a_pair`` reports; it keeps no reference to the
-    # parser, so a parsed theory keeps none either.
+    # forall parameter and each "\x." binder) to elements.  ``scope`` maps
+    # each binder in scope to the universe it ranges over; it is None in a
+    # body under an empty arity, which is never instantiated.  Each element
+    # template comes with a universe that holds every value it takes, so an
+    # operation parameter or a leaf is checked once, against the universe it
+    # must lie in (``site``), and a bad fst or snd fails where it is read.
+    # A template keeps no reference to the parser, so a parsed theory keeps
+    # none either.
 
-    def elem_template(self, sample):
+    def elem_template(self, scope) -> tuple:
+        """The template of the element read here, and a universe that holds
+        each of its values (unused under an empty arity)."""
         tok = self.toks[self.i]
         if tok == "(" and self.toks[self.i + 1] != ")":
             self.i += 1
-            first = self.elem_template(sample)
+            first, left = self.elem_template(scope)
             if self.at(","):
                 self.i += 1
-                second = self.elem_template(sample)
+                second, right = self.elem_template(scope)
                 self.eat_punct(")")
-                return lambda env: (first(env), second(env))
+                return (lambda env: (first(env), second(env))), Product(left, right)
             self.eat_punct(")")
-            return first
+            return first, left
         if type(tok) is not str or tok in _PUNCT or tok == "true" or tok == "false":
             value = self.elem()  # a constant, or a syntax error
-            return lambda env: value
+            return (lambda env: value), _Single(value)
         at = self.i
         self.i += 1
         if tok == "fst" or tok == "snd":
-            pair, index = self.elem_template(sample), 0 if tok == "fst" else 1
+            pair, universe = self.elem_template(scope)
+            index = 0 if tok == "fst" else 1
+            if scope is not None:
+                if type(universe) is not Product:
+                    # no element of another universe is a pair: the first
+                    # instance fails, at the first element
+                    value = next(universe.iter_elements())
+                    raise ParseError(*self.pos(at), f"{tok} expects a pair, got {value!r}")
+                universe = universe.right if index else universe.left
+            return (lambda env: pair(env)[index]), universe
+        bound = scope is not None and tok in scope
+        return (lambda env: env.get(tok, tok)), scope[tok] if bound else _Single(tok)
 
-            def project(env):
-                value = pair(env)
-                if type(value) is tuple and len(value) == 2:
-                    return value[index]
-                raise _NotAPair(at, f"{tok} expects a pair, got {value!r}")
+    def site(self, scope, universe: FiniteUniverse, target: FiniteUniverse):
+        """Note an operation parameter or a leaf, whose values ``universe``
+        holds and must lie in ``target``; unless they do, every instance of
+        the equation is checked."""
+        if scope is not None and not _within(universe, target):
+            self.unproven = True
 
-            if sample is not None:
-                try:
-                    project(sample)
-                except _NotAPair as exc:
-                    raise self.not_a_pair(exc) from None
-            return project
-        return lambda env: env.get(tok, tok)
-
-    def not_a_pair(self, exc) -> ParseError:
-        """The ParseError that reports ``exc``, a ``_NotAPair``."""
-        return ParseError(*self.pos(exc.args[0]), exc.args[1])
-
-    def tree(self, theory: Theory, context: FiniteUniverse, sample):
-        """A template of the tree read here, as two functions of an
-        environment: ``build`` makes the tree, and ``check`` evaluates the
-        same elements in the same order, builds nothing, and returns the
-        defect ``check_tree`` would raise first, or None."""
+    def tree(self, theory: Theory, context: FiniteUniverse, scope):
+        """A template of the tree read here: a function of an environment
+        that builds the tree."""
         at = self.i
         if self.at("return"):
             self.i += 1
-            leaf, contains = self.elem_template(sample), context.contains
+            leaf, universe = self.elem_template(scope)
+            self.site(scope, universe, context)
+            return lambda env: Return(leaf(env))
+        name = self.eat_ident("an operation or return")
+        if not theory.has_op(name):
+            raise ParseError(*self.pos(at), f"unknown operation {name!r}")
+        decl = theory.op(name)
+        self.eat_punct("(")
+        param, universe = self.elem_template(scope)
+        self.site(scope, universe, decl.param)
+        count, kont = 0, (lambda env: ())
+        if self.at(";"):
+            self.i += 1
+            count, kont = self.konts(theory, context, decl.arity, scope)
+        self.eat_punct(")")
+        if count != decl.arity.size():
+            raise ParseError(
+                *self.pos(at), f"{name} needs {decl.arity.size()} subtrees, got {count}"
+            )
+        return lambda env: OpNode(name, param(env), kont(env))
 
-            def build(env):
-                return Return(leaf(env))
-
-            def check(env):
-                value = leaf(env)
-                return None if contains(value) else leaf_defect(context, value)
-        else:
-            name = self.eat_ident("an operation or return")
-            if not theory.has_op(name):
-                raise ParseError(*self.pos(at), f"unknown operation {name!r}")
-            decl = theory.op(name)
-            self.eat_punct("(")
-            param, contains = self.elem_template(sample), decl.param.contains
-            count, build_kont, check_kont = 0, (lambda env: ()), (lambda env: None)
-            if self.at(";"):
-                self.i += 1
-                count, build_kont, check_kont = self.konts(theory, context, decl.arity, sample)
-            self.eat_punct(")")
-            if count != decl.arity.size():
-                raise ParseError(
-                    *self.pos(at), f"{name} needs {decl.arity.size()} subtrees, got {count}"
-                )
-
-            def build(env):
-                return OpNode(name, param(env), build_kont(env))
-
-            def check(env):
-                p = param(env)
-                defect = None if contains(p) else param_defect(decl, p)
-                below = check_kont(env)
-                return below if defect is None else defect
-
-        return build, check
-
-    def konts(self, theory: Theory, context: FiniteUniverse, arity: FiniteUniverse, sample):
-        """The subtrees after ``;``: their number, and the two templates of
-        their tuple (see ``tree``)."""
+    def konts(self, theory: Theory, context: FiniteUniverse, arity: FiniteUniverse, scope):
+        """The subtrees after ``;``: their number, and the template of their
+        tuple."""
         if self.at("\\"):
             self.i += 1
             binder = self.eat_ident("a binder")
             self.eat_punct(".")
             elements = arity.elements()
-            inner = None if sample is None or not elements else {**sample, binder: elements[0]}
-            build_body, check_body = self.tree(theory, context, inner)
-
-            def build(env):
-                return tuple([build_body({**env, binder: a}) for a in elements])
-
-            def check(env):
-                first = None
-                for a in elements:
-                    defect = check_body({**env, binder: a})
-                    if first is None:
-                        first = defect
-                return first
-
-            return len(elements), build, check
-        subtrees = [self.tree(theory, context, sample)]
+            inner = None if scope is None or not elements else {**scope, binder: arity}
+            body = self.tree(theory, context, inner)
+            return len(elements), lambda env: tuple([body({**env, binder: a}) for a in elements])
+        subtrees = [self.tree(theory, context, scope)]
         while self.at(","):
             self.i += 1
-            subtrees.append(self.tree(theory, context, sample))
-        builds, checks = zip(*subtrees)
-
-        def build(env):
-            return tuple([build_sub(env) for build_sub in builds])
-
-        def check(env):
-            first = None
-            for check_sub in checks:
-                defect = check_sub(env)
-                if first is None:
-                    first = defect
-            return first
-
-        return len(subtrees), build, check
+            subtrees.append(self.tree(theory, context, scope))
+        return len(subtrees), lambda env: tuple([sub(env) for sub in subtrees])
 
     # -- theory files ----------------------------------------------------------
 
@@ -656,28 +621,22 @@ class _Parser:
         self.eat_punct(":")
         if param_universe.is_empty():
             raise ParseError(*self.pos(), "forall over an empty universe")
-        envs = {p: {} if param_name is None else {param_name: p}
-                for p in param_universe.iter_elements()}
-        sample = next(iter(envs.values()))
-        lhs = self.tree(theory, context, sample)
+        scope = {} if param_name is None else {param_name: param_universe}
+        self.unproven = False
+        lhs = _Instances(self.tree(theory, context, scope), param_name, param_universe)
         self.eat_punct("=")
-        rhs = self.tree(theory, context, sample)
-        # Evaluate every instance's elements as building them would, every
-        # lhs and then every rhs, so a bad fst or snd fails here; keep the
-        # defect check_theory meets first: by parameter, lhs before rhs.
-        first = None
-        try:
-            for side, (_, check) in enumerate((lhs, rhs)):
-                for instance, env in enumerate(envs.values()):
-                    defect = check(env)
-                    if defect is not None and (first is None or (instance, side) < first[0]):
-                        first = (instance, side), defect
-        except _NotAPair as exc:
-            raise self.not_a_pair(exc) from None
+        rhs = _Instances(self.tree(theory, context, scope), param_name, param_universe)
         self.eat_punct(";")
-        equation = Equation(eq_name, param_universe, context,
-                            _Instances(lhs[0], envs), _Instances(rhs[0], envs))
-        return equation, None if first is None else first[1]
+        equation = Equation(eq_name, param_universe, context, lhs, rhs)
+        if self.unproven:
+            # the defect check_theory meets first: by parameter, lhs before rhs
+            try:
+                for p in param_universe.iter_elements():
+                    check_tree(theory, context, lhs(p))
+                    check_tree(theory, context, rhs(p))
+            except (ParameterOutOfUniverse, UnboundGenerator) as defect:
+                return equation, defect
+        return equation, None
 
     # -- model and comodel files ----------------------------------------------
 
@@ -783,6 +742,34 @@ class _Parser:
                 raise ParseError(*self.pos(at), f"{what} {value!r} is not in {universe}")
 
 
+class _Single(FiniteUniverse):
+    """The universe of one constant, or of a name no binder binds; it only
+    ever holds a template's values, for ``_within``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self._fill(value)
+
+    def size(self):
+        return 1
+
+    def iter_elements(self):
+        return iter((self.value,))
+
+
+def _within(source: FiniteUniverse, target: FiniteUniverse) -> bool:
+    """Whether every element of ``source`` is in ``target``: at once when
+    the two are equal, part by part for two products, else by listing
+    ``source`` up to its first element outside ``target``, which comes
+    within one more than ``target``'s size."""
+    if source == target:
+        return True
+    if type(source) is Product and type(target) is Product:
+        return _within(source.left, target.left) and _within(source.right, target.right)
+    return all(map(target.contains, source.iter_elements()))
+
+
 class _Instances:
     """One side of a parsed equation family: the tree at each parameter,
     built from the side's template the first time it is asked for, and
@@ -791,17 +778,21 @@ class _Instances:
     Its values never change, so a copy is the object itself.  A pickle
     holds every tree, and loads as the lookup of a plain dict."""
 
-    __slots__ = ("build", "envs", "built")
+    __slots__ = ("build", "param_name", "params", "built")
 
-    def __init__(self, build, envs: dict):
+    def __init__(self, build, param_name, params: FiniteUniverse):
         self.build = build
-        self.envs = envs
+        self.param_name = param_name  # None for a family without forall
+        self.params = params
         self.built = {}
 
     def __call__(self, p):
         tree = self.built.get(p)
         if tree is None:
-            tree = self.built[p] = self.build(self.envs[p])
+            if not self.params.contains(p):
+                raise KeyError(p)
+            env = {} if self.param_name is None else {self.param_name: p}
+            tree = self.built[p] = self.build(env)
         return tree
 
     def __copy__(self):
@@ -811,7 +802,7 @@ class _Instances:
         return self
 
     def __reduce__(self):
-        return getattr, ({p: self(p) for p in self.envs}, "__getitem__")
+        return getattr, ({p: self(p) for p in self.params.iter_elements()}, "__getitem__")
 
 
 def parse_program(text: str):

@@ -1,3 +1,6 @@
+import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -642,3 +645,105 @@ def test_comodel_validation_errors_name_the_file(capsys, monkeypatch, tmp_path):
     )
     session = repl(capsys, monkeypatch, f":load {SAMPLES / 'state2.thy'}", f":load {comodel}")
     assert session.endswith("loaded comodel e\n" + err)
+
+
+# -- one argument parser per process -----------------------------------------
+
+
+def _main_outcome(capsys, argv):
+    """Exit code (or SystemExit code), stdout and stderr of one main call."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_COMMANDS = [
+    ["run"],  # a usage error
+    ["--help"],
+    ["run", SAMPLES / "increment.eff", "--theory", SAMPLES / "state10.thy",
+     "--comodel", SAMPLES / "state10.cmod", "--world", "5"],
+    ["frobnicate", "x"],  # a usage error
+    ["check", "model", SAMPLES / "orlattice.mod", "--theory", SAMPLES / "semilattice.thy"],
+    ["check", "comodel", SAMPLES / "altstream.cmod", "--theory", SAMPLES / "choice.thy"],
+    ["run", "--help"],
+    ["check", "handler", SAMPLES / "stateh.eff", "--theory", SAMPLES / "state2.thy"],
+    ["normalize", "do x <- get!() in return x", "--theory", SAMPLES / "state2.thy"],
+    ["check", "model", SAMPLES / "orlattice.mod"],  # a usage error
+    ["type", SAMPLES / "hello.eff", "--theory", SAMPLES / "io_hello.thy"],
+    ["repl", "--theory", SAMPLES / "state2.thy"],
+    ["run", SAMPLES / "abort.eff", "--theory", SAMPLES / "state10.thy",
+     "--comodel", SAMPLES / "state10.cmod", "--world", "bad"],
+]
+
+
+def test_the_kept_argument_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    import algeff.cli as cli
+
+    session = itertools.cycle([":type get!()", "return 1", None])  # None ends a session
+
+    def read(prompt=""):
+        line = next(session)
+        if line is None:
+            raise EOFError
+        return line
+
+    monkeypatch.setattr("builtins.input", read)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_argument_parser", cli.build_parser)  # a fresh parser per call
+        fresh = [_main_outcome(capsys, argv) for argv in _COMMANDS]
+    assert [code for code, _, _ in fresh] == [
+        ("SystemExit", 2), ("SystemExit", 0), 0, ("SystemExit", 2), 0, 1, ("SystemExit", 0),
+        0, 0, ("SystemExit", 2), 0, 0, 3,
+    ]
+    kept = [_main_outcome(capsys, argv) for argv in _COMMANDS + _COMMANDS[::-1]]
+    assert kept == fresh + fresh[::-1]
+
+
+def test_importing_the_cli_builds_no_argument_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import argparse\n"
+        "built, init = [], argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import algeff.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        f"    algeff.cli.main(['type', 'return 1', '--theory', {str(SAMPLES / 'io_hello.thy')!r}])\n"
+        "    counts.append(len(built))\n"
+        "print(counts)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    # the program and its five subcommands, built for the first command only
+    assert (done.returncode, done.stdout, done.stderr) == (0, "int ! {}\nint ! {}\n[0, 6, 6]\n", "")
+
+
+# -- integer literals int() cannot read ---------------------------------------
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("kind, text, where", [
+    ("program", f"do x <- get!() in\n  return {_LONG}\n", "2:10"),
+    ("theory", f"theory t {{\n  op put : fin {_LONG} ~> unit;\n}}\n", "2:16"),
+    ("model", f"model m {{\n  carrier fin 2;\n  join((); 0, {_LONG}) = 0;\n}}\n", "3:15"),
+    ("comodel", f"comodel c {{\n  world fin 2;\n  get((); {_LONG}) = (0; 0);\n}}\n", "3:11"),
+])
+def test_a_very_long_integer_literal_exits_3(kind, text, where, capsys, tmp_path):
+    path = tmp_path / f"long.{kind}"
+    path.write_text(text)
+    argv = {
+        "program": ["type", path, "--theory", SAMPLES / "state2.thy"],
+        "theory": ["type", "return 1", "--theory", path],
+        "model": ["check", "model", path, "--theory", SAMPLES / "semilattice.thy"],
+        "comodel": ["check", "comodel", path, "--theory", SAMPLES / "state2.thy"],
+    }[kind]
+    prefix = "" if kind == "program" else f"{path}: "
+    assert invoke(capsys, *argv) == (
+        3, "", f"error: {prefix}syntax error at {where}: integer literal too long (5000 digits)\n"
+    )

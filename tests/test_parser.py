@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 from algeff import lang, parser
-from algeff.errors import AlgeffError, ParseError, TypeMismatch
+from algeff.errors import (
+    AlgeffError,
+    ParameterOutOfUniverse,
+    ParseError,
+    TypeMismatch,
+    UnboundGenerator,
+)
 from algeff.parser import (
     _Parser,
     _Quoted,
@@ -22,7 +28,7 @@ from algeff.parser import (
     tokenize,
 )
 from algeff.printer import render_comp, render_tree
-from algeff.terms import OpNode, Return, check_theory
+from algeff.terms import OpNode, Return, check_tree
 from algeff.theories import choice_theory, semilattice_theory, single_state_theory
 from algeff.universe import Enum, Fin, Product
 
@@ -527,12 +533,8 @@ _DEFECTIVE_THEORIES = {
 
 def _oracle(text):
     """The error check_theory raises on the eager expansion of ``text``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parser, "leaf_defect", lambda *args: None)
-        patch.setattr(parser, "param_defect", lambda *args: None)
-        theory = parse_theory_file(text)
     with pytest.raises(AlgeffError) as err:
-        check_theory(theory)
+        _reference_theory(text)
     return err.value
 
 
@@ -570,3 +572,190 @@ def test_a_bad_fst_in_an_equation_fails_where_it_is_read(capsys, tmp_path):
     path.write_text(text)
     assert main(["type", "return 1", "--theory", str(path)]) == 3
     assert capsys.readouterr().err == f"error: {path}: {err.value}\n"
+
+
+# -- the check by universes against the per-instance loop it replaced ---------
+
+
+def _reference_theory(text):
+    """``parse_theory_file`` with the per-instance check: every instance of
+    every family built and checked in ``check_theory``'s order, after the
+    closing brace and before the end of input."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_within", lambda source, target: True)  # trust every site
+        p = _Parser(text)
+        theory = p.theory_file()
+    for eq in theory.eqs:
+        for param in eq.param_universe.iter_elements():
+            check_tree(theory, eq.context, eq.lhs(param))
+            check_tree(theory, eq.context, eq.rhs(param))
+    p.expect_eof()
+    return theory
+
+
+def _outcome(parse, text):
+    try:
+        theory = parse(text)
+    except ParseError as exc:
+        return "syntax error", exc.line, exc.col, exc.reason
+    except AlgeffError as exc:
+        return type(exc), str(exc)
+    return theory.name, theory.ops, [
+        (eq.name, eq.param_universe, eq.context, *_instances_of(eq)) for eq in theory.eqs
+    ]
+
+
+def _theory(*lines):
+    return "theory t {\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
+
+
+# Equations the universes settle, or that they leave to the per-instance
+# check, each with its outcome.
+_HAND_WRITTEN = {
+    "a parameter outside its universe": (_theory(
+        "op put : fin 2 ~> unit;",
+        "equation e forall p in fin 3 (unit) : put(p; \\u. return u) = put(0; \\u. return u);",
+    ), ParameterOutOfUniverse),
+    "a leaf outside the context": (_theory(
+        "op get : unit ~> fin 3;",
+        "equation e (fin 2) : get((); \\s. return s) = get((); \\s. return 0);",
+    ), UnboundGenerator),
+    "fst of a non-pair": (_theory(
+        "op put : fin 2 ~> unit;",
+        "equation e forall p in fin 2 (unit) : put(0; \\u. return u) = put(fst p; \\u. return u);",
+    ), ParseError),
+    "a body under an empty arity": (_theory(
+        "op abort : unit ~> empty;",
+        "op put : fin 2 ~> unit;",
+        "equation e forall p in fin 2 (unit) :"
+        " abort((); \\z. put(5; \\u. return fst z)) = abort((); \\z. return fst 7);",
+    ), None),
+    "a binder that shadows an enum label": (_theory(
+        "op get : unit ~> bool;",
+        "equation e (enum {b, c}) : get((); \\b. return b) = get((); \\c. return c);",
+    ), UnboundGenerator),
+    "a binder that shadows an enum label of its own universe": (_theory(
+        "op pick : unit ~> enum {b, c};",
+        "equation e (enum {b, c}) : pick((); \\b. return b) = pick((); \\c. return b);",
+    ), None),
+    "a forall over a strict sub-universe": (_theory(
+        "op put : fin 10 ~> unit;",
+        "equation e forall p in fin 2 (fin 10) : put(p; \\u. return p) = put(p; \\u. return 9);",
+    ), None),
+    "a leaf in an enum context with extra labels": (_theory(
+        "op choose : unit ~> bool;",
+        "equation e (enum {x, y, z}) : choose((); return x, return y) = return x;",
+    ), None),
+    "a pair leaf in a product context": (_theory(
+        "op get : unit ~> fin 2;",
+        "equation e forall p in fin 2 (fin 3 * fin 2) : get((); \\s. return (p, s)) = return (2, 1);",
+    ), None),
+    "a pair leaf whose parts lie in the context's parts swapped": (_theory(
+        "op get : unit ~> fin 2;",
+        "equation e forall p in fin 1 (fin 1 * fin 2) : get((); \\s. return (s, p)) = return (0, 0);",
+    ), UnboundGenerator),
+}
+
+
+# the elements of each universe the generated equations use
+_ELEMENTS = {
+    "fin 1": ["0"], "fin 2": ["0", "1"], "fin 3": ["0", "1", "2"], "bool": ["true", "false"],
+    "unit": ["()"], "enum {x, y}": ["x", "y"], "fin 2 * fin 2": ["(0, 1)", "(1, 1)"],
+    "fin 3 * fin 2": ["(2, 0)", "(0, 1)"],
+}
+_OPS = {  # name: (parameter, arity)
+    "get": ("fin 2", "fin 2"), "put": ("fin 2", "unit"), "abort": ("fin 2", "empty"),
+    "flip": ("fin 2", "bool"), "pick": ("fin 2 * fin 2", "enum {x, y}"),
+}
+
+
+def _generated_theories(count, seed):
+    """Small theories with one random equation, whose elements mostly lie in
+    the universes they must lie in."""
+    rng = random.Random(seed)
+    ops = [f"op {name} : {param} ~> {arity};" for name, (param, arity) in _OPS.items()]
+
+    def elem(universe, scope):
+        if rng.random() < 0.1:  # any element or binder
+            return rng.choice([*scope, *rng.choice(list(_ELEMENTS.values()))])
+        choices = [name for name, u in scope.items() if u == universe] + _ELEMENTS[universe]
+        choices += [f"fst {name}" for name, u in scope.items() if u.startswith(universe + " *")]
+        choices += [f"snd {name}" for name, u in scope.items() if u.endswith("* " + universe)]
+        if " * " in universe:
+            left, right = universe.split(" * ")
+            choices.append(f"({elem(left, scope)}, {elem(right, scope)})")
+        return rng.choice(choices)
+
+    def tree(context, scope, depth):
+        if depth > 2 or rng.random() < 0.35:
+            return f"return {elem(context, scope)}"
+        op, binder = rng.choice(list(_OPS)), rng.choice("stxpu")
+        param, arity = _OPS[op]
+        body = tree(context, {**scope, binder: arity}, depth + 1)
+        return f"{op}({elem(param, scope)}; \\{binder}. {body})"
+
+    universes = list(_ELEMENTS)
+    for _ in range(count):
+        context = rng.choice(universes)
+        scope = {"p": rng.choice(universes)} if rng.random() < 0.7 else {}
+        head = f"forall p in {scope['p']} " if scope else ""
+        yield _theory(*ops, f"equation e {head}({context}) :"
+                            f" {tree(context, scope, 0)} = {tree(context, scope, 0)};")
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_WRITTEN))
+def test_a_hand_written_equation_loads_as_the_per_instance_check_says(name):
+    text, expected = _HAND_WRITTEN[name]
+    outcome = _outcome(parse_theory_file, text)
+    assert outcome == _outcome(_reference_theory, text)
+    if expected is None:
+        assert outcome[0] == "t"
+    elif expected is ParseError:
+        assert outcome[0] == "syntax error"
+    else:
+        assert outcome[0] is expected
+
+
+@pytest.mark.parametrize("check", ["by universes", "every instance"])
+def test_the_check_by_universes_matches_the_per_instance_loop(check, monkeypatch):
+    if check == "every instance":
+        # no site is settled by its universes, so every equation is checked
+        # instance by instance
+        monkeypatch.setattr(parser, "_within", lambda source, target: False)
+    cases = [path.read_text() for path in sorted(SAMPLES.iterdir())]
+    cases += [text for text, _ in _HAND_WRITTEN.values()] + list(_DEFECTIVE_THEORIES.values())
+    cases += list(_mutated_samples(2000, seed=6)) + list(_generated_theories(1500, seed=10))
+    checked = []
+    monkeypatch.setattr(parser, "check_tree", lambda *args: checked.append(1) or check_tree(*args))
+    outcomes = []
+    for text in cases:
+        checked.clear()
+        outcome = _outcome(parse_theory_file, text)
+        assert outcome == _outcome(_reference_theory, text), text
+        outcomes.append(outcome[0])
+        if check == "by universes" and type(outcome[0]) is str and outcome[0] != "syntax error":
+            assert not checked, text  # the universes settle every equation that loads
+    # the corpus holds theories that load and theories with each kind of defect
+    assert outcomes.count("t") > 500
+    assert outcomes.count(UnboundGenerator) > 100
+    assert outcomes.count(ParameterOutOfUniverse) > 100
+
+
+def test_the_load_time_check_does_not_grow_with_the_forall_universe(monkeypatch):
+    sites = []
+    site = _Parser.site
+
+    def counting(self, *args):
+        sites.append(args)
+        return site(self, *args)
+
+    monkeypatch.setattr(_Parser, "site", counting)
+    monkeypatch.setattr(parser, "check_tree", _refuse_to_build)  # no instance is checked
+    counts = []
+    for n in (10, 30):
+        sites.clear()
+        text = (SAMPLES / "state10.thy").read_text().replace("fin 10", f"fin {n}")
+        th = parse_theory_file(text)
+        assert th.eqs[3].param_universe == Product(Fin(n), Fin(n))
+        counts.append(len(sites))
+    assert counts == [19, 19]  # one per tree written in the file
