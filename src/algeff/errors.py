@@ -49,6 +49,11 @@ class ImpossibleCooperation(AlgeffError):
     """A cooperation into an empty arity cannot exist over a nonempty world."""
 
 
+class UnprintableValue(AlgeffError):
+    """A result too large for the printer, such as an integer of more digits
+    than ``str()`` converts."""
+
+
 class UnboundVariable(AlgeffError):
     def __init__(self, name, pos=None):
         where = f" at {pos[0]}:{pos[1]}" if pos else ""

@@ -617,7 +617,7 @@ def check_handler_equations(
 
     # probe leaves stand for the generic continuation, which the return
     # clause must not see: the clauses, with the identity return clause
-    code = HandlerLit("x", Return(Var("x")), h.code.clauses, pos=h.code.pos)
+    code = HandlerLit("x", Return(Var("x")), h.code.clauses, pos=h.code._at)
     passthrough = HandlerClosure(code, h.env)
     probe = lift(lambda v: eta(theory, SymVal(("kont", v))))
 

@@ -20,98 +20,102 @@ Pos = Optional[tuple]
 # Value expressions
 
 
-class Var(_Node):
-    __slots__ = ("name", "pos")
+class _Syntax(_Node):
+    """A node of a program.  Its ``pos`` is its (line, col) in the source
+    text, or None.  The parser gives each node a mark in its place (``_at``),
+    whose own ``pos`` finds the pair by reading the text again, only when
+    the position is read."""
+
+    __slots__ = ()
+
+    @property
+    def pos(self) -> Pos:
+        at = self._at
+        return at if at is None or type(at) is tuple else at.pos
+
+
+class Var(_Syntax):
+    __slots__ = ("name", "_at")
     name: str
-    pos: Pos
 
     def __init__(self, name, *, pos: Pos = None):
         self._fill(name, pos)
 
 
-class BoolLit(_Node):
-    __slots__ = ("value", "pos")
+class BoolLit(_Syntax):
+    __slots__ = ("value", "_at")
     value: bool
-    pos: Pos
 
     def __init__(self, value, *, pos: Pos = None):
         self._fill(value, pos)
 
 
-class UnitLit(_Node):
-    __slots__ = ("pos",)
-    pos: Pos
+class UnitLit(_Syntax):
+    __slots__ = ("_at",)
 
     def __init__(self, *, pos: Pos = None):
         self._fill(pos)
 
 
-class IntLit(_Node):
-    __slots__ = ("value", "pos")
+class IntLit(_Syntax):
+    __slots__ = ("value", "_at")
     value: int
-    pos: Pos
 
     def __init__(self, value, *, pos: Pos = None):
         self._fill(value, pos)
 
 
-class StrLit(_Node):
-    __slots__ = ("value", "pos")
+class StrLit(_Syntax):
+    __slots__ = ("value", "_at")
     value: str
-    pos: Pos
 
     def __init__(self, value, *, pos: Pos = None):
         self._fill(value, pos)
 
 
-class Pair(_Node):
-    __slots__ = ("first", "second", "pos")
+class Pair(_Syntax):
+    __slots__ = ("first", "second", "_at")
     first: Any
     second: Any
-    pos: Pos
 
     def __init__(self, first, second, *, pos: Pos = None):
         self._fill(first, second, pos)
 
 
-class Plus(_Node):
-    __slots__ = ("left", "right", "pos")
+class Plus(_Syntax):
+    __slots__ = ("left", "right", "_at")
     left: Any
     right: Any
-    pos: Pos
 
     def __init__(self, left, right, *, pos: Pos = None):
         self._fill(left, right, pos)
 
 
-class Fun(_Node):
-    __slots__ = ("param", "body", "pos")
+class Fun(_Syntax):
+    __slots__ = ("param", "body", "_at")
     param: str
     body: Any
-    pos: Pos
 
     def __init__(self, param, body, *, pos: Pos = None):
         self._fill(param, body, pos)
 
 
-class OpClause(_Node):
-    __slots__ = ("op", "param_name", "kont_name", "body", "pos")
+class OpClause(_Syntax):
+    __slots__ = ("op", "param_name", "kont_name", "body", "_at")
     op: str
     param_name: str
     kont_name: str
     body: Any
-    pos: Pos
 
     def __init__(self, op, param_name, kont_name, body, *, pos: Pos = None):
         self._fill(op, param_name, kont_name, body, pos)
 
 
-class HandlerLit(_Node):
-    __slots__ = ("ret_name", "ret_body", "clauses", "pos")
+class HandlerLit(_Syntax):
+    __slots__ = ("ret_name", "ret_body", "clauses", "_at")
     ret_name: str
     ret_body: Any
     clauses: tuple
-    pos: Pos
 
     def __init__(self, ret_name, ret_body, clauses, *, pos: Pos = None):
         self._fill(ret_name, ret_body, clauses, pos)
@@ -130,67 +134,61 @@ ValueExpr = Var | BoolLit | UnitLit | IntLit | StrLit | Pair | Plus | Fun | Hand
 # Computation expressions
 
 
-class Return(_Node):
-    __slots__ = ("value", "pos")
+class Return(_Syntax):
+    __slots__ = ("value", "_at")
     value: Any
-    pos: Pos
 
     def __init__(self, value, *, pos: Pos = None):
         self._fill(value, pos)
 
 
-class OpCall(_Node):
-    __slots__ = ("op", "arg", "pos")
+class OpCall(_Syntax):
+    __slots__ = ("op", "arg", "_at")
     op: str
     arg: Any
-    pos: Pos
 
     def __init__(self, op, arg, *, pos: Pos = None):
         _set(self, "op", op)
         _set(self, "arg", arg)
-        _set(self, "pos", pos)
+        _set(self, "_at", pos)
 
 
-class Do(_Node):
-    __slots__ = ("name", "first", "rest", "pos")
+class Do(_Syntax):
+    __slots__ = ("name", "first", "rest", "_at")
     name: str
     first: Any
     rest: Any
-    pos: Pos
 
     def __init__(self, name, first, rest, *, pos: Pos = None):
         _set(self, "name", name)
         _set(self, "first", first)
         _set(self, "rest", rest)
-        _set(self, "pos", pos)
+        _set(self, "_at", pos)
 
 
-class If(_Node):
-    __slots__ = ("cond", "then", "orelse", "pos")
+class If(_Syntax):
+    __slots__ = ("cond", "then", "orelse", "_at")
     cond: Any
     then: Any
     orelse: Any
-    pos: Pos
 
     def __init__(self, cond, then, orelse, *, pos: Pos = None):
         self._fill(cond, then, orelse, pos)
 
 
-class App(_Node):
-    __slots__ = ("fn", "arg", "pos")
+class App(_Syntax):
+    __slots__ = ("fn", "arg", "_at")
     fn: Any
     arg: Any
-    pos: Pos
 
     def __init__(self, fn, arg, *, pos: Pos = None):
         self._fill(fn, arg, pos)
 
 
-class WithHandle(_Node):
-    __slots__ = ("handler", "comp", "pos")
+class WithHandle(_Syntax):
+    __slots__ = ("handler", "comp", "_at")
     handler: Any
     comp: Any
-    pos: Pos
 
     def __init__(self, handler, comp, *, pos: Pos = None):
         self._fill(handler, comp, pos)
@@ -331,6 +329,16 @@ class _Mismatch(Exception):
     pass
 
 
+class _Report(Exception):
+    """A type error met in a program, raised as ``error()`` once the
+    checker's recursion has unwound: its position is read, which may mean
+    reading the program's text again, without adding to the stack of a
+    deeply nested program."""
+
+    def __init__(self, error):
+        self.error = error
+
+
 class Checker:
     """Bidirectional-lite type checker with single-level unification.
 
@@ -390,15 +398,17 @@ class Checker:
             if found.dirt != expected.dirt:
                 raise _Mismatch
 
-    def unify(self, found, expected, pos):
+    def unify(self, found, expected, node, fallback=None):
+        """Unify, or report a mismatch at ``node``'s position, or else at
+        ``fallback``'s; positions are read only for the report."""
         try:
             self._unify(found, expected)
         except _Mismatch:
-            raise TypeMismatch(
-                pos, str(self.zonk(expected)), str(self.zonk(found))
-            ) from None
+            raise _Report(lambda: TypeMismatch(
+                _pos(node, fallback), str(self.zonk(expected)), str(self.zonk(found))
+            )) from None
 
-    def _join(self, a, b, pos):
+    def _join(self, a, b, node, fallback):
         """Branch join: the empty type (an aborted branch) yields to the
         other side; otherwise the value types must agree."""
         a, b = self.resolve(a), self.resolve(b)
@@ -406,7 +416,7 @@ class Checker:
             return b
         if isinstance(b, TEmpty):
             return a
-        self.unify(b, a, pos)
+        self.unify(b, a, node, fallback)
         return self.resolve(a)
 
     # -- values ------------------------------------------------------------
@@ -416,7 +426,7 @@ class Checker:
             try:
                 return ctx[v.name]
             except KeyError:
-                raise UnboundVariable(v.name, v.pos) from None
+                raise _Report(lambda: UnboundVariable(v.name, v.pos)) from None
         if isinstance(v, BoolLit):
             return T_BOOL
         if isinstance(v, UnitLit):
@@ -428,8 +438,8 @@ class Checker:
         if isinstance(v, Pair):
             return TProd(self.synth_value(ctx, v.first), self.synth_value(ctx, v.second))
         if isinstance(v, Plus):
-            self.unify(self.synth_value(ctx, v.left), T_INT, _pos(v.left, v))
-            self.unify(self.synth_value(ctx, v.right), T_INT, _pos(v.right, v))
+            self.unify(self.synth_value(ctx, v.left), T_INT, v.left, v)
+            self.unify(self.synth_value(ctx, v.right), T_INT, v.right, v)
             return T_INT
         if isinstance(v, Fun):
             a = self.fresh()
@@ -446,20 +456,20 @@ class Checker:
             return CompType(self.synth_value(ctx, c.value), frozenset())
         if isinstance(c, OpCall):
             if not self.theory.has_op(c.op):
-                raise UnknownOperation(f"unknown operation{_loc(c.pos)}: {c.op}")
+                raise _Report(lambda: UnknownOperation(f"unknown operation{_loc(c.pos)}: {c.op}"))
             decl = self.theory.op(c.op)
             arg = self.synth_value(ctx, c.arg)
-            self.unify(arg, universe_type(decl.param), _pos(c.arg, c))
+            self.unify(arg, universe_type(decl.param), c.arg, c)
             return CompType(universe_type(decl.arity), frozenset({c.op}))
         if isinstance(c, Do):
             first = self.synth_comp(ctx, c.first)
             rest = self.synth_comp({**ctx, c.name: first.value}, c.rest)
             return CompType(rest.value, first.dirt | rest.dirt)
         if isinstance(c, If):
-            self.unify(self.synth_value(ctx, c.cond), T_BOOL, _pos(c.cond, c))
+            self.unify(self.synth_value(ctx, c.cond), T_BOOL, c.cond, c)
             then = self.synth_comp(ctx, c.then)
             orelse = self.synth_comp(ctx, c.orelse)
-            joined = self._join(then.value, orelse.value, _pos(c.orelse, c))
+            joined = self._join(then.value, orelse.value, c.orelse, c)
             return CompType(joined, then.dirt | orelse.dirt)
         if isinstance(c, App):
             if (
@@ -470,11 +480,11 @@ class Checker:
                 return self._primitive_app(ctx, c)
             fn = self.resolve(self.synth_value(ctx, c.fn))
             if isinstance(fn, TVar):
-                raise TypeMismatch(_pos(c.fn, c), "a function", str(fn))
+                raise _Report(lambda: TypeMismatch(_pos(c.fn, c), "a function", str(fn)))
             if not isinstance(fn, TArrow):
-                raise TypeMismatch(_pos(c.fn, c), "a function", str(self.zonk(fn)))
+                raise _Report(lambda: TypeMismatch(_pos(c.fn, c), "a function", str(self.zonk(fn))))
             arg = self.synth_value(ctx, c.arg)
-            self.unify(arg, fn.arg, _pos(c.arg, c))
+            self.unify(arg, fn.arg, c.arg, c)
             return self.resolve(fn.result)
         if isinstance(c, WithHandle):
             comp = self.synth_comp(ctx, c.comp)
@@ -483,22 +493,24 @@ class Checker:
                 return ht.out
             hv = self.resolve(self.synth_value(ctx, c.handler))
             if not isinstance(hv, THandler):
-                raise TypeMismatch(_pos(c.handler, c), "a handler", str(self.zonk(hv)))
-            self.unify(comp.value, hv.inp.value, _pos(c.comp, c))
+                raise _Report(lambda: TypeMismatch(
+                    _pos(c.handler, c), "a handler", str(self.zonk(hv))
+                ))
+            self.unify(comp.value, hv.inp.value, c.comp, c)
             if not comp.dirt <= hv.inp.dirt:
                 extra = ", ".join(sorted(comp.dirt - hv.inp.dirt))
-                raise TypeMismatch(
+                raise _Report(lambda: TypeMismatch(
                     _pos(c.comp, c),
                     str(self.zonk(hv.inp)),
                     f"{self.zonk(comp)} (unhandled: {extra})",
-                )
+                ))
             return hv.out
         raise TypeError(f"not a computation expression: {c!r}")
 
     def _primitive_app(self, ctx: Mapping, c: App) -> CompType:
         arg = self.resolve(self.synth_value(ctx, c.arg))
         if not isinstance(arg, TProd):
-            raise TypeMismatch(_pos(c.arg, c), "a pair", str(self.zonk(arg)))
+            raise _Report(lambda: TypeMismatch(_pos(c.arg, c), "a pair", str(self.zonk(arg))))
         out = arg.left if c.fn.name == "fst" else arg.right
         return CompType(self.resolve(out), frozenset())
 
@@ -506,9 +518,13 @@ class Checker:
         seen = set()
         for clause in h.clauses:
             if not self.theory.has_op(clause.op):
-                raise UnknownOperation(f"unknown operation{_loc(clause.pos)}: {clause.op}")
+                raise _Report(lambda: UnknownOperation(
+                    f"unknown operation{_loc(clause.pos)}: {clause.op}"
+                ))
             if clause.op in seen:
-                raise TypeMismatch(clause.pos, "distinct operation clauses", clause.op)
+                raise _Report(lambda: TypeMismatch(
+                    clause.pos, "distinct operation clauses", clause.op
+                ))
             seen.add(clause.op)
         handled = frozenset(seen)
         if comp is None:
@@ -535,7 +551,7 @@ class Checker:
                     clause.kont_name: kont_type,
                 }
                 body = self.synth_comp(clause_ctx, clause.body)
-                self.unify(body.value, out_value, _pos(clause.body, clause))
+                self.unify(body.value, out_value, clause.body, clause)
                 grown = grown | body.dirt
             if grown == out_dirt:
                 break
@@ -560,16 +576,20 @@ def typecheck_comp(theory: Theory, c, ctx: Mapping | None = None,
     """Synthesize a computation's type; with ``expected`` given, also check
     it fits (equal value type, dirt within the expected bound)."""
     checker = Checker(theory)
-    got = checker.synth_comp(dict(ctx or {}), c)
-    if expected is not None:
-        checker.unify(got.value, expected.value, getattr(c, "pos", None))
-        if not got.dirt <= expected.dirt:
-            raise TypeMismatch(
-                getattr(c, "pos", None), str(expected), str(checker.zonk(got))
-            )
+    try:
+        got = checker.synth_comp(dict(ctx or {}), c)
+        if expected is not None:
+            checker.unify(got.value, expected.value, c)
+    except _Report as report:
+        raise report.error() from None
+    if expected is not None and not got.dirt <= expected.dirt:
+        raise TypeMismatch(getattr(c, "pos", None), str(expected), str(checker.zonk(got)))
     return checker.zonk(got)
 
 
 def typecheck_value(theory: Theory, v, ctx: Mapping | None = None) -> ValueType:
     checker = Checker(theory)
-    return checker.zonk(checker.synth_value(dict(ctx or {}), v))
+    try:
+        return checker.zonk(checker.synth_value(dict(ctx or {}), v))
+    except _Report as report:
+        raise report.error() from None

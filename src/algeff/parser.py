@@ -35,9 +35,17 @@ cooperation entry:
     model <name>   { carrier <universe>; <op>(<param>; <args,...>) = <elem>; ... }
     comodel <name> { world <universe>;   <op>(<param>; <world>) = (<elem>; <world'>); ... }
 
-The parser reads token values from one regex pass.  Line and column are
-worked out, by ``tokenize`` over the same regex, only to report them: in a
-syntax error, or as the positions of a program's nodes.  An equation's two
+The parser reads token values from one regex pass.  A model or comodel
+file is read by its entry pattern instead: after its header, each entry is
+matched whole by one regex, straight from the text, and each element is
+looked up once in the universe it must lie in.  A file with anything the
+pattern does not cover (a comment among the entries, a pair, ``fst``, a
+keyword, a non-member, a duplicate or missing entry, or text after the
+closing brace) is read again from the start, token by token, by the reader
+that reports its errors.  Line and column are worked out, by ``tokenize``
+over the same regex, only when one is read: for a syntax error, or for a
+program node's ``pos`` (a type error, an unbound variable), until which the
+node keeps a mark of its first token.  An equation's two
 sides are read once, as templates, and checked once, by the universes their
 elements range over.  Only an equation that fails that check has its
 instances built and checked one by one, to report the first defective one
@@ -48,8 +56,10 @@ as ``check_theory`` would; otherwise an instance is built the first time
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+from collections import Counter
 from typing import NamedTuple
 
 from . import lang
@@ -64,7 +74,7 @@ _TOKEN = re.compile(r"""
       [(){};,!|*.\\+:] | =>? | ~> | <- | ->
     | \d+
     | [^\W\d]\w*                  # an identifier, or a numeral: see _value
-    | "(?: [^"\\\n] | \\. )* "?   # a string, maybe without its closing quote
+    | " [^"\\\n]* (?: \\. [^"\\\n]* )* "?   # a string, maybe without its closing quote
     | \#[^\n]*
     | [^ \t\r\n]                  # any other character is unexpected
     """, re.VERBOSE | re.DOTALL)
@@ -101,6 +111,15 @@ def _unescape(m) -> str:
     return _ESCAPES.get(m[1], m[1])
 
 
+def _unescaped(body: str) -> str:
+    """A string literal's text, its escapes read."""
+    if "\\" not in body:
+        return body
+    if "\\\\" in body or "\\n" in body or "\\t" in body:
+        return _ESCAPE.sub(_unescape, body)
+    return body.replace("\\", "")  # each escaped character stands for itself
+
+
 def _value(raw: str):
     """The value of one token's text: an int, a ``_Quoted`` string, an
     identifier or punctuation as itself, or ``_COMMENT``.  Raises
@@ -118,7 +137,7 @@ def _value(raw: str):
         # closed when the last quote is not itself escaped
         if len(raw) < 2 or raw[-1] != '"' or (len(body) - len(body.rstrip("\\"))) % 2:
             raise _Unreadable
-        return _Quoted(_ESCAPE.sub(_unescape, body) if "\\" in body else body)
+        return _Quoted(_unescaped(body))
     if first == "#":
         return _COMMENT
     if first.isalpha() or first == "_":
@@ -201,20 +220,61 @@ def _scan(text: str) -> list:
     return toks
 
 
-class _Parser:
+class _Source:
+    """A text and, once one is asked for, the positions of its tokens."""
+
+    __slots__ = ("text", "tokens")
+
     def __init__(self, text: str):
         self.text = text
+        self.tokens = None  # tokenize(text), once a position is asked for
+
+    def position(self, i: int) -> tuple:
+        """The (line, col) of token ``i``."""
+        if self.tokens is None:
+            self.tokens = tokenize(self.text)
+        return self.tokens[i].pos
+
+
+class _At:
+    """A program node's place: token ``index`` of ``source``.  Its ``pos``
+    is found when first read; a copy or pickle of it is that pair."""
+
+    __slots__ = ("source", "index")
+
+    def __init__(self, source: _Source, index: int):
+        self.source = source
+        self.index = index
+
+    @property
+    def pos(self) -> tuple:
+        return self.source.position(self.index)
+
+    def __reduce__(self):
+        return tuple, (self.pos,)
+
+
+class _Backtrack(Exception):
+    """A syntax error met while trying to read an application, which is
+    then read again as something else; it has no position."""
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.source = _Source(text)
         self.toks = _scan(text)
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
-        self.located = None  # tokenize(text), once a position is asked for
+        self.trials = 0  # applications being tried, whose errors backtrack
         self.unproven = False  # whether an equation's universes leave a doubt
 
     def pos(self, i=None) -> tuple:
         """The (line, col) of token ``i``, by default the next one."""
-        if self.located is None:
-            self.located = tokenize(self.text)
-        return self.located[self.i if i is None else i].pos
+        return self.source.position(self.i if i is None else i)
+
+    def mark(self, i=None) -> _At:
+        """The place of a node at token ``i``, by default the next one."""
+        return _At(self.source, self.i if i is None else i)
 
     def at(self, value) -> bool:
         return self.toks[self.i] == value
@@ -239,6 +299,8 @@ class _Parser:
         return tok
 
     def fail(self, message):
+        if self.trials:
+            raise _Backtrack
         tok = self.toks[self.i]
         found = "end of input" if tok is None else tok.text if type(tok) is _Quoted else tok
         raise ParseError(*self.pos(), f"{message}, found {found!r}")
@@ -249,11 +311,15 @@ class _Parser:
 
     # -- programs ------------------------------------------------------------
 
+    # A node keeps a mark of its first token, not its position: positions
+    # are found, by ``tokenize``, only when one is read.
+
     def comp(self):
-        tok, pos = self.toks[self.i], self.pos()
+        at = self.i
+        tok = self.toks[at]
         if tok == "return":
             self.i += 1
-            return lang.Return(self.value(), pos=pos)
+            return lang.Return(self.value(), pos=self.mark(at))
         if tok == "do":
             self.i += 1
             name = self.eat_ident("a binder")
@@ -261,7 +327,7 @@ class _Parser:
             first = self.comp()
             self.eat_word("in")
             rest = self.comp()
-            return lang.Do(name, first, rest, pos=pos)
+            return lang.Do(name, first, rest, pos=self.mark(at))
         if tok == "if":
             self.i += 1
             cond = self.value()
@@ -269,26 +335,28 @@ class _Parser:
             then = self.comp()
             self.eat_word("else")
             orelse = self.comp()
-            return lang.If(cond, then, orelse, pos=pos)
+            return lang.If(cond, then, orelse, pos=self.mark(at))
         if tok == "with":
             self.i += 1
             h = self.value()
             self.eat_word("handle")
-            return lang.WithHandle(h, self.comp(), pos=pos)
-        if type(tok) is str and tok not in _RESERVED and self.toks[self.i + 1] == "!":
+            return lang.WithHandle(h, self.comp(), pos=self.mark(at))
+        if type(tok) is str and tok not in _RESERVED and self.toks[at + 1] == "!":
             self.i += 2
             self.eat_punct("(")
-            arg = lang.UnitLit(pos=self.pos()) if self.at(")") else self.value()
+            arg = lang.UnitLit(pos=self.mark()) if self.at(")") else self.value()
             self.eat_punct(")")
-            return lang.OpCall(tok, arg, pos=pos)
+            return lang.OpCall(tok, arg, pos=self.mark(at))
         # application, or a parenthesized computation
-        mark = self.i
+        self.trials += 1
         try:
             fn = self.value()
             arg = self.value()
-            return lang.App(fn, arg, pos=pos)
-        except ParseError:
-            self.i = mark
+            return lang.App(fn, arg, pos=self.mark(at))
+        except _Backtrack:
+            self.i = at
+        finally:
+            self.trials -= 1
         if tok == "(":
             self.i += 1
             inner = self.comp()
@@ -297,56 +365,57 @@ class _Parser:
         return self.fail("expected a computation")
 
     def value(self):
-        pos = self.pos()
+        at = self.i
         out = self.atom()
         while self.at("+"):
             self.i += 1
-            out = lang.Plus(out, self.atom(), pos=pos)
+            out = lang.Plus(out, self.atom(), pos=self.mark(at))
         return out
 
     def atom(self):
-        tok, pos = self.toks[self.i], self.pos()
+        at = self.i
+        tok = self.toks[at]
         if type(tok) is int:
             self.i += 1
-            return lang.IntLit(tok, pos=pos)
+            return lang.IntLit(tok, pos=self.mark(at))
         if type(tok) is _Quoted:
             self.i += 1
-            return lang.StrLit(tok.text, pos=pos)
+            return lang.StrLit(tok.text, pos=self.mark(at))
         if type(tok) is str and tok not in _PUNCT:
             if tok == "true":
                 self.i += 1
-                return lang.BoolLit(True, pos=pos)
+                return lang.BoolLit(True, pos=self.mark(at))
             if tok == "false":
                 self.i += 1
-                return lang.BoolLit(False, pos=pos)
+                return lang.BoolLit(False, pos=self.mark(at))
             if tok == "fun":
                 self.i += 1
                 param = self.eat_ident("a parameter name")
                 self.eat_punct("->")
-                return lang.Fun(param, self.comp(), pos=pos)
+                return lang.Fun(param, self.comp(), pos=self.mark(at))
             if tok == "handler":
                 self.i += 1
-                return self.handler_literal(pos)
+                return self.handler_literal(at)
             if tok in _KEYWORDS:
                 self.fail("expected a value")
             self.i += 1
-            return lang.Var(tok, pos=pos)
+            return lang.Var(tok, pos=self.mark(at))
         if tok == "(":
             self.i += 1
             if self.at(")"):
                 self.i += 1
-                return lang.UnitLit(pos=pos)
+                return lang.UnitLit(pos=self.mark(at))
             first = self.value()
             if self.at(","):
                 self.i += 1
                 second = self.value()
                 self.eat_punct(")")
-                return lang.Pair(first, second, pos=pos)
+                return lang.Pair(first, second, pos=self.mark(at))
             self.eat_punct(")")
             return first
         return self.fail("expected a value")
 
-    def handler_literal(self, pos):
+    def handler_literal(self, at):
         self.eat_punct("{")
         self.eat_word("return")
         ret_name = self.eat_ident("a binder")
@@ -355,7 +424,7 @@ class _Parser:
         clauses = []
         while self.at("|"):
             self.i += 1
-            clause_pos = self.pos()
+            clause_at = self.i
             op = self.eat_ident("an operation name")
             self.eat_punct("(")
             param = self.eat_ident("a parameter binder")
@@ -364,9 +433,9 @@ class _Parser:
             self.eat_punct(")")
             self.eat_punct("->")
             body = self.comp()
-            clauses.append(lang.OpClause(op, param, kont, body, pos=clause_pos))
+            clauses.append(lang.OpClause(op, param, kont, body, pos=self.mark(clause_at)))
         self.eat_punct("}")
-        return lang.HandlerLit(ret_name, ret_body, tuple(clauses), pos=pos)
+        return lang.HandlerLit(ret_name, ret_body, tuple(clauses), pos=self.mark(at))
 
     # -- universes -----------------------------------------------------------
 
@@ -640,13 +709,24 @@ class _Parser:
 
     # -- model and comodel files ----------------------------------------------
 
+    # ``parse_model_file`` and ``parse_comodel_file`` read a table by its
+    # entry pattern first (``_table_rows``); these token-by-token readers
+    # read only a text that does not fit it, and report its errors.
+
     def model_file(self, theory: Theory) -> FiniteModel:
+        carrier = self.model_header()
+        return table_model(theory, carrier, self.model_entries(theory, carrier))
+
+    def model_header(self) -> FiniteUniverse:
         self.eat_word("model")
         self.eat_ident("a model name")
         self.eat_punct("{")
         self.eat_word("carrier")
         carrier = self.universe()
         self.eat_punct(";")
+        return carrier
+
+    def model_entries(self, theory: Theory, carrier: FiniteUniverse) -> dict:
         table = {}
         while not self.at("}"):
             at = self.i
@@ -681,15 +761,24 @@ class _Parser:
                 raise ParseError(*self.pos(at), f"duplicate entry for {key!r}")
             table[key] = result
         self.eat_punct("}")
-        return table_model(theory, carrier, table)
+        return table
 
     def comodel_file(self, theory: Theory) -> Cointerpretation:
+        world = self.comodel_header()
+        return _cointerpretation(theory, world, *self.comodel_entries(theory, world))
+
+    def comodel_header(self) -> FiniteUniverse:
         self.eat_word("comodel")
         self.eat_ident("a comodel name")
         self.eat_punct("{")
         self.eat_word("world")
         world = self.universe()
         self.eat_punct(";")
+        return world
+
+    def comodel_entries(self, theory: Theory, world: FiniteUniverse) -> tuple:
+        """The cooperation table and the operations it covers, in the order
+        they first appear."""
         table = {}
         covered = []
         while not self.at("}"):
@@ -728,11 +817,7 @@ class _Parser:
                         *self.pos(),
                         f"missing cooperation entry for {op_name!r} at ({p!r}; {w!r})",
                     )
-
-        def coop(name):
-            return lambda p, w: table[(name, p, w)]
-
-        return Cointerpretation(theory, world, {name: coop(name) for name in covered})
+        return table, covered
 
     def require_members(self, at, checks):
         """Fail at token ``at`` unless every ``(value, universe, what)`` has
@@ -805,6 +890,165 @@ class _Instances:
         return getattr, ({p: self(p) for p in self.params.iter_elements()}, "__getitem__")
 
 
+def _cointerpretation(theory: Theory, world: FiniteUniverse, table: dict, covered):
+    """The comodel of a cooperation table, covering the operations
+    ``covered``."""
+
+    def coop(name):
+        return lambda p, w: table[(name, p, w)]
+
+    return Cointerpretation(theory, world, {name: coop(name) for name in covered})
+
+
+# -- tables at regex speed ------------------------------------------------------
+
+# A table entry whose elements are atoms is matched whole, straight from the
+# text.  Its blanks are the tokenizer's, so each atom and punctuation mark
+# spans the text its token would.  The last row of a table's ``findall`` is
+# the closing brace, at the end of the text; any other character that no
+# entry starts with makes a row with no operation.  The patterns are compiled
+# when a table is first read (``_pattern``).
+_B = r"[ \t\r\n]*"
+_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+_ATOM = r"\(%s\)|\d+|[^\W\d]\w*|%s" % (_B, _STRING)
+_ROW_END = r"| (\})%s\Z | ." % _B
+_COMODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}=
+    {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}; {_ROW_END})"""
+_MODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};
+    {_B} ((?:{_ATOM})(?:{_B},{_B}(?:{_ATOM}))*)? {_B}\){_B}={_B} ({_ATOM}) {_B}; {_ROW_END})"""
+# a table's header: its text up to the first ";" outside strings and comments
+_HEADER = r'(?: [^;"\#] | %s | \#[^\n]* )* ;' % _STRING
+
+
+@functools.cache
+def _pattern(source: str) -> re.Pattern:
+    return re.compile(source, re.VERBOSE | re.DOTALL)
+
+
+def _atom(raw: str):
+    """The element an atom's text reads; KeyError for a keyword, fst or snd
+    (which ``elem`` reads otherwise), or a token no value reads."""
+    if raw[0] == "(":
+        return ()
+    try:
+        value = _value(raw)
+    except _Unreadable:
+        raise KeyError(raw) from None
+    if type(value) is _Quoted:
+        return value.text
+    if value == "true":
+        return True
+    if value == "false":
+        return False
+    if value in _KEYWORDS or value == "fst" or value == "snd":
+        raise KeyError(raw)
+    return value
+
+
+class _Read(dict):
+    """Values by the text that reads them, each text read once, when first
+    looked up, by ``read``, which raises KeyError for a text that does not
+    fit."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        self.read = read
+
+    def __missing__(self, raw):
+        value = self[raw] = self.read(raw)
+        return value
+
+
+def _members(universe: FiniteUniverse) -> _Read:
+    """The atoms in ``universe``, by their text."""
+
+    def read(raw):
+        value = _atom(raw)
+        if not universe.contains(value):
+            raise KeyError(raw)
+        return value
+
+    return _Read(read)
+
+
+def _arguments(carrier: _Read, size: int) -> _Read:
+    """Tuples of ``size`` atoms of a carrier, by the text that lists them."""
+
+    def read(raw):
+        values = tuple([carrier[a] for a in _pattern(_ATOM).findall(raw)])
+        if len(values) != size:
+            raise KeyError(raw)
+        return values
+
+    return _Read(read)
+
+
+def _table_rows(text: str, header, entry: str):
+    """The universe that ``header`` reads from a table's header, and the
+    rows of the pattern ``entry`` after it, or None when the header or a
+    row does not fit."""
+    m = _pattern(_HEADER).match(text)
+    if m is None:
+        return None
+    try:
+        p = _Parser(m[0])
+        universe = header(p)
+        p.expect_eof()
+    except ParseError:
+        return None
+    rows = _pattern(entry).findall(text, m.end())
+    if not rows or not rows.pop()[-1]:  # no closing brace at the end
+        return None
+    return universe, rows
+
+
+def _comodel_by_pattern(text: str, theory: Theory):
+    """The comodel ``text`` holds, read by the entry pattern, or None when
+    any part of it does not fit."""
+    read = _table_rows(text, _Parser.comodel_header, _COMODEL_ENTRY)
+    if read is None:
+        return None
+    world, rows = read
+    worlds = _members(world)
+    coops = {d.name: (_members(d.param), _members(d.arity)) for d in theory.ops}
+    table = {}
+    try:
+        for op, p, w, result, w2, _ in rows:
+            params, results = coops[op]
+            table[op, params[p], worlds[w]] = results[result], worlds[w2]
+    except KeyError:  # an unknown operation, a row that does not fit, a non-member
+        return None
+    covered = Counter([row[0] for row in rows])
+    size = world.size()
+    if len(table) != len(rows) or any(
+        count != theory.op(name).param.size() * size for name, count in covered.items()
+    ):
+        return None  # a duplicate or a missing entry
+    return _cointerpretation(theory, world, table, covered)
+
+
+def _model_by_pattern(text: str, theory: Theory):
+    """The model ``text`` holds, read by the entry pattern, or None when any
+    part of it does not fit."""
+    read = _table_rows(text, _Parser.model_header, _MODEL_ENTRY)
+    if read is None:
+        return None
+    carrier, rows = read
+    carriers = _members(carrier)
+    ops = {d.name: (_members(d.param), _arguments(carriers, d.arity.size())) for d in theory.ops}
+    table = {}
+    try:
+        for op, p, args, result, _ in rows:
+            params, argses = ops[op]
+            table[op, params[p], argses[args]] = carriers[result]
+    except KeyError:
+        return None
+    if len(table) != len(rows):
+        return None  # a duplicate
+    return table_model(theory, carrier, table)
+
+
 def parse_program(text: str):
     p = _Parser(text)
     out = p.comp()
@@ -827,16 +1071,20 @@ def parse_theory_file(text: str) -> Theory:
 
 
 def parse_model_file(text: str, theory: Theory) -> FiniteModel:
-    p = _Parser(text)
-    out = p.model_file(theory)
-    p.expect_eof()
+    out = _model_by_pattern(text, theory)
+    if out is None:
+        p = _Parser(text)
+        out = p.model_file(theory)
+        p.expect_eof()
     return out
 
 
 def parse_comodel_file(text: str, theory: Theory) -> Cointerpretation:
-    p = _Parser(text)
-    out = p.comodel_file(theory)
-    p.expect_eof()
+    out = _comodel_by_pattern(text, theory)
+    if out is None:
+        p = _Parser(text)
+        out = p.comodel_file(theory)
+        p.expect_eof()
     return out
 
 

@@ -10,6 +10,7 @@ import json
 
 from . import lang
 from .comodels import Done, RunOutcome, Stuck
+from .errors import UnprintableValue
 from .interp import Closure, HandlerClosure, KontValue, PrimFun, SymVal
 from .terms import Return, Tree
 
@@ -20,7 +21,10 @@ def render_elem(v) -> str:
     if type(v) is bool:
         return "true" if v else "false"
     if type(v) is int:
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise UnprintableValue(f"integer too long to print ({_digits(v)} digits)") from None
     if isinstance(v, str):
         return json.dumps(v)
     if type(v) is tuple and len(v) == 2:
@@ -36,6 +40,15 @@ def render_elem(v) -> str:
     if isinstance(v, SymVal):
         return f"<sym {v.base!r}>"
     return repr(v)
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of ``n``, counted without ``str()``."""
+    n = abs(n)
+    digits = max(1, int((n.bit_length() - 1) * 0.30102999566398120))  # log10(2)
+    while n >= 10**digits:
+        digits += 1
+    return digits
 
 
 def render_world(w) -> str:

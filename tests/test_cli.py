@@ -747,3 +747,26 @@ def test_a_very_long_integer_literal_exits_3(kind, text, where, capsys, tmp_path
     assert invoke(capsys, *argv) == (
         3, "", f"error: {prefix}syntax error at {where}: integer literal too long (5000 digits)\n"
     )
+
+
+# -- computed integers str() cannot print -------------------------------------
+
+_NINES = "9" * 4300  # the most digits a literal may have
+_TOO_LONG = "error: integer too long to print (4301 digits)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", f"return {_NINES} + {_NINES}", "--theory", SAMPLES / "state2.thy"],
+    ["run", f"return {_NINES} + {_NINES}", "--theory", SAMPLES / "state2.thy",
+     "--comodel", SAMPLES / "state2.cmod", "--world", "0"],
+])
+def test_an_integer_too_long_to_print_exits_1(argv, capsys):
+    assert invoke(capsys, *argv) == (1, "", _TOO_LONG)
+
+
+def test_the_repl_reports_an_integer_too_long_to_print(capsys, monkeypatch):
+    session = repl(
+        capsys, monkeypatch,
+        f":load {SAMPLES / 'state2.thy'}", f":normalize return {_NINES} + {_NINES}", "return 1",
+    )
+    assert session.endswith(f"loaded theory single_state\n{_TOO_LONG}return 1\n")

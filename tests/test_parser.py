@@ -1,19 +1,23 @@
 import copy
 import gc
+import itertools
 import pickle
 import random
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 from algeff import lang, parser
+from algeff.comodels import Cointerpretation
 from algeff.errors import (
     AlgeffError,
     ParameterOutOfUniverse,
     ParseError,
     TypeMismatch,
     UnboundGenerator,
+    UnboundVariable,
 )
 from algeff.parser import (
     _Parser,
@@ -759,3 +763,415 @@ def test_the_load_time_check_does_not_grow_with_the_forall_universe(monkeypatch)
         assert th.eqs[3].param_universe == Product(Fin(n), Fin(n))
         counts.append(len(sites))
     assert counts == [19, 19]  # one per tree written in the file
+
+
+# -- tables read by their entry pattern, against the token-by-token loops -----
+
+
+def _reference_table(text, theory):
+    """A model or comodel file read token by token, as every table was read
+    before the entry pattern, by the entry loops that still read each file
+    the pattern does not fit."""
+    p = _Parser(text)
+    kind = "comodel" if text.lstrip().startswith("comodel") else "model"
+    out = p.comodel_file(theory) if kind == "comodel" else p.model_file(theory)
+    p.expect_eof()
+    return out
+
+
+def _parse_table(text, theory):
+    kind = "comodel" if text.lstrip().startswith("comodel") else "model"
+    return (parse_comodel_file if kind == "comodel" else parse_model_file)(text, theory)
+
+
+def _table_outcome(parse, text, theory):
+    """What reading ``text`` gives: every entry of the table, or the error."""
+    try:
+        out = parse(text, theory)
+    except ParseError as exc:
+        return "syntax error", exc.line, exc.col, exc.reason
+    except AlgeffError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Cointerpretation):
+        worlds = out.world.elements()
+        return out.world, [
+            (name, repr([(p, w, out.coops[name](p, w))
+                         for p in theory.op(name).param.iter_elements() for w in worlds]))
+            for name in out.coops
+        ]
+    carrier = out.carrier.elements()
+    return out.carrier, [
+        (d.name, repr([(p, args, out.ops[d.name](p, args))
+                       for p in d.param.iter_elements()
+                       for args in itertools.product(carrier, repeat=d.arity.size())]))
+        for d in theory.ops
+    ]
+
+
+_TABLE_THEORIES = {
+    "state2": (SAMPLES / "state2.thy").read_text(),
+    "state10": (SAMPLES / "state10.thy").read_text(),
+    "io_hello": (SAMPLES / "io_hello.thy").read_text(),
+    "choice": (SAMPLES / "choice.thy").read_text(),
+    "semilattice": (SAMPLES / "semilattice.thy").read_text(),
+    "pairs": "theory pairs {\n  op put : fin 2 * fin 2 ~> unit;\n  op get : unit ~> fin 2;\n}\n",
+    "keywords": 'theory keywords {\n  op say : enum {"do", "in", "true", "fst", x} ~> unit;\n}\n',
+}
+_SAMPLE_TABLES = [
+    ("state10.cmod", "state10"), ("state2.cmod", "state2"), ("hello.cmod", "io_hello"),
+    ("altstream.cmod", "choice"),
+    ("orlattice.mod", "semilattice"), ("badlattice.mod", "semilattice"),
+]
+
+
+def _cell_comodel(rng, n):
+    """A comodel over a ``fin n`` cell, as the benchmark writes them, with
+    some entries moved, respaced or broken."""
+    entries = [f"get((); {w}) = ({w}; {w});" for w in range(n)]
+    entries += [f"put({p}; {w}) = ((); {p});" for p in range(n) for w in range(n)]
+    if rng.random() < 0.3:
+        rng.shuffle(entries)
+    if rng.random() < 0.3:
+        i = rng.randrange(len(entries))
+        entries[i] = rng.choice([
+            entries[i].replace(")", " )", 1), entries[i].replace("; ", ";\t"),
+            entries[i].replace("=", " =\r\n "), entries[i].replace(f"{n - 1}", f"{n}"),
+            entries[i].replace("((); ", "(true; "), entries[i].replace(";", ",", 1), "",
+            entries[0], entries[i] + " # a note",
+        ])
+    return "comodel cell {\n  world fin %d;\n%s\n}\n" % (n, "\n".join("  " + e for e in entries))
+
+
+def _transcript(t):
+    return "[" + ", ".join(f'"{label}"' for label in t) + "]"
+
+
+def _io_files(labels=("a", "b", "c"), bound=3):
+    """The benchmark's io theory and transcript comodel: worlds are string
+    literals with escaped quotes."""
+    quote = lambda t: '"' + _transcript(t).replace('"', '\\"') + '"'
+    worlds = [t for n in range(bound + 1) for t in itertools.product(labels, repeat=n)]
+    enum = ", ".join(f'"{label}"' for label in labels)
+    theory = "theory io {\n  op print : enum {%s} ~> unit;\n}\n" % enum
+    lines = ["comodel transcript {", "  world enum {" + ", ".join(map(quote, worlds)) + "};"]
+    for t in worlds:
+        for label in labels:
+            nxt = t + (label,) if len(t) < bound else t
+            lines.append(f'  print("{label}"; {quote(t)}) = ((); {quote(nxt)});')
+    return theory, "\n".join(lines + ["}"]) + "\n"
+
+
+def _powerset_model(rng, atoms, defect):
+    """A join table of the subsets of ``atoms`` atoms, each subset labelled
+    by a shuffled number, as the benchmark writes them."""
+    size = 2 ** atoms
+    subset_of = list(range(size))
+    rng.shuffle(subset_of)
+    label_of = {s: a for a, s in enumerate(subset_of)}
+    join = {(a, b): label_of[subset_of[a] | subset_of[b]] for a in range(size) for b in range(size)}
+    if defect:
+        join[rng.randrange(size), rng.randrange(size)] = rng.choice([size, 0, "x", "true"])
+    lines = ["model table {", f"  carrier fin {size};", f"  bot((); ) = {label_of[0]};"]
+    lines += [f"  join((); {a}, {b}) = {r};" for (a, b), r in sorted(join.items())]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _comodel(world, *entries, end="}\n"):
+    return f"comodel c {{\n  world {world};\n" + "".join(f"  {e}\n" for e in entries) + end
+
+
+_STATE2 = ["get((); 0) = (0; 0);", "get((); 1) = (1; 1);", "put(0; 0) = ((); 0);",
+           "put(0; 1) = ((); 0);", "put(1; 0) = ((); 1);", "put(1; 1) = ((); 1);"]
+
+
+def _state2(*first, end="}\n"):
+    """A whole comodel for state2.thy, with ``first`` in place of its first
+    entries."""
+    return _comodel("fin 2", *first, *_STATE2[len(first):], end=end)
+
+
+def _say(label, spelt):
+    """A whole comodel for the keywords theory, with the parameter ``label``
+    spelt ``spelt``."""
+    params = ('"do"', '"in"', '"true"', '"fst"', "x")
+    return _comodel('enum {"a"}', *(f'say({spelt if p == label else p}; "a") = ((); "a");'
+                                    for p in params))
+
+
+def _orlattice(old, new):
+    return (SAMPLES / "orlattice.mod").read_text().replace(old, new)
+
+
+_SHADOWED = ('"do"', "x", '"in"', '"true"', '"fst"')
+
+# (theory, text) pairs that each stop the entry pattern at a different place
+_HAND_WRITTEN_TABLES = {
+    "a comment between entries": ("state2", _comodel("fin 2", *_STATE2[:3], "# a", *_STATE2[3:])),
+    "a comment after an entry": ("state2", _state2(_STATE2[0] + " # x;")),
+    "a comment in the header": ("state2", "# a table; of state\ncomodel c { # here; too\n"
+                                "  world fin 2; # and here\n" + "\n".join(_STATE2) + "\n}\n"),
+    "a string with a ';' in the header": ("keywords", _comodel(
+        'enum {"a;b", "c"}', 'say("do"; "a;b") = ((); "c");', 'say("do"; "c") = ((); "c");')),
+    "a comment after the table": ("state2", _state2(end="} # done\n")),
+    "junk after the table": ("state2", _state2(end="} x\n")),
+    "a second closing brace": ("state2", _state2(end="}}")),
+    "no closing brace": ("state2", _state2(end="")),
+    "no newline at the end": ("state2", _state2(end="}")),
+    "crlf lines and tabs": ("state2", _state2().replace("\n", "\r\n").replace(" ", "\t")),
+    "no blanks": ("state2", _state2().replace(" ", "").replace("\n", "")
+                  .replace("worldfin2", "world fin 2").replace("comodelc", "comodel c")),
+    "a form feed": ("state2", _comodel("fin 2", *_STATE2[:2], "\x0c" + _STATE2[2], *_STATE2[3:])),
+    "a no-break space": ("state2", _state2(_STATE2[0].replace(" ", "\xa0"))),
+    "an empty table": ("state2", _comodel("fin 2")),
+    "a pair element": ("pairs", _comodel(
+        "fin 2", *_STATE2[:2],
+        *(f"put(({a}, {b}); {w}) = ((); {b});"
+          for a in range(2) for b in range(2) for w in range(2)),
+    )),
+    "fst of a pair": ("state2", _state2("get((); fst (0, 1)) = (0; 0);")),
+    "a parenthesized element": ("state2", _state2("get((); (0)) = (0; 0);")),
+    "a unit with a blank": ("state2", _comodel("fin 2", *(e.replace("()", "( )")
+                                                          for e in _STATE2))),
+    "a unit with a comment": ("state2", _state2("get((#\n); 0) = (0; 0);")),
+    "labels that shadow keywords": ("keywords", _comodel(
+        'enum {"return", "if", x}',
+        'say("do"; "return") = ((); "if");', 'say(x; "return") = ((); x);',
+        'say("in"; if) = ((); return);', 'say("true"; x) = ((); x);', 'say("fst"; x) = ((); x);',
+        *(f"say({p}; {w}) = ((); {w});" for p in _SHADOWED for w in ('"if"', "x", '"return"')
+          if (p, w) not in (('"do"', '"return"'), ("x", '"return"'), ('"in"', '"if"'),
+                            ('"true"', "x"), ('"fst"', "x"))),
+    )),
+    "a keyword for a label": ("keywords", _say('"do"', "do")),
+    "true for a label": ("keywords", _say('"true"', "true")),
+    "fst for a label": ("keywords", _say('"fst"', "fst")),
+    "a string with blanks for a label": ("keywords", _say('"in"', '" in"')),
+    "a non-member parameter": ("state2", _state2("get((); 2) = (0; 0);")),
+    "a non-member result": ("state2", _state2("get((); 0) = (7; 0);")),
+    "a boolean for an integer": ("state2", _state2("get((); false) = (0; 0);")),
+    "a duplicate": ("state2", _comodel("fin 2", *_STATE2, _STATE2[3])),
+    "a duplicate spelt otherwise": ("state2", _comodel("fin 2", *_STATE2, "put(00; 1) = ((); 0);")),
+    "a missing entry": ("state2", _comodel("fin 2", *_STATE2[:-1])),
+    "an unknown operation": ("state2", _comodel("fin 2", *_STATE2, "abort((); 0) = ((); 0);")),
+    "an arrow for '='": ("state2", _state2(_STATE2[0].replace("=", "=>"))),
+    "leading zeros": ("state2", _comodel("fin 2", *(e.replace(" 0", " 000") for e in _STATE2))),
+    "another script's digits": ("state2", _state2("get((); ٠) = (0; 0);")),
+    "a digit run into a name": ("state2", _state2("get((); 0x) = (0; 0);")),
+    "a superscript digit": ("state2", _state2("get((); ²) = (0; 0);")),
+    "escapes in strings": ("keywords", _comodel(
+        'enum {"a\\"b", "t\\tn\\n", "s\\\\", "e\\x"}',
+        *(f'say(x; {w}) = ((); "a\\"b");' for w in ('"a\\"b"', '"t\\tn\\n"', '"s\\\\"', '"ex"')),
+    )),
+    "a string left open": ("keywords", _comodel('enum {"a"}', 'say(x; "a) = ((); "a");')),
+    "a product world": ("state2", _comodel("fin 2 * fin 2", "get((); (0, 0)) = (0; (0, 0));")),
+    "a model read as a comodel": ("semilattice", _orlattice("model", "comodel")),
+    "a model with a comment": ("semilattice", _orlattice("= false;", "= false; # unit")),
+    "a model with too many arguments": ("semilattice", _orlattice("bot((); )", "bot((); false)")),
+    "a model with too few arguments": ("semilattice", _orlattice("(); true, true)", "(); true)")),
+    "a model with a string argument": ("semilattice", _orlattice("(); true, true)",
+                                                                 '(); true, "a,b")')),
+    "a model missing an entry": ("semilattice", _orlattice("  join((); true, true) = true;\n", "")),
+    "a model with a duplicate": ("semilattice", _orlattice("}", "  join((); true ,true) = true;}")),
+    "a model over a keyword carrier": ("semilattice", (
+        'model m {\n  carrier enum {"if", z};\n  bot((); ) = if;\n'
+        + "".join(f"  join((); {a}, {b}) = z;\n" for a in ("if", "z") for b in ("if", "z")) + "}\n"
+    )),
+}
+
+
+def _mutated_tables(count, seed):
+    """Whole table files, with one to three characters inserted, replaced or
+    deleted."""
+    rng = random.Random(seed)
+    bases = [((SAMPLES / name).read_text(), theory) for name, theory in _SAMPLE_TABLES]
+    alphabet = list(' \n\t#"\\_-<>=09x();,{}') + [" ", "٣", "\x0c"]
+    for _ in range(count):
+        text, theory = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            elif edit == 1:
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        yield theory, text
+
+
+def _table_corpus():
+    rng = random.Random(11)
+    io_theory, io_comodel = _io_files()
+    theories = {name: parse_theory_file(text) for name, text in _TABLE_THEORIES.items()}
+    theories["io"] = parse_theory_file(io_theory)
+    cases = [(theory, (SAMPLES / name).read_text()) for name, theory in _SAMPLE_TABLES]
+    cases += [("io", io_comodel), ("io", io_comodel.replace('\\"a\\"', '\\"a\\" '))]
+    cases += list(_HAND_WRITTEN_TABLES.values())
+    cases += list(_mutated_tables(600, seed=12))
+    for text in _mutated_samples(400, seed=6):
+        cases += [("state10", text), ("semilattice", text), ("io_hello", text)]
+    for n in range(1, 13):
+        for _ in range(4):
+            theory = f"cell{n}"
+            theories[theory] = parse_theory_file(
+                _TABLE_THEORIES["state2"].replace("fin 2", f"fin {n}"))
+            cases.append((theory, _cell_comodel(rng, n)))
+    for atoms in (1, 2, 3, 4):
+        for defect in (False, True, True):
+            cases.append(("semilattice", _powerset_model(rng, atoms, defect)))
+    labels = [("a", "b"), ('q"', "r"), ("x y", "\\"), (" a", "b ")]
+    for i, ls in enumerate(labels):
+        quoted = tuple(l.replace("\\", "\\\\").replace('"', '\\"') for l in ls)
+        theory, text = _io_files(quoted, 2)
+        theories[f"io{i}"] = parse_theory_file(theory)
+        cases.append((f"io{i}", text))
+    return [(theories[name], text) for name, text in cases]
+
+
+def test_the_entry_pattern_reads_what_the_entry_loops_read():
+    fitted = 0
+    for theory, text in _table_corpus():
+        expected = _table_outcome(_reference_table, text, theory)
+        assert _table_outcome(_parse_table, text, theory) == expected, text
+        by_pattern = parser._comodel_by_pattern if text.lstrip().startswith("comodel") \
+            else parser._model_by_pattern
+        try:
+            fitted += by_pattern(text, theory) is not None
+        except AlgeffError:  # a table the pattern reads, with an entry missing
+            fitted += 1
+    # the pattern reads the generated tables that fit it, and falls back on
+    # the rest
+    assert fitted > 90
+
+
+def _refuse_entries(*args):
+    raise AssertionError("a table was read token by token")
+
+
+@pytest.mark.parametrize("name", ["state10.cmod", "hello.cmod", "orlattice.mod", "io.cmod"])
+def test_sample_tables_never_reach_the_entry_loops(name, monkeypatch):
+    monkeypatch.setattr(_Parser, "comodel_entries", _refuse_entries)
+    monkeypatch.setattr(_Parser, "model_entries", _refuse_entries)
+    if name == "io.cmod":
+        theory_text, text = _io_files()
+        theory = parse_theory_file(theory_text)
+    else:
+        theory_name = {"state10.cmod": "state10.thy", "hello.cmod": "io_hello.thy",
+                       "orlattice.mod": "semilattice.thy"}[name]
+        theory = parse_theory_file((SAMPLES / theory_name).read_text())
+        text = (SAMPLES / name).read_text()
+    out = _table_outcome(_parse_table, text, theory)
+    monkeypatch.undo()
+    assert out == _table_outcome(_reference_table, text, theory)
+    assert out[0] != "syntax error"
+
+
+# -- program positions, found only when read ---------------------------------
+
+
+def _refuse_to_tokenize(*args):
+    raise AssertionError("a text was tokenized for its positions")
+
+
+_HANDLED = (
+    "do f <- with handler { return x -> return (fun s -> return (x, s))"
+    " | get(u; k) -> return (fun s -> do f <- k s in f s)"
+    " | put(s2; k) -> return (fun s -> do f <- k () in f s2) }"
+    " handle (do x <- get!(()) in do u <- put!(x + 1) in return x) in f 3"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "increment.eff", *_STATE10),
+    ("run", "abort.eff", *_STATE10),
+    # the world as a string literal: "[]" unquoted is not an element, so it
+    # is taken as a label once reading it as an element has failed, and the
+    # failure finds its position
+    ("run", "hello.eff", "--theory", "io_hello.thy", "--comodel", "hello.cmod", "--world", '"[]"'),
+    ("run", _HANDLED, *_STATE10),
+    ("type", "increment.eff", "--theory", "state10.thy"),
+    ("type", "hello.eff", "--theory", "io_hello.thy"),
+    ("type", _HANDLED, "--theory", "state10.thy"),
+])
+def test_run_and_type_never_tokenize(monkeypatch, capsys, argv):
+    from algeff.cli import main
+
+    monkeypatch.setattr(parser, "tokenize", _refuse_to_tokenize)
+    argv = [str(SAMPLES / a) if (SAMPLES / a).is_file() else a for a in argv]
+    assert main(argv) in (0, 2)
+    assert "error" not in capsys.readouterr().err
+
+
+_PROGRAM_THEORY = (
+    'theory t {\n  op get : unit ~> fin 10;\n  op put : fin 10 ~> unit;\n'
+    '  op abort : unit ~> empty;\n  op print : enum {"Hello world!"} ~> unit;\n}\n'
+)
+
+
+def _mutated_programs(count, seed):
+    """Sample programs with one or two literals or names swapped for others,
+    so that most still parse and many no longer type-check."""
+    texts = [path.read_text() for path in sorted(SAMPLES.glob("*.eff"))] + ROUND_TRIP + [_HANDLED]
+    pool = ["true", "()", "1", '"s"', "x", "k", "(1, true)", "fun z -> return z", "get", "s"]
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 2)):
+            spots = re.finditer(r"\b(?:\d+|[a-z]\w*)\b|\(\)", text)
+            m = rng.choice([m for m in spots if m[0] not in parser._KEYWORDS - {"true", "false"}])
+            text = text[:m.start()] + rng.choice(pool) + text[m.end():]
+        yield text
+
+
+def _placed(node):
+    """Every node under ``node`` (a program), with its position."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, tuple):
+            stack.extend(n)
+        elif isinstance(n, lang._Syntax):
+            out.append((type(n).__name__, n.pos))
+            stack.extend(getattr(n, f) for f in n._fields)
+    return out
+
+
+def _typing(text, theory):
+    """The positions of a program's nodes and its type, or its error."""
+    read = parse_value_text if text.lstrip().startswith(("handler", "#")) else parse_program
+    try:
+        prog = read(text)
+    except ParseError as exc:
+        return "syntax error", exc.line, exc.col, exc.reason
+    check = lang.typecheck_value if read is parse_value_text else lang.typecheck_comp
+    try:
+        typed = str(check(theory, prog))
+    except AlgeffError as exc:
+        typed = type(exc), str(exc), getattr(exc, "pos", None)
+    return _placed(prog), typed
+
+
+def test_type_errors_report_the_positions_read_eagerly(monkeypatch):
+    theory = parse_theory_file(_PROGRAM_THEORY)
+    kinds = []
+    for text in _mutated_programs(1500, seed=3):
+        lazy = _typing(text, theory)
+        with monkeypatch.context() as eager:
+            # each node placed as it is read, as before positions were lazy
+            eager.setattr(_Parser, "mark", _Parser.pos)
+            assert _typing(text, theory) == lazy, text
+        if lazy[0] != "syntax error" and type(lazy[1]) is tuple:
+            kinds.append(lazy[1][0])
+    assert kinds.count(TypeMismatch) > 100
+    assert kinds.count(UnboundVariable) > 250
+
+
+def test_a_parsed_program_keeps_its_positions_and_no_parser():
+    text = "# a comment\ndo x <- get!() in\n  do u <- put!(x + 1) in return x"
+    prog = parse_program(text)
+    assert not _reaches_a_parser(prog)
+    assert prog.pos == (2, 1) and prog.rest.pos == (3, 3)
+    assert prog.rest.first.arg.pos == (3, 16)  # x + 1
+    positions = _placed(prog)
+    for again in (copy.copy(prog), copy.deepcopy(prog), pickle.loads(pickle.dumps(prog))):
+        assert again == prog and _placed(again) == positions
+    assert type(pickle.loads(pickle.dumps(prog))._at) is tuple
