@@ -22,9 +22,10 @@ Pos = Optional[tuple]
 
 class _Syntax(_Node):
     """A node of a program.  Its ``pos`` is its (line, col) in the source
-    text, or None.  The parser gives each node a mark in its place (``_at``),
-    whose own ``pos`` finds the pair by reading the text again, only when
-    the position is read."""
+    text, or None; it is not a field, so equality, hashing and the repr leave
+    it out.  The parser gives each node a mark in its place (``_at``), whose
+    own ``pos`` finds the pair by reading the text again, only when the
+    position is read."""
 
     __slots__ = ()
 

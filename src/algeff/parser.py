@@ -60,6 +60,7 @@ import functools
 import itertools
 import re
 from collections import Counter
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from . import lang
@@ -254,9 +255,15 @@ class _At:
         return tuple, (self.pos,)
 
 
-class _Backtrack(Exception):
-    """A syntax error met while trying to read an application, which is
-    then read again as something else; it has no position."""
+class _Deferred(Exception):
+    """A syntax error in a program: ``message`` at token ``index``.  It is
+    raised as a ParseError once the parser's recursion has unwound, so that
+    finding its position adds nothing to the stack, or backtracked from
+    while an application is tried."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        self.message = message
 
 
 class _Parser:
@@ -265,7 +272,7 @@ class _Parser:
         self.toks = _scan(text)
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
-        self.trials = 0  # applications being tried, whose errors backtrack
+        self.deferring = 0  # while positive, a syntax error raises _Deferred
         self.unproven = False  # whether an equation's universes leave a doubt
 
     def pos(self, i=None) -> tuple:
@@ -299,11 +306,12 @@ class _Parser:
         return tok
 
     def fail(self, message):
-        if self.trials:
-            raise _Backtrack
         tok = self.toks[self.i]
         found = "end of input" if tok is None else tok.text if type(tok) is _Quoted else tok
-        raise ParseError(*self.pos(), f"{message}, found {found!r}")
+        message = f"{message}, found {found!r}"
+        if self.deferring:
+            raise _Deferred(self.i, message)
+        raise ParseError(*self.pos(), message)
 
     def expect_eof(self):
         if self.toks[self.i] is not None:
@@ -313,6 +321,19 @@ class _Parser:
 
     # A node keeps a mark of its first token, not its position: positions
     # are found, by ``tokenize``, only when one is read.
+
+    @contextmanager
+    def deferred(self):
+        """Raise a syntax error met in the block as a ParseError only once
+        the block's recursion has unwound.  A context manager, not a call
+        around the block, so that it adds no frame to the stack."""
+        self.deferring += 1
+        try:
+            yield
+        except _Deferred as error:
+            raise ParseError(*self.pos(error.index), error.message) from None
+        finally:
+            self.deferring -= 1
 
     def comp(self):
         at = self.i
@@ -348,15 +369,15 @@ class _Parser:
             self.eat_punct(")")
             return lang.OpCall(tok, arg, pos=self.mark(at))
         # application, or a parenthesized computation
-        self.trials += 1
+        self.deferring += 1
         try:
             fn = self.value()
             arg = self.value()
             return lang.App(fn, arg, pos=self.mark(at))
-        except _Backtrack:
+        except _Deferred:
             self.i = at
         finally:
-            self.trials -= 1
+            self.deferring -= 1
         if tok == "(":
             self.i += 1
             inner = self.comp()
@@ -1051,15 +1072,17 @@ def _model_by_pattern(text: str, theory: Theory):
 
 def parse_program(text: str):
     p = _Parser(text)
-    out = p.comp()
-    p.expect_eof()
+    with p.deferred():
+        out = p.comp()
+        p.expect_eof()
     return out
 
 
 def parse_value_text(text: str):
     p = _Parser(text)
-    out = p.value()
-    p.expect_eof()
+    with p.deferred():
+        out = p.value()
+        p.expect_eof()
     return out
 
 

@@ -38,7 +38,7 @@ class _Node:
     A subclass lists its fields in ``__slots__`` and sets them in its own
     ``__init__`` with ``_set`` or ``_fill``, since assignment raises
     AttributeError.  Its ``_fields``, unless it lists them, are its public
-    slots but ``pos`` (a source position), its base's first.  Records of one
+    slots, its base's first.  Records of one
     class are equal when their fields are; the hash is the fields' tuple's,
     the repr ``Name(field=value, ...)``.  A class that compares by identity
     takes ``object``'s ``__eq__`` and ``__hash__``.  Copies and pickles refill
@@ -53,7 +53,7 @@ class _Node:
         own = tuple(s for s in cls.__dict__.get("__slots__", ()) if s != "__weakref__")
         cls._state = cls._state + own
         if "_fields" not in cls.__dict__:
-            cls._fields = cls._fields + tuple(s for s in own if s != "pos" and s[0] != "_")
+            cls._fields = cls._fields + tuple(s for s in own if s[0] != "_")
         get = attrgetter(*cls._fields) if cls._fields else lambda self: ()
         # a tuple for one field too, as for any other number
         cls._values = staticmethod((lambda self: (get(self),)) if len(cls._fields) == 1 else get)

@@ -1175,3 +1175,26 @@ def test_a_parsed_program_keeps_its_positions_and_no_parser():
     for again in (copy.copy(prog), copy.deepcopy(prog), pickle.loads(pickle.dumps(prog))):
         assert again == prog and _placed(again) == positions
     assert type(pickle.loads(pickle.dumps(prog))._at) is tuple
+
+
+def test_a_syntax_error_is_reported_at_any_depth_the_parser_reaches():
+    def nested(n, tail):
+        return "do x <- get!() in " * n + tail
+
+    def parses(n):
+        try:
+            parse_program(nested(n, "return x"))
+        except RecursionError:
+            return False
+        return True
+
+    low, high = 10, 20_000  # the deepest program that parses is in [low, high)
+    assert parses(low) and not parses(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if parses(mid) else (low, mid)
+    for tail, col, reason in (("return )", 8, "expected a value, found ')'"),
+                              ("return", 7, "expected a value, found 'end of input'")):
+        with pytest.raises(ParseError) as err:
+            parse_program(nested(low, tail))
+        assert (err.value.line, err.value.col, err.value.reason) == (1, 18 * low + col, reason)
