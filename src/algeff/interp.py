@@ -616,7 +616,8 @@ def check_handler_equations(
     budget = budget if budget is not None else default_budget()
 
     # probe leaves stand for the generic continuation, which the return
-    # clause must not see: the clauses, with the identity return clause
+    # clause must not see: the clauses, with the identity return clause, in
+    # the handler's place (its mark, which finds a position only when read)
     code = HandlerLit("x", Return(Var("x")), h.code.clauses, pos=h.code._at)
     passthrough = HandlerClosure(code, h.env)
     probe = lift(lambda v: eta(theory, SymVal(("kont", v))))

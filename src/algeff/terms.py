@@ -38,10 +38,10 @@ class _Node:
     A subclass lists its fields in ``__slots__`` and sets them in its own
     ``__init__`` with ``_set`` or ``_fill``, since assignment raises
     AttributeError.  Its ``_fields``, unless it lists them, are its public
-    slots, its base's first.  Records of one
-    class are equal when their fields are; the hash is the fields' tuple's,
-    the repr ``Name(field=value, ...)``.  A class that compares by identity
-    takes ``object``'s ``__eq__`` and ``__hash__``.  Copies and pickles refill
+    slots, its base's first.  Records of one class are equal when their
+    fields are; the hash is the fields' tuple's, the repr
+    ``Name(field=value, ...)``.  A class that compares by identity takes
+    ``object``'s ``__eq__`` and ``__hash__``.  Copies and pickles refill
     every slot (``_state``) without calling ``__init__``.
     """
 

@@ -768,20 +768,22 @@ def test_the_load_time_check_does_not_grow_with_the_forall_universe(monkeypatch)
 # -- tables read by their entry pattern, against the token-by-token loops -----
 
 
+def _is_comodel(text):
+    return text.lstrip().startswith("comodel")
+
+
 def _reference_table(text, theory):
     """A model or comodel file read token by token, as every table was read
     before the entry pattern, by the entry loops that still read each file
     the pattern does not fit."""
     p = _Parser(text)
-    kind = "comodel" if text.lstrip().startswith("comodel") else "model"
-    out = p.comodel_file(theory) if kind == "comodel" else p.model_file(theory)
+    out = p.comodel_file(theory) if _is_comodel(text) else p.model_file(theory)
     p.expect_eof()
     return out
 
 
 def _parse_table(text, theory):
-    kind = "comodel" if text.lstrip().startswith("comodel") else "model"
-    return (parse_comodel_file if kind == "comodel" else parse_model_file)(text, theory)
+    return (parse_comodel_file if _is_comodel(text) else parse_model_file)(text, theory)
 
 
 def _table_outcome(parse, text, theory):
@@ -1032,8 +1034,7 @@ def test_the_entry_pattern_reads_what_the_entry_loops_read():
     for theory, text in _table_corpus():
         expected = _table_outcome(_reference_table, text, theory)
         assert _table_outcome(_parse_table, text, theory) == expected, text
-        by_pattern = parser._comodel_by_pattern if text.lstrip().startswith("comodel") \
-            else parser._model_by_pattern
+        by_pattern = parser._comodel_by_pattern if _is_comodel(text) else parser._model_by_pattern
         try:
             fitted += by_pattern(text, theory) is not None
         except AlgeffError:  # a table the pattern reads, with an entry missing
