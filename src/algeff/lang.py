@@ -331,13 +331,29 @@ class _Mismatch(Exception):
 
 
 class _Report(Exception):
-    """A type error met in a program, raised as ``error()`` once the
-    checker's recursion has unwound: its position is read, which may mean
-    reading the program's text again, without adding to the stack of a
-    deeply nested program."""
+    """A type error met in a program: ``_Report(make, *args)`` is raised by
+    ``typecheck_*`` as ``make(*args)`` once the checker's recursion has
+    unwound.  ``make`` reads the position, which may mean reading the
+    program's text again, without adding to the stack of a deeply nested
+    program.  (Builders, not closures: a closure would turn the checker's
+    hot locals into cells.)"""
 
-    def __init__(self, error):
-        self.error = error
+    def error(self):
+        make, *args = self.args
+        return make(*args)
+
+
+def _mismatch(node, fallback, expected: str, found: str) -> TypeMismatch:
+    return TypeMismatch(_pos(node, fallback), expected, found)
+
+
+def _unbound(v) -> UnboundVariable:
+    return UnboundVariable(v.name, v.pos)
+
+
+def _unknown(node) -> UnknownOperation:
+    """An operation call or handler clause naming an unknown operation."""
+    return UnknownOperation(f"unknown operation{_loc(node.pos)}: {node.op}")
 
 
 class Checker:
@@ -405,9 +421,9 @@ class Checker:
         try:
             self._unify(found, expected)
         except _Mismatch:
-            raise _Report(lambda: TypeMismatch(
-                _pos(node, fallback), str(self.zonk(expected)), str(self.zonk(found))
-            )) from None
+            raise _Report(
+                _mismatch, node, fallback, str(self.zonk(expected)), str(self.zonk(found))
+            ) from None
 
     def _join(self, a, b, node, fallback):
         """Branch join: the empty type (an aborted branch) yields to the
@@ -427,7 +443,7 @@ class Checker:
             try:
                 return ctx[v.name]
             except KeyError:
-                raise _Report(lambda: UnboundVariable(v.name, v.pos)) from None
+                raise _Report(_unbound, v) from None
         if isinstance(v, BoolLit):
             return T_BOOL
         if isinstance(v, UnitLit):
@@ -457,7 +473,7 @@ class Checker:
             return CompType(self.synth_value(ctx, c.value), frozenset())
         if isinstance(c, OpCall):
             if not self.theory.has_op(c.op):
-                raise _Report(lambda: UnknownOperation(f"unknown operation{_loc(c.pos)}: {c.op}"))
+                raise _Report(_unknown, c)
             decl = self.theory.op(c.op)
             arg = self.synth_value(ctx, c.arg)
             self.unify(arg, universe_type(decl.param), c.arg, c)
@@ -481,9 +497,9 @@ class Checker:
                 return self._primitive_app(ctx, c)
             fn = self.resolve(self.synth_value(ctx, c.fn))
             if isinstance(fn, TVar):
-                raise _Report(lambda: TypeMismatch(_pos(c.fn, c), "a function", str(fn)))
+                raise _Report(_mismatch, c.fn, c, "a function", str(fn))
             if not isinstance(fn, TArrow):
-                raise _Report(lambda: TypeMismatch(_pos(c.fn, c), "a function", str(self.zonk(fn))))
+                raise _Report(_mismatch, c.fn, c, "a function", str(self.zonk(fn)))
             arg = self.synth_value(ctx, c.arg)
             self.unify(arg, fn.arg, c.arg, c)
             return self.resolve(fn.result)
@@ -494,24 +510,21 @@ class Checker:
                 return ht.out
             hv = self.resolve(self.synth_value(ctx, c.handler))
             if not isinstance(hv, THandler):
-                raise _Report(lambda: TypeMismatch(
-                    _pos(c.handler, c), "a handler", str(self.zonk(hv))
-                ))
+                raise _Report(_mismatch, c.handler, c, "a handler", str(self.zonk(hv)))
             self.unify(comp.value, hv.inp.value, c.comp, c)
             if not comp.dirt <= hv.inp.dirt:
                 extra = ", ".join(sorted(comp.dirt - hv.inp.dirt))
-                raise _Report(lambda: TypeMismatch(
-                    _pos(c.comp, c),
-                    str(self.zonk(hv.inp)),
-                    f"{self.zonk(comp)} (unhandled: {extra})",
-                ))
+                raise _Report(
+                    _mismatch, c.comp, c,
+                    str(self.zonk(hv.inp)), f"{self.zonk(comp)} (unhandled: {extra})",
+                )
             return hv.out
         raise TypeError(f"not a computation expression: {c!r}")
 
     def _primitive_app(self, ctx: Mapping, c: App) -> CompType:
         arg = self.resolve(self.synth_value(ctx, c.arg))
         if not isinstance(arg, TProd):
-            raise _Report(lambda: TypeMismatch(_pos(c.arg, c), "a pair", str(self.zonk(arg))))
+            raise _Report(_mismatch, c.arg, c, "a pair", str(self.zonk(arg)))
         out = arg.left if c.fn.name == "fst" else arg.right
         return CompType(self.resolve(out), frozenset())
 
@@ -519,13 +532,9 @@ class Checker:
         seen = set()
         for clause in h.clauses:
             if not self.theory.has_op(clause.op):
-                raise _Report(lambda: UnknownOperation(
-                    f"unknown operation{_loc(clause.pos)}: {clause.op}"
-                ))
+                raise _Report(_unknown, clause)
             if clause.op in seen:
-                raise _Report(lambda: TypeMismatch(
-                    clause.pos, "distinct operation clauses", clause.op
-                ))
+                raise _Report(_mismatch, clause, None, "distinct operation clauses", clause.op)
             seen.add(clause.op)
         handled = frozenset(seen)
         if comp is None:
