@@ -1138,7 +1138,8 @@ def _placed(node):
 
 def _typing(text, theory):
     """The positions of a program's nodes and its type, or its error."""
-    read = parse_value_text if text.lstrip().startswith(("handler", "#")) else parse_program
+    code = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
+    read = parse_value_text if "\n".join(code).lstrip().startswith("handler") else parse_program
     try:
         prog = read(text)
     except ParseError as exc:
