@@ -43,7 +43,7 @@ from .parser import (
     parse_program,
     parse_theory_file,
     parse_value_text,
-    tokenize,
+    _scan,
 )
 from .printer import render_elem, render_outcome, render_tree
 
@@ -101,11 +101,16 @@ def _read(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}", BAD_INPUT) from None
 
 
-def _load(path: str, parse, *theory):
-    """Parse the file at ``path`` with ``parse``; errors name the file."""
-    text = _read(path)
+def _parsed(path: str, text: str, parse, *theory):
+    """Parse ``text``, read from ``path``, with ``parse``; errors name the
+    file."""
     with _failing(BAD_INPUT, f"{path}: "):
         return parse(text, *theory)
+
+
+def _load(path: str, parse, *theory):
+    """Parse the file at ``path`` with ``parse``; errors name the file."""
+    return _parsed(path, _read(path), parse, *theory)
 
 
 def _is_path(path_or_text: str) -> bool:
@@ -172,8 +177,8 @@ def _check_comodel(comodel, path: str) -> int:
     return _verdict(violation)
 
 
-def _check_handler(theory, path: str) -> int:
-    value = _load(path, parse_value_text)
+def _check_handler(theory, path: str, text: str) -> int:
+    value = _parsed(path, text, parse_value_text)
     if not isinstance(value, HandlerLit):
         raise _CliError(f"{path} does not contain a handler literal", BAD_INPUT)
     htype = typecheck_value(theory, value)
@@ -192,13 +197,14 @@ def _check_handler(theory, path: str) -> int:
     return FAILED
 
 
-def _check(kind: str, path: str, theory) -> int:
-    """Check a model, comodel or handler file against ``theory``."""
+def _check(kind: str, path: str, text: str, theory) -> int:
+    """Check a model, comodel or handler file, read from ``path`` as
+    ``text``, against ``theory``."""
     if kind == "model":
-        return _verdict(validate_model(_load(path, parse_model_file, theory)))
+        return _verdict(validate_model(_parsed(path, text, parse_model_file, theory)))
     if kind == "comodel":
-        return _check_comodel(_load(path, parse_comodel_file, theory), path)
-    return _check_handler(theory, path)
+        return _check_comodel(_parsed(path, text, parse_comodel_file, theory), path)
+    return _check_handler(theory, path, text)
 
 
 def _typed_program(args):
@@ -215,7 +221,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    return _check(args.kind, args.file, _load(args.theory, parse_theory_file))
+    theory = _load(args.theory, parse_theory_file)
+    return _check(args.kind, args.file, _read(args.file), theory)
 
 
 def cmd_normalize(args) -> int:
@@ -240,10 +247,11 @@ def cmd_repl(args) -> int:
         elif line.startswith(":load "):
             path = line[len(":load "):].strip()
             text = _read(path)
-            with _failing(BAD_INPUT, f"{path}: "):
-                kind = tokenize(text)[0].value  # comments are skipped
+            # the first token's value, comments skipped; a string literal's
+            # is no word
+            kind = _parsed(path, text, _scan)[0]
             if kind == "theory":
-                theory = _load(path, parse_theory_file)
+                theory = _parsed(path, text, parse_theory_file)
                 comodels.clear()  # each was read against the theory it replaces
                 print(f"loaded theory {theory.name}")
             elif kind not in ("model", "comodel", "handler"):
@@ -251,11 +259,12 @@ def cmd_repl(args) -> int:
             elif theory is None:
                 print("load a theory first")
             elif kind == "comodel":
-                comodel = comodels[Path(path).stem] = _load(path, parse_comodel_file, theory)
-                print(f"loaded comodel {Path(path).stem}")
+                name = Path(path).stem
+                comodel = comodels[name] = _parsed(path, text, parse_comodel_file, theory)
+                print(f"loaded comodel {name}")
                 _check_comodel(comodel, path)
             else:
-                _check(kind, path, theory)
+                _check(kind, path, text, theory)
         elif theory is None:
             print("no theory loaded; use :load <theory-file>")
         elif line.startswith(":type "):

@@ -25,7 +25,8 @@ recursion.  A frame is one of:
 
 The handler-equation checker replays a theory's laws through a handler's
 clauses on symbolic probe continuations and compares the results
-semantically, sampling finite function domains.
+semantically, sampling finite function domains; a function that never
+reads its argument is applied once.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .lang import (
     If,
     IntLit,
     OpCall,
+    OpClause,
     Pair,
     Plus,
     Return,
@@ -509,35 +511,135 @@ def _at_most_one_inhabitant(vtype) -> bool:
     return False
 
 
-def compare_values(v1, v2, vtype, theory: Theory):
+def _reads(name: str, body) -> bool:
+    """Whether ``name`` occurs free in the core syntax ``body``.
+
+    An iterative walk, so a long ``do`` chain needs no recursion.  Binders
+    are ``fun`` parameters, ``do`` names (in ``rest`` only), a handler's
+    return name and each clause's parameter and continuation names.  A node
+    the walk does not know counts as a read.
+    """
+    todo = [body]
+    while todo:
+        x = todo.pop()
+        kind = type(x)
+        if kind is Var:
+            if x.name == name:
+                return True
+        elif kind is Do:
+            todo.append(x.first)
+            if x.name != name:
+                todo.append(x.rest)
+        elif kind is Return:
+            todo.append(x.value)
+        elif kind is App:
+            todo += (x.fn, x.arg)
+        elif kind is OpCall:
+            todo.append(x.arg)
+        elif kind is Pair:
+            todo += (x.first, x.second)
+        elif kind is Plus:
+            todo += (x.left, x.right)
+        elif kind is If:
+            todo += (x.cond, x.then, x.orelse)
+        elif kind is WithHandle:
+            todo += (x.handler, x.comp)
+        elif kind is Fun:
+            if x.param != name:
+                todo.append(x.body)
+        elif kind is HandlerLit:
+            if x.ret_name != name:
+                todo.append(x.ret_body)
+            for clause in x.clauses:
+                if type(clause) is not OpClause:
+                    return True
+                if name != clause.param_name and name != clause.kont_name:
+                    todo.append(clause.body)
+        elif kind not in (BoolLit, IntLit, StrLit, UnitLit):
+            return True
+    return False
+
+
+class _Facts:
+    """What one handler check works out once: for each value type, whether
+    it has at most one inhabitant and the samples of its function domain;
+    for each closure body, whether it reads its parameter.  It lives for
+    one check, so it keeps no theory alive after it.  Entries are keyed by
+    identity and hold their key, so no key's id is reused while it lives."""
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self._types = {}
+        self._bodies = {}
+
+    def of_type(self, vtype) -> tuple:
+        """``(_at_most_one_inhabitant(vtype), samples)``, where ``samples``
+        are ``sample_values`` of a non-trivial arrow type's argument, else
+        None."""
+        entry = self._types.get(id(vtype))
+        if entry is None:
+            trivial, samples = _at_most_one_inhabitant(vtype), None
+            if not trivial and isinstance(vtype, TArrow):
+                samples = sample_values(self.theory, vtype.arg)
+            entry = self._types[id(vtype)] = (vtype, trivial, samples)
+        return entry[1:]
+
+    def ignores_argument(self, fv) -> bool:
+        """Whether ``fv`` is a closure whose parameter is not free in its
+        body: the core language is pure apart from its effect trees, so
+        such a closure gives the same result at every argument."""
+        if type(fv) is not Closure:
+            return False
+        key = (id(fv.body), fv.param)
+        entry = self._bodies.get(key)
+        if entry is None:
+            entry = self._bodies[key] = (fv.body, not _reads(fv.param, fv.body))
+        return entry[1]
+
+
+def compare_values(v1, v2, vtype, theory: Theory, facts: _Facts | None = None):
     """Semantic comparison at a type: True, False (separable), or None.
 
-    Functions are compared extensionally over sampled domains; this also
-    covers symbolic probes, which apply opaquely.  At first-order types a
-    symbolic difference is separable (the probes range over the full free
-    carrier), unless the type has at most one inhabitant.
+    Functions are compared extensionally: both are applied at every sample
+    of a finite domain (``sample_values``) and their results compared, and
+    values of a domain that cannot be sampled compare only when equal.  A
+    closure that never reads its parameter is applied once, and that result
+    stands for every sample; when both are such closures, the first sample
+    decides, since every sample gives the same sub-verdict.  Symbolic
+    probes apply opaquely, so they are compared the same way.  At
+    first-order types a symbolic difference is separable (the probes range
+    over the full free carrier), unless the type has at most one
+    inhabitant.  ``facts`` carries what a check has already worked out
+    about types and closure bodies; by default nothing is known.
     """
-    if _at_most_one_inhabitant(vtype):
+    if facts is None:
+        facts = _Facts(theory)
+    trivial, samples = facts.of_type(vtype)
+    if trivial:
         return True
     if isinstance(vtype, TArrow):
-        samples = sample_values(theory, vtype.arg)
         if samples is None:
             return True if v1 == v2 else None
-        verdict = True
+        once1, once2 = facts.ignores_argument(v1), facts.ignores_argument(v2)
+        if once1 and once2:
+            samples = samples[:1]
+        verdict, r1, r2 = True, None, None
         for s in samples:
             try:
-                r1 = apply_value(v1, s, theory)
-                r2 = apply_value(v2, s, theory)
+                if r1 is None or not once1:
+                    r1 = apply_value(v1, s, theory)
+                if r2 is None or not once2:
+                    r2 = apply_value(v2, s, theory)
             except AlgeffError:
                 return None
-            sub = compare_trees(r1.tree, r2.tree, vtype.result, theory)
+            sub = compare_trees(r1.tree, r2.tree, vtype.result, theory, facts)
             verdict = _both(verdict, sub)
             if verdict is False:
                 return False
         return verdict
     if isinstance(vtype, TProd) and type(v1) is tuple and type(v2) is tuple:
-        left = compare_values(v1[0], v2[0], vtype.left, theory)
-        right = compare_values(v1[1], v2[1], vtype.right, theory)
+        left = compare_values(v1[0], v2[0], vtype.left, theory, facts)
+        right = compare_values(v1[1], v2[1], vtype.right, theory, facts)
         return _both(left, right)
     if isinstance(vtype, THandler):
         return True if v1 == v2 else None
@@ -558,9 +660,15 @@ def _both(a, b):
     return True
 
 
-def compare_trees(t1, t2, ctype: CompType, theory: Theory):
+def compare_trees(t1, t2, ctype: CompType, theory: Theory, facts: _Facts | None = None):
+    """Semantic comparison of two effect trees at a computation type: True,
+    False (separable), or None.  Leaves are compared by ``compare_values``,
+    with ``facts`` as there."""
+    if facts is None:
+        facts = _Facts(theory)
+
     def leaves(a, b):
-        verdict = compare_values(a.value, b.value, ctype.value, theory)
+        verdict = compare_values(a.value, b.value, ctype.value, theory, facts)
         # with no normal form, the equations may still identify different leaves
         return None if verdict is False and not has_normalizer(theory) else verdict
 
@@ -605,8 +713,12 @@ def check_handler_equations(
     The generic continuation is instantiated with probe leaves, one fresh
     symbolic value per context generator; both sides are handled by the
     clauses (probes pass the return clause untouched) and compared at the
-    handler's output type.  A violation is a definite counterexample;
-    equations mentioning unhandled operations are skipped and reported.  At most ``budget`` instances are checked (by
+    handler's output type by ``compare_trees``.  Functions in the results
+    are compared at every sample of a finite domain, or once when they
+    never read their argument; what the comparison works out about types
+    and closure bodies is kept for the rest of the check.  A violation is a
+    definite counterexample; equations mentioning unhandled operations are
+    skipped and reported.  At most ``budget`` instances are checked (by
     default ``default_budget()``); any left over make the verdict unknown.
     """
     covered = {cl.op for cl in h.code.clauses}
@@ -621,6 +733,7 @@ def check_handler_equations(
     code = HandlerLit("x", Return(Var("x")), h.code.clauses, pos=h.code._at)
     passthrough = HandlerClosure(code, h.env)
     probe = lift(lambda v: eta(theory, SymVal(("kont", v))))
+    facts = _Facts(theory)
 
     for eq in theory.eqs:
         instances = [(p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements()]
@@ -639,7 +752,7 @@ def check_handler_equations(
                 left = handle(passthrough, probe(FreeElement(theory, lhs)), theory)
                 right = handle(passthrough, probe(FreeElement(theory, rhs)), theory)
                 # continuations compare by branches, built (and failing) only here
-                verdict = compare_trees(left.tree, right.tree, out_type, theory)
+                verdict = compare_trees(left.tree, right.tree, out_type, theory, facts)
             except AlgeffError:
                 unknown = True
                 continue

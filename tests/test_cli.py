@@ -128,6 +128,14 @@ def test_check_state_handler_respected(capsys):
     assert code == 0
 
 
+def test_check_state_handler_over_ten_states_respected(capsys):
+    code, out, _ = invoke(
+        capsys, "check", "handler", SAMPLES / "stateh.eff", "--theory", SAMPLES / "state10.thy"
+    )
+    assert out == "Respected (bounded)\n"
+    assert code == 0
+
+
 def test_check_reference_error_exits_3(capsys):
     code, _, err = invoke(
         capsys, "check", "model", SAMPLES / "orlattice.mod", "--theory", SAMPLES / "choice.thy"
@@ -525,6 +533,45 @@ def test_repl_loads_files_that_start_with_a_comment(capsys, monkeypatch, theory,
     out = repl(capsys, monkeypatch, *lines, f":load {SAMPLES / sample}")
     assert expected in out
     assert "error" not in out and "unrecognized" not in out
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["", "# nothing but a comment\n", '"theory" single_state { }\n', "42\n"],
+    ids=["empty", "comment-only", "string-literal", "integer"],
+)
+def test_repl_does_not_recognize_a_file_without_a_kind_word(capsys, monkeypatch, tmp_path,
+                                                           content):
+    path = tmp_path / "f.thy"
+    path.write_text(content)
+    assert repl(capsys, monkeypatch, f":load {path}").endswith(
+        f"unrecognized file kind in {path}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (b"theory $ {}\n", "syntax error at 1:8: unexpected character '$'"),
+        (b"# a comment\nmodel m {\n  carrier bool;\n  \"open\n}\n",
+         "syntax error at 4:3: unterminated string"),
+        (b"theory \xff {}\n", None),
+        (None, None),
+    ],
+    ids=["unexpected-character", "unterminated-string", "not-utf8", "missing"],
+)
+def test_repl_load_reports_a_file_it_cannot_read_as_the_cli_does(capsys, monkeypatch, tmp_path,
+                                                                 content, error):
+    path = tmp_path / "f.thy"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = invoke(capsys, "type", "return 1", "--theory", path)
+    assert (code, out) == (3, "")
+    if error is not None:
+        assert err == f"error: {path}: {error}\n"
+    else:
+        assert err.startswith(f"error: cannot read {path}: ")
+    assert repl(capsys, monkeypatch, f":load {path}").endswith(err)
 
 
 def test_duplicate_operation_in_a_theory_file_exits_3(capsys, monkeypatch, tmp_path):

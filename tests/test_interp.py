@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from algeff.errors import AlgeffError
 from algeff.free import FreeElement, eta, lift
 from algeff.interp import (
     Closure,
@@ -468,3 +469,236 @@ def test_handled_continuations_compare_by_their_branches():
     expected = KontValue(Fin(3), tuple(eta(STATE3, v) for v in range(3)))
     assert k == expected and hash(k) == hash(expected)
     assert apply_value(k, 2, STATE3).tree == Leaf(2)
+
+
+# ---------------------------------------------------------------------------
+# Functions that never read their argument are applied once
+
+
+def reference_compare_values(v1, v2, vtype, theory):
+    """compare_values as it was before closures that never read their
+    argument were applied once: both functions at every sample."""
+    from algeff.interp import _at_most_one_inhabitant, _both, _plain, sample_values
+    from algeff.lang import TArrow, THandler, TProd
+
+    if _at_most_one_inhabitant(vtype):
+        return True
+    if isinstance(vtype, TArrow):
+        samples = sample_values(theory, vtype.arg)
+        if samples is None:
+            return True if v1 == v2 else None
+        verdict = True
+        for s in samples:
+            try:
+                r1 = apply_value(v1, s, theory)
+                r2 = apply_value(v2, s, theory)
+            except AlgeffError:
+                return None
+            sub = reference_compare_trees(r1.tree, r2.tree, vtype.result, theory)
+            verdict = _both(verdict, sub)
+            if verdict is False:
+                return False
+        return verdict
+    if isinstance(vtype, TProd) and type(v1) is tuple and type(v2) is tuple:
+        left = reference_compare_values(v1[0], v2[0], vtype.left, theory)
+        right = reference_compare_values(v1[1], v2[1], vtype.right, theory)
+        return _both(left, right)
+    if isinstance(vtype, THandler):
+        return True if v1 == v2 else None
+    if v1 == v2:
+        return True
+    if isinstance(v1, SymVal) or isinstance(v2, SymVal):
+        return False
+    if _plain(v1) and _plain(v2):
+        return False
+    return None
+
+
+def reference_compare_trees(t1, t2, ctype, theory):
+    """compare_trees over reference_compare_values."""
+    from algeff.free import has_normalizer, normalize, normalizes_to_leaf_sets
+    from algeff.interp import _both, _first_order
+    from algeff.terms import tree_leaves
+
+    def leaves(a, b):
+        verdict = reference_compare_values(a.value, b.value, ctype.value, theory)
+        return None if verdict is False and not has_normalizer(theory) else verdict
+
+    if isinstance(t1, Leaf) and isinstance(t2, Leaf):
+        return leaves(t1, t2)
+    canonical = has_normalizer(theory)
+    if canonical:
+        try:
+            t1, t2 = normalize(theory, t1), normalize(theory, t2)
+        except AlgeffError:
+            return None
+
+    def walk(a, b):
+        if isinstance(a, Leaf) and isinstance(b, Leaf):
+            return leaves(a, b)
+        if isinstance(a, OpNode) and isinstance(b, OpNode):
+            if a.op != b.op or a.param != b.param:
+                return False if canonical else None
+            verdict = True
+            for sa, sb in zip(a.kont, b.kont):
+                verdict = _both(verdict, walk(sa, sb))
+                if verdict is False:
+                    return False
+            return verdict
+        return False if canonical else None
+
+    verdict = walk(t1, t2)
+    if verdict is False and normalizes_to_leaf_sets(theory):
+        if not all(_first_order(v) for t in (t1, t2) for v in tree_leaves(t)):
+            return None
+    return verdict
+
+
+def state_handler_text(ret="return (fun s -> return (x, s))",
+                       get="return (fun s -> do f <- k s in f s)",
+                       put="return (fun s -> do f <- k () in f s2)"):
+    clauses = [f"return x -> {ret}", f"get(u; k) -> {get}"]
+    if put is not None:
+        clauses.append(f"put(s2; k) -> {put}")
+    return "handler { " + " | ".join(clauses) + " }"
+
+
+# put clause state functions: reading s, ignoring it, shadowing it by each
+# binder, or reading it only inside a nested fun or handler
+PUT_STATE_FUNCTIONS = [
+    "do f <- k () in f s2",
+    "do f <- k () in f s",
+    "do f <- k () in f (s + 0)",
+    "do p <- return (s, s2) in do f <- k () in f s2",
+    "if true then (do f <- k () in f s2) else (do f <- k () in f s)",
+    "do f <- k () in (fun s -> f s) s2",
+    "do f <- k () in (fun t -> f s) s2",
+    "do s <- return s2 in do f <- k () in f s",
+    "do s <- return s in do f <- k () in f s2",
+    "with handler { return s -> do f <- k () in f s } handle return s2",
+    "with handler { return t -> do f <- k () in f s } handle return s2",
+    "with handler { return x -> return x | put(s; j) -> j () } handle do f <- k () in f s2",
+    "with handler { return x -> return x | put(p; j) -> do f <- k () in f s }"
+    " handle do f <- k () in f s2",
+    "with handler { return x -> return x | get(u; s) -> s 0 } handle do f <- k () in f s2",
+    "with handler { return x -> return x | get(u; j) -> j s } handle do f <- k () in f s2",
+]
+
+PARITY_HANDLERS = [
+    ("stateh", (SAMPLES / "stateh.eff").read_text()),
+    # the benchmark's handler whose put clause keeps the old state
+    ("put-keeps-state", (SAMPLES / "stateh.eff").read_text().replace("f s2)", "f s)")),
+    ("broken-put", broken_put_handler()),
+    *((f"put-{i}", state_handler_text(put=f"return (fun s -> {body})"))
+      for i, body in enumerate(PUT_STATE_FUNCTIONS)),
+    ("get-ignores-state", state_handler_text(get="return (fun s -> do f <- k 0 in f 0)")),
+    ("get-reads-state-once", state_handler_text(get="return (fun s -> do f <- k 0 in f s)")),
+    ("return-ignores-state", state_handler_text(ret="return (fun s -> return (x, 0))")),
+    ("no-put-clause", state_handler_text(put=None)),
+]
+
+PARITY_THEORIES = [
+    *((f"fin{n}", lambda n=n: single_state_theory(Fin(n))) for n in range(1, 7)),
+    *((name, lambda name=name: parse_theory_file((SAMPLES / name).read_text()))
+      for name in ("state2.thy", "state10.thy")),
+]
+
+
+@pytest.mark.parametrize("theory", [t for _, t in PARITY_THEORIES],
+                         ids=[name for name, _ in PARITY_THEORIES])
+def test_applying_a_function_once_keeps_every_handler_verdict(monkeypatch, theory):
+    import algeff.interp as interp
+
+    theory = theory()
+    for name, handler in PARITY_HANDLERS:
+        hl = parse_value_text(handler) if isinstance(handler, str) else handler
+        h, out = checked_handler(theory, hl)
+        budgets = (None, 7) if name == "stateh" else (None,)
+        for budget in budgets:
+            with monkeypatch.context() as m:
+                m.setattr(interp, "compare_trees",
+                          lambda t1, t2, ctype, th, facts=None:
+                          reference_compare_trees(t1, t2, ctype, th))
+                expected = check_handler_equations(h, theory, out, budget)
+            assert check_handler_equations(h, theory, out, budget) == expected, (name, budget)
+
+
+def test_the_state_handler_check_applies_its_put_functions_once(monkeypatch):
+    import algeff.interp as interp
+
+    calls = []
+    apply = interp.apply_value
+
+    def counting(fv, arg, theory):
+        calls.append(arg)
+        return apply(fv, arg, theory)
+
+    monkeypatch.setattr(interp, "apply_value", counting)
+    for n in (1, 2, 5, 10):
+        calls.clear()
+        assert stateh_check(single_state_theory(Fin(n))).verdict is HandlerVerdict.RESPECTED
+        assert len(calls) <= 2 * n * n + 6 * n, n
+    assert len(calls) == 260
+
+
+@pytest.mark.parametrize(
+    "body, reads",
+    [
+        (Return(Var("s")), True),
+        (Return(Var("t")), False),
+        (Return(Pair(IntLit(1), Var("s"))), True),
+        (Return(Plus(Var("s"), IntLit(1))), True),
+        (If(Var("s"), Return(UnitLit()), Return(UnitLit())), True),
+        (If(BoolLit(True), Return(UnitLit()), Return(Var("s"))), True),
+        (App(Var("s"), UnitLit()), True),
+        (App(Var("f"), Var("s")), True),
+        (OpCall("put", Var("s")), True),
+        (WithHandle(Var("s"), Return(UnitLit())), True),
+        (WithHandle(Var("h"), Return(Var("s"))), True),
+        (Return(Fun("s", Return(Var("s")))), False),
+        (Return(Fun("t", Return(Var("s")))), True),
+        (Do("s", Return(IntLit(1)), Return(Var("s"))), False),
+        (Do("s", Return(Var("s")), Return(IntLit(1))), True),
+        (Do("t", Return(IntLit(1)), Return(Var("s"))), True),
+        (Return(HandlerLit("s", Return(Var("s")), ())), False),
+        (Return(HandlerLit("x", Return(Var("s")), ())), True),
+        (Return(HandlerLit("x", Return(Var("x")),
+                           (OpClause("get", "s", "k", App(Var("k"), Var("s"))),))), False),
+        (Return(HandlerLit("x", Return(Var("x")),
+                           (OpClause("get", "u", "s", App(Var("s"), IntLit(0))),))), False),
+        (Return(HandlerLit("x", Return(Var("x")),
+                           (OpClause("get", "u", "k", App(Var("k"), Var("s"))),))), True),
+        (Return(object()), True),  # a node the walk does not know counts as a read
+    ],
+)
+def test_the_free_variable_walk(body, reads):
+    from algeff.interp import _reads
+
+    assert _reads("s", body) is reads
+
+
+def test_the_free_variable_walk_has_no_depth_limit():
+    from algeff.interp import _reads
+
+    for last, reads in ((Return(Var("s")), True), (Return(UnitLit()), False)):
+        prog = last
+        for i in reversed(range(10000)):
+            prog = Do(f"x{i}", OpCall("put", IntLit(i)), prog)
+        assert _reads("s", prog) is reads
+
+
+def test_a_handler_check_samples_each_function_domain_once(monkeypatch):
+    import algeff.interp as interp
+
+    calls = []
+    sample_values = interp.sample_values
+
+    def counting(theory, vtype):
+        calls.append(vtype)
+        return sample_values(theory, vtype)
+
+    monkeypatch.setattr(interp, "sample_values", counting)
+    for n in (2, 10):
+        calls.clear()
+        assert stateh_check(single_state_theory(Fin(n))).verdict is HandlerVerdict.RESPECTED
+        assert len(calls) == 1
