@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .comodels import ComodelViolation, Done, cointerpret_tree, validate_comodel
-from .errors import AlgeffError, ParseError
+from .errors import AlgeffError
 from .free import normalize
 from .interp import (
     HandlerClosure,
@@ -37,8 +37,8 @@ from .interp import (
 from .lang import HandlerLit, THandler, typecheck_comp, typecheck_value
 from .models import validate_model
 from .parser import (
+    element_or,
     parse_comodel_file,
-    parse_element,
     parse_model_file,
     parse_program,
     parse_theory_file,
@@ -128,10 +128,10 @@ def _typed(theory, text):
 
 
 def _parse_world(text: str, world):
-    try:
-        value = parse_element(text)
-    except ParseError:
-        value = text
+    """The world ``text`` names: the element it reads, else the text itself
+    (an enum label such as ``[]``); the element wins when the world holds
+    both."""
+    value = element_or(text, text)
     if not world.contains(value) and world.contains(text):
         value = text
     if not world.contains(value):

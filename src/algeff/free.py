@@ -22,7 +22,7 @@ from enum import Enum as PyEnum
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
-from .models import interpret_term, table_model, validate_model
+from .models import compile_term, table_model, validate_model
 from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
 from .terms import sort_key, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
@@ -380,8 +380,9 @@ def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
     gens = _distinct_leaves(itertools.chain(tree_leaves(t1), tree_leaves(t2)))
     t1, t2 = _by_index(t1, gens), _by_index(t2, gens)
     for model in models:
+        f1, f2 = compile_term(model, t1), compile_term(model, t2)
         for valuation in itertools.product(model.carrier.elements(), repeat=len(gens)):
-            if interpret_term(model, t1, valuation) != interpret_term(model, t2, valuation):
+            if f1(valuation) != f2(valuation):
                 return True
     return False
 

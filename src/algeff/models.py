@@ -10,6 +10,7 @@ with it exhaustive equation validation.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
@@ -63,20 +64,53 @@ class HomViolation(_Node):
         self._fill(op, param, args)
 
 
+def compile_term(interp: Interpretation, t: Tree, slots: Mapping | None = None) -> Callable:
+    """t as a function of a valuation, walked once here rather than at every
+    valuation.  A leaf reads the valuation at ``slots[value]``, or at its
+    value itself when ``slots`` is None; a node applies its operation's
+    function to its subtrees' values, left to right.  A leaf the valuation
+    does not cover and an operation with no function raise
+    (UnboundGenerator, UnknownOperation) when evaluated, not here."""
+    if isinstance(t, Return):
+        value = t.value
+        if slots is None:
+            def leaf(valuation):
+                try:
+                    return valuation[value]
+                except KeyError:
+                    raise UnboundGenerator(
+                        f"valuation does not cover generator {value!r}"
+                    ) from None
+            return leaf
+        try:
+            return itemgetter(slots[value])
+        except (KeyError, TypeError):
+            # raises when evaluated, as the lookup in a valuation dict does
+            unbound = compile_term(interp, t)
+            return lambda valuation: unbound(slots)
+    op, param = t.op, t.param
+    if op not in interp.ops:
+        def unknown(valuation):
+            raise UnknownOperation(f"no interpretation for operation {op!r}")
+        return unknown
+    f = interp.ops[op]
+    subs = tuple(compile_term(interp, sub, slots) for sub in t.kont)
+    if not subs:
+        return lambda valuation: f(param, ())
+    if len(subs) == 1:
+        (a,) = subs
+        return lambda valuation: f(param, (a(valuation),))
+    if len(subs) == 2:
+        a, b = subs
+        return lambda valuation: f(param, (a(valuation), b(valuation)))
+    return lambda valuation: f(param, tuple([s(valuation) for s in subs]))
+
+
 def interpret_term(interp: Interpretation, t: Tree, valuation: Mapping) -> Any:
     """Interpret a tree as a carrier element under a valuation of its
-    generators: leaves project, nodes apply the operation's function."""
-    if isinstance(t, Return):
-        try:
-            return valuation[t.value]
-        except KeyError:
-            raise UnboundGenerator(
-                f"valuation does not cover generator {t.value!r}"
-            ) from None
-    if t.op not in interp.ops:
-        raise UnknownOperation(f"no interpretation for operation {t.op!r}")
-    args = tuple(interpret_term(interp, sub, valuation) for sub in t.kont)
-    return interp.ops[t.op](t.param, args)
+    generators: leaves project, nodes apply the operation's function.  The
+    tree is compiled (``compile_term``), then applied once."""
+    return compile_term(interp, t)(valuation)
 
 
 def iter_equation_cases(m: FiniteModel, e: Equation) -> Iterator[tuple]:
@@ -91,18 +125,29 @@ def iter_equation_cases(m: FiniteModel, e: Equation) -> Iterator[tuple]:
 
 
 def validate_equation(m: FiniteModel, e: Equation) -> EquationViolation | None:
-    """Exhaustively check one equation family; None means valid, otherwise
-    the first witness in enumeration order is returned."""
+    """Exhaustively check one equation family over the cases of
+    ``iter_equation_cases``, in its order; None means valid, otherwise the
+    first witness is returned, its valuation a dict.
+
+    Each side of a parameter's instance is compiled once, on the
+    parameter's first case, into a function of a valuation tuple indexed
+    like the context's generators; so an empty carrier compiles nothing.
+    """
     if not isinstance(m, FiniteModel):
         raise NonEnumerableCarrier("equation validation needs an enumerable carrier")
-    sides_of, lhs, rhs = object(), None, None
-    for p, valuation in iter_equation_cases(m, e):
-        if p is not sides_of:  # the cases come parameter by parameter
-            sides_of, lhs, rhs = p, e.lhs(p), e.rhs(p)
-        lv = interpret_term(m, lhs, valuation)
-        rv = interpret_term(m, rhs, valuation)
-        if lv != rv:
-            return EquationViolation(e.name, p, valuation, lv, rv)
+    gens = e.context.elements()
+    slots = {g: i for i, g in enumerate(gens)}
+    carrier = m.carrier.elements()
+    for p in e.param_universe.iter_elements():
+        lhs = rhs = None
+        for picks in itertools.product(carrier, repeat=len(gens)):
+            if lhs is None:
+                lhs = compile_term(m, e.lhs(p), slots)
+                rhs = compile_term(m, e.rhs(p), slots)
+            lv = lhs(picks)
+            rv = rhs(picks)
+            if lv != rv:
+                return EquationViolation(e.name, p, dict(zip(gens, picks)), lv, rv)
     return None
 
 

@@ -205,14 +205,17 @@ def tokenize(text: str) -> list:
     return toks
 
 
-def _scan(text: str) -> list:
+def _scan(text: str, positioned: bool = True) -> list:
     """The token values of ``text``, comments left out, then None for the
-    end: ``tokenize``'s values, without their positions."""
+    end: ``tokenize``'s values, without their positions.  A token no value
+    reads raises ``tokenize``'s ParseError, or ``_Unreadable`` unless
+    ``positioned``."""
     raws = _TOKEN.findall(text)
     try:
         values = {raw: _value(raw) for raw in set(raws)}
     except _Unreadable:
-        tokenize(text)  # raises the text's first error, with its position
+        if positioned:
+            tokenize(text)  # raises the text's first error, with its position
         raise
     toks = list(map(values.__getitem__, raws))
     if _COMMENT in values.values():
@@ -267,12 +270,15 @@ class _Deferred(Exception):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, positioned: bool = True):
+        """A parser of ``text``.  Unless ``positioned``, no error finds its
+        position: a syntax error raises _Deferred, an unreadable token
+        _Unreadable."""
         self.source = _Source(text)
-        self.toks = _scan(text)
+        self.toks = _scan(text, positioned)
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
-        self.deferring = 0  # while positive, a syntax error raises _Deferred
+        self.deferring = 0 if positioned else 1  # while positive, a syntax error raises _Deferred
         self.unproven = False  # whether an equation's universes leave a doubt
 
     def pos(self, i=None) -> tuple:
@@ -308,10 +314,13 @@ class _Parser:
     def fail(self, message):
         tok = self.toks[self.i]
         found = "end of input" if tok is None else tok.text if type(tok) is _Quoted else tok
-        message = f"{message}, found {found!r}"
+        self.error(self.i, f"{message}, found {found!r}")
+
+    def error(self, i, message):
+        """Raise a syntax error at token ``i``."""
         if self.deferring:
-            raise _Deferred(self.i, message)
-        raise ParseError(*self.pos(), message)
+            raise _Deferred(i, message)
+        raise ParseError(*self.pos(i), message)
 
     def expect_eof(self):
         if self.toks[self.i] is not None:
@@ -554,7 +563,7 @@ class _Parser:
         """The ``fst`` or ``snd`` at token ``at`` of ``value``."""
         name = self.toks[at]
         if type(value) is not tuple or len(value) != 2:
-            raise ParseError(*self.pos(at), f"{name} expects a pair, got {value!r}")
+            self.error(at, f"{name} expects a pair, got {value!r}")
         return value[0 if name == "fst" else 1]
 
     # -- equation templates ----------------------------------------------------
@@ -1115,4 +1124,17 @@ def parse_element(text: str):
     p = _Parser(text)
     out = p.elem()
     p.expect_eof()
+    return out
+
+
+def element_or(text: str, default):
+    """The element ``text`` reads, as ``parse_element`` reads it, or
+    ``default`` when it reads none.  No token's position is looked for,
+    since no error is reported."""
+    try:
+        p = _Parser(text, positioned=False)
+        out = p.elem()
+        p.expect_eof()
+    except (_Unreadable, _Deferred):
+        return default
     return out

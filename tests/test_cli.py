@@ -817,3 +817,33 @@ def test_the_repl_reports_an_integer_too_long_to_print(capsys, monkeypatch):
         f":load {SAMPLES / 'state2.thy'}", f":normalize return {_NINES} + {_NINES}", "return 1",
     )
     assert session.endswith(f"loaded theory single_state\n{_TOO_LONG}return 1\n")
+
+
+_HELLO_WORLDS = ("Enum(labels=('[]', '[\"Hello world!\"]', "
+                 "'[\"Hello world!\", \"Hello world!\"]'))")
+
+
+@pytest.mark.parametrize("world, code, out, err", [
+    ("[]", 0, '() @ ["Hello world!"]\n', ""),  # no element: the text is the label
+    ('"[\\"Hello world!\\"]"', 0, '() @ ["Hello world!", "Hello world!"]\n', ""),
+    ("5", 3, "", f"error: world '5' is not an element of {_HELLO_WORLDS}\n"),
+    ("(1,", 3, "", f"error: world '(1,' is not an element of {_HELLO_WORLDS}\n"),
+])
+def test_world_texts_read_as_elements_or_labels(capsys, monkeypatch, world, code, out, err):
+    import algeff.parser
+
+    positioned = []
+    monkeypatch.setattr(algeff.parser, "tokenize", lambda text: positioned.append(text))
+    got = invoke(capsys, "run", SAMPLES / "hello.eff", "--theory", SAMPLES / "io_hello.thy",
+                 "--comodel", SAMPLES / "hello.cmod", "--world", world)
+    assert got == (code, out, err)
+    assert positioned == []  # a text that reads no element is no error to locate
+
+
+def test_a_world_text_read_as_an_element_wins_over_the_text():
+    from algeff.cli import _parse_world
+    from algeff.universe import Enum, Fin
+
+    assert _parse_world("5", Fin(10)) == 5
+    assert _parse_world('"a"', Enum(("a", '"a"'))) == "a"
+    assert _parse_world('"a"', Enum(('"a"',))) == '"a"'

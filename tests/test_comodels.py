@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from algeff.comodels import (
+    ComodelViolation,
     Cointerpretation,
     Done,
     Stuck,
@@ -13,18 +16,21 @@ from algeff.comodels import (
     transcript_universe,
     validate_comodel,
 )
-from algeff.errors import ImpossibleCooperation, UncoveredOperation
+from algeff.errors import ImpossibleCooperation, NonEnumerableWorld, UncoveredOperation
 from algeff.free import FreeElement, eta, sequence, generic_op, state_normal_form
-from algeff.terms import OpNode, Return, tree_depth
+from algeff.parser import parse_comodel_file, parse_theory_file
+from algeff.terms import OpNode, Return, Theory, tree_depth, tree_ops
 from algeff.theories import (
+    choice_theory,
     combine,
     exception_theory,
     io_theory,
     single_state_theory,
 )
-from algeff.universe import Enum, Fin
+from algeff.universe import Enum, Fin, FiniteUniverse
 
 from tests.gen import tree_corpus
+from tests.test_models import outcome
 
 STATE10 = single_state_theory(Fin(10))
 STATE3 = single_state_theory(Fin(3))
@@ -184,3 +190,119 @@ def test_validate_comodel_requires_an_enumerable_world():
     object.__setattr__(c, "coops", {})
     with pytest.raises(NonEnumerableWorld):
         validate_comodel(c)
+
+
+# ---------------------------------------------------------------------------
+# Parity with one run per world: validate_comodel compiles each instance
+# once, and must give what cointerpret_tree gave from every world, and make
+# the same cooperation calls in the same order.
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def run_validate_comodel(c):
+    """The reference: a tree_ops coverage pass per equation, then
+    cointerpret_tree from every world; first violation wins."""
+    if not isinstance(c.world, FiniteUniverse):
+        raise NonEnumerableWorld("comodel validation needs an enumerable world")
+    for eq in c.theory.eqs:
+        trees = [(p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements()]
+        used = set()
+        for _, lhs, rhs in trees:
+            used |= tree_ops(lhs) | tree_ops(rhs)
+        missing = sorted(used - set(c.coops))
+        if missing:
+            raise UncoveredOperation(f"equation {eq.name!r} mentions uncovered operations {missing}")
+        for p, lhs, rhs in trees:
+            for w in c.world.iter_elements():
+                lo = cointerpret_tree(w, lhs, c)
+                ro = cointerpret_tree(w, rhs, c)
+                if lo != ro:
+                    return ComodelViolation(eq.name, p, w, lo, ro)
+    return None
+
+
+def recording(c, log):
+    """c with every cooperation call logged as (op, param, world)."""
+    def logged(name, coop):
+        def step(p, w):
+            log.append((name, p, w))
+            return coop(p, w)
+        return step
+    return Cointerpretation(c.theory, c.world, {name: logged(name, f) for name, f in c.coops.items()})
+
+
+def assert_parity(c):
+    compiled_log, run_log = [], []
+    compiled = outcome(validate_comodel, recording(c, compiled_log))
+    assert compiled == outcome(run_validate_comodel, recording(c, run_log))
+    assert compiled_log == run_log
+    return compiled
+
+
+def cell_comodel(n, get_table, put_table):
+    return Cointerpretation(single_state_theory(Fin(n)), Fin(n), {
+        "get": lambda p, w: get_table[w],
+        "put": lambda p, w: put_table[p, w],
+    })
+
+
+@pytest.mark.parametrize("sample, theory", [
+    ("state2.cmod", "state2.thy"),
+    ("state10.cmod", "state10.thy"),
+    ("altstream.cmod", "choice.thy"),
+    ("hello.cmod", "io_hello.thy"),
+])
+def test_sample_comodels_match_the_runs(sample, theory):
+    th = parse_theory_file((SAMPLES / theory).read_text())
+    assert_parity(parse_comodel_file((SAMPLES / sample).read_text(), th))
+
+
+def test_stock_comodels_match_the_runs():
+    io = io_theory(Enum(("a", "b")))
+    for c in (
+        state_comodel(STATE3),
+        state_comodel(STATE10),
+        alternating_choice_comodel(),
+        printer_comodel(io, Enum(("a", "b")), 2),
+        reader_comodel(io, ("a", "b", "a")),
+    ):
+        assert_parity(c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cell_tables_with_one_wrong_entry_at_every_position_match_the_runs(n):
+    get_table = {w: (w, w) for w in range(n)}
+    put_table = {(p, w): ((), p) for p in range(n) for w in range(n)}
+    assert assert_parity(cell_comodel(n, get_table, put_table))[1] is None
+    for w, (v, w2) in get_table.items():
+        wrong = dict(get_table)
+        wrong[w] = ((v + 1) % n, w2)
+        assert isinstance(assert_parity(cell_comodel(n, wrong, put_table))[1], ComodelViolation)
+    for key, (a, w2) in put_table.items():
+        wrong = dict(put_table)
+        wrong[key] = (a, (w2 + 1) % n)
+        assert isinstance(assert_parity(cell_comodel(n, get_table, wrong))[1], ComodelViolation)
+
+
+def test_a_result_outside_the_arity_raises_as_the_runs_do():
+    # 1 == True, but 1 is not a boolean
+    ints = Cointerpretation(choice_theory(), Fin(2), {"choose": lambda p, w: (1, w)})
+    assert assert_parity(ints) == ("raised", ValueError, "1 is not a boolean")
+    # a one-branch node checks its result too
+    no_unit = Cointerpretation(STATE3, Fin(3), {"get": lambda p, w: (w, w), "put": lambda p, w: (0, p)})
+    assert assert_parity(no_unit) == ("raised", ValueError, "0 is not the unit element")
+    # after a violation at an earlier world, the violation wins
+    late = Cointerpretation(choice_theory(), Fin(2), {"choose": lambda p, w: ((True, 1)[w], w)})
+    assert assert_parity(late)[1] == ComodelViolation(
+        "comm", (), 0, Done("y", 0), Done("x", 0))
+
+
+def test_uncovered_operations_are_listed_sorted_before_any_run():
+    put_get = STATE3.eqs[2]  # put(p, get(...)): put comes first in the tree
+    th = Theory("put_get_only", STATE3.ops, (put_get,))
+    log = []
+    result = assert_parity(recording(Cointerpretation(th, Fin(3), {}), log))
+    assert result == ("raised", UncoveredOperation,
+                      "equation 'put_get' mentions uncovered operations ['get', 'put']")
+    assert log == []

@@ -1,9 +1,10 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
-from algeff.errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator
+from algeff.errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
 from algeff.models import (
     EquationViolation,
     FiniteModel,
@@ -18,9 +19,10 @@ from algeff.models import (
     validate_equation,
     validate_model,
 )
+from algeff.parser import parse_model_file, parse_theory_file
 from algeff.terms import Equation, OpDecl, OpNode, Return, Theory, substitute
 from algeff.theories import group_theory, semilattice_theory, single_state_theory
-from algeff.universe import BOOL, EMPTY, UNIT, Fin
+from algeff.universe import BOOL, EMPTY, UNIT, Enum, Fin
 
 from tests.test_terms import BUILTIN_INSTANCES
 
@@ -267,3 +269,139 @@ def test_table_model_checks_totality():
     del table[("join", (), (True, True))]
     with pytest.raises(Exception):
         table_model(th, BOOL, table)
+
+
+# ---------------------------------------------------------------------------
+# Parity with the tree walk: validate_equation compiles each instance once,
+# and must give what interpreting the tree at every case gave, and make the
+# same operation calls in the same order.
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def walk_term(interp, t, valuation):
+    """The reference: interpret_term as a recursive tree walk, per case."""
+    if isinstance(t, Return):
+        try:
+            return valuation[t.value]
+        except KeyError:
+            raise UnboundGenerator(f"valuation does not cover generator {t.value!r}") from None
+    if t.op not in interp.ops:
+        raise UnknownOperation(f"no interpretation for operation {t.op!r}")
+    args = tuple(walk_term(interp, sub, valuation) for sub in t.kont)
+    return interp.ops[t.op](t.param, args)
+
+
+def walk_validate_model(m):
+    """The reference: every equation, every case of iter_equation_cases,
+    each side walked with a dict valuation; first violation wins."""
+    for e in m.theory.eqs:
+        sides_of, lhs, rhs = object(), None, None
+        for p, valuation in iter_equation_cases(m, e):
+            if p is not sides_of:
+                sides_of, lhs, rhs = p, e.lhs(p), e.rhs(p)
+            lv = walk_term(m, lhs, valuation)
+            rv = walk_term(m, rhs, valuation)
+            if lv != rv:
+                return EquationViolation(e.name, p, valuation, lv, rv)
+    return None
+
+
+def outcome(check, *args):
+    """A check's result, or the class and message of what it raised; the
+    repr tells True from 1 where == does not."""
+    try:
+        result = check(*args)
+    except Exception as error:
+        return ("raised", type(error), str(error))
+    return ("returned", result, repr(result))
+
+
+def recording(m, log):
+    """m with every operation call logged as (op, param, args)."""
+    def logged(name, f):
+        def op(p, args):
+            log.append((name, p, args))
+            return f(p, args)
+        return op
+    return FiniteModel(m.theory, {name: logged(name, f) for name, f in m.ops.items()}, m.carrier)
+
+
+def assert_parity(m):
+    compiled_log, walked_log = [], []
+    compiled = outcome(validate_model, recording(m, compiled_log))
+    assert compiled == outcome(walk_validate_model, recording(m, walked_log))
+    assert compiled_log == walked_log
+    return compiled
+
+
+def powerset_table(atoms):
+    """The join table of the subsets of ``atoms`` atoms, as bitmasks."""
+    size = 2 ** atoms
+    table = {("bot", (), ()): 0}
+    for a in range(size):
+        for b in range(size):
+            table[("join", (), (a, b))] = a | b
+    return Fin(size), table
+
+
+@pytest.mark.parametrize("sample", ["orlattice.mod", "badlattice.mod"])
+def test_sample_models_match_the_tree_walk(sample):
+    theory = parse_theory_file((SAMPLES / "semilattice.thy").read_text())
+    m = parse_model_file((SAMPLES / sample).read_text(), theory)
+    assert_parity(m)
+
+
+def test_stock_models_match_the_tree_walk():
+    models = [trivial_model(theory) for theory in BUILTIN_INSTANCES] + [
+        or_semilattice(), left_projection_semilattice(), cyclic_group(3),
+        product_model(cyclic_group(2), cyclic_group(3)),
+    ]
+    for m in models:
+        assert_parity(m)
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+def test_powerset_lattices_with_a_defect_at_every_entry_match_the_tree_walk(atoms):
+    carrier, table = powerset_table(atoms)
+    assert assert_parity(table_model(semilattice_theory(), carrier, table))[1] is None
+    for key, value in table.items():
+        defective = dict(table)
+        defective[key] = (value + 1) % carrier.size()
+        result = assert_parity(table_model(semilattice_theory(), carrier, defective))
+        assert isinstance(result[1], EquationViolation)
+
+
+def test_a_violation_wins_over_errors_in_a_later_parameter():
+    f = lambda a, b: OpNode("f", (), (a, b))
+    x, y = Return("x"), Return("y")
+    theory = Theory("t", (OpDecl("f", UNIT, BOOL),), (Equation(
+        "e", Fin(3), Enum(("x", "y")),
+        lambda p: [f(x, y), f(Return("z"), x), f(x, x)][p],
+        lambda p: [f(y, x), f(x, Return("z")), OpNode("g", (), (x,))][p],
+    ),))
+    first = FiniteModel(theory, {"f": lambda p, ab: ab[0]}, BOOL)
+    assert assert_parity(first)[1] == EquationViolation("e", 0, {"x": False, "y": True}, False, True)
+    either = FiniteModel(theory, {"f": lambda p, ab: ab[0] or ab[1]}, BOOL)
+    assert assert_parity(either)[:2] == ("raised", UnboundGenerator)
+    # parameter 1 unbound no more: the unknown operation at parameter 2 raises
+    bound = Theory("t", theory.ops, (Equation(
+        "e", Fin(3), Enum(("x", "y", "z")), theory.eqs[0].lhs, theory.eqs[0].rhs),))
+    assert assert_parity(FiniteModel(bound, either.ops, BOOL))[:2] == ("raised", UnknownOperation)
+
+
+def test_an_empty_carrier_compiles_nothing(monkeypatch):
+    import algeff.models
+
+    compiled = []
+    monkeypatch.setattr(algeff.models, "compile_term", lambda *args: compiled.append(args))
+    m = FiniteModel(semilattice_theory(), {"bot": lambda p, a: 0, "join": lambda p, a: 0}, EMPTY)
+    nonempty = [e for e in m.theory.eqs if e.context.size()]
+    assert nonempty
+    for e in nonempty:
+        fetched = []
+        counted = Equation(e.name, e.param_universe, e.context,
+                           lambda p: fetched.append(p), lambda p: fetched.append(p))
+        assert validate_equation(m, counted) is None
+        assert fetched == []
+    assert compiled == []

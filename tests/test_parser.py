@@ -23,6 +23,7 @@ from algeff.parser import (
     _Parser,
     _Quoted,
     _scan,
+    element_or,
     parse_comodel_file,
     parse_element,
     parse_model_file,
@@ -186,6 +187,19 @@ def test_parse_element_forms():
     assert parse_element("true") is True
     assert parse_element("(1, (2, x))") == (1, (2, "x"))
     assert parse_element('"two words"') == "two words"
+
+
+@pytest.mark.parametrize("text", [
+    "()", "true", "(1, (2, x))", '"two words"', "fst (1, 2)", "snd (1, (2, 3))",
+    "[]", "fst 5", "(1,", "1 2", "return", "9" * 5000, '"open', "",
+])
+def test_element_or_reads_what_parse_element_reads(text):
+    default = object()
+    try:
+        expected = parse_element(text)
+    except ParseError:
+        expected = default
+    assert element_or(text, default) == expected
 
 
 def test_rendered_trees_reparse_in_equation_files():
