@@ -19,7 +19,7 @@ from .errors import (
     UnknownOperation,
 )
 from .free import FreeElement
-from .terms import OpNode, Return, Theory, _Node, _set
+from .terms import OpNode, Return, Theory, _Node, _check_laws, _set
 from .theories import choice_theory
 from .universe import Enum, Fin, FiniteUniverse
 
@@ -105,21 +105,16 @@ def cointerpret_tree(w0, t, c: Cointerpretation) -> RunOutcome:
     return Done(t.value, world)
 
 
-def _compile_run(t, coops: Mapping, theory: Theory, uncovered: set):
+def _compile_run(t, coops: Mapping, theory: Theory):
     """t as a function from a world to its run's (leaf, world), walked once
-    here rather than at every world.  Each node fetches its cooperation and
-    its arity's ``index_of`` now; a cooperation result outside the arity
-    raises ValueError when run.  The operations with no cooperation go into
-    ``uncovered``, and their nodes compile to None."""
+    here rather than at every world.  Each node fetches its cooperation,
+    which must exist, and its arity's ``index_of`` now; a cooperation
+    result outside the arity raises ValueError when run."""
     if isinstance(t, Return):
         value = t.value
         return lambda world: (value, world)
-    subs = tuple(_compile_run(sub, coops, theory, uncovered) for sub in t.kont)
-    coop = coops.get(t.op)
-    if coop is None:
-        uncovered.add(t.op)
-        return None
-    param, index = t.param, theory.op(t.op).arity.index_of
+    subs = tuple(_compile_run(sub, coops, theory) for sub in t.kont)
+    coop, param, index = coops[t.op], t.param, theory.op(t.op).arity.index_of
 
     def step(world):
         a, world = coop(param, world)
@@ -130,38 +125,30 @@ def _compile_run(t, coops: Mapping, theory: Theory, uncovered: set):
 
 def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
     """Check every equation of the theory against the comodel, pointwise
-    over parameters, then worlds, in their enumeration order; None means
-    every law holds, otherwise the first failing case is the witness.
-
-    All of an equation's instances are compiled (``_compile_run``) before
-    any world is run, so an operation they mention that the comodel does
-    not cover raises UncoveredOperation first; a run's outcome becomes a
-    ``Done`` record only in a witness.
+    over parameters, then worlds, in their enumeration order, through the
+    shared law checker (``terms._check_laws``) with the covered operations
+    as its coverage; None means every law holds, otherwise the first
+    failing case is the witness.  An equation that mentions an uncovered
+    operation raises UncoveredOperation before any of its runs.  Each
+    instance is compiled (``_compile_run``) once, and a run's outcome
+    becomes a ``Done`` record only in a witness.
     """
     if not isinstance(c.world, FiniteUniverse):
         raise NonEnumerableWorld("comodel validation needs an enumerable world")
-    coops = c.coops
-    for eq in c.theory.eqs:
-        uncovered = set()
-        runs = [
-            (
-                p,
-                _compile_run(eq.lhs(p), coops, c.theory, uncovered),
-                _compile_run(eq.rhs(p), coops, c.theory, uncovered),
-            )
-            for p in eq.param_universe.iter_elements()
-        ]
-        if uncovered:
-            raise UncoveredOperation(
-                f"equation {eq.name!r} mentions uncovered operations {sorted(uncovered)}"
-            )
-        for p, lhs, rhs in runs:
-            for w in c.world.iter_elements():
-                lo = lhs(w)
-                ro = rhs(w)
-                if lo != ro:
-                    return ComodelViolation(eq.name, p, w, Done(*lo), Done(*ro))
-    return None
+
+    def check(eq, p, lhs, rhs):
+        lhs, rhs = _compile_run(lhs, c.coops, c.theory), _compile_run(rhs, c.coops, c.theory)
+        for w in c.world.iter_elements():
+            lo = lhs(w)
+            ro = rhs(w)
+            if lo != ro:
+                return ComodelViolation(eq.name, p, w, Done(*lo), Done(*ro))
+        return True
+
+    violation, skipped, _ = _check_laws(c.theory.eqs, check, set(c.coops), stop_at_skip=True)
+    for name, missing in skipped:
+        raise UncoveredOperation(f"equation {name!r} mentions uncovered operations {missing}")
+    return violation
 
 
 def tensor_run(m_tree: FreeElement, w0, c: Cointerpretation) -> RunOutcome:

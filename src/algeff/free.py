@@ -22,11 +22,11 @@ from enum import Enum as PyEnum
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
-from .models import compile_term, table_model, validate_model
-from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
+from .models import table_model, validate_equation, validate_model
+from .terms import Equation, OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
 from .terms import sort_key, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
-from .universe import BOOL
+from .universe import BOOL, EMPTY, UNIT, Fin
 
 DEFAULT_BUDGET = 10000
 
@@ -379,12 +379,9 @@ def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
         return False
     gens = _distinct_leaves(itertools.chain(tree_leaves(t1), tree_leaves(t2)))
     t1, t2 = _by_index(t1, gens), _by_index(t2, gens)
-    for model in models:
-        f1, f2 = compile_term(model, t1), compile_term(model, t2)
-        for valuation in itertools.product(model.carrier.elements(), repeat=len(gens)):
-            if f1(valuation) != f2(valuation):
-                return True
-    return False
+    # the one-instance law t1 = t2 over the leaves' indices
+    law = Equation("t1 = t2", UNIT, Fin(len(gens)) if gens else EMPTY, lambda p: t1, lambda p: t2)
+    return any(validate_equation(model, law) is not None for model in models)
 
 
 def _by_index(t: Tree, gens: list) -> Tree:

@@ -23,10 +23,11 @@ recursion.  A frame is one of:
   operation's result, so trees (a handled ``FreeElement``, a continuation
   over concrete branches) run through the same loop.
 
-The handler-equation checker replays a theory's laws through a handler's
-clauses on symbolic probe continuations and compares the results
-semantically, sampling finite function domains; a function that never
-reads its argument is applied once.
+The handler-equation checker is the shared law checker
+(``terms._check_laws``) with the handler's clauses as its coverage: it
+replays a theory's laws through the clauses on symbolic probe
+continuations and compares the results semantically, sampling finite
+function domains; a function that never reads its argument is applied once.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, Theory, Tree, _Node, _set, tree_leaves, tree_ops
+from .terms import OpNode, Theory, Tree, _Node, _check_laws, _set, tree_leaves
 from .terms import Return as Leaf
 from .universe import Enum, Fin, FiniteUniverse, Product
 
@@ -435,12 +436,17 @@ class HandlerCheck(_Node):
         self._fill(verdict, equation, param, skipped)
 
 
-def _sample_ints(theory: Theory) -> list:
-    sizes = set()
+def _samples(theory: Theory) -> tuple:
+    """The integers below the largest ``fin n`` and the enum labels, in
+    order of first mention, of the operations' parameter and arity
+    universes."""
+    sizes, labels = {0}, {}
 
     def scan(u):
         if isinstance(u, Fin):
             sizes.add(u.n)
+        elif isinstance(u, Enum):
+            labels.update(dict.fromkeys(u.labels))
         elif isinstance(u, Product):
             scan(u.left)
             scan(u.right)
@@ -448,23 +454,7 @@ def _sample_ints(theory: Theory) -> list:
     for o in theory.ops:
         scan(o.param)
         scan(o.arity)
-    return list(range(max(sizes))) if sizes else []
-
-
-def _sample_strs(theory: Theory) -> list:
-    labels: list = []
-
-    def scan(u):
-        if isinstance(u, Enum):
-            labels.extend(l for l in u.labels if l not in labels)
-        elif isinstance(u, Product):
-            scan(u.left)
-            scan(u.right)
-
-    for o in theory.ops:
-        scan(o.param)
-        scan(o.arity)
-    return labels
+    return list(range(max(sizes))), list(labels)
 
 
 def sample_values(theory: Theory, vtype) -> list | None:
@@ -475,9 +465,9 @@ def sample_values(theory: Theory, vtype) -> list | None:
     if isinstance(vtype, TBool):
         return [False, True]
     if isinstance(vtype, TInt):
-        return _sample_ints(theory) or None
+        return _samples(theory)[0] or None
     if isinstance(vtype, TStr):
-        return _sample_strs(theory) or None
+        return _samples(theory)[1] or None
     if isinstance(vtype, TProd):
         left = sample_values(theory, vtype.left)
         right = sample_values(theory, vtype.right)
@@ -708,25 +698,17 @@ def compare_trees(t1, t2, ctype: CompType, theory: Theory, facts: _Facts | None 
 def check_handler_equations(
     h: HandlerClosure, theory: Theory, out_type: CompType, budget: int | None = None
 ) -> HandlerCheck:
-    """Replay each equation family through the handler's clauses.
-
-    The generic continuation is instantiated with probe leaves, one fresh
-    symbolic value per context generator; both sides are handled by the
-    clauses (probes pass the return clause untouched) and compared at the
-    handler's output type by ``compare_trees``.  Functions in the results
-    are compared at every sample of a finite domain, or once when they
-    never read their argument; what the comparison works out about types
-    and closure bodies is kept for the rest of the check.  A violation is a
-    definite counterexample; equations mentioning unhandled operations are
-    skipped and reported.  At most ``budget`` instances are checked (by
+    """Replay each equation family through the handler's clauses, in the
+    shared law checker (``terms._check_laws``): an equation mentioning an
+    operation with no clause is skipped and reported.  Each instance's
+    sides, on probe leaves (one fresh symbolic value per context generator,
+    passing the return clause untouched), are handled by the clauses and
+    compared at the output type by ``compare_trees``, which keeps what it
+    works out about types and closure bodies for the rest of the check.  A
+    violation is a definite counterexample; an instance whose handling
+    raises is unknown.  At most ``budget`` instances are checked (by
     default ``default_budget()``); any left over make the verdict unknown.
     """
-    covered = {cl.op for cl in h.code.clauses}
-    skipped = []
-    unknown = False
-    checked = 0
-    budget = budget if budget is not None else default_budget()
-
     # probe leaves stand for the generic continuation, which the return
     # clause must not see: the clauses, with the identity return clause, in
     # the handler's place (its mark, which finds a position only when read)
@@ -735,31 +717,22 @@ def check_handler_equations(
     probe = lift(lambda v: eta(theory, SymVal(("kont", v))))
     facts = _Facts(theory)
 
-    for eq in theory.eqs:
-        instances = [(p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements()]
-        used = set()
-        for _, lhs, rhs in instances:
-            used |= tree_ops(lhs) | tree_ops(rhs)
-        if not used <= covered:
-            skipped.append(eq.name)
-            continue
-        for p, lhs, rhs in instances:
-            if checked >= budget:
-                unknown = True
-                break
-            checked += 1
-            try:
-                left = handle(passthrough, probe(FreeElement(theory, lhs)), theory)
-                right = handle(passthrough, probe(FreeElement(theory, rhs)), theory)
-                # continuations compare by branches, built (and failing) only here
-                verdict = compare_trees(left.tree, right.tree, out_type, theory, facts)
-            except AlgeffError:
-                unknown = True
-                continue
-            if verdict is False:
-                return HandlerCheck(HandlerVerdict.VIOLATED, eq.name, p, tuple(skipped))
-            if verdict is None:
-                unknown = True
-    if unknown:
-        return HandlerCheck(HandlerVerdict.UNKNOWN, skipped=tuple(skipped))
-    return HandlerCheck(HandlerVerdict.RESPECTED, skipped=tuple(skipped))
+    def check(eq, p, lhs, rhs):
+        try:
+            left = handle(passthrough, probe(FreeElement(theory, lhs)), theory)
+            right = handle(passthrough, probe(FreeElement(theory, rhs)), theory)
+            # continuations compare by branches, built (and failing) only here
+            verdict = compare_trees(left.tree, right.tree, out_type, theory, facts)
+        except AlgeffError:
+            return None
+        return (eq.name, p) if verdict is False else verdict
+
+    violation, skipped, unknown = _check_laws(
+        theory.eqs, check, {cl.op for cl in h.code.clauses},
+        default_budget() if budget is None else budget,
+    )
+    skipped = tuple(name for name, _ in skipped)
+    if violation is not None:
+        return HandlerCheck(HandlerVerdict.VIOLATED, *violation, skipped)
+    verdict = HandlerVerdict.UNKNOWN if unknown else HandlerVerdict.RESPECTED
+    return HandlerCheck(verdict, skipped=skipped)

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
-from .terms import Equation, Return, Theory, Tree, _Node, _set
+from .terms import Equation, Return, Theory, Tree, _Node, _check_laws, _set
 from .universe import UNIT, FiniteUniverse, Product
 
 
@@ -126,40 +126,42 @@ def iter_equation_cases(m: FiniteModel, e: Equation) -> Iterator[tuple]:
 
 def validate_equation(m: FiniteModel, e: Equation) -> EquationViolation | None:
     """Exhaustively check one equation family over the cases of
-    ``iter_equation_cases``, in its order; None means valid, otherwise the
-    first witness is returned, its valuation a dict.
-
-    Each side of a parameter's instance is compiled once, on the
-    parameter's first case, into a function of a valuation tuple indexed
-    like the context's generators; so an empty carrier compiles nothing.
-    """
+    ``iter_equation_cases``, in its order, through the shared law checker
+    (``terms._check_laws``), where a point is a valuation tuple indexed
+    like the context's generators.  None means valid, otherwise the first
+    witness is returned, its valuation a dict.  Each side of an instance is
+    fetched and compiled (``compile_term``) once, just before its cases, so
+    an empty carrier fetches and compiles nothing of an equation with
+    generators."""
     if not isinstance(m, FiniteModel):
         raise NonEnumerableCarrier("equation validation needs an enumerable carrier")
-    gens = e.context.elements()
-    slots = {g: i for i, g in enumerate(gens)}
-    carrier = m.carrier.elements()
-    for p in e.param_universe.iter_elements():
-        lhs = rhs = None
-        for picks in itertools.product(carrier, repeat=len(gens)):
-            if lhs is None:
-                lhs = compile_term(m, e.lhs(p), slots)
-                rhs = compile_term(m, e.rhs(p), slots)
-            lv = lhs(picks)
-            rv = rhs(picks)
-            if lv != rv:
-                return EquationViolation(e.name, p, dict(zip(gens, picks)), lv, rv)
-    return None
+    return _violation(m, (e,))
 
 
 def validate_model(m: FiniteModel) -> EquationViolation | None:
     """Check every equation of the model's theory; first failure wins."""
     if not isinstance(m, FiniteModel):
         raise NonEnumerableCarrier("model validation needs an enumerable carrier")
-    for e in m.theory.eqs:
-        violation = validate_equation(m, e)
-        if violation is not None:
-            return violation
-    return None
+    return _violation(m, m.theory.eqs)
+
+
+def _violation(m: FiniteModel, eqs) -> EquationViolation | None:
+    carrier = m.carrier.elements()
+    if not carrier:  # no valuation: only an equation without generators has a case
+        eqs = [e for e in eqs if e.context.is_empty()]
+
+    def check(e, p, lhs, rhs):
+        gens = e.context.elements()
+        slots = {g: i for i, g in enumerate(gens)}
+        lhs, rhs = compile_term(m, lhs, slots), compile_term(m, rhs, slots)
+        for picks in itertools.product(carrier, repeat=len(gens)):
+            lv = lhs(picks)
+            rv = rhs(picks)
+            if lv != rv:
+                return EquationViolation(e.name, p, dict(zip(gens, picks)), lv, rv)
+        return True
+
+    return _check_laws(eqs, check)[0]
 
 
 def product_model(l: FiniteModel, m: FiniteModel) -> FiniteModel:

@@ -328,12 +328,52 @@ def tree_leaves(t: Tree) -> Iterator:
 
 
 def tree_ops(t: Tree) -> set:
-    if isinstance(t, Return):
-        return set()
-    found = {t.op}
-    for sub in t.kont:
-        found |= tree_ops(sub)
+    """The operations t performs, at any depth."""
+    found = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is OpNode:
+            found.add(node.op)
+            stack += node.kont
     return found
+
+
+def _check_laws(eqs, check: Callable, covered: set | None = None,
+                budget: int | None = None, stop_at_skip: bool = False) -> tuple:
+    """The one law checker: each equation of ``eqs`` in order, then each of
+    its parameters.  ``check(eq, p, lhs, rhs)`` compares an instance's two
+    trees at every point of its interpretation and returns True when they
+    agree, None when it cannot tell, else a witness, which ends the check.
+    With ``covered`` (operation names), all of an equation's instances are
+    built first, and one performing any other operation skips the equation
+    (``stop_at_skip`` ends the check there); without it, each instance is
+    built just before its check.  At most ``budget`` instances are checked
+    (None: all); any left over leave the check undecided.  Returns
+    ``(witness or None, [(equation name, sorted missing ops)], undecided)``.
+    """
+    skipped, undecided, checked = [], False, 0
+    for eq in eqs:
+        instances = ((p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements())
+        if covered is not None:
+            instances = list(instances)
+            used = set().union(*(tree_ops(t) for _, lhs, rhs in instances for t in (lhs, rhs)))
+            if not used <= covered:
+                skipped.append((eq.name, sorted(used - covered)))
+                if stop_at_skip:
+                    break
+                continue
+        for p, lhs, rhs in instances:
+            if budget is not None and checked >= budget:
+                undecided = True
+                break
+            checked += 1
+            verdict = check(eq, p, lhs, rhs)
+            if verdict is None:
+                undecided = True
+            elif verdict is not True:
+                return verdict, skipped, undecided
+    return None, skipped, undecided
 
 
 def tree_depth(t: Tree) -> int:

@@ -306,3 +306,15 @@ def test_uncovered_operations_are_listed_sorted_before_any_run():
     assert result == ("raised", UncoveredOperation,
                       "equation 'put_get' mentions uncovered operations ['get', 'put']")
     assert log == []
+
+
+def test_the_first_uncovered_equation_raises_before_later_equations_run():
+    put_get, get_get = STATE3.eqs[2], STATE3.eqs[0]
+    th = Theory("put_get_first", STATE3.ops, (put_get, get_get))
+    # get_get alone is covered, and this get breaks it at every world
+    log = []
+    c = recording(Cointerpretation(th, Fin(3), {"get": lambda p, w: (w, (w + 1) % 3)}), log)
+    result = assert_parity(c)
+    assert result == ("raised", UncoveredOperation,
+                      "equation 'put_get' mentions uncovered operations ['put']")
+    assert log == []

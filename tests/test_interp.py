@@ -47,7 +47,7 @@ from algeff.theories import (
     io_theory,
     single_state_theory,
 )
-from algeff.universe import Enum, Fin
+from algeff.universe import Enum, Fin, Product
 
 from tests.test_lang import exception_handler, increment_program, state_passing_handler
 
@@ -702,3 +702,155 @@ def test_a_handler_check_samples_each_function_domain_once(monkeypatch):
         calls.clear()
         assert stateh_check(single_state_theory(Fin(n))).verdict is HandlerVerdict.RESPECTED
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Parity with the handler check's own loop: check_handler_equations now goes
+# through the shared law checker, and must give the same HandlerCheck
+
+
+def loop_check_handler_equations(h, theory, out_type, budget=None):
+    """The reference: the handler check with its own loop over equations,
+    parameters, coverage and budget."""
+    from algeff.free import default_budget
+    from algeff.interp import HandlerCheck, _Facts
+    from algeff.terms import tree_ops
+
+    covered = {cl.op for cl in h.code.clauses}
+    skipped = []
+    unknown = False
+    checked = 0
+    budget = budget if budget is not None else default_budget()
+
+    # probe leaves stand for the generic continuation, which the return
+    # clause must not see: the clauses, with the identity return clause, in
+    # the handler's place (its mark, which finds a position only when read)
+    code = HandlerLit("x", Return(Var("x")), h.code.clauses, pos=h.code._at)
+    passthrough = HandlerClosure(code, h.env)
+    probe = lift(lambda v: eta(theory, SymVal(("kont", v))))
+    facts = _Facts(theory)
+
+    for eq in theory.eqs:
+        instances = [(p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements()]
+        used = set()
+        for _, lhs, rhs in instances:
+            used |= tree_ops(lhs) | tree_ops(rhs)
+        if not used <= covered:
+            skipped.append(eq.name)
+            continue
+        for p, lhs, rhs in instances:
+            if checked >= budget:
+                unknown = True
+                break
+            checked += 1
+            try:
+                left = handle(passthrough, probe(FreeElement(theory, lhs)), theory)
+                right = handle(passthrough, probe(FreeElement(theory, rhs)), theory)
+                # continuations compare by branches, built (and failing) only here
+                verdict = compare_trees(left.tree, right.tree, out_type, theory, facts)
+            except AlgeffError:
+                unknown = True
+                continue
+            if verdict is False:
+                return HandlerCheck(HandlerVerdict.VIOLATED, eq.name, p, tuple(skipped))
+            if verdict is None:
+                unknown = True
+    if unknown:
+        return HandlerCheck(HandlerVerdict.UNKNOWN, skipped=tuple(skipped))
+    return HandlerCheck(HandlerVerdict.RESPECTED, skipped=tuple(skipped))
+
+
+LOOP_BUDGETS = (0, 1, 2, None)
+
+
+def assert_loop_parity(theory, hl, name=None):
+    h, out = checked_handler(theory, hl)
+    results = []
+    for budget in LOOP_BUDGETS:
+        result = check_handler_equations(h, theory, out, budget)
+        assert result == loop_check_handler_equations(h, theory, out, budget), (name, budget)
+        results.append(result)
+    return results
+
+
+@pytest.mark.parametrize("theory", [t for _, t in PARITY_THEORIES],
+                         ids=[name for name, _ in PARITY_THEORIES])
+def test_the_shared_law_checker_keeps_every_handler_check(theory):
+    theory = theory()
+    for name, handler in PARITY_HANDLERS:
+        hl = parse_value_text(handler) if isinstance(handler, str) else handler
+        assert_loop_parity(theory, hl, name)
+
+
+def test_the_shared_law_checker_keeps_a_partial_handler_check():
+    th = single_state_theory(Fin(2))
+    hl = parse_value_text("handler { return x -> return x | get(u; k) -> k 0 }")
+    results = assert_loop_parity(th, hl)
+    assert [r.skipped for r in results] == [("get_put", "put_get", "put_put")] * 4
+    assert [r.verdict for r in results] == [HandlerVerdict.UNKNOWN] + [HandlerVerdict.RESPECTED] * 3
+
+
+def test_the_shared_law_checker_keeps_an_evaluation_error_unknown():
+    th = single_state_theory(Fin(2))
+    # k applied outside get's arity fin 2
+    hl = parse_value_text("handler { return x -> return x | get(u; k) -> k 5 }")
+    results = assert_loop_parity(th, hl)
+    assert [r.verdict for r in results] == [HandlerVerdict.UNKNOWN] * 4
+
+
+def reference_sample_ints(theory):
+    """sample_values' integers as one walk of the universes gave them."""
+    sizes = set()
+
+    def scan(u):
+        if isinstance(u, Fin):
+            sizes.add(u.n)
+        elif isinstance(u, Product):
+            scan(u.left)
+            scan(u.right)
+
+    for o in theory.ops:
+        scan(o.param)
+        scan(o.arity)
+    return list(range(max(sizes))) if sizes else []
+
+
+def reference_sample_strs(theory):
+    """sample_values' strings as a second walk of the universes gave them."""
+    labels = []
+
+    def scan(u):
+        if isinstance(u, Enum):
+            labels.extend(l for l in u.labels if l not in labels)
+        elif isinstance(u, Product):
+            scan(u.left)
+            scan(u.right)
+
+    for o in theory.ops:
+        scan(o.param)
+        scan(o.arity)
+    return labels
+
+
+def test_one_walk_samples_the_integers_and_strings_the_two_walks_did():
+    from algeff.interp import sample_values
+    from algeff.lang import TInt, TProd, TStr
+    from algeff.terms import OpDecl, Theory
+    from algeff.universe import BOOL, UNIT
+
+    mixed = Theory("mixed", (
+        OpDecl("a", Product(Enum(("x", "y")), Fin(3)), Product(Fin(5), Enum(("z", "x")))),
+        OpDecl("b", Enum(("w",)), Product(BOOL, Product(Fin(2), Enum(("y", "v"))))),
+        OpDecl("c", UNIT, BOOL),
+    ))
+    theories = [STATE3, EXC, CHOICE, io_theory(Enum(("a", "b"))), mixed,
+                *(parse_theory_file((SAMPLES / name).read_text())
+                  for name in ("state2.thy", "state10.thy", "io_hello.thy", "semilattice.thy"))]
+    for theory in theories:
+        ints, strs = reference_sample_ints(theory) or None, reference_sample_strs(theory) or None
+        assert sample_values(theory, TInt()) == ints
+        assert sample_values(theory, TStr()) == strs
+        pairs = None if ints is None or strs is None else [(i, s) for i in ints for s in strs]
+        assert sample_values(theory, TProd(TInt(), TStr())) == pairs
+    assert sample_values(mixed, TStr()) == ["x", "y", "z", "w", "v"]
+    assert sample_values(mixed, TInt()) == [0, 1, 2, 3, 4]

@@ -16,6 +16,7 @@ from algeff.terms import (
     substitute,
     tree_depth,
     tree_leaves,
+    tree_ops,
 )
 from algeff.theories import (
     builtin_names,
@@ -181,6 +182,13 @@ def test_deep_trees_compare_and_hash_without_recursion():
     d = chain(10_000, 0)
     assert d == a  # d has no cached hash yet
     assert d == chain(10_000, 0)  # neither has
+
+
+def test_tree_ops_collects_every_operation_without_recursion():
+    assert tree_ops(Return("x")) == set()
+    assert tree_ops(vee(Return("x"), vee(Return("y"), OpNode("bot", (), ())))) == {"join", "bot"}
+    deep = OpNode("get", (), (chain(10_000, 0), OpNode("abort", (), ())))
+    assert tree_ops(deep) == {"get", "put", "abort"}
 
 
 def test_unhashed_leaves_are_fine_until_hashed():
