@@ -192,29 +192,28 @@ def transcript_label(items: tuple) -> str:
     return "[" + ", ".join(json.dumps(x) for x in items) + "]"
 
 
+def _transcripts(s: FiniteUniverse, max_len: int) -> dict:
+    """Every output transcript over ``s`` of length at most ``max_len``, by
+    its rendered label, shortest first."""
+    decode = {transcript_label(()): ()}
+    level = [()]
+    for _ in range(max_len):
+        level = [items + (x,) for items in level for x in s.iter_elements()]
+        for items in level:
+            decode[transcript_label(items)] = items
+    return decode
+
+
 def transcript_universe(s: FiniteUniverse, max_len: int) -> Enum:
     """All output transcripts over ``s`` of length at most ``max_len``,
     encoded as their rendered labels."""
-    labels = []
-    level = [()]
-    labels.append(transcript_label(()))
-    for _ in range(max_len):
-        level = [items + (x,) for items in level for x in s.iter_elements()]
-        labels.extend(transcript_label(items) for items in level)
-    return Enum(tuple(labels))
+    return Enum(tuple(_transcripts(s, max_len)))
 
 
 def printer_comodel(theory: Theory, s: FiniteUniverse, max_len: int) -> Cointerpretation:
     """A bounded output transcript for print; a full transcript absorbs
     further prints so the cooperation stays total."""
-    world = transcript_universe(s, max_len)
-    decode = {}
-    level = [()]
-    decode[transcript_label(())] = ()
-    for _ in range(max_len):
-        level = [items + (x,) for items in level for x in s.iter_elements()]
-        for items in level:
-            decode[transcript_label(items)] = items
+    decode = _transcripts(s, max_len)
 
     def do_print(p, w):
         items = decode[w]
@@ -222,7 +221,7 @@ def printer_comodel(theory: Theory, s: FiniteUniverse, max_len: int) -> Cointerp
             items = items + (p,)
         return (), transcript_label(items)
 
-    return Cointerpretation(theory, world, {"print": do_print})
+    return Cointerpretation(theory, Enum(tuple(decode)), {"print": do_print})
 
 
 def reader_comodel(theory: Theory, feed: tuple) -> Cointerpretation:

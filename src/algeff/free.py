@@ -457,36 +457,13 @@ class _Rule(_Node):
         self._fill(source, gens, fresh, build)
 
 
-def _typed(v):
-    # a key that tells apart values == would identify, such as 1 and True
-    return tuple(map(_typed, v)) if type(v) is tuple else (type(v), v)
-
-
-def _shape(t: Tree, gens: frozenset, names: dict) -> tuple:
-    """t in preorder, with each generator replaced by its number in order of
-    first appearance (``names`` carries the numbering across calls)."""
-    out = []
-    for node in _subtrees(t):
-        if type(node) is OpNode:
-            out.append((node.op, _typed(node.param), len(node.kont)))
-        elif node.value in gens:
-            out.append(names.setdefault(node.value, len(names)))
-        else:
-            out.append((_typed(node.value),))
-    return tuple(out)
-
-
 def _rules(theory: Theory) -> tuple:
     """The theory's rewrite rules in search order: equation, then
-    parameter, then direction; compiled once per theory object.
-
-    A rule that is an earlier one with its generators renamed (as the two
-    directions of commutativity are) is left out: at every position it
-    yields exactly the trees the earlier rule yielded just before, so
-    dropping it changes neither the frontier nor any verdict."""
+    parameter, then direction, both directions of every non-trivial
+    instance; compiled once per theory object."""
     strategy = _strategy(theory)
     if strategy.rules is None:
-        rules, shapes = [], set()
+        rules = []
         for eq in theory.eqs:
             gens = frozenset(eq.context.iter_elements())
             for p in eq.param_universe.iter_elements():
@@ -494,11 +471,6 @@ def _rules(theory: Theory) -> tuple:
                 if lhs == rhs:
                     continue
                 for src, dst in ((lhs, rhs), (rhs, lhs)):
-                    names: dict = {}
-                    shape = (_shape(src, gens, names), _shape(dst, gens, names))
-                    if shape in shapes:
-                        continue
-                    shapes.add(shape)
                     fresh = _pattern_gens(dst, gens) - _pattern_gens(src, gens)
                     fresh = tuple(sorted(fresh, key=sort_key))
                     rules.append(_Rule(src, gens, fresh, _builder(dst, gens)))
@@ -506,10 +478,22 @@ def _rules(theory: Theory) -> tuple:
     return strategy.rules
 
 
-def _neighbours(rules: tuple, t: Tree, pool: list) -> Iterator[Tree]:
+# One application of a rule with fresh generators lists
+# len(pool) ** len(fresh) fillers; past this many the search gives up.
+_MAX_FILLERS = 65536
+
+
+class _TooManyFillers(Exception):
+    """A rule matched whose fillers number more than _MAX_FILLERS."""
+
+
+def _neighbours(rules: tuple, t: Tree, pool: list, filler_counts: tuple) -> Iterator[Tree]:
     """Every tree one rule application away from t, by rule, then preorder
     position, then filler product.  A rule whose source has an operation at
-    its head is only tried at positions with that operation and parameter."""
+    its head is only tried at positions with that operation and parameter.
+    ``filler_counts`` holds each rule's number of filler tuples; a match
+    of a rule with more than _MAX_FILLERS raises _TooManyFillers before
+    any is listed."""
     nodes, parents, slots = [], [], []
     heads: dict = {}
     stack = [(t, -1, 0)]
@@ -526,7 +510,7 @@ def _neighbours(rules: tuple, t: Tree, pool: list) -> Iterator[Tree]:
                 stack.append((kont[k], i, k))
     everywhere = range(len(nodes))
 
-    for rule in rules:
+    for rule, count in zip(rules, filler_counts):
         src, gens, fresh, build = rule.source, rule.gens, rule.fresh, rule.build
         where = everywhere if type(src) is Return else heads.get((src.op, src.param), ())
         for i in where:
@@ -534,6 +518,8 @@ def _neighbours(rules: tuple, t: Tree, pool: list) -> Iterator[Tree]:
             if not _match(src, gens, nodes[i], sigma):
                 continue
             if fresh:
+                if count > _MAX_FILLERS:
+                    raise _TooManyFillers
                 fills = (
                     build({**sigma, **dict(zip(fresh, fillers))})
                     for fillers in itertools.product(pool, repeat=len(fresh))
@@ -558,7 +544,11 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
     equality is searched for by applying equation instances breadth-first
     from both trees until the frontiers meet or the budget runs out; the
     budget counts the trees taken off the two frontiers and expanded
-    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``).
+    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``).  The
+    work of one expansion is bounded too: a rule whose target has
+    generators its source lacks fills them from the pool of the two
+    trees' subtrees, and a match of a rule with more than 65536 such
+    fillers ends the search UNKNOWN before any is listed.
     DISTINCT is only ever reported there when a 2-element model of the
     theory's laws separates the trees.  Such models are looked for among
     all tuples of operation tables over ``BOOL``, unless there are more
@@ -575,21 +565,25 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
 
     rules = _rules(theory)
     pool = list(dict.fromkeys(itertools.chain(_subtrees(t1), _subtrees(t2))))
+    filler_counts = tuple(len(pool) ** len(rule.fresh) for rule in rules)
 
     seen = ({t1}, {t2})
     frontiers = (deque([t1]), deque([t2]))
     steps = 0
-    while steps < budget and (frontiers[0] or frontiers[1]):
-        for side in (0, 1):
-            frontier = frontiers[side]
-            if not frontier or steps >= budget:
-                continue
-            steps += 1
-            t = frontier.popleft()
-            for nt in _neighbours(rules, t, pool):
-                if nt in seen[1 - side]:
-                    return TreeEq.EQUAL
-                if nt not in seen[side]:
-                    seen[side].add(nt)
-                    frontier.append(nt)
+    try:
+        while steps < budget and (frontiers[0] or frontiers[1]):
+            for side in (0, 1):
+                frontier = frontiers[side]
+                if not frontier or steps >= budget:
+                    continue
+                steps += 1
+                t = frontier.popleft()
+                for nt in _neighbours(rules, t, pool, filler_counts):
+                    if nt in seen[1 - side]:
+                        return TreeEq.EQUAL
+                    if nt not in seen[side]:
+                        seen[side].add(nt)
+                        frontier.append(nt)
+    except _TooManyFillers:
+        pass
     return TreeEq.UNKNOWN

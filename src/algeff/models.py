@@ -64,30 +64,26 @@ class HomViolation(_Node):
         self._fill(op, param, args)
 
 
-def compile_term(interp: Interpretation, t: Tree, slots: Mapping | None = None) -> Callable:
+def compile_term(interp: Interpretation, t: Tree, slots: Mapping) -> Callable:
     """t as a function of a valuation, walked once here rather than at every
-    valuation.  A leaf reads the valuation at ``slots[value]``, or at its
-    value itself when ``slots`` is None; a node applies its operation's
-    function to its subtrees' values, left to right.  A leaf the valuation
-    does not cover and an operation with no function raise
-    (UnboundGenerator, UnknownOperation) when evaluated, not here."""
+    valuation.  A leaf reads the valuation at ``slots[value]``; a node
+    applies its operation's function to its subtrees' values, left to
+    right.  A leaf ``slots`` does not cover and an operation with no
+    function raise (UnboundGenerator, UnknownOperation) when evaluated, not
+    here, as does the TypeError of a leaf that cannot be a key."""
     if isinstance(t, Return):
         value = t.value
-        if slots is None:
-            def leaf(valuation):
+        try:
+            return itemgetter(slots[value])
+        except (KeyError, TypeError):
+            def unbound(valuation):
                 try:
-                    return valuation[value]
+                    return valuation[slots[value]]
                 except KeyError:
                     raise UnboundGenerator(
                         f"valuation does not cover generator {value!r}"
                     ) from None
-            return leaf
-        try:
-            return itemgetter(slots[value])
-        except (KeyError, TypeError):
-            # raises when evaluated, as the lookup in a valuation dict does
-            unbound = compile_term(interp, t)
-            return lambda valuation: unbound(slots)
+            return unbound
     op, param = t.op, t.param
     if op not in interp.ops:
         def unknown(valuation):
@@ -110,7 +106,7 @@ def interpret_term(interp: Interpretation, t: Tree, valuation: Mapping) -> Any:
     """Interpret a tree as a carrier element under a valuation of its
     generators: leaves project, nodes apply the operation's function.  The
     tree is compiled (``compile_term``), then applied once."""
-    return compile_term(interp, t)(valuation)
+    return compile_term(interp, t, {g: g for g in valuation})(valuation)
 
 
 def iter_equation_cases(m: FiniteModel, e: Equation) -> Iterator[tuple]:

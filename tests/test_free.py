@@ -308,6 +308,60 @@ def test_the_model_search_is_capped_before_any_table_is_listed():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("theory, count", [
+    ("state", 50),
+    ("single_state", 28),
+    ("semilattice", 8),
+    ("group", 10),
+    ("choice_exc", 6),
+])
+def test_the_rules_are_both_directions_of_every_non_trivial_instance(theory, count):
+    from algeff.free import _rules
+    from algeff.theories import group_theory, state_theory
+
+    th = {
+        "state": lambda: state_theory(Fin(2), Fin(2)),
+        "single_state": lambda: STATE3,
+        "semilattice": semilattice_theory,
+        "group": group_theory,
+        "choice_exc": lambda: CHOICE_EXC,
+    }[theory]()
+    instances = [
+        (eq.lhs(p), eq.rhs(p))
+        for eq in th.eqs
+        for p in eq.param_universe.iter_elements()
+        if eq.lhs(p) != eq.rhs(p)
+    ]
+    rules = _rules(th)
+    assert len(rules) == 2 * len(instances) == count
+    for k, (lhs, rhs) in enumerate(instances):
+        assert (rules[2 * k].source, rules[2 * k + 1].source) == (lhs, rhs)
+
+
+def test_a_rule_with_too_many_fillers_ends_the_search_unknown():
+    import subprocess
+    import sys
+
+    # get_get read right to left has 90 fresh generators over fin 10
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from algeff.free import tree_equal_modulo\n"
+        "from algeff.parser import parse_theory_file\n"
+        "from algeff.terms import OpNode\n"
+        f"th = parse_theory_file(open({str(SAMPLES / 'state10.thy')!r}).read())\n"
+        "abort = OpNode('abort', (), ())\n"
+        "t = OpNode('get', (), tuple(OpNode('put', s, (abort,)) for s in range(10)))\n"
+        "start = time.perf_counter()\n"
+        "verdict = tree_equal_modulo(th, t, abort, budget=1)\n"
+        "print(verdict.value, time.perf_counter() - start < 1)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "unknown True\n", "")
+
+
 def test_lift_respects_congruence_on_corpus():
     th = STATE2
     phi = lambda x: generic_op(th, "put", 0) if x == 0 else eta(th, x)
