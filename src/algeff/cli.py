@@ -115,7 +115,7 @@ def _load(path: str, parse, *theory):
 
 def _is_path(path_or_text: str) -> bool:
     try:
-        return Path(path_or_text).exists()
+        return bool(path_or_text) and Path(path_or_text).exists()  # pathlib reads "" as "."
     except OSError:  # e.g. inline program text too long to be a file name
         return False
 

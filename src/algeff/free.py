@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Mapping
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
 from .models import table_model, validate_equation, validate_model
 from .terms import Equation, OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
-from .terms import sort_key, tree_leaves
+from .terms import fold_tree, sort_key, subtrees, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
 from .universe import BOOL, EMPTY, UNIT, Fin
 
@@ -86,13 +86,8 @@ def lift(phi) -> Callable[[FreeElement], FreeElement]:
     structural recursion (leaves go through phi, nodes are preserved)."""
     phi_fn = _as_function(phi)
 
-    def lift_tree(t: Tree) -> Tree:
-        if isinstance(t, Return):
-            return phi_fn(t.value).tree
-        return OpNode(t.op, t.param, tuple(lift_tree(sub) for sub in t.kont))
-
     def lifted(elem: FreeElement) -> FreeElement:
-        return FreeElement(elem.theory, lift_tree(elem.tree))
+        return FreeElement(elem.theory, fold_tree(elem.tree, lambda x: phi_fn(x).tree, OpNode))
 
     return lifted
 
@@ -386,19 +381,8 @@ def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
 
 def _by_index(t: Tree, gens: list) -> Tree:
     """t with each leaf replaced by its position in gens."""
-    if type(t) is Return:
-        return Return(next(i for i, g in enumerate(gens) if same_value(g, t.value)))
-    return OpNode(t.op, t.param, tuple(_by_index(sub, gens) for sub in t.kont))
-
-
-def _subtrees(t: Tree) -> Iterator[Tree]:
-    """The subtrees of t in preorder."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        if type(node) is OpNode:
-            stack.extend(reversed(node.kont))
+    index = lambda x: Return(next(i for i, g in enumerate(gens) if same_value(g, x)))
+    return fold_tree(t, index, OpNode)
 
 
 def _match(pattern: Tree, gens: frozenset, t: Tree, sigma: dict) -> bool:
@@ -564,7 +548,7 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
         return TreeEq.DISTINCT
 
     rules = _rules(theory)
-    pool = list(dict.fromkeys(itertools.chain(_subtrees(t1), _subtrees(t2))))
+    pool = list(dict.fromkeys(itertools.chain(subtrees(t1), subtrees(t2))))
     filler_counts = tuple(len(pool) ** len(rule.fresh) for rule in rules)
 
     seen = ({t1}, {t2})

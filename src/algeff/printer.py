@@ -6,13 +6,18 @@ trees render identically and rendered trees reparse in equation files.
 
 from __future__ import annotations
 
-import json
-
 from . import lang
 from .comodels import Done, RunOutcome, Stuck
 from .errors import UnprintableValue
 from .interp import Closure, HandlerClosure, KontValue, PrimFun, SymVal
 from .terms import Return, Tree
+
+# the only escapes; the tokenizer reads every other character as itself
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+
+
+def _quoted(s: str) -> str:
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def render_elem(v) -> str:
@@ -26,7 +31,7 @@ def render_elem(v) -> str:
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise UnprintableValue(f"integer too long to print ({_digits(v)} digits)") from None
     if isinstance(v, str):
-        return json.dumps(v)
+        return _quoted(v)
     if type(v) is tuple and len(v) == 2:
         return f"({render_elem(v[0])}, {render_elem(v[1])})"
     if isinstance(v, Closure):
@@ -99,7 +104,7 @@ def render_value(v) -> str:
     if isinstance(v, lang.IntLit):
         return str(v.value)
     if isinstance(v, lang.StrLit):
-        return json.dumps(v.value)
+        return _quoted(v.value)
     if isinstance(v, lang.Pair):
         return f"({render_value(v.first)}, {render_value(v.second)})"
     if isinstance(v, lang.Plus):

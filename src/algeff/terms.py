@@ -9,8 +9,9 @@ have the same shape, operations, parameters and leaves.  Values compare by
 Trees are immutable.  An operation node caches its hash the first time it
 is asked for; a leaf's hash is its value's.  Equality and hashing recurse
 at most 100 levels at a time and keep deeper subtrees on an explicit list,
-so trees of any depth compare and hash.  Their base, ``_Node``, is the base
-of every other record class in the package too.
+so trees of any depth compare and hash; they fold (``fold_tree``) and
+walk in preorder (``subtrees``) on explicit stacks too.  Their base,
+``_Node``, is the base of every other record class in the package too.
 """
 
 from __future__ import annotations
@@ -295,25 +296,56 @@ def make_tree_op(theory: Theory, op: str, p, kont: Mapping) -> OpNode:
         raise ParameterOutOfUniverse(
             f"{p!r} is not a parameter of {op!r} (expects {decl.param})"
         )
-    subtrees = []
+    subs = []
     for a in decl.arity.iter_elements():
         try:
-            subtrees.append(kont[a])
+            subs.append(kont[a])
         except KeyError:
             raise IncompleteContinuation(
                 f"continuation for {op!r} is missing arity element {a!r}"
             ) from None
-    return OpNode(op, p, tuple(subtrees))
+    return OpNode(op, p, tuple(subs))
+
+
+def fold_tree(t: Tree, leaf: Callable, node: Callable):
+    """The one structural recursion on trees: ``leaf(value)`` at each leaf,
+    leftmost first, and ``node(op, param, results)`` at each operation
+    node, with its subtrees' results in a tuple, left to right.  The work
+    waits on an explicit stack, so a tree of any depth folds."""
+    out, stack = [], [t]
+    while stack:
+        n = stack.pop()
+        if n is None:  # the node under this marker has its results atop out
+            n = stack.pop()
+            i = len(out) - len(n.kont)
+            out[i:] = (node(n.op, n.param, tuple(out[i:])),)
+        elif type(n) is Return:
+            out.append(leaf(n.value))
+        else:
+            stack += (n, None)
+            stack += reversed(n.kont)
+    return out[0]
+
+
+def subtrees(t: Tree) -> Iterator[Tree]:
+    """The subtrees of t in preorder, t first."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is OpNode:
+            stack.extend(reversed(node.kont))
 
 
 def substitute(t: Tree, sigma: Mapping) -> Tree:
     """Replace each generator leaf by the tree sigma assigns to it."""
-    if isinstance(t, Return):
+    def assigned(x):
         try:
-            return sigma[t.value]
+            return sigma[x]
         except KeyError:
-            raise UnboundGenerator(f"no tree assigned to generator {t.value!r}") from None
-    return OpNode(t.op, t.param, tuple(substitute(sub, sigma) for sub in t.kont))
+            raise UnboundGenerator(f"no tree assigned to generator {x!r}") from None
+
+    return fold_tree(t, assigned, OpNode)
 
 
 def tree_leaves(t: Tree) -> Iterator:
@@ -377,55 +409,31 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
 
 
 def tree_depth(t: Tree) -> int:
-    if isinstance(t, Return):
-        return 0
-    return 1 + max((tree_depth(sub) for sub in t.kont), default=0)
+    return fold_tree(t, lambda x: 0, lambda op, p, depths: 1 + max(depths, default=0))
 
 
 def rename_tree_ops(t: Tree, mapping: Mapping) -> Tree:
-    if isinstance(t, Return):
-        return t
-    return OpNode(
-        mapping.get(t.op, t.op),
-        t.param,
-        tuple(rename_tree_ops(sub, mapping) for sub in t.kont),
-    )
-
-
-def leaf_defect(context: FiniteUniverse, value) -> UnboundGenerator | None:
-    """The error a leaf ``value`` outside ``context`` is, or None."""
-    if context.contains(value):
-        return None
-    return UnboundGenerator(f"leaf {value!r} is not a generator of context {context}")
-
-
-def param_defect(decl: OpDecl, p) -> ParameterOutOfUniverse | None:
-    """The error a parameter ``p`` outside ``decl``'s is, or None."""
-    if decl.param.contains(p):
-        return None
-    return ParameterOutOfUniverse(
-        f"{p!r} is not a parameter of {decl.name!r} (expects {decl.param})"
-    )
+    return fold_tree(t, Return, lambda op, p, kont: OpNode(mapping.get(op, op), p, kont))
 
 
 def check_tree(theory: Theory, context: FiniteUniverse, t: Tree) -> None:
     """Assert that ``t`` is well-formed over the theory's signature with
-    generators drawn from ``context``; raises on the first defect."""
-    if isinstance(t, Return):
-        defect = leaf_defect(context, t.value)
-        if defect is not None:
-            raise defect
-        return
-    decl = theory.op(t.op)
-    defect = param_defect(decl, t.param)
-    if defect is not None:
-        raise defect
-    if len(t.kont) != decl.arity.size():
-        raise IncompleteContinuation(
-            f"node {t.op!r} has {len(t.kont)} subtrees, arity has {decl.arity.size()}"
-        )
-    for sub in t.kont:
-        check_tree(theory, context, sub)
+    generators drawn from ``context``; raises on the first defect in
+    preorder."""
+    for sub in subtrees(t):
+        if type(sub) is Return:
+            if context.contains(sub.value):
+                continue
+            raise UnboundGenerator(f"leaf {sub.value!r} is not a generator of context {context}")
+        decl = theory.op(sub.op)
+        if not decl.param.contains(sub.param):
+            raise ParameterOutOfUniverse(
+                f"{sub.param!r} is not a parameter of {decl.name!r} (expects {decl.param})"
+            )
+        if len(sub.kont) != decl.arity.size():
+            raise IncompleteContinuation(
+                f"node {sub.op!r} has {len(sub.kont)} subtrees, arity has {decl.arity.size()}"
+            )
 
 
 def check_theory(theory: Theory) -> None:

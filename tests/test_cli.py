@@ -847,3 +847,84 @@ def test_a_world_text_read_as_an_element_wins_over_the_text():
     assert _parse_world("5", Fin(10)) == 5
     assert _parse_world('"a"', Enum(("a", '"a"'))) == "a"
     assert _parse_world('"a"', Enum(('"a"',))) == '"a"'
+
+
+def test_normalize_prints_non_ascii_strings_as_themselves(capsys, tmp_path):
+    theory = tmp_path / "say.thy"
+    theory.write_text('theory t { op say : enum {"café"} ~> unit; }\n', encoding="utf-8")
+    code, out, _ = invoke(
+        capsys, "normalize", 'do x <- say!("café") in return "café"', "--theory", theory
+    )
+    assert out == 'say("café"; return "café")\n'
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("type", ""),
+    ("run", "", "--comodel", SAMPLES / "state2.cmod", "--world", "0"),
+])
+def test_an_empty_inline_program_is_program_text(argv, capsys):
+    code, out, err = invoke(capsys, *argv, "--theory", SAMPLES / "state2.thy")
+    assert out == ""
+    assert err == "error: syntax error at 1:1: expected a computation, found 'end of input'\n"
+    assert code == 3
+
+
+def test_check_a_handler_whose_put_clause_forgets_the_state(capsys, tmp_path):
+    handler = tmp_path / "forget.eff"
+    handler.write_text((SAMPLES / "stateh.eff").read_text().replace("in f s2)", "in f s)"))
+    code, out, _ = invoke(capsys, "check", "handler", handler, "--theory", SAMPLES / "state2.thy")
+    assert out == "Violated: equation put_get, param 0\n"
+    assert code == 1
+
+
+GET_ONLY_HANDLER = "handler { return x -> return x | get(u; k) -> k 0 }"
+
+
+def test_check_a_handler_of_get_alone_skips_the_equations_with_put(capsys, tmp_path):
+    handler = tmp_path / "get.eff"
+    handler.write_text(GET_ONLY_HANDLER + "\n")
+    code, out, _ = invoke(capsys, "check", "handler", handler, "--theory", SAMPLES / "state2.thy")
+    assert out == (
+        "skipped (uncovered operations): get_put, put_get, put_put\n"
+        "Respected (bounded)\n"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("text, where", [
+    ("op a : fin 0 ~> unit;", "1:23: fin needs a positive size"),
+    ('op a : enum {"x", "x"} ~> unit;', "1:19: enum labels must be distinct"),
+    ("op a : unit ~> unit; equation e (unit) : b((); \\u. return u) = return ();",
+     "1:53: unknown operation 'b'"),
+    ("op a : unit ~> fin 2; equation e (unit) : a((); return ()) = return ();",
+     "1:54: a needs 2 subtrees, got 1"),
+    ("op a : unit ~> unit; equation e forall p in empty (unit) : a((); \\u. return u) = return ();",
+     "1:71: forall over an empty universe"),
+])
+def test_theory_file_errors_exit_3_with_their_positions(text, where, capsys, tmp_path):
+    theory = tmp_path / "t.thy"
+    theory.write_text("theory t { " + text + " }\n")
+    code, _, err = invoke(capsys, "type", "return ()", "--theory", theory)
+    assert err == f"error: {theory}: syntax error at {where}\n"
+    assert code == 3
+
+
+def test_normalize_prints_a_node_without_subtrees(capsys, tmp_path):
+    theory = tmp_path / "exc.thy"
+    theory.write_text("theory exc { op abort : unit ~> empty; }\n")
+    code, out, _ = invoke(capsys, "normalize", "abort!(())", "--theory", theory)
+    assert out == "abort(())\n"
+    assert code == 0
+
+
+def test_type_a_handler_bound_by_do(capsys):
+    program = f"do h <- return {GET_ONLY_HANDLER} in with h handle "
+    code, out, _ = invoke(capsys, "type", program + "get!()", "--theory", SAMPLES / "state2.thy")
+    assert out == "int ! {}\n"
+    assert code == 0
+    code, _, err = invoke(capsys, "type", program + "put!(1)", "--theory", SAMPLES / "state2.thy")
+    assert err == (
+        "error: type error at 1:85: expected unit ! {get}, found unit ! {put} (unhandled: put)\n"
+    )
+    assert code == 1

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from algeff.errors import NoNormalizer, ParameterOutOfUniverse, UnknownOperation
+from algeff.errors import NoNormalizer, ParameterOutOfUniverse, UnboundGenerator, UnknownOperation
 from algeff.free import (
     FreeElement,
     TreeEq,
+    _by_index,
     default_budget,
     eta,
     generic_op,
@@ -20,7 +21,7 @@ from algeff.free import (
     tree_equal_modulo,
 )
 from algeff.parser import parse_theory_file
-from algeff.terms import OpNode, Return
+from algeff.terms import OpNode, Return, tree_leaves, tree_ops
 from algeff.theories import (
     choice_theory,
     combine,
@@ -89,6 +90,24 @@ def test_lift_associativity_on_corpus():
         left = lift(psi)(lift(phi)(elem))
         right = lift(lambda x: lift(psi)(phi(x)))(elem)
         assert left == right
+
+
+def test_lift_given_a_mapping_names_the_leftmost_missing_generator():
+    t = OpNode("choose", (), (OpNode("choose", (), (Return("x"), Return("a"))), Return("b")))
+    th = choice_theory()
+    with pytest.raises(UnboundGenerator, match="generator 'a'"):
+        lift({"x": eta(th, 0)})(FreeElement(th, t))
+
+
+def test_lifting_and_indexing_take_a_tree_of_any_depth():
+    t = Return("x")
+    for i in range(5_000):
+        t = put(i % 2, t)
+    elem = FreeElement(STATE2, t)
+    assert sequence(elem, lambda x: eta(STATE2, x)) == elem
+    indexed = _by_index(t, ["x"])
+    assert set(tree_leaves(indexed)) == {0}
+    assert tree_ops(indexed) == {"put"}
 
 
 def test_sequence_of_return_applies_continuation():

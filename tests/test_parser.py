@@ -32,7 +32,7 @@ from algeff.parser import (
     parse_value_text,
     tokenize,
 )
-from algeff.printer import render_comp, render_tree
+from algeff.printer import render_comp, render_elem, render_tree
 from algeff.terms import OpNode, Return, check_tree
 from algeff.theories import choice_theory, semilattice_theory, single_state_theory
 from algeff.universe import Enum, Fin, Product
@@ -112,6 +112,13 @@ def test_print_parse_round_trip(text):
     ast = parse_program(text)
     printed = render_comp(ast)
     assert parse_program(printed) == ast
+
+
+@pytest.mark.parametrize("s", ["café", "☃", "cr\rx", "a\\b", 'q"x', "nl\nx", "tab\tx", ""])
+def test_printed_strings_reparse(s):
+    assert parse_element(render_elem(s)) == s
+    program = lang.Return(lang.StrLit(s))
+    assert parse_program(render_comp(program)) == program
 
 
 def test_positions_flow_into_type_errors():

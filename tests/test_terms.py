@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -12,7 +13,9 @@ from algeff.terms import (
     OpNode,
     Return,
     check_theory,
+    check_tree,
     make_tree_op,
+    rename_tree_ops,
     substitute,
     tree_depth,
     tree_leaves,
@@ -189,6 +192,24 @@ def test_tree_ops_collects_every_operation_without_recursion():
     assert tree_ops(vee(Return("x"), vee(Return("y"), OpNode("bot", (), ())))) == {"join", "bot"}
     deep = OpNode("get", (), (chain(10_000, 0), OpNode("abort", (), ())))
     assert tree_ops(deep) == {"get", "put", "abort"}
+
+
+def test_walkers_take_a_tree_of_any_depth():
+    th = single_state_theory(Fin(2))
+    t = chain(5_000, "x")
+    assert substitute(t, {"x": Return("x")}) == t
+    assert tree_depth(t) == 5_000
+    assert tree_ops(rename_tree_ops(t, {"put": "p"})) == {"p"}
+    check_tree(th, Enum(("x",)), t)
+    message = f"leaf 'y' is not a generator of context {Enum(('x',))}"
+    with pytest.raises(UnboundGenerator, match=re.escape(message)):
+        check_tree(th, Enum(("x",)), chain(5_000, "y"))
+
+
+def test_substitute_names_the_leftmost_missing_generator():
+    t = vee(vee(Return("x"), Return("a")), Return("b"))
+    with pytest.raises(UnboundGenerator, match="generator 'a'"):
+        substitute(t, {"x": Return(0)})
 
 
 def test_unhashed_leaves_are_fine_until_hashed():
