@@ -18,7 +18,6 @@ from .errors import (
     UncoveredOperation,
     UnknownOperation,
 )
-from .free import FreeElement
 from .terms import OpNode, Return, Theory, _Node, _check_laws, _set
 from .theories import choice_theory
 from .universe import Enum, Fin, FiniteUniverse
@@ -85,42 +84,33 @@ class ComodelViolation(_Node):
         self._fill(equation, param, world, lhs_outcome, rhs_outcome)
 
 
-def cointerpret_tree(w0, t, c: Cointerpretation) -> RunOutcome:
-    """Run a tree, or a head-normal computation (``interp.evaluate``), from
-    world w0: leaves finish, covered operations step the world, the first
-    uncovered operation gets reported as Stuck.  A computation is resumed
-    only along the branch each cooperation picks."""
-    world = w0
+def _run(c: Cointerpretation, world, t) -> tuple:
+    """Step a tree, or a head-normal computation (``interp.evaluate``), from
+    ``world`` up to a leaf or the first operation with no cooperation; return
+    that tree and the world there.  A computation is resumed only along the
+    branch each cooperation picks.  ``c.coops`` is read at every step."""
     while not isinstance(t, Return):
         coop = c.coops.get(t.op)
         if coop is None:
-            if not c.theory.has_op(t.op):
-                raise UnknownOperation(f"tree performs undeclared operation {t.op!r}")
-            return Stuck(t.op, t.param, world)
+            break
         a, world = coop(t.param, world)
         if isinstance(t, OpNode):
             t = t.kont[c.theory.op(t.op).arity.index_of(a)]
         else:
             t = t.resume(a)
-    return Done(t.value, world)
+    return t, world
 
 
-def _compile_run(t, coops: Mapping, theory: Theory):
-    """t as a function from a world to its run's (leaf, world), walked once
-    here rather than at every world.  Each node fetches its cooperation,
-    which must exist, and its arity's ``index_of`` now; a cooperation
-    result outside the arity raises ValueError when run."""
+def cointerpret_tree(w0, t, c: Cointerpretation) -> RunOutcome:
+    """Run a tree, or a head-normal computation, from world w0: leaves
+    finish, covered operations step the world, the first uncovered
+    operation gets reported as Stuck."""
+    t, world = _run(c, w0, t)
     if isinstance(t, Return):
-        value = t.value
-        return lambda world: (value, world)
-    subs = tuple(_compile_run(sub, coops, theory) for sub in t.kont)
-    coop, param, index = coops[t.op], t.param, theory.op(t.op).arity.index_of
-
-    def step(world):
-        a, world = coop(param, world)
-        return subs[index(a)](world)
-
-    return step
+        return Done(t.value, world)
+    if not c.theory.has_op(t.op):
+        raise UnknownOperation(f"tree performs undeclared operation {t.op!r}")
+    return Stuck(t.op, t.param, world)
 
 
 def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
@@ -129,20 +119,19 @@ def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
     shared law checker (``terms._check_laws``) with the covered operations
     as its coverage; None means every law holds, otherwise the first
     failing case is the witness.  An equation that mentions an uncovered
-    operation raises UncoveredOperation before any of its runs.  Each
-    instance is compiled (``_compile_run``) once, and a run's outcome
-    becomes a ``Done`` record only in a witness.
+    operation raises UncoveredOperation before any of its runs.  Each side
+    is run from each world by the loop ``cointerpret_tree`` uses, and its
+    (leaf value, world) pair becomes a ``Done`` record only in a witness.
     """
     if not isinstance(c.world, FiniteUniverse):
         raise NonEnumerableWorld("comodel validation needs an enumerable world")
 
     def check(eq, p, lhs, rhs):
-        lhs, rhs = _compile_run(lhs, c.coops, c.theory), _compile_run(rhs, c.coops, c.theory)
         for w in c.world.iter_elements():
-            lo = lhs(w)
-            ro = rhs(w)
-            if lo != ro:
-                return ComodelViolation(eq.name, p, w, Done(*lo), Done(*ro))
+            lt, lw = _run(c, w, lhs)
+            rt, rw = _run(c, w, rhs)
+            if (lt.value, lw) != (rt.value, rw):
+                return ComodelViolation(eq.name, p, w, Done(lt.value, lw), Done(rt.value, rw))
         return True
 
     violation, skipped, _ = _check_laws(c.theory.eqs, check, set(c.coops), stop_at_skip=True)
@@ -151,8 +140,8 @@ def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
     return violation
 
 
-def tensor_run(m_tree: FreeElement, w0, c: Cointerpretation) -> RunOutcome:
-    """Run a free-model element against a world.
+def tensor_run(m_tree, w0, c: Cointerpretation) -> RunOutcome:
+    """Run a free-model element (``free.FreeElement``) against a world.
 
     This is cointerpretation of the representative; when the comodel is
     valid, congruent representatives give identical outcomes.

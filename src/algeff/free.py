@@ -8,7 +8,9 @@ model where it is known: a theory whose laws are exactly a built-in's gets
 that built-in's normal form (the single-state get/put form, or the sorted
 leaf set that choice and the semilattice share).  Any other theory is
 searched, by a budgeted congruence search, after its own 2-element models
-have had the chance to refute equality.
+have had the chance to refute equality.  Trees of any depth are folded or
+walked on explicit stacks; only the search's rewrite rules recurse
+(``_builder``, ``_match``), as deep as an equation side.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from enum import Enum as PyEnum
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
-from .models import table_model, validate_equation, validate_model
-from .terms import Equation, OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
+from .models import interpret_term, table_model, validate_model
+from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
 from .terms import fold_tree, sort_key, subtrees, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
-from .universe import BOOL, EMPTY, UNIT, Fin
+from .universe import BOOL
 
 DEFAULT_BUDGET = 10000
 
@@ -374,9 +376,12 @@ def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
         return False
     gens = _distinct_leaves(itertools.chain(tree_leaves(t1), tree_leaves(t2)))
     t1, t2 = _by_index(t1, gens), _by_index(t2, gens)
-    # the one-instance law t1 = t2 over the leaves' indices
-    law = Equation("t1 = t2", UNIT, Fin(len(gens)) if gens else EMPTY, lambda p: t1, lambda p: t2)
-    return any(validate_equation(model, law) is not None for model in models)
+    for model in models:
+        for picks in itertools.product(BOOL.elements(), repeat=len(gens)):
+            valuation = dict(enumerate(picks))
+            if interpret_term(model, t1, valuation) != interpret_term(model, t2, valuation):
+                return True
+    return False
 
 
 def _by_index(t: Tree, gens: list) -> Tree:

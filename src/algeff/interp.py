@@ -672,21 +672,15 @@ def compare_trees(t1, t2, ctype: CompType, theory: Theory, facts: _Facts | None 
         except AlgeffError:
             return None
 
-    def walk(a, b):
+    verdict, pairs = True, [(t1, t2)]  # pairs wait on a stack, taken in preorder
+    while pairs and verdict is not False:
+        a, b = pairs.pop()
         if isinstance(a, Leaf) and isinstance(b, Leaf):
-            return leaves(a, b)
-        if isinstance(a, OpNode) and isinstance(b, OpNode):
-            if a.op != b.op or a.param != b.param:
-                return False if canonical else None
-            verdict = True
-            for sa, sb in zip(a.kont, b.kont):
-                verdict = _both(verdict, walk(sa, sb))
-                if verdict is False:
-                    return False
-            return verdict
-        return False if canonical else None
-
-    verdict = walk(t1, t2)
+            verdict = _both(verdict, leaves(a, b))
+        elif type(a) is type(b) is OpNode and a.op == b.op and a.param == b.param:
+            pairs.extend(reversed(tuple(zip(a.kont, b.kont))))
+        else:
+            verdict = _both(verdict, False if canonical else None)
     if verdict is False and normalizes_to_leaf_sets(theory):
         # a leaf set drops only identical leaves, so two extensionally equal
         # functions may both stay, or pair up with the wrong partners

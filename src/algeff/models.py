@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
-from .terms import Equation, Return, Theory, Tree, _Node, _check_laws, _set
+from .terms import Equation, Return, Theory, Tree, _Node, _check_laws, _set, fold_tree, subtrees
 from .universe import UNIT, FiniteUniverse, Product
 
 
@@ -104,9 +104,19 @@ def compile_term(interp: Interpretation, t: Tree, slots: Mapping) -> Callable:
 
 def interpret_term(interp: Interpretation, t: Tree, valuation: Mapping) -> Any:
     """Interpret a tree as a carrier element under a valuation of its
-    generators: leaves project, nodes apply the operation's function.  The
-    tree is compiled (``compile_term``), then applied once."""
-    return compile_term(interp, t, {g: g for g in valuation})(valuation)
+    generators: leaves project, nodes apply the operation's function, by
+    one fold (``terms.fold_tree``), so a tree of any depth is fine.  A
+    preorder pass first raises the first defect: an operation with no
+    function (UnknownOperation), a leaf the valuation lacks
+    (UnboundGenerator), or the TypeError of a leaf that cannot be a key."""
+    ops = interp.ops
+    for sub in subtrees(t):
+        if type(sub) is Return:
+            if sub.value not in valuation:
+                raise UnboundGenerator(f"valuation does not cover generator {sub.value!r}")
+        elif sub.op not in ops:
+            raise UnknownOperation(f"no interpretation for operation {sub.op!r}")
+    return fold_tree(t, valuation.__getitem__, lambda op, param, args: ops[op](param, args))
 
 
 def iter_equation_cases(m: FiniteModel, e: Equation) -> Iterator[tuple]:
@@ -126,9 +136,9 @@ def validate_equation(m: FiniteModel, e: Equation) -> EquationViolation | None:
     (``terms._check_laws``), where a point is a valuation tuple indexed
     like the context's generators.  None means valid, otherwise the first
     witness is returned, its valuation a dict.  Each side of an instance is
-    fetched and compiled (``compile_term``) once, just before its cases, so
-    an empty carrier fetches and compiles nothing of an equation with
-    generators."""
+    fetched and compiled (``compile_term``) once, just before its cases,
+    since it is evaluated at all |carrier|^|context| of them; an empty
+    carrier fetches and compiles nothing of an equation with generators."""
     if not isinstance(m, FiniteModel):
         raise NonEnumerableCarrier("equation validation needs an enumerable carrier")
     return _violation(m, (e,))

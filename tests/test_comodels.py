@@ -19,7 +19,7 @@ from algeff.comodels import (
 from algeff.errors import ImpossibleCooperation, NonEnumerableWorld, UncoveredOperation
 from algeff.free import FreeElement, eta, sequence, generic_op, state_normal_form
 from algeff.parser import parse_comodel_file, parse_theory_file
-from algeff.terms import OpNode, Return, Theory, tree_depth, tree_ops
+from algeff.terms import Equation, OpNode, Return, Theory, tree_depth, tree_ops
 from algeff.theories import (
     choice_theory,
     combine,
@@ -27,7 +27,7 @@ from algeff.theories import (
     io_theory,
     single_state_theory,
 )
-from algeff.universe import Enum, Fin, FiniteUniverse
+from algeff.universe import UNIT, Enum, Fin, FiniteUniverse
 
 from tests.gen import tree_corpus
 from tests.test_models import outcome
@@ -137,6 +137,26 @@ def test_cointerpret_terminates_on_deep_trees():
         t = put(i % 3, t)
     assert tree_depth(t) == 300
     assert cointerpret_tree(0, t, c) == Done(0, 0)
+
+
+def test_validation_runs_equation_sides_of_any_depth():
+    # a 5,000-deep put chain against its innermost put, the one that runs last
+    state2 = single_state_theory(Fin(2))
+    chain = Return("x")
+    for i in range(5_000):
+        chain = put(i % 2, chain)
+    last = chain
+    while last.kont[0] != Return("x"):
+        last = last.kont[0]
+
+    def law(rhs):
+        eq = Equation("deep", UNIT, Enum(("x",)), lambda p: chain, lambda p: rhs)
+        return state_comodel(Theory("deep", state2.ops, (eq,)))
+
+    assert last == put(0, Return("x"))
+    assert validate_comodel(law(last)) is None
+    assert validate_comodel(law(put(1, Return("x")))) == ComodelViolation(
+        "deep", (), 0, Done("x", 0), Done("x", 1))
 
 
 def test_transcript_universe_enumeration():

@@ -110,6 +110,14 @@ def test_lifting_and_indexing_take_a_tree_of_any_depth():
     assert tree_ops(indexed) == {"put"}
 
 
+def test_refuting_models_interpret_a_tree_of_any_depth():
+    t = Return("x")
+    for _ in range(5_000):
+        t = OpNode("choose", (), (Return("y"), t))
+    th = combine(choice_theory(), exception_theory())
+    assert tree_equal_modulo(th, t, Return("x"), budget=1) is TreeEq.DISTINCT
+
+
 def test_sequence_of_return_applies_continuation():
     h = lambda v: eta(STATE2, v + 1)
     assert sequence(eta(STATE2, 0), h) == eta(STATE2, 1)

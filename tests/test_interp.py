@@ -270,6 +270,22 @@ def test_compare_trees_with_normalizer_separates():
     assert compare_trees(t1, Leaf(1), CompType(T_INT, frozenset()), STATE3) is True
 
 
+def test_compare_trees_of_any_depth():
+    from algeff.lang import T_INT, CompType
+
+    free = parse_theory_file("theory free { op join : unit ~> bool; }")
+    at = CompType(T_INT, frozenset({"join"}))
+
+    def chain(bottom):
+        t = Leaf(bottom)
+        for i in range(5_000):
+            t = OpNode("join", (), (Leaf(i), t))
+        return t
+
+    assert compare_trees(chain(-1), chain(-1), at, free) is True
+    assert compare_trees(chain(-1), chain(-2), at, free) is False
+
+
 def test_compare_trees_over_a_leaf_set_of_functions_is_not_separable():
     from algeff.lang import T_BOOL, CompType, TArrow
 

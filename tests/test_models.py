@@ -21,7 +21,7 @@ from algeff.models import (
 )
 from algeff.parser import parse_model_file, parse_theory_file
 from algeff.terms import Equation, OpDecl, OpNode, Return, Theory, substitute
-from algeff.theories import group_theory, semilattice_theory, single_state_theory
+from algeff.theories import choice_theory, group_theory, semilattice_theory, single_state_theory
 from algeff.universe import BOOL, EMPTY, UNIT, Enum, Fin
 
 from tests.test_terms import BUILTIN_INSTANCES
@@ -97,6 +97,25 @@ def test_interpret_semilattice_brute_force():
 def test_interpret_unbound_generator():
     with pytest.raises(UnboundGenerator):
         interpret_term(or_semilattice(), Return("z"), {"x": True})
+
+
+def test_interpret_a_tree_of_any_depth():
+    m = FiniteModel(choice_theory(), {"choose": lambda p, ab: ab[0] or ab[1]}, BOOL)
+    t = Return("x")
+    for _ in range(5_000):
+        t = OpNode("choose", (), (Return("y"), t))
+    assert interpret_term(m, t, {"x": False, "y": False}) is False
+    assert interpret_term(m, t, {"x": True, "y": False}) is True
+
+
+def test_interpret_raises_the_first_defect_in_preorder():
+    m = or_semilattice()
+    unknown_above = OpNode("meet", (), (Return("z"), Return("x")))
+    with pytest.raises(UnknownOperation, match="'meet'"):
+        interpret_term(m, unknown_above, {"x": True})
+    unbound_left = OpNode("join", (), (Return("z"), OpNode("meet", (), ())))
+    with pytest.raises(UnboundGenerator, match="'z'"):
+        interpret_term(m, unbound_left, {"x": True})
 
 
 def test_raw_interpretation_is_rejected_by_validators():
