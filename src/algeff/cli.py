@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -137,6 +138,20 @@ def _parse_world(text: str, world):
     if not world.contains(value):
         raise _CliError(f"world {text!r} is not an element of {world}", BAD_INPUT)
     return value
+
+
+def _split_world(text: str, world):
+    """A ``:run`` line's world text and the computation after it: the
+    longest whitespace-separated prefix of ``text`` that names an element
+    of ``world``, else the first word."""
+    ends = [m.end() for m in re.finditer(r"\S+", text)]
+    for end in reversed(ends):
+        try:
+            _parse_world(text[:end], world)
+        except _CliError:
+            continue
+        return text[:end], text[end:].strip()
+    return text[:ends[0]], text[ends[0]:].strip()
 
 
 def _run(theory, program, comodel, world_text: str) -> int:
@@ -272,18 +287,20 @@ def cmd_repl(args) -> int:
         elif line.startswith(":normalize "):
             _normalize(theory, _typed(theory, line[len(":normalize "):])[0])
         elif line.startswith(":run "):
-            rest = line[len(":run "):].split(None, 2)
-            if len(rest) < 2:
+            words = line[len(":run "):].split(None, 1)
+            if len(words) < 2:
                 print("usage: :run <comodel> <world> [comp]")
                 return
-            name, world_text = rest[0], rest[1]
+            name, rest = words
             comodel = comodels.get(name)
             if comodel is None and _is_path(name):
                 comodel = _load(name, parse_comodel_file, theory)
-            text = rest[2] if len(rest) > 2 else last
             if comodel is None:
                 print(f"no comodel {name!r} loaded")
-            elif text is None:
+                return
+            world_text, text = _split_world(rest, comodel.world)
+            text = text or last
+            if text is None:
                 print("no computation given or remembered")
             else:
                 _run(theory, _typed(theory, text)[0], comodel, world_text)

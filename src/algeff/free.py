@@ -367,19 +367,38 @@ class TreeEq(PyEnum):
     UNKNOWN = "unknown"
 
 
+# the most valuations of the leaves that _refutes interprets a tree at in one fold
+_BLOCK = 4096
+
+
 def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
     """Whether a 2-element model of the theory tells t1 and t2 apart under
     some valuation of their leaves; such a model satisfies every law, so
-    the trees are not congruent."""
+    the trees are not congruent.
+
+    Each tree is interpreted once per model and block of up to _BLOCK
+    valuations, in ``itertools.product`` order: in a power of the model,
+    where leaf i is the tuple of its values in the block's valuations and
+    each operation applies its table pointwise."""
     models = _refuters(theory)
     if not models:
         return False
     gens = _distinct_leaves(itertools.chain(tree_leaves(t1), tree_leaves(t2)))
     t1, t2 = _by_index(t1, gens), _by_index(t2, gens)
-    for model in models:
-        for picks in itertools.product(BOOL.elements(), repeat=len(gens)):
-            valuation = dict(enumerate(picks))
-            if interpret_term(model, t1, valuation) != interpret_term(model, t2, valuation):
+    for t in (t1, t2):  # the tree's first defect, such as an undeclared operation
+        interpret_term(models[0], t, dict.fromkeys(range(len(gens)), False))
+    valuations = itertools.product(BOOL.elements(), repeat=len(gens))
+    while block := tuple(itertools.islice(valuations, _BLOCK)):
+        width = len(block)
+        columns = dict(enumerate(zip(*block))).__getitem__  # leaf i: its values in the block
+        for model in models:
+            ops = model.ops
+
+            def node(op, param, args):
+                points = zip(*args) if args else itertools.repeat((), width)
+                return tuple(map(ops[op], itertools.repeat(param), points))
+
+            if fold_tree(t1, columns, node) != fold_tree(t2, columns, node):
                 return True
     return False
 

@@ -330,38 +330,13 @@ class _Mismatch(Exception):
     pass
 
 
-class _Report(Exception):
-    """A type error met in a program: ``_Report(make, *args)`` is raised by
-    ``typecheck_*`` as ``make(*args)`` once the checker's recursion has
-    unwound.  ``make`` reads the position, which may mean reading the
-    program's text again, without adding to the stack of a deeply nested
-    program.  (Builders, not closures: a closure would turn the checker's
-    hot locals into cells.)"""
-
-    def error(self):
-        make, *args = self.args
-        return make(*args)
-
-
-def _mismatch(node, fallback, expected: str, found: str) -> TypeMismatch:
-    return TypeMismatch(_pos(node, fallback), expected, found)
-
-
-def _unbound(v) -> UnboundVariable:
-    return UnboundVariable(v.name, v.pos)
-
-
-def _unknown(node) -> UnknownOperation:
-    """An operation call or handler clause naming an unknown operation."""
-    return UnknownOperation(f"unknown operation{_loc(node.pos)}: {node.op}")
-
-
 class Checker:
     """Bidirectional-lite type checker with single-level unification.
 
     Type variables only arise for unannotated binders (function parameters
     and the return-clause binder of a handler synthesized outside a
-    with-handle position); they are resolved by use.
+    with-handle position); they are resolved by use.  A type error is
+    raised where it is met, placed at a program node.
     """
 
     def __init__(self, theory: Theory):
@@ -416,13 +391,13 @@ class Checker:
                 raise _Mismatch
 
     def unify(self, found, expected, node, fallback=None):
-        """Unify, or report a mismatch at ``node``'s position, or else at
-        ``fallback``'s; positions are read only for the report."""
+        """Unify, or report a mismatch at ``node``, or else, if it has no
+        place, at ``fallback``."""
         try:
             self._unify(found, expected)
         except _Mismatch:
-            raise _Report(
-                _mismatch, node, fallback, str(self.zonk(expected)), str(self.zonk(found))
+            raise TypeMismatch(
+                _place(node, fallback), str(self.zonk(expected)), str(self.zonk(found))
             ) from None
 
     def _join(self, a, b, node, fallback):
@@ -443,7 +418,7 @@ class Checker:
             try:
                 return ctx[v.name]
             except KeyError:
-                raise _Report(_unbound, v) from None
+                raise UnboundVariable(v.name, v) from None
         if isinstance(v, BoolLit):
             return T_BOOL
         if isinstance(v, UnitLit):
@@ -473,7 +448,7 @@ class Checker:
             return CompType(self.synth_value(ctx, c.value), frozenset())
         if isinstance(c, OpCall):
             if not self.theory.has_op(c.op):
-                raise _Report(_unknown, c)
+                raise UnknownOperation.at(c, c.op)
             decl = self.theory.op(c.op)
             arg = self.synth_value(ctx, c.arg)
             self.unify(arg, universe_type(decl.param), c.arg, c)
@@ -497,9 +472,9 @@ class Checker:
                 return self._primitive_app(ctx, c)
             fn = self.resolve(self.synth_value(ctx, c.fn))
             if isinstance(fn, TVar):
-                raise _Report(_mismatch, c.fn, c, "a function", str(fn))
+                raise TypeMismatch(_place(c.fn, c), "a function", str(fn))
             if not isinstance(fn, TArrow):
-                raise _Report(_mismatch, c.fn, c, "a function", str(self.zonk(fn)))
+                raise TypeMismatch(_place(c.fn, c), "a function", str(self.zonk(fn)))
             arg = self.synth_value(ctx, c.arg)
             self.unify(arg, fn.arg, c.arg, c)
             return self.resolve(fn.result)
@@ -510,12 +485,12 @@ class Checker:
                 return ht.out
             hv = self.resolve(self.synth_value(ctx, c.handler))
             if not isinstance(hv, THandler):
-                raise _Report(_mismatch, c.handler, c, "a handler", str(self.zonk(hv)))
+                raise TypeMismatch(_place(c.handler, c), "a handler", str(self.zonk(hv)))
             self.unify(comp.value, hv.inp.value, c.comp, c)
             if not comp.dirt <= hv.inp.dirt:
                 extra = ", ".join(sorted(comp.dirt - hv.inp.dirt))
-                raise _Report(
-                    _mismatch, c.comp, c,
+                raise TypeMismatch(
+                    _place(c.comp, c),
                     str(self.zonk(hv.inp)), f"{self.zonk(comp)} (unhandled: {extra})",
                 )
             return hv.out
@@ -524,7 +499,7 @@ class Checker:
     def _primitive_app(self, ctx: Mapping, c: App) -> CompType:
         arg = self.resolve(self.synth_value(ctx, c.arg))
         if not isinstance(arg, TProd):
-            raise _Report(_mismatch, c.arg, c, "a pair", str(self.zonk(arg)))
+            raise TypeMismatch(_place(c.arg, c), "a pair", str(self.zonk(arg)))
         out = arg.left if c.fn.name == "fst" else arg.right
         return CompType(self.resolve(out), frozenset())
 
@@ -532,9 +507,9 @@ class Checker:
         seen = set()
         for clause in h.clauses:
             if not self.theory.has_op(clause.op):
-                raise _Report(_unknown, clause)
+                raise UnknownOperation.at(clause, clause.op)
             if clause.op in seen:
-                raise _Report(_mismatch, clause, None, "distinct operation clauses", clause.op)
+                raise TypeMismatch(clause, "distinct operation clauses", clause.op)
             seen.add(clause.op)
         handled = frozenset(seen)
         if comp is None:
@@ -572,13 +547,9 @@ class Checker:
         )
 
 
-def _pos(node, fallback):
-    pos = getattr(node, "pos", None)
-    return pos if pos is not None else getattr(fallback, "pos", None)
-
-
-def _loc(pos):
-    return f" at {pos[0]}:{pos[1]}" if pos else ""
+def _place(node, fallback):
+    """``node``, or ``fallback`` when ``node`` has no place."""
+    return node if getattr(node, "_at", None) is not None else fallback
 
 
 def typecheck_comp(theory: Theory, c, ctx: Mapping | None = None,
@@ -586,20 +557,14 @@ def typecheck_comp(theory: Theory, c, ctx: Mapping | None = None,
     """Synthesize a computation's type; with ``expected`` given, also check
     it fits (equal value type, dirt within the expected bound)."""
     checker = Checker(theory)
-    try:
-        got = checker.synth_comp(dict(ctx or {}), c)
-        if expected is not None:
-            checker.unify(got.value, expected.value, c)
-    except _Report as report:
-        raise report.error() from None
-    if expected is not None and not got.dirt <= expected.dirt:
-        raise TypeMismatch(getattr(c, "pos", None), str(expected), str(checker.zonk(got)))
+    got = checker.synth_comp(dict(ctx or {}), c)
+    if expected is not None:
+        checker.unify(got.value, expected.value, c)
+        if not got.dirt <= expected.dirt:
+            raise TypeMismatch(c, str(expected), str(checker.zonk(got)))
     return checker.zonk(got)
 
 
 def typecheck_value(theory: Theory, v, ctx: Mapping | None = None) -> ValueType:
     checker = Checker(theory)
-    try:
-        return checker.zonk(checker.synth_value(dict(ctx or {}), v))
-    except _Report as report:
-        raise report.error() from None
+    return checker.zonk(checker.synth_value(dict(ctx or {}), v))

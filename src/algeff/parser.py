@@ -35,23 +35,23 @@ cooperation entry:
     model <name>   { carrier <universe>; <op>(<param>; <args,...>) = <elem>; ... }
     comodel <name> { world <universe>;   <op>(<param>; <world>) = (<elem>; <world'>); ... }
 
-The parser reads token values from one regex pass.  A model or comodel
-file is read by its entry pattern instead: after its header, each entry is
+The parser reads token values from one regex pass.  A model or comodel file
+is read by its entry pattern instead: after its header, each entry is
 matched whole by one regex, straight from the text, and each element is
 looked up once in the universe it must lie in.  A file with anything the
 pattern does not cover (a comment among the entries, a pair, ``fst``, a
 keyword, a non-member, a duplicate or missing entry, or text after the
 closing brace) is read again from the start, token by token, by the reader
-that reports its errors.  Line and column are worked out, by ``tokenize``
-over the same regex, only when one is read: for a syntax error, or for a
-program node's ``pos`` (a type error, an unbound variable), until which the
-node keeps a mark of its first token.  An equation's two
-sides are read once, as templates, and checked once, by the universes their
-elements range over.  Only an equation that fails that check has its
-instances built and checked one by one, to report the first defective one
-as ``check_theory`` would; otherwise an instance is built the first time
-``Equation.lhs`` or ``Equation.rhs`` asks for it, and kept.  So ``run`` and
-``type`` never build an equation instance of a theory that loads.
+that reports its errors.  A syntax error holds a place, not a position, as
+a program node does: a mark of a token or, for an unreadable token, the
+text.  Line and column are worked out, by ``tokenize`` over the same regex,
+only when one is read.  An equation's two sides are read once, as
+templates, and checked once, by the universes their elements range over.
+Only an equation that fails that check has its instances built and checked
+one by one, to report the first defective one as ``check_theory`` would;
+otherwise an instance is built the first time ``Equation.lhs`` or
+``Equation.rhs`` asks for it, and kept.  So ``run`` and ``type`` never
+build an equation instance of a theory that loads.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ import functools
 import itertools
 import re
 from collections import Counter
-from contextlib import contextmanager
 from typing import NamedTuple
 
 from . import lang
@@ -106,6 +105,21 @@ class _Unreadable(Exception):
     """A token no value reads: an unexpected character, an unterminated
     string, or a numeral with more digits than int() converts.  ``tokenize``
     reports it with its position."""
+
+
+class _FirstUnreadable:
+    """The place of the first unreadable token of ``text``: its ``pos`` and
+    ``reason`` are those of the error ``tokenize`` raises, when first read."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __getattr__(self, name):  # pos or reason, not yet read
+        try:
+            tokenize(self.text)
+        except ParseError as error:
+            self.pos, self.reason = error.pos, error.reason
+        return object.__getattribute__(self, name)
 
 
 def _unescape(m) -> str:
@@ -205,18 +219,15 @@ def tokenize(text: str) -> list:
     return toks
 
 
-def _scan(text: str, positioned: bool = True) -> list:
+def _scan(text: str) -> list:
     """The token values of ``text``, comments left out, then None for the
     end: ``tokenize``'s values, without their positions.  A token no value
-    reads raises ``tokenize``'s ParseError, or ``_Unreadable`` unless
-    ``positioned``."""
+    reads raises a ParseError at the text's first unreadable token."""
     raws = _TOKEN.findall(text)
     try:
         values = {raw: _value(raw) for raw in set(raws)}
     except _Unreadable:
-        if positioned:
-            tokenize(text)  # raises the text's first error, with its position
-        raise
+        raise ParseError.at(_FirstUnreadable(text)) from None
     toks = list(map(values.__getitem__, raws))
     if _COMMENT in values.values():
         toks = [tok for tok in toks if tok is not _COMMENT]
@@ -258,27 +269,12 @@ class _At:
         return tuple, (self.pos,)
 
 
-class _Deferred(Exception):
-    """A syntax error in a program: ``message`` at token ``index``.  It is
-    raised as a ParseError once the parser's recursion has unwound, so that
-    finding its position adds nothing to the stack, or backtracked from
-    while an application is tried."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        self.message = message
-
-
 class _Parser:
-    def __init__(self, text: str, positioned: bool = True):
-        """A parser of ``text``.  Unless ``positioned``, no error finds its
-        position: a syntax error raises _Deferred, an unreadable token
-        _Unreadable."""
+    def __init__(self, text: str):
         self.source = _Source(text)
-        self.toks = _scan(text, positioned)
+        self.toks = _scan(text)
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
-        self.deferring = 0 if positioned else 1  # while positive, a syntax error raises _Deferred
         self.unproven = False  # whether an equation's universes leave a doubt
 
     def pos(self, i=None) -> tuple:
@@ -318,31 +314,14 @@ class _Parser:
 
     def error(self, i, message):
         """Raise a syntax error at token ``i``."""
-        if self.deferring:
-            raise _Deferred(i, message)
-        raise ParseError(*self.pos(i), message)
+        # not self.mark(i): a frame fewer, as deep as the parser's success path
+        raise ParseError.at(_At(self.source, i), message)
 
     def expect_eof(self):
         if self.toks[self.i] is not None:
             self.fail("expected end of input")
 
     # -- programs ------------------------------------------------------------
-
-    # A node keeps a mark of its first token, not its position: positions
-    # are found, by ``tokenize``, only when one is read.
-
-    @contextmanager
-    def deferred(self):
-        """Raise a syntax error met in the block as a ParseError only once
-        the block's recursion has unwound.  A context manager, not a call
-        around the block, so that it adds no frame to the stack."""
-        self.deferring += 1
-        try:
-            yield
-        except _Deferred as error:
-            raise ParseError(*self.pos(error.index), error.message) from None
-        finally:
-            self.deferring -= 1
 
     def comp(self):
         at = self.i
@@ -378,15 +357,12 @@ class _Parser:
             self.eat_punct(")")
             return lang.OpCall(tok, arg, pos=self.mark(at))
         # application, or a parenthesized computation
-        self.deferring += 1
         try:
             fn = self.value()
             arg = self.value()
             return lang.App(fn, arg, pos=self.mark(at))
-        except _Deferred:
+        except ParseError:
             self.i = at
-        finally:
-            self.deferring -= 1
         if tok == "(":
             self.i += 1
             inner = self.comp()
@@ -493,7 +469,7 @@ class _Parser:
             if type(size) is not int:
                 self.fail("expected a size after fin")
             if size < 1:
-                raise ParseError(*self.pos(), "fin needs a positive size")
+                self.error(self.i, "fin needs a positive size")
             self.i += 1
             return Fin(size)
         if tok == "enum":
@@ -508,7 +484,7 @@ class _Parser:
             try:
                 return Enum(tuple(labels))
             except ValueError as exc:
-                raise ParseError(*self.pos(at), str(exc)) from None
+                raise ParseError.at(self.mark(at), str(exc)) from None
         if tok == "(":
             self.i += 1
             out = self.universe()
@@ -606,7 +582,7 @@ class _Parser:
                     # no element of another universe is a pair: the first
                     # instance fails, at the first element
                     value = next(universe.iter_elements())
-                    raise ParseError(*self.pos(at), f"{tok} expects a pair, got {value!r}")
+                    self.error(at, f"{tok} expects a pair, got {value!r}")
                 universe = universe.right if index else universe.left
             return (lambda env: pair(env)[index]), universe
         bound = scope is not None and tok in scope
@@ -630,7 +606,7 @@ class _Parser:
             return lambda env: Return(leaf(env))
         name = self.eat_ident("an operation or return")
         if not theory.has_op(name):
-            raise ParseError(*self.pos(at), f"unknown operation {name!r}")
+            self.error(at, f"unknown operation {name!r}")
         decl = theory.op(name)
         self.eat_punct("(")
         param, universe = self.elem_template(scope)
@@ -641,9 +617,7 @@ class _Parser:
             count, kont = self.konts(theory, context, decl.arity, scope)
         self.eat_punct(")")
         if count != decl.arity.size():
-            raise ParseError(
-                *self.pos(at), f"{name} needs {decl.arity.size()} subtrees, got {count}"
-            )
+            self.error(at, f"{name} needs {decl.arity.size()} subtrees, got {count}")
         return lambda env: OpNode(name, param(env), kont(env))
 
     def konts(self, theory: Theory, context: FiniteUniverse, arity: FiniteUniverse, scope):
@@ -679,7 +653,7 @@ class _Parser:
                 at = self.i
                 op_name = self.eat_ident("an operation name")
                 if partial.has_op(op_name):
-                    raise ParseError(*self.pos(at), f"duplicate operation {op_name!r}")
+                    self.error(at, f"duplicate operation {op_name!r}")
                 self.eat_punct(":")
                 param = self.universe()
                 self.eat_punct("~>")
@@ -706,7 +680,7 @@ class _Parser:
         at = self.i
         eq_name = self.eat_ident("an equation name")
         if eq_name in taken:
-            raise ParseError(*self.pos(at), f"duplicate equation {eq_name!r}")
+            self.error(at, f"duplicate equation {eq_name!r}")
         param_name = None
         param_universe = UNIT
         if self.at("forall"):
@@ -719,7 +693,7 @@ class _Parser:
         self.eat_punct(")")
         self.eat_punct(":")
         if param_universe.is_empty():
-            raise ParseError(*self.pos(), "forall over an empty universe")
+            self.error(self.i, "forall over an empty universe")
         scope = {} if param_name is None else {param_name: param_universe}
         self.unproven = False
         lhs = _Instances(self.tree(theory, context, scope), param_name, param_universe)
@@ -762,7 +736,7 @@ class _Parser:
             at = self.i
             op_name = self.eat_ident("an operation name")
             if not theory.has_op(op_name):
-                raise ParseError(*self.pos(at), f"unknown operation {op_name!r}")
+                self.error(at, f"unknown operation {op_name!r}")
             self.eat_punct("(")
             param = self.elem()
             args = []
@@ -777,10 +751,7 @@ class _Parser:
             self.eat_punct(";")
             decl = theory.op(op_name)
             if len(args) != decl.arity.size():
-                raise ParseError(
-                    *self.pos(at),
-                    f"{op_name} needs {decl.arity.size()} arguments, got {len(args)}",
-                )
+                self.error(at, f"{op_name} needs {decl.arity.size()} arguments, got {len(args)}")
             self.require_members(at, (
                 (param, decl.param, "parameter"),
                 *((a, carrier, "argument") for a in args),
@@ -788,7 +759,7 @@ class _Parser:
             ))
             key = (op_name, param, tuple(args))
             if key in table:
-                raise ParseError(*self.pos(at), f"duplicate entry for {key!r}")
+                self.error(at, f"duplicate entry for {key!r}")
             table[key] = result
         self.eat_punct("}")
         return table
@@ -815,7 +786,7 @@ class _Parser:
             at = self.i
             op_name = self.eat_ident("an operation name")
             if not theory.has_op(op_name):
-                raise ParseError(*self.pos(at), f"unknown operation {op_name!r}")
+                self.error(at, f"unknown operation {op_name!r}")
             if op_name not in covered:
                 covered.append(op_name)
             self.eat_punct("(")
@@ -836,16 +807,15 @@ class _Parser:
             ))
             key = (op_name, param, w)
             if key in table:
-                raise ParseError(*self.pos(at), f"duplicate entry for {key!r}")
+                self.error(at, f"duplicate entry for {key!r}")
             table[key] = (result, w2)
         self.eat_punct("}")
         for op_name in covered:
             decl = theory.op(op_name)
             for p, w in itertools.product(decl.param.elements(), world.elements()):
                 if (op_name, p, w) not in table:
-                    raise ParseError(
-                        *self.pos(),
-                        f"missing cooperation entry for {op_name!r} at ({p!r}; {w!r})",
+                    self.error(
+                        self.i, f"missing cooperation entry for {op_name!r} at ({p!r}; {w!r})"
                     )
         return table, covered
 
@@ -854,7 +824,7 @@ class _Parser:
         its value in its universe."""
         for value, universe, what in checks:
             if not universe.contains(value):
-                raise ParseError(*self.pos(at), f"{what} {value!r} is not in {universe}")
+                self.error(at, f"{what} {value!r} is not in {universe}")
 
 
 class _Single(FiniteUniverse):
@@ -1081,17 +1051,15 @@ def _model_by_pattern(text: str, theory: Theory):
 
 def parse_program(text: str):
     p = _Parser(text)
-    with p.deferred():
-        out = p.comp()
-        p.expect_eof()
+    out = p.comp()
+    p.expect_eof()
     return out
 
 
 def parse_value_text(text: str):
     p = _Parser(text)
-    with p.deferred():
-        out = p.value()
-        p.expect_eof()
+    out = p.value()
+    p.expect_eof()
     return out
 
 
@@ -1130,11 +1098,8 @@ def parse_element(text: str):
 def element_or(text: str, default):
     """The element ``text`` reads, as ``parse_element`` reads it, or
     ``default`` when it reads none.  No token's position is looked for,
-    since no error is reported."""
+    since no error is read."""
     try:
-        p = _Parser(text, positioned=False)
-        out = p.elem()
-        p.expect_eof()
-    except (_Unreadable, _Deferred):
+        return parse_element(text)
+    except ParseError:
         return default
-    return out

@@ -495,6 +495,7 @@ README_TRANSCRIPTS = [
     _run_transcript("increment.eff", "state10.thy", "state10.cmod", "5"),
     _run_transcript("abort.eff", "state10.thy", "state10.cmod", "5"),
     _run_transcript("hello.eff", "io_hello.thy", "hello.cmod", "[]"),
+    _run_transcript("hello.eff", "io_hello.thy", "hello.cmod", '["Hello world!"]'),
     _check_transcript("comodel", "state10.cmod", "state10.thy"),
     _check_transcript("model", "badlattice.mod", "semilattice.thy"),
     _check_transcript("handler", "stateh.eff", "state2.thy"),
@@ -508,13 +509,28 @@ README_TRANSCRIPTS = [
 
 
 @pytest.mark.parametrize("argv, lines", README_TRANSCRIPTS, ids=[
-    "run-increment", "run-abort", "run-hello", "check-comodel", "check-model", "check-handler",
-    "normalize",
+    "run-increment", "run-abort", "run-hello", "run-hello-world", "check-comodel", "check-model",
+    "check-handler", "normalize",
 ])
 def test_repl_prints_the_cli_result_line(capsys, monkeypatch, argv, lines):
     _, expected, _ = invoke(capsys, *argv)
     assert len(expected.splitlines()) == 1
     assert repl(capsys, monkeypatch, *lines).endswith(expected)
+
+
+def test_repl_runs_from_a_world_written_with_spaces(capsys, monkeypatch, tmp_path):
+    cells = [(a, b) for a in (0, 1) for b in (0, 1)]
+    entries = [f"get((); ({a}, {b})) = ({a}; ({a}, {b}));" for a, b in cells]
+    entries += [f"put({p}; ({a}, {b})) = ((); ({p}, {a}));" for p in (0, 1) for a, b in cells]
+    comodel = tmp_path / "pairs.cmod"
+    comodel.write_text("comodel pairs { world fin 2 * fin 2;\n%s\n}\n" % "\n".join(entries))
+    prog = "do x <- get!() in do u <- put!(x + 1) in return x"
+    code, expected, err = invoke(capsys, "run", prog, "--theory", SAMPLES / "state2.thy",
+                                 "--comodel", comodel, "--world", "(1, 0)")
+    assert (code, expected, err) == (0, "1 @ (0, 1)\n", "")
+    out = repl(capsys, monkeypatch, f":load {SAMPLES / 'state2.thy'}",
+               f":run {comodel} (1, 0) {prog}", f":run {comodel} (1,  0)  {prog}")
+    assert out.endswith(expected * 2)
 
 
 @pytest.mark.parametrize(

@@ -319,6 +319,93 @@ def test_theories_without_a_normalizer_refute_by_their_2_element_models():
     assert tree_equal_modulo(group_theory(), m(x, x), x, budget=1) is TreeEq.DISTINCT
 
 
+def _refutes_per_valuation(theory, t1, t2):
+    """The refutation test one valuation at a time, the reference for
+    ``free._refutes``."""
+    from algeff.free import _distinct_leaves, _refuters
+    from algeff.models import interpret_term
+    from algeff.universe import BOOL
+
+    gens = _distinct_leaves(itertools.chain(tree_leaves(t1), tree_leaves(t2)))
+    t1, t2 = _by_index(t1, gens), _by_index(t2, gens)
+    for model in _refuters(theory):
+        for picks in itertools.product(BOOL.elements(), repeat=len(gens)):
+            valuation = dict(enumerate(picks))
+            if interpret_term(model, t1, valuation) != interpret_term(model, t2, valuation):
+                return True
+    return False
+
+
+def _random_tree(rng, ops, leaves, depth=4):
+    """A random tree over ``ops``, (name, number of subtrees) pairs."""
+    if depth == 0 or rng.random() < 0.3:
+        return Return(rng.choice(leaves))
+    name, arity = rng.choice(ops)
+    return OpNode(name, (), tuple(_random_tree(rng, ops, leaves, depth - 1) for _ in range(arity)))
+
+
+def test_refuting_models_agree_with_a_test_at_each_valuation():
+    import random
+
+    from algeff.free import _refutes
+    from algeff.theories import group_theory
+
+    rng = random.Random(7)
+    verdicts = set()
+    for theory, ops in ((CHOICE_EXC, [("choose", 2), ("abort", 0)]),
+                        (group_theory(), [("u", 0), ("m", 2), ("i", 1)])):
+        for _ in range(150):
+            leaves = rng.sample(["a", "b", "c", 1, 2, True], rng.randint(1, 4))
+            t1, t2 = (_random_tree(rng, ops, leaves) for _ in range(2))
+            expected = _refutes_per_valuation(theory, t1, t2)
+            assert _refutes(theory, t1, t2) is expected, (t1, t2)
+            verdicts.add(expected)
+        bad = OpNode("m" if theory is CHOICE_EXC else "choose", (), (Return("a"), Return("b")))
+        for pair in ((bad, t1), (t1, bad)):
+            with pytest.raises(UnknownOperation) as want:
+                _refutes_per_valuation(theory, *pair)
+            with pytest.raises(UnknownOperation) as got:
+                _refutes(theory, *pair)
+            assert str(got.value) == str(want.value)
+    assert verdicts == {True, False}
+
+
+def _choose_chain(leaves):
+    """choose(leaf, choose(leaf, ...)), nested to the right."""
+    *init, t = [Return(leaf) for leaf in leaves]
+    for leaf in reversed(init):
+        t = OpNode("choose", (), (leaf, t))
+    return t
+
+
+def test_refuting_models_read_valuations_past_the_first_block():
+    # 13 distinct leaves make 8,192 valuations, two blocks; only those with
+    # leaf 0 true and every other leaf false tell the two chains apart
+    t1, t2 = _choose_chain(range(13)), _choose_chain(range(1, 13))
+    assert tree_equal_modulo(CHOICE_EXC, t1, t2, budget=1) is TreeEq.DISTINCT
+
+
+def test_refuting_models_interpret_each_tree_once_per_block(monkeypatch):
+    import algeff.free
+
+    calls = []
+    interpret = algeff.free.interpret_term
+
+    def counting(*args):
+        calls.append(args)
+        return interpret(*args)
+
+    monkeypatch.setattr(algeff.free, "interpret_term", counting)
+    counts = []
+    for n in (8, 10, 12):
+        calls.clear()
+        chain = _choose_chain(range(n))
+        reversal = _choose_chain(reversed(range(n)))
+        assert tree_equal_modulo(CHOICE_EXC, chain, reversal, budget=1) is TreeEq.UNKNOWN
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
 def test_the_model_search_is_capped_before_any_table_is_listed():
     import time
 

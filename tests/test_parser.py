@@ -18,6 +18,7 @@ from algeff.errors import (
     TypeMismatch,
     UnboundGenerator,
     UnboundVariable,
+    UnknownOperation,
 )
 from algeff.parser import (
     _Parser,
@@ -1221,3 +1222,33 @@ def test_a_syntax_error_is_reported_at_any_depth_the_parser_reaches():
         with pytest.raises(ParseError) as err:
             parse_program(nested(low, tail))
         assert (err.value.line, err.value.col, err.value.reason) == (1, 18 * low + col, reason)
+
+
+def test_a_type_error_is_reported_at_any_depth_the_type_checker_reaches():
+    theory = parse_theory_file((SAMPLES / "state2.thy").read_text())
+
+    def nested(n, tail):
+        return "do x <- get!() in " * n + tail
+
+    def checks(n):
+        try:
+            lang.typecheck_comp(theory, parse_program(nested(n, "return x")))
+        except RecursionError:
+            return False
+        return True
+
+    low, high = 10, 20_000  # the deepest program that type-checks is in [low, high)
+    assert checks(low) and not checks(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if checks(mid) else (low, mid)
+    for tail, kind, message in (
+        ("return x + true", TypeMismatch, "type error at 1:{}: expected int, found bool"),
+        ("return y", UnboundVariable, "unbound variable at 1:{}: y"),
+        ("foo!()", UnknownOperation, "unknown operation at 1:{}: foo"),
+    ):
+        col = 18 * low + {TypeMismatch: 12, UnboundVariable: 8, UnknownOperation: 1}[kind]
+        with pytest.raises(AlgeffError) as err:
+            lang.typecheck_comp(theory, parse_program(nested(low, tail)))
+        assert type(err.value) is kind
+        assert str(err.value) == message.format(col)
