@@ -8,9 +8,12 @@ model where it is known: a theory whose laws are exactly a built-in's gets
 that built-in's normal form (the single-state get/put form, or the sorted
 leaf set that choice and the semilattice share).  Any other theory is
 searched, by a budgeted congruence search, after its own 2-element models
-have had the chance to refute equality.  Trees of any depth are folded or
-walked on explicit stacks; only the search's rewrite rules recurse
-(``_builder``, ``_match``), as deep as an equation side.
+have had the chance to refute equality.  The search works out each
+rewrite candidate's hash from its parts, and builds the candidate only to
+expand it or to compare it with a tree of the same hash.  Trees of any
+depth are folded or walked on explicit stacks; only the search's rewrite
+rules recurse (``_compile``, which gives each rule's builder and hash
+function, and ``_match``), as deep as an equation side.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Iterator, Mapping
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
 from .models import interpret_term, table_model, validate_model
 from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
-from .terms import fold_tree, sort_key, subtrees, tree_leaves
+from .terms import fold_tree, node_hash, sort_key, subtrees, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
 from .universe import BOOL
 
@@ -35,12 +38,12 @@ DEFAULT_BUDGET = 10000
 
 def default_budget() -> int:
     """How many trees the congruence search may expand; ALGEFF_BUDGET
-    overrides the default."""
-    raw = os.environ.get("ALGEFF_BUDGET", "")
+    overrides the default, unless it is not a whole number or negative."""
     try:
-        return int(raw) if raw else DEFAULT_BUDGET
+        budget = int(os.environ.get("ALGEFF_BUDGET", ""))
     except ValueError:
         return DEFAULT_BUDGET
+    return budget if budget >= 0 else DEFAULT_BUDGET
 
 
 class FreeElement(_Node):
@@ -437,32 +440,43 @@ def _pattern_gens(pattern: Tree, gens: frozenset) -> set:
     return {v for v in tree_leaves(pattern) if v in gens}
 
 
-def _builder(pattern: Tree, gens: frozenset) -> Callable[[Mapping], Tree]:
-    """The function from a binding of the generators to that instance of
-    the pattern."""
+def _compile(pattern: Tree, gens: frozenset, fresh: tuple, part: int) -> Callable:
+    """The pattern as a function of a binding of its generators: a dict for
+    those of the rule's source and a tuple for ``fresh``, each generator
+    bound to a (hash, tree) pair.  With part 1 the function builds that
+    instance of the pattern; with part 0 it works out the instance's hash,
+    by ``node_hash``, without building it."""
     if type(pattern) is Return:
-        if pattern.value in gens:
-            return operator.itemgetter(pattern.value)
-        return lambda sigma: pattern
+        v = pattern.value
+        if v in fresh:
+            k = fresh.index(v)
+            return lambda bound, fillers: fillers[k][part]
+        if v in gens:
+            return lambda bound, fillers: bound[v][part]
+        leaf = pattern if part else hash(pattern)
+        return lambda bound, fillers: leaf
     op, param = pattern.op, pattern.param
-    subs = tuple(_builder(sub, gens) for sub in pattern.kont)
-    return lambda sigma: OpNode(op, param, tuple([build(sigma) for build in subs]))
+    node = OpNode if part else node_hash
+    subs = tuple(_compile(sub, gens, fresh, part) for sub in pattern.kont)
+    return lambda bound, fillers: node(op, param, tuple([sub(bound, fillers) for sub in subs]))
 
 
 class _Rule(_Node):
     """One direction of a non-trivial equation instance: rewrite ``source``
-    to the tree ``build`` makes from the source's generator bindings.
-    ``fresh`` lists, in sort_key order, the generators the target has and
-    the source lacks; the search fills them from its pool."""
+    to the target that ``build`` makes from a binding of the generators
+    (see ``_compile``), and whose hash ``hash_of`` works out from the same
+    binding.  ``fresh`` lists, in sort_key order, the generators the target
+    has and the source lacks; the search fills them from its pool."""
 
-    __slots__ = ("source", "gens", "fresh", "build")
+    __slots__ = ("source", "gens", "fresh", "build", "hash_of")
     source: Tree
     gens: frozenset
     fresh: tuple
-    build: Callable[[Mapping], Tree]
+    build: Callable[[dict, tuple], Tree]
+    hash_of: Callable[[dict, tuple], int]
 
-    def __init__(self, source: Tree, gens: frozenset, fresh: tuple, build):
-        self._fill(source, gens, fresh, build)
+    def __init__(self, source: Tree, gens: frozenset, fresh: tuple, build, hash_of):
+        self._fill(source, gens, fresh, build, hash_of)
 
 
 def _rules(theory: Theory) -> tuple:
@@ -481,7 +495,8 @@ def _rules(theory: Theory) -> tuple:
                 for src, dst in ((lhs, rhs), (rhs, lhs)):
                     fresh = _pattern_gens(dst, gens) - _pattern_gens(src, gens)
                     fresh = tuple(sorted(fresh, key=sort_key))
-                    rules.append(_Rule(src, gens, fresh, _builder(dst, gens)))
+                    build, hash_of = (_compile(dst, gens, fresh, part) for part in (1, 0))
+                    rules.append(_Rule(src, gens, fresh, build, hash_of))
         strategy.rules = tuple(rules)
     return strategy.rules
 
@@ -495,13 +510,16 @@ class _TooManyFillers(Exception):
     """A rule matched whose fillers number more than _MAX_FILLERS."""
 
 
-def _neighbours(rules: tuple, t: Tree, pool: list, filler_counts: tuple) -> Iterator[Tree]:
+def _neighbours(rules: tuple, t: Tree, pool: list, filler_counts: tuple) -> Iterator[tuple]:
     """Every tree one rule application away from t, by rule, then preorder
-    position, then filler product.  A rule whose source has an operation at
-    its head is only tried at positions with that operation and parameter.
-    ``filler_counts`` holds each rule's number of filler tuples; a match
-    of a rule with more than _MAX_FILLERS raises _TooManyFillers before
-    any is listed."""
+    position, then filler product, as its hash and a recipe for ``_build``.
+    The hash is worked out from the target's generators' hashes and the
+    cached hashes of the spine's other subtrees, so no tree is built here.
+    A rule whose source has an operation at its head is only tried at
+    positions with that operation and parameter.  ``pool`` holds the
+    fillers as (hash, tree) pairs, and ``filler_counts`` each rule's number
+    of filler tuples; a match of a rule with more than _MAX_FILLERS raises
+    _TooManyFillers before any is listed."""
     nodes, parents, slots = [], [], []
     heads: dict = {}
     stack = [(t, -1, 0)]
@@ -517,9 +535,11 @@ def _neighbours(rules: tuple, t: Tree, pool: list, filler_counts: tuple) -> Iter
             for k in range(len(kont) - 1, -1, -1):
                 stack.append((kont[k], i, k))
     everywhere = range(len(nodes))
+    kid_hashes = [tuple(map(hash, n.kont)) if type(n) is OpNode else () for n in nodes]
 
     for rule, count in zip(rules, filler_counts):
-        src, gens, fresh, build = rule.source, rule.gens, rule.fresh, rule.build
+        src, gens, fresh = rule.source, rule.gens, rule.fresh
+        build, hash_of = rule.build, rule.hash_of
         where = everywhere if type(src) is Return else heads.get((src.op, src.param), ())
         for i in where:
             sigma: dict = {}
@@ -528,21 +548,39 @@ def _neighbours(rules: tuple, t: Tree, pool: list, filler_counts: tuple) -> Iter
             if fresh:
                 if count > _MAX_FILLERS:
                     raise _TooManyFillers
-                fills = (
-                    build({**sigma, **dict(zip(fresh, fillers))})
-                    for fillers in itertools.product(pool, repeat=len(fresh))
-                )
+                fills = itertools.product(pool, repeat=len(fresh))
             else:
-                fills = (build(sigma),)
-            for new in fills:
-                # rebuild the spine from position i up to the root
-                j = i
-                while j:
-                    parent = nodes[parents[j]]
-                    kont, k = parent.kont, slots[j]
-                    new = OpNode(parent.op, parent.param, kont[:k] + (new,) + kont[k + 1 :])
-                    j = parents[j]
-                yield new
+                fills = ((),)
+            bound = {g: (hash(sub), sub) for g, sub in sigma.items()}
+            # the path from position i up to the root, each ancestor with
+            # the hashes of its other subtrees
+            spine = []
+            j = i
+            while j:
+                p, k = parents[j], slots[j]
+                spine.append((nodes[p], k, kid_hashes[p][:k], kid_hashes[p][k + 1 :]))
+                j = p
+            for fillers in fills:
+                h = hash_of(bound, fillers)
+                for parent, _, before, after in spine:
+                    h = node_hash(parent.op, parent.param, before + (h,) + after)
+                yield h, (spine, build, bound, fillers)
+
+
+def _build(recipe: tuple) -> Tree:
+    """The tree a recipe from ``_neighbours`` stands for: the rule's target,
+    with the spine rebuilt up to the root."""
+    spine, build, bound, fillers = recipe
+    new = build(bound, fillers)
+    for parent, k, _, _ in spine:
+        kont = parent.kont
+        new = OpNode(parent.op, parent.param, kont[:k] + (new,) + kont[k + 1 :])
+    return new
+
+
+def _tree(entry) -> Tree:
+    """A frontier entry as a tree: a built tree is itself, a recipe is built."""
+    return _build(entry) if type(entry) is tuple else entry
 
 
 def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = None) -> TreeEq:
@@ -552,11 +590,16 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
     equality is searched for by applying equation instances breadth-first
     from both trees until the frontiers meet or the budget runs out; the
     budget counts the trees taken off the two frontiers and expanded
-    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``).  The
-    work of one expansion is bounded too: a rule whose target has
-    generators its source lacks fills them from the pool of the two
-    trees' subtrees, and a match of a rule with more than 65536 such
-    fillers ends the search UNKNOWN before any is listed.
+    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``).  Each
+    rewrite candidate is hashed from its parts (the rule's target from its
+    generators' hashes, each ancestor from its other subtrees' cached
+    hashes) and built only when that hash is already on one side, where
+    ``==`` decides, so ``Return(1)`` and ``Return(True)`` stay apart, or
+    when it is taken off a frontier.  The work of one expansion is bounded
+    too: a rule whose target has generators its source lacks fills them
+    from the pool of the two trees' subtrees, and a match of a rule with
+    more than 65536 such fillers ends the search UNKNOWN before any is
+    listed.
     DISTINCT is only ever reported there when a 2-element model of the
     theory's laws separates the trees.  Such models are looked for among
     all tuples of operation tables over ``BOOL``, unless there are more
@@ -572,10 +615,12 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
         return TreeEq.DISTINCT
 
     rules = _rules(theory)
-    pool = list(dict.fromkeys(itertools.chain(subtrees(t1), subtrees(t2))))
+    pool = [(hash(sub), sub) for sub in dict.fromkeys(itertools.chain(subtrees(t1), subtrees(t2)))]
     filler_counts = tuple(len(pool) ** len(rule.fresh) for rule in rules)
 
-    seen = ({t1}, {t2})
+    # each side's trees by hash, built or as recipes; a candidate is built
+    # only when its hash is already there, and == decides
+    seen = ({hash(t1): [t1]}, {hash(t2): [t2]})
     frontiers = (deque([t1]), deque([t2]))
     steps = 0
     try:
@@ -585,13 +630,21 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
                 if not frontier or steps >= budget:
                     continue
                 steps += 1
-                t = frontier.popleft()
-                for nt in _neighbours(rules, t, pool, filler_counts):
-                    if nt in seen[1 - side]:
-                        return TreeEq.EQUAL
-                    if nt not in seen[side]:
-                        seen[side].add(nt)
-                        frontier.append(nt)
+                mine, theirs = seen[side], seen[1 - side]
+                for h, entry in _neighbours(rules, _tree(frontier.popleft()), pool, filler_counts):
+                    if h in theirs:
+                        entry = _build(entry)
+                        if any(entry == _tree(other) for other in theirs[h]):
+                            return TreeEq.EQUAL
+                    bucket = mine.get(h)
+                    if bucket is None:
+                        mine[h] = [entry]
+                    else:
+                        entry = _tree(entry)
+                        if any(entry == _tree(other) for other in bucket):
+                            continue
+                        bucket.append(entry)
+                    frontier.append(entry)
     except _TooManyFillers:
         pass
     return TreeEq.UNKNOWN

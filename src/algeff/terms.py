@@ -7,7 +7,8 @@ universe's canonical enumeration, so two trees are equal exactly when they
 have the same shape, operations, parameters and leaves.  Values compare by
 ``==`` and by type, through tuples, so ``Return(1) != Return(True)``.
 Trees are immutable.  An operation node caches its hash the first time it
-is asked for; a leaf's hash is its value's.  Equality and hashing recurse
+is asked for, worked out by ``node_hash`` from its parts; a leaf's hash is
+its value's.  Equality and hashing recurse
 at most 100 levels at a time and keep deeper subtrees on an explicit list,
 so trees of any depth compare and hash; they fold (``fold_tree``) and
 walk in preorder (``subtrees``) on explicit stacks too.  Their base,
@@ -195,9 +196,16 @@ def _hash_within(t: OpNode, depth: int, waiting: list):
                 if h is None:
                     return None
         hashes.append(h)
-    h = hash((t.op, t.param, tuple(hashes)))
+    h = node_hash(t.op, t.param, tuple(hashes))
     _set_hash(t, h)
     return h
+
+
+def node_hash(op: str, param, kid_hashes: tuple) -> int:
+    """The hash of an operation node, from its operation, its parameter and
+    its subtrees' hashes; the congruence search hashes a tree it has not
+    built by the same formula."""
+    return hash((op, param, kid_hashes))
 
 
 def same_value(a, b) -> bool:

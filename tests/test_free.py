@@ -452,6 +452,94 @@ def test_the_rules_are_both_directions_of_every_non_trivial_instance(theory, cou
         assert (rules[2 * k].source, rules[2 * k + 1].source) == (lhs, rhs)
 
 
+def build_everything(theory, t, pool):
+    """The search's candidates as it listed them before it hashed them from
+    their parts: by rule (equation, parameter, direction), then preorder
+    position, then filler product, each tree built whole."""
+    from algeff.free import _match
+    from algeff.terms import fold_tree, sort_key
+
+    def positions(t, path=()):
+        yield t, path
+        if isinstance(t, OpNode):
+            for k, sub in enumerate(t.kont):
+                yield from positions(sub, path + (k,))
+
+    def replace(t, path, new):
+        if not path:
+            return new
+        k = path[0]
+        kont = t.kont[:k] + (replace(t.kont[k], path[1:], new),) + t.kont[k + 1 :]
+        return OpNode(t.op, t.param, kont)
+
+    for eq in theory.eqs:
+        gens = frozenset(eq.context.iter_elements())
+        for p in eq.param_universe.iter_elements():
+            lhs, rhs = eq.lhs(p), eq.rhs(p)
+            if lhs == rhs:
+                continue
+            for src, dst in ((lhs, rhs), (rhs, lhs)):
+                fresh = {v for v in tree_leaves(dst) if v in gens} - set(tree_leaves(src))
+                fresh = sorted(fresh, key=sort_key)
+                for sub, path in positions(t):
+                    sigma = {}
+                    if not _match(src, gens, sub, sigma):
+                        continue
+                    for fillers in itertools.product(pool, repeat=len(fresh)):
+                        full = {**sigma, **dict(zip(fresh, fillers))}
+                        leaf = lambda v: full[v] if v in gens else Return(v)
+                        yield replace(t, path, fold_tree(dst, leaf, OpNode))
+
+
+@pytest.mark.parametrize("theory", ["state", "single_state", "semilattice", "group", "choice_exc"])
+def test_candidates_hash_as_the_trees_they_build(theory):
+    from algeff.free import _build, _neighbours, _rules
+    from algeff.terms import subtrees
+    from algeff.theories import group_theory, state_theory
+
+    th = {
+        "state": lambda: state_theory(Fin(2), Fin(2)),
+        "single_state": lambda: STATE3,
+        "semilattice": semilattice_theory,
+        "group": group_theory,
+        "choice_exc": lambda: CHOICE_EXC,
+    }[theory]()
+    # instance sides, alone and under an operation, and random trees
+    wrap = next(o for o in th.ops if o.arity.size() and o.param.size())
+    wrap_param = wrap.param.elements()[0]
+    trees = tree_corpus(th, [0, 1], 2, 3, seed=19)
+    for eq in th.eqs[:3]:
+        side = eq.lhs(eq.param_universe.elements()[0])
+        trees += [side, OpNode(wrap.name, wrap_param, (side,) * wrap.arity.size())]
+    rules = _rules(th)
+    listed = 0
+    for t, other in zip(trees, trees[1:] + trees[:1]):
+        # two fillers, since get_get read right to left over fin 3 has 6 fresh generators
+        pool = list(dict.fromkeys(itertools.chain(subtrees(t), subtrees(other))))[:2]
+        counts = tuple(len(pool) ** len(rule.fresh) for rule in rules)
+        candidates = list(_neighbours(rules, t, [(hash(s), s) for s in pool], counts))
+        built = [_build(recipe) for _, recipe in candidates]
+        assert [h for h, _ in candidates] == [hash(nt) for nt in built]
+        assert built == list(build_everything(th, t, pool))
+        listed += len(built)
+    assert listed > len(trees)
+
+
+def test_a_hash_match_is_never_taken_as_a_meeting():
+    from algeff.theories import state_theory
+
+    th = state_theory(Fin(2), Fin(2))
+    lookup = lambda l, a, b: OpNode("lookup", l, (a, b))
+    t1 = lookup(0, lookup(0, Return(1), Return(0)), lookup(0, Return(0), Return(0)))
+    t2 = lookup(0, Return(1), Return(0))
+    t2_bool = lookup(0, Return(True), Return(0))
+    assert hash(t2) == hash(t2_bool) and t2 != t2_bool
+    assert tree_equal_modulo(th, t1, t2, 1) is TreeEq.EQUAL
+    assert reference_search(th, t1, t2, 1) is TreeEq.EQUAL
+    assert tree_equal_modulo(th, t1, t2_bool, 1) is TreeEq.UNKNOWN
+    assert reference_search(th, t1, t2_bool, 1) is TreeEq.UNKNOWN
+
+
 def test_a_rule_with_too_many_fillers_ends_the_search_unknown():
     import subprocess
     import sys
@@ -509,6 +597,8 @@ def test_default_budget_env_override(monkeypatch):
     monkeypatch.setenv("ALGEFF_BUDGET", "123")
     assert default_budget() == 123
     monkeypatch.setenv("ALGEFF_BUDGET", "junk")
+    assert default_budget() == 10000
+    monkeypatch.setenv("ALGEFF_BUDGET", "-1")
     assert default_budget() == 10000
     monkeypatch.delenv("ALGEFF_BUDGET")
     assert default_budget() == 10000
