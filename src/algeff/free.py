@@ -599,7 +599,9 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
     too: a rule whose target has generators its source lacks fills them
     from the pool of the two trees' subtrees, and a match of a rule with
     more than 65536 such fillers ends the search UNKNOWN before any is
-    listed.
+    listed.  Every candidate's leaves come from the two trees or the laws,
+    so a tree with a leaf that cannot be hashed ends the search UNKNOWN
+    before it starts.
     DISTINCT is only ever reported there when a 2-element model of the
     theory's laws separates the trees.  Such models are looked for among
     all tuples of operation tables over ``BOOL``, unless there are more
@@ -615,7 +617,10 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
         return TreeEq.DISTINCT
 
     rules = _rules(theory)
-    pool = [(hash(sub), sub) for sub in dict.fromkeys(itertools.chain(subtrees(t1), subtrees(t2)))]
+    try:
+        pool = [(hash(sub), sub) for sub in dict.fromkeys(itertools.chain(subtrees(t1), subtrees(t2)))]
+    except TypeError:  # a leaf that cannot be hashed, such as a closure over a dict
+        return TreeEq.UNKNOWN
     filler_counts = tuple(len(pool) ** len(rule.fresh) for rule in rules)
 
     # each side's trees by hash, built or as recipes; a candidate is built

@@ -45,8 +45,11 @@ closing brace) is read again from the start, token by token, by the reader
 that reports its errors.  A syntax error holds a place, not a position, as
 a program node does: a mark of a token or, for an unreadable token, the
 text.  Line and column are worked out, by ``tokenize`` over the same regex,
-only when one is read.  An equation's two sides are read once, as
-templates, and checked once, by the universes their elements range over.
+only when one is read.  One reader reads every element, in an equation,
+a table or a ``--world`` text: as a template over the binders in scope,
+which outside an equation is read at once as its value.  An equation's two
+sides are read once, as templates, and checked once, by the universes
+their elements range over.
 Only an equation that fails that check has its instances built and checked
 one by one, to report the first defective one as ``check_theory`` would;
 otherwise an instance is built the first time ``Equation.lhs`` or
@@ -499,68 +502,42 @@ class _Parser:
             return tok.text
         return self.eat_ident("an enum label")
 
-    # -- elements --------------------------------------------------------------
+    # -- elements and equation templates --------------------------------------
+
+    # One reader, ``elem_template``, reads every element, as a template: a
+    # function from an environment that binds the binders in scope (an
+    # equation's forall parameter and each "\x." binder) to elements.  An
+    # element outside any equation (``elem``) is its template at the empty
+    # scope.  Inside an equation, trees are read once as templates too.
+    # ``scope`` maps each binder in scope to the universe it ranges over; it
+    # is None in a body under an empty arity, which is never instantiated.
+    # Each element template comes with a universe that holds every value it
+    # takes, so an operation parameter or a leaf is checked once, against
+    # the universe it must lie in (``site``), and a bad fst or snd fails
+    # where it is read.  A template keeps no reference to the parser, so a
+    # parsed theory keeps none either.
 
     def elem(self):
         """An element outside any equation, read as its value."""
-        tok = self.toks[self.i]
-        if type(tok) is int:
-            self.i += 1
-            return tok
-        if type(tok) is _Quoted:
-            self.i += 1
-            return tok.text
-        if tok == "(":
-            self.i += 1
-            if self.at(")"):
-                self.i += 1
-                return ()
-            first = self.elem()
-            if self.at(","):
-                self.i += 1
-                second = self.elem()
-                self.eat_punct(")")
-                return (first, second)
-            self.eat_punct(")")
-            return first
-        if type(tok) is not str or tok in _PUNCT:
-            return self.fail("expected an element")
-        at = self.i
-        self.i += 1
-        if tok == "true":
-            return True
-        if tok == "false":
-            return False
-        if tok == "fst" or tok == "snd":
-            return self.project(at, self.elem())
-        return tok
-
-    def project(self, at, value):
-        """The ``fst`` or ``snd`` at token ``at`` of ``value``."""
-        name = self.toks[at]
-        if type(value) is not tuple or len(value) != 2:
-            self.error(at, f"{name} expects a pair, got {value!r}")
-        return value[0 if name == "fst" else 1]
-
-    # -- equation templates ----------------------------------------------------
-
-    # Inside an equation, elements and trees are read once, as templates:
-    # functions from an environment that binds the binders in scope (the
-    # forall parameter and each "\x." binder) to elements.  ``scope`` maps
-    # each binder in scope to the universe it ranges over; it is None in a
-    # body under an empty arity, which is never instantiated.  Each element
-    # template comes with a universe that holds every value it takes, so an
-    # operation parameter or a leaf is checked once, against the universe it
-    # must lie in (``site``), and a bad fst or snd fails where it is read.
-    # A template keeps no reference to the parser, so a parsed theory keeps
-    # none either.
+        template, _ = self.elem_template({})
+        return template({})
 
     def elem_template(self, scope) -> tuple:
         """The template of the element read here, and a universe that holds
         each of its values (unused under an empty arity)."""
-        tok = self.toks[self.i]
-        if tok == "(" and self.toks[self.i + 1] != ")":
-            self.i += 1
+        at = self.i
+        tok = self.toks[at]
+        if tok is None or tok in _PUNCT and tok != "(":
+            self.fail("expected an element")
+        self.i += 1
+        if type(tok) is int:
+            return _constant(tok)
+        if type(tok) is _Quoted:
+            return _constant(tok.text)
+        if tok == "(":
+            if self.at(")"):
+                self.i += 1
+                return _constant(())
             first, left = self.elem_template(scope)
             if self.at(","):
                 self.i += 1
@@ -569,11 +546,8 @@ class _Parser:
                 return (lambda env: (first(env), second(env))), Product(left, right)
             self.eat_punct(")")
             return first, left
-        if type(tok) is not str or tok in _PUNCT or tok == "true" or tok == "false":
-            value = self.elem()  # a constant, or a syntax error
-            return (lambda env: value), _Single(value)
-        at = self.i
-        self.i += 1
+        if tok == "true" or tok == "false":
+            return _constant(tok == "true")
         if tok == "fst" or tok == "snd":
             pair, universe = self.elem_template(scope)
             index = 0 if tok == "fst" else 1
@@ -585,8 +559,9 @@ class _Parser:
                     self.error(at, f"{tok} expects a pair, got {value!r}")
                 universe = universe.right if index else universe.left
             return (lambda env: pair(env)[index]), universe
-        bound = scope is not None and tok in scope
-        return (lambda env: env.get(tok, tok)), scope[tok] if bound else _Single(tok)
+        if scope is None or tok not in scope:
+            return _constant(tok)
+        return (lambda env: env[tok]), scope[tok]
 
     def site(self, scope, universe: FiniteUniverse, target: FiniteUniverse):
         """Note an operation parameter or a leaf, whose values ``universe``
@@ -825,6 +800,11 @@ class _Parser:
         for value, universe, what in checks:
             if not universe.contains(value):
                 self.error(at, f"{what} {value!r} is not in {universe}")
+
+
+def _constant(value) -> tuple:
+    """The template of an element that no binder binds, and its universe."""
+    return (lambda env: value), _Single(value)
 
 
 class _Single(FiniteUniverse):

@@ -5,6 +5,8 @@ the same object.  The single-state, semilattice, and choice theories also
 serve as references: ``free`` gives their normalizer to any theory whose
 operations and equation instances are exactly theirs (the get/put normal
 form, or the sorted leaf set that choice and the semilattice share).
+Every commutation law, ``state``'s three cross-location laws and the
+``dist_*`` laws of ``combine``, comes from one builder, ``_commutation``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,39 @@ _XYZ = Enum(("x", "y", "z"))
 
 def _const(tree):
     return lambda _p: tree
+
+
+def _pair(x, y):
+    return (x, y)
+
+
+def _commutation(name: str, context, first: OpDecl, second: OpDecl, leaf, trivial=None):
+    """The law that operations ``first`` and ``second`` commute, at each
+    pair ``p`` of their parameters:
+
+        first(p[0]; x. second(p[1]; y. return leaf(x, y)))
+          = second(p[1]; y. first(p[0]; x. return leaf(x, y)))
+
+    where ``context`` holds every ``leaf(x, y)``.  Where ``trivial(p)``
+    holds, both sides are the lhs.  The tensor of two theories adds this
+    law for each operation pair across them (Hyland, Plotkin & Power,
+    *Combining effects: sum and tensor*, 2006).
+    """
+    xs, ys = first.arity.elements(), second.arity.elements()
+
+    def lhs(p):
+        return OpNode(first.name, p[0], tuple(
+            OpNode(second.name, p[1], tuple(Return(leaf(x, y)) for y in ys)) for x in xs
+        ))
+
+    def rhs(p):
+        if trivial is not None and trivial(p):
+            return lhs(p)
+        return OpNode(second.name, p[1], tuple(
+            OpNode(first.name, p[0], tuple(Return(leaf(x, y)) for x in xs)) for y in ys
+        ))
+
+    return Equation(name, Product(first.param, second.param), context, lhs, rhs)
 
 
 @lru_cache(maxsize=None)
@@ -74,9 +109,10 @@ def state_theory(l: FiniteUniverse, s: FiniteUniverse) -> Theory:
     with the four per-location laws and the three cross-location
     distributivity laws.
 
-    The distributivity families are quantified over all location pairs; on
-    pairs the law does not cover (equal locations, or the mirror order of a
-    symmetric law) both sides are the same tree, so the instance is trivial.
+    The distributivity laws are commutation laws (``_commutation``),
+    quantified over all location pairs; on pairs the law does not cover
+    (equal locations, or the mirror order of a symmetric law) both sides are
+    the same tree, so the instance is trivial.
     """
     if s.is_empty():
         raise EmptyStateUniverse("a state universe must be nonempty")
@@ -114,63 +150,22 @@ def state_theory(l: FiniteUniverse, s: FiniteUniverse) -> Theory:
         lambda p: update(p[0][0], p[1], Return(())),
     )
 
-    def _ll_lhs(p):
-        a, b = p
-        return lookup(a, lambda v: lookup(b, lambda w: Return((v, w))))
-
-    def _ll_rhs(p):
-        a, b = p
-        if l.index_of(a) >= l.index_of(b):
-            return _ll_lhs(p)
-        return lookup(b, lambda w: lookup(a, lambda v: Return((v, w))))
-
-    lookup_lookup_comm = Equation(
-        "lookup_lookup_comm",
-        Product(l, l),
-        Product(s, s),
-        _ll_lhs,
-        _ll_rhs,
+    lookup_op, update_op = OpDecl("lookup", l, s), OpDecl("update", Product(l, s), UNIT)
+    mirror = lambda a, b: l.index_of(a) >= l.index_of(b)
+    lookup_lookup_comm = _commutation(
+        "lookup_lookup_comm", Product(s, s), lookup_op, lookup_op, _pair, lambda p: mirror(*p)
     )
-
-    def _ul_lhs(p):
-        (a, v), b = p
-        return update(a, v, lookup(b, lambda w: Return(w)))
-
-    def _ul_rhs(p):
-        (a, v), b = p
-        if a == b:
-            return _ul_lhs(p)
-        return lookup(b, lambda w: update(a, v, Return(w)))
-
-    update_lookup_comm = Equation(
-        "update_lookup_comm",
-        Product(Product(l, s), l),
-        s,
-        _ul_lhs,
-        _ul_rhs,
+    update_lookup_comm = _commutation(
+        "update_lookup_comm", s, update_op, lookup_op, lambda _, w: w, lambda p: p[0][0] == p[1]
     )
-
-    def _uu_lhs(p):
-        (a, v), (b, w) = p
-        return update(a, v, update(b, w, Return(())))
-
-    def _uu_rhs(p):
-        (a, v), (b, w) = p
-        if l.index_of(a) >= l.index_of(b):
-            return _uu_lhs(p)
-        return update(b, w, update(a, v, Return(())))
-
-    update_update_comm = Equation(
-        "update_update_comm",
-        Product(Product(l, s), Product(l, s)),
-        UNIT,
-        _uu_lhs,
-        _uu_rhs,
+    update_update_comm = _commutation(
+        "update_update_comm", UNIT, update_op, update_op, lambda _, __: (),
+        lambda p: mirror(p[0][0], p[1][0]),
     )
 
     return Theory(
         "state",
-        (OpDecl("lookup", l, s), OpDecl("update", Product(l, s), UNIT)),
+        (lookup_op, update_op),
         (
             lookup_lookup,
             lookup_update,
@@ -339,47 +334,13 @@ def _renamed(theory: Theory, colliding: set, taken: set) -> tuple:
     return ops, eqs, tuple(sorted(mapping.items()))
 
 
-def _distribution_equation(o1: OpDecl, o2: OpDecl) -> Equation:
-    """o1(p1; a1. o2(p2; a2. k a1 a2)) = o2(p2; a2. o1(p1; a1. k a1 a2))."""
-
-    def lhs(p):
-        p1, p2 = p
-        return OpNode(
-            o1.name,
-            p1,
-            tuple(
-                OpNode(o2.name, p2, tuple(Return((a1, a2)) for a2 in o2.arity.iter_elements()))
-                for a1 in o1.arity.iter_elements()
-            ),
-        )
-
-    def rhs(p):
-        p1, p2 = p
-        return OpNode(
-            o2.name,
-            p2,
-            tuple(
-                OpNode(o1.name, p1, tuple(Return((a1, a2)) for a1 in o1.arity.iter_elements()))
-                for a2 in o2.arity.iter_elements()
-            ),
-        )
-
-    return Equation(
-        f"dist_{o1.name}_{o2.name}",
-        Product(o1.param, o2.param),
-        Product(o1.arity, o2.arity),
-        lhs,
-        rhs,
-    )
-
-
 def combine(t1: Theory, t2: Theory, distribute: bool = False) -> Theory:
     """Adjoin two theories' signatures and equations.
 
     Colliding operation names are suffixed with their theory's name; the
     renaming is recorded on the result.  With ``distribute`` set, a
-    commutation law is added for every operation pair across the two
-    theories.
+    commutation law (``_commutation``), ``dist_<op1>_<op2>``, is added for
+    every operation pair across the two theories.
     """
     colliding = set(t1.op_names()) & set(t2.op_names())
     taken = (set(t1.op_names()) | set(t2.op_names())) - colliding
@@ -388,13 +349,14 @@ def combine(t1: Theory, t2: Theory, distribute: bool = False) -> Theory:
     eqs = list(eqs1)
     seen_eq_names = {e.name for e in eqs1}
     for eq in eqs2:
-        name = _fresh(eq.name, seen_eq_names) if eq.name in seen_eq_names else eq.name
+        name = _fresh(eq.name, seen_eq_names)
         seen_eq_names.add(name)
         eqs.append(Equation(name, eq.param_universe, eq.context, eq.lhs, eq.rhs))
     if distribute:
         for o1 in ops1:
             for o2 in ops2:
-                eqs.append(_distribution_equation(o1, o2))
+                name = f"dist_{o1.name}_{o2.name}"
+                eqs.append(_commutation(name, Product(o1.arity, o2.arity), o1, o2, _pair))
     return Theory(
         f"{t1.name}+{t2.name}",
         ops1 + ops2,

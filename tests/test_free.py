@@ -540,6 +540,24 @@ def test_a_hash_match_is_never_taken_as_a_meeting():
     assert reference_search(th, t1, t2_bool, 1) is TreeEq.UNKNOWN
 
 
+def test_leaves_that_cannot_be_hashed_end_the_search_unknown():
+    from algeff.interp import Closure
+    from algeff.parser import parse_program
+
+    c1 = Closure("x", parse_program("return x"), {"a": 1})
+    c2 = Closure("y", parse_program("return y"), {"b": 2})
+    with pytest.raises(TypeError):
+        hash(c1)
+    t1 = OpNode("choose", (), (Return(c1), Return(c2)))
+    t2 = OpNode("choose", (), (Return(c2), Return(c1)))
+    assert not has_normalizer(CHOICE_EXC)
+    assert tree_equal_modulo(CHOICE_EXC, t1, t1) is TreeEq.EQUAL
+    assert tree_equal_modulo(CHOICE_EXC, t1, t2) is TreeEq.UNKNOWN
+    # the refutation step reads leaves by value, never by hash
+    t3 = OpNode("choose", (), (Return(c1), OpNode("abort", (), ())))
+    assert tree_equal_modulo(CHOICE_EXC, t1, t3) is TreeEq.DISTINCT
+
+
 def test_a_rule_with_too_many_fillers_ends_the_search_unknown():
     import subprocess
     import sys

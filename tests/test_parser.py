@@ -197,10 +197,13 @@ def test_parse_element_forms():
     assert parse_element('"two words"') == "two words"
 
 
-@pytest.mark.parametrize("text", [
+ELEMENT_TEXTS = [
     "()", "true", "(1, (2, x))", '"two words"', "fst (1, 2)", "snd (1, (2, 3))",
     "[]", "fst 5", "(1,", "1 2", "return", "9" * 5000, '"open', "",
-])
+]
+
+
+@pytest.mark.parametrize("text", ELEMENT_TEXTS)
 def test_element_or_reads_what_parse_element_reads(text):
     default = object()
     try:
@@ -208,6 +211,36 @@ def test_element_or_reads_what_parse_element_reads(text):
     except ParseError:
         expected = default
     assert element_or(text, default) == expected
+
+
+@pytest.mark.parametrize("text, col", [(")", 1), ("(,)", 2), ("(1; 2)", 3), ("fst =", 5), ("", 1)])
+def test_parse_element_rejects_punctuation_where_an_element_goes(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_element(text)
+    assert err.value.pos == (1, col)
+    assert err.value.reason.startswith("expected ")
+
+
+def read_by_template(text):
+    p = _Parser(text)
+    template, _ = p.elem_template({})
+    p.expect_eof()
+    return template({})
+
+
+@pytest.mark.parametrize("text", ELEMENT_TEXTS + [
+    "fst fst ((1, 2), 3)", "(())", "snd x", "(,)",
+    "fst ()", 'snd "a"', '"fst"', "(1, 2, 3)", "fst", ")", "false", "snd (true, 0)",
+])
+def test_parse_element_reads_as_the_template_reader(text):
+    def outcome(read):
+        try:
+            value = read(text)
+        except ParseError as error:
+            return "error", error.pos, error.reason
+        return "value", type(value), repr(value)
+
+    assert outcome(parse_element) == outcome(read_by_template)
 
 
 def test_rendered_trees_reparse_in_equation_files():

@@ -1,7 +1,7 @@
 import pytest
 
 from algeff.errors import EmptyStateUniverse
-from algeff.terms import OpNode, Return, check_theory
+from algeff.terms import Equation, OpNode, Return, check_theory
 from algeff.theories import (
     builtin_theory,
     choice_theory,
@@ -11,7 +11,7 @@ from algeff.theories import (
     single_state_theory,
     state_theory,
 )
-from algeff.universe import EMPTY, UNIT, Enum, Fin, Product
+from algeff.universe import BOOL, EMPTY, UNIT, Enum, Fin, Product
 
 
 def test_single_state_shape():
@@ -131,3 +131,120 @@ def test_distribution_equation_shape():
         ),
     )
     check_theory(th)
+
+
+# The commutation laws as they were written before they shared one builder,
+# kept as the reference that the built-in instances must match exactly.
+
+
+def reference_state_commutations(l, s):
+    lookup = lambda loc, kont: OpNode("lookup", loc, tuple(kont(v) for v in s.iter_elements()))
+    update = lambda loc, v, sub: OpNode("update", (loc, v), (sub,))
+
+    def _ll_lhs(p):
+        a, b = p
+        return lookup(a, lambda v: lookup(b, lambda w: Return((v, w))))
+
+    def _ll_rhs(p):
+        a, b = p
+        if l.index_of(a) >= l.index_of(b):
+            return _ll_lhs(p)
+        return lookup(b, lambda w: lookup(a, lambda v: Return((v, w))))
+
+    def _ul_lhs(p):
+        (a, v), b = p
+        return update(a, v, lookup(b, lambda w: Return(w)))
+
+    def _ul_rhs(p):
+        (a, v), b = p
+        if a == b:
+            return _ul_lhs(p)
+        return lookup(b, lambda w: update(a, v, Return(w)))
+
+    def _uu_lhs(p):
+        (a, v), (b, w) = p
+        return update(a, v, update(b, w, Return(())))
+
+    def _uu_rhs(p):
+        (a, v), (b, w) = p
+        if l.index_of(a) >= l.index_of(b):
+            return _uu_lhs(p)
+        return update(b, w, update(a, v, Return(())))
+
+    cell = Product(l, s)
+    return [
+        Equation("lookup_lookup_comm", Product(l, l), Product(s, s), _ll_lhs, _ll_rhs),
+        Equation("update_lookup_comm", Product(cell, l), s, _ul_lhs, _ul_rhs),
+        Equation("update_update_comm", Product(cell, cell), UNIT, _uu_lhs, _uu_rhs),
+    ]
+
+
+def reference_distribution_equation(o1, o2):
+    def lhs(p):
+        p1, p2 = p
+        return OpNode(
+            o1.name,
+            p1,
+            tuple(
+                OpNode(o2.name, p2, tuple(Return((a1, a2)) for a2 in o2.arity.iter_elements()))
+                for a1 in o1.arity.iter_elements()
+            ),
+        )
+
+    def rhs(p):
+        p1, p2 = p
+        return OpNode(
+            o2.name,
+            p2,
+            tuple(
+                OpNode(o1.name, p1, tuple(Return((a1, a2)) for a1 in o1.arity.iter_elements()))
+                for a2 in o2.arity.iter_elements()
+            ),
+        )
+
+    return Equation(
+        f"dist_{o1.name}_{o2.name}",
+        Product(o1.param, o2.param),
+        Product(o1.arity, o2.arity),
+        lhs,
+        rhs,
+    )
+
+
+def assert_same_laws(actual, expected):
+    """The same equations in the same order, instance by instance; repr
+    tells leaves such as 1 and True apart, as == does not inside pairs."""
+    assert [e.name for e in actual] == [e.name for e in expected]
+    for got, want in zip(actual, expected):
+        assert got.param_universe == want.param_universe, want.name
+        assert got.context == want.context, want.name
+        for p in want.param_universe.iter_elements():
+            assert repr(got.lhs(p)) == repr(want.lhs(p)), (want.name, p)
+            assert repr(got.rhs(p)) == repr(want.rhs(p)), (want.name, p)
+
+
+@pytest.mark.parametrize("l, s", [
+    (Fin(2), Fin(2)), (Fin(3), Fin(2)), (Enum(("a", "b", "c")), BOOL),
+])
+def test_state_commutation_laws_match_their_reference(l, s):
+    th = state_theory(l, s)
+    assert [e.name for e in th.eqs[:4]] == [
+        "lookup_lookup", "lookup_update", "update_lookup", "update_update",
+    ]
+    assert_same_laws(th.eqs, [*th.eqs[:4], *reference_state_commutations(l, s)])
+
+
+@pytest.mark.parametrize("t1, t2, names", [
+    (single_state_theory(Fin(2)), choice_theory(),
+     ["get_get", "get_put", "put_get", "put_put", "comm", "idem", "assoc"]),
+    (choice_theory(), io_theory(BOOL), ["comm", "idem", "assoc"]),
+    (single_state_theory(Fin(2)), single_state_theory(Fin(3)),
+     ["get_get", "get_put", "put_get", "put_put",
+      "get_get2", "get_put2", "put_get2", "put_put2"]),
+])
+def test_distribution_laws_match_their_reference(t1, t2, names):
+    th = combine(t1, t2, distribute=True)
+    ops1, ops2 = th.ops[: len(t1.ops)], th.ops[len(t1.ops) :]
+    reference = [reference_distribution_equation(o1, o2) for o1 in ops1 for o2 in ops2]
+    assert [e.name for e in th.eqs[: len(names)]] == names
+    assert_same_laws(th.eqs, [*th.eqs[: len(names)], *reference])
