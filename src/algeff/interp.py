@@ -28,6 +28,11 @@ The handler-equation checker is the shared law checker
 replays a theory's laws through the clauses on symbolic probe
 continuations and compares the results semantically, sampling finite
 function domains; a function that never reads its argument is applied once.
+A parsed family over more than one parameter is first replayed once at a
+``ParamSymbol``, which stands for every parameter: projecting it and
+comparing it with itself are all it allows, so a replay that ends in
+agreement without raising holds at every instance.  Any other outcome
+leaves the family to a replay per instance.
 """
 
 from __future__ import annotations
@@ -40,9 +45,7 @@ from .errors import AlgeffError, ParameterOutOfUniverse
 from .free import (
     FreeElement,
     default_budget,
-    eta,
     has_normalizer,
-    lift,
     normalize,
     normalizes_to_leaf_sets,
 )
@@ -166,6 +169,44 @@ class SymVal(_Node):
     def __init__(self, base, args: tuple = ()):
         _set(self, "base", base)
         _set(self, "args", args)
+
+
+class ParamSymbol:
+    """An equation family's ``forall`` parameter, standing for every
+    element at once, or a projection of it: ``path`` lists the ``fst``
+    (0) and ``snd`` (1) steps from the parameter.  It hashes by its path,
+    and ``==`` with a symbol of the same path is True.  Every other use
+    inspects the parameter, and raises EvalError: ``==`` with any other
+    value, truth, ordering, ``+``, iteration, length, indexing by it, and
+    membership of a universe, as an operation's argument or a
+    continuation's index, which ``contains`` or ``==`` refuses."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: tuple = ()):
+        self.path = path
+
+    def __getitem__(self, i):
+        if type(i) is int and 0 <= i <= 1:
+            return ParamSymbol(self.path + (i,))
+        return self._inspect(i)
+
+    def __eq__(self, other):
+        if type(other) is ParamSymbol and other.path == self.path:
+            return True
+        return self._inspect(other)
+
+    def __hash__(self):
+        return hash((ParamSymbol, self.path))
+
+    def __repr__(self):
+        return f"ParamSymbol({self.path!r})"
+
+    def _inspect(self, *args):
+        raise EvalError(f"the equation's parameter {self!r} was inspected")
+
+    __bool__ = __iter__ = __len__ = __contains__ = __index__ = __int__ = _inspect
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = _inspect
 
 
 def base_env() -> dict:
@@ -700,30 +741,43 @@ def check_handler_equations(
     compared at the output type by ``compare_trees``, which keeps what it
     works out about types and closure bodies for the rest of the check.  A
     violation is a definite counterexample; an instance whose handling
-    raises is unknown.  At most ``budget`` instances are checked (by
-    default ``default_budget()``); any left over make the verdict unknown.
+    raises is unknown.  A family whose sides are templates is first
+    replayed once with a ``ParamSymbol`` for its parameter; when that
+    replay agrees, every instance is counted as checked, and otherwise
+    each is replayed, so the verdict, witness and skipped list are those
+    of the replays.  At most ``budget`` instances are checked (by default
+    ``default_budget()``); any left over make the verdict unknown.
     """
-    # probe leaves stand for the generic continuation, which the return
-    # clause must not see: the clauses, with the identity return clause, in
-    # the handler's place (its mark, which finds a position only when read)
-    code = HandlerLit("x", Return(Var("x")), h.code.clauses, pos=h.code._at)
-    passthrough = HandlerClosure(code, h.env)
-    probe = lift(lambda v: eta(theory, SymVal(("kont", v))))
+    # probe values stand for the generic continuation at each leaf, which
+    # the return clause must not see: the clauses, with a return clause that
+    # turns each leaf into its probe, in the handler's place (its mark,
+    # which finds a position only when read).  So a leaf becomes a probe
+    # only when the handled tree reaches it.
+    probe = PrimFun("probe", lambda v: SymVal(("kont", v)))
+    code = HandlerLit("x", App(Var(" probe"), Var("x")), h.code.clauses, pos=h.code._at)
+    passthrough = HandlerClosure(code, {**h.env, " probe": probe})
     facts = _Facts(theory)
 
     def check(eq, p, lhs, rhs):
         try:
-            left = handle(passthrough, probe(FreeElement(theory, lhs)), theory)
-            right = handle(passthrough, probe(FreeElement(theory, rhs)), theory)
+            left = handle(passthrough, FreeElement(theory, lhs), theory)
+            right = handle(passthrough, FreeElement(theory, rhs), theory)
             # continuations compare by branches, built (and failing) only here
             verdict = compare_trees(left.tree, right.tree, out_type, theory, facts)
         except AlgeffError:
             return None
         return (eq.name, p) if verdict is False else verdict
 
+    def holds_at_every_parameter(eq):
+        p = ParamSymbol()
+        try:
+            return check(eq, p, eq.lhs.at(p), eq.rhs.at(p)) is True
+        except Exception:  # any failure leaves the family to the loop
+            return False
+
     violation, skipped, unknown = _check_laws(
         theory.eqs, check, {cl.op for cl in h.code.clauses},
-        default_budget() if budget is None else budget,
+        default_budget() if budget is None else budget, family=holds_at_every_parameter,
     )
     skipped = tuple(name for name, _ in skipped)
     if violation is not None:

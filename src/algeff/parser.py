@@ -54,15 +54,20 @@ Only an equation that fails that check has its instances built and checked
 one by one, to report the first defective one as ``check_theory`` would;
 otherwise an instance is built the first time ``Equation.lhs`` or
 ``Equation.rhs`` asks for it, and kept.  So ``run`` and ``type`` never
-build an equation instance of a theory that loads.
+build an equation instance of a theory that loads.  Each side also
+records, as it is read, the operations its instances perform, which the
+law checkers read as its coverage, and it can be built at a value outside
+its family, such as the handler check's symbolic parameter.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import re
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import lang
@@ -279,6 +284,7 @@ class _Parser:
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
         self.unproven = False  # whether an equation's universes leave a doubt
+        self.side_ops = set()  # the operations of the equation side being read
 
     def pos(self, i=None) -> tuple:
         """The (line, col) of token ``i``, by default the next one."""
@@ -561,7 +567,7 @@ class _Parser:
             return (lambda env: pair(env)[index]), universe
         if scope is None or tok not in scope:
             return _constant(tok)
-        return (lambda env: env[tok]), scope[tok]
+        return itemgetter(tok), scope[tok]
 
     def site(self, scope, universe: FiniteUniverse, target: FiniteUniverse):
         """Note an operation parameter or a leaf, whose values ``universe``
@@ -583,6 +589,8 @@ class _Parser:
         if not theory.has_op(name):
             self.error(at, f"unknown operation {name!r}")
         decl = theory.op(name)
+        if scope is not None:
+            self.side_ops.add(name)
         self.eat_punct("(")
         param, universe = self.elem_template(scope)
         self.site(scope, universe, decl.param)
@@ -605,7 +613,17 @@ class _Parser:
             elements = arity.elements()
             inner = None if scope is None or not elements else {**scope, binder: arity}
             body = self.tree(theory, context, inner)
-            return len(elements), lambda env: tuple([body({**env, binder: a}) for a in elements])
+
+            def build(env):
+                # one copy of the environment, rebound for each element:
+                # no template keeps the environment it is given
+                env, subtrees = {**env}, []
+                for a in elements:
+                    env[binder] = a
+                    subtrees.append(body(env))
+                return tuple(subtrees)
+
+            return len(elements), build
         subtrees = [self.tree(theory, context, scope)]
         while self.at(","):
             self.i += 1
@@ -671,9 +689,9 @@ class _Parser:
             self.error(self.i, "forall over an empty universe")
         scope = {} if param_name is None else {param_name: param_universe}
         self.unproven = False
-        lhs = _Instances(self.tree(theory, context, scope), param_name, param_universe)
+        lhs = self.side(theory, context, scope, param_name, param_universe)
         self.eat_punct("=")
-        rhs = _Instances(self.tree(theory, context, scope), param_name, param_universe)
+        rhs = self.side(theory, context, scope, param_name, param_universe)
         self.eat_punct(";")
         equation = Equation(eq_name, param_universe, context, lhs, rhs)
         if self.unproven:
@@ -685,6 +703,13 @@ class _Parser:
             except (ParameterOutOfUniverse, UnboundGenerator) as defect:
                 return equation, defect
         return equation, None
+
+    def side(self, theory, context, scope, param_name, param_universe) -> _Instances:
+        """The equation side read here, with the operations its instances
+        perform."""
+        self.side_ops = set()
+        build = self.tree(theory, context, scope)
+        return _Instances(build, param_name, param_universe, frozenset(self.side_ops))
 
     # -- model and comodel files ----------------------------------------------
 
@@ -838,17 +863,22 @@ def _within(source: FiniteUniverse, target: FiniteUniverse) -> bool:
 class _Instances:
     """One side of a parsed equation family: the tree at each parameter,
     built from the side's template the first time it is asked for, and
-    kept.  A parameter outside the family raises KeyError.
+    kept.  A parameter outside the family raises KeyError.  ``ops`` are
+    the operations every instance performs, read with the template; a
+    body under an empty arity is never built, so its operations are not
+    among them.  ``at`` builds the tree at any value, such as a symbol
+    that stands for every parameter.
 
     Its values never change, so a copy is the object itself.  A pickle
     holds every tree, and loads as the lookup of a plain dict."""
 
-    __slots__ = ("build", "param_name", "params", "built")
+    __slots__ = ("build", "param_name", "params", "ops", "built")
 
-    def __init__(self, build, param_name, params: FiniteUniverse):
+    def __init__(self, build, param_name, params: FiniteUniverse, ops: frozenset):
         self.build = build
         self.param_name = param_name  # None for a family without forall
         self.params = params
+        self.ops = ops
         self.built = {}
 
     def __call__(self, p):
@@ -856,9 +886,22 @@ class _Instances:
         if tree is None:
             if not self.params.contains(p):
                 raise KeyError(p)
-            env = {} if self.param_name is None else {self.param_name: p}
-            tree = self.built[p] = self.build(env)
+            tree = self.built[p] = self.at(p)
         return tree
+
+    def at(self, p):
+        """The side's tree at ``p``, built anew and not kept.
+
+        A build makes no reference cycles, so the cycle collector, which
+        would otherwise examine each new node several times over (half the
+        time of a million-leaf build), pauses while it runs."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self.build({} if self.param_name is None else {self.param_name: p})
+        finally:
+            if enabled:
+                gc.enable()
 
     def __copy__(self):
         return self

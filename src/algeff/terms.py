@@ -17,6 +17,7 @@ walk in preorder (``subtrees``) on explicit stacks too.  Their base,
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -244,7 +245,10 @@ class Equation(_Node):
 
     ``lhs``/``rhs`` map each element of ``param_universe`` to a tree whose
     leaves are elements of ``context``.  Unparameterized equations use the
-    unit universe and ignore their argument.
+    unit universe and ignore their argument.  A side may be a template, as
+    a parsed side is: then it also has ``ops``, the operations each of its
+    instances performs, and ``at(v)``, its tree at any value ``v``, such as
+    a symbol standing for every parameter.
     """
 
     __slots__ = ("name", "param_universe", "context", "lhs", "rhs")
@@ -380,39 +384,53 @@ def tree_ops(t: Tree) -> set:
 
 
 def _check_laws(eqs, check: Callable, covered: set | None = None,
-                budget: int | None = None, stop_at_skip: bool = False) -> tuple:
+                budget: int | None = None, stop_at_skip: bool = False,
+                family: Callable | None = None) -> tuple:
     """The one law checker: each equation of ``eqs`` in order, then each of
     its parameters.  ``check(eq, p, lhs, rhs)`` compares an instance's two
     trees at every point of its interpretation and returns True when they
     agree, None when it cannot tell, else a witness, which ends the check.
-    With ``covered`` (operation names), all of an equation's instances are
-    built first, and one performing any other operation skips the equation
-    (``stop_at_skip`` ends the check there); without it, each instance is
-    built just before its check.  At most ``budget`` instances are checked
-    (None: all); any left over leave the check undecided.  Returns
-    ``(witness or None, [(equation name, sorted missing ops)], undecided)``.
+    With ``covered`` (operation names), an equation performing any other
+    operation is skipped (``stop_at_skip`` ends the check there).  Its
+    operations are read from its sides when they are templates (see
+    ``Equation``), else from all its instances, built first.  Otherwise
+    each instance is built just before its check.  ``family(eq)``, when
+    given, may vouch for every instance of an equation whose sides are
+    templates over more than one parameter; then they all count as
+    checked, and otherwise its instances are checked one by one.  At most
+    ``budget`` instances are checked (None: all); any left over leave the
+    check undecided.  Returns ``(witness or None, [(equation name, sorted
+    missing ops)], undecided)``.
     """
     skipped, undecided, checked = [], False, 0
     for eq in eqs:
         instances = ((p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements())
+        templates = hasattr(eq.lhs, "ops") and hasattr(eq.rhs, "ops")
         if covered is not None:
-            instances = list(instances)
-            used = set().union(*(tree_ops(t) for _, lhs, rhs in instances for t in (lhs, rhs)))
+            if templates:
+                used = eq.lhs.ops | eq.rhs.ops
+            else:
+                instances = list(instances)
+                used = set().union(*(tree_ops(t) for _, lhs, rhs in instances for t in (lhs, rhs)))
             if not used <= covered:
                 skipped.append((eq.name, sorted(used - covered)))
                 if stop_at_skip:
                     break
                 continue
-        for p, lhs, rhs in instances:
-            if budget is not None and checked >= budget:
-                undecided = True
-                break
-            checked += 1
-            verdict = check(eq, p, lhs, rhs)
-            if verdict is None:
-                undecided = True
-            elif verdict is not True:
-                return verdict, skipped, undecided
+        size = eq.param_universe.size()
+        left = size if budget is None else min(size, budget - checked)
+        if family is not None and templates and size > 1 and left and family(eq):
+            checked += left
+        else:
+            # islice stops before building an instance past the budget
+            for p, lhs, rhs in islice(instances, left):
+                checked += 1
+                verdict = check(eq, p, lhs, rhs)
+                if verdict is None:
+                    undecided = True
+                elif verdict is not True:
+                    return verdict, skipped, undecided
+        undecided = undecided or left < size
     return None, skipped, undecided
 
 

@@ -328,6 +328,25 @@ def test_uncovered_operations_are_listed_sorted_before_any_run():
     assert log == []
 
 
+def test_a_parsed_theory_reports_uncovered_operations_from_its_templates():
+    text = (SAMPLES / "state2.thy").read_text().replace("}", (
+        "  op abort : unit ~> empty;\n"
+        "  equation abort_put (unit) : abort((); \\x. put(x; \\u. return u)) = abort(());\n}"
+    ))
+    th = parse_theory_file(text)
+    coops = {"get": lambda p, w: (w, w), "put": lambda p, w: ((), p)}
+    expected = {
+        (): "equation 'get_get' mentions uncovered operations ['get']",
+        ("get",): "equation 'get_put' mentions uncovered operations ['put']",
+        ("put",): "equation 'get_get' mentions uncovered operations ['get']",
+        # abort's body is never built, so put is not among its operations
+        ("get", "put"): "equation 'abort_put' mentions uncovered operations ['abort']",
+    }
+    for covered, message in expected.items():
+        c = Cointerpretation(th, Fin(2), {name: coops[name] for name in covered})
+        assert assert_parity(c) == ("raised", UncoveredOperation, message)
+
+
 def test_the_first_uncovered_equation_raises_before_later_equations_run():
     put_get, get_get = STATE3.eqs[2], STATE3.eqs[0]
     th = Theory("put_get_first", STATE3.ops, (put_get, get_get))

@@ -2,11 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from algeff.errors import AlgeffError
+from algeff.errors import AlgeffError, TypeMismatch
 from algeff.free import FreeElement, eta, lift
 from algeff.interp import (
     Closure,
     EvalError,
+    HandlerCheck,
     HandlerClosure,
     HandlerVerdict,
     KontValue,
@@ -47,7 +48,7 @@ from algeff.theories import (
     io_theory,
     single_state_theory,
 )
-from algeff.universe import Enum, Fin, Product
+from algeff.universe import UNIT, Bool, Enum, Fin, Product
 
 from tests.test_lang import exception_handler, increment_program, state_passing_handler
 
@@ -404,6 +405,102 @@ def test_handler_check_budget_follows_the_environment(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# One replay per parsed family, at a symbolic parameter
+
+
+def test_a_parameter_symbol_allows_projection_hashing_and_equality_with_itself():
+    from algeff.interp import ParamSymbol
+
+    p = ParamSymbol()
+    assert p[0] == ParamSymbol((0,)) and p[1][0] == ParamSymbol((1, 0))
+    assert not p[0] != ParamSymbol((0,))
+    assert hash(p[1]) == hash(ParamSymbol((1,)))
+    assert len({p, ParamSymbol(), p[0]}) == 2
+    inspections = [
+        lambda: p == 0, lambda: 0 == p, lambda: p[0] == p[1], lambda: p == (p[0], p[1]),
+        lambda: p != 0, lambda: bool(p), lambda: list(p), lambda: len(p), lambda: 1 in p,
+        lambda: p < p, lambda: p + 1, lambda: 1 + p, lambda: [0, 1][p], lambda: p[2],
+        lambda: p[True], lambda: UNIT.contains(p), lambda: KontValue(Fin(2), segment=()).at(p),
+    ]
+    for inspect in inspections:
+        with pytest.raises(EvalError):
+            inspect()
+    # the other universes refuse it by its type, so no operation takes it
+    for u in (Fin(3), Product(Fin(2), Fin(2)), Enum(("a",)), Bool()):
+        assert u.contains(p) is False
+
+
+def test_a_parsed_state_check_replays_put_put_once(monkeypatch):
+    import algeff.interp as interp
+
+    calls = []
+    handle = interp.handle
+    monkeypatch.setattr(interp, "handle", lambda *args: calls.append(1) or handle(*args))
+    assert stateh_check(parsed_state_theory("fin 10")).verdict is HandlerVerdict.RESPECTED
+    # get_get and get_put once each, put_get at a symbol and then at each of
+    # its 10 parameters (its continuation is indexed by the state), put_put
+    # once: two sides each; every instance by itself took 224
+    assert len(calls) == 28
+
+
+def test_a_parameter_tested_by_if_leaves_its_family_to_the_loop():
+    theory = parse_theory_file(
+        "theory b { op put : bool ~> unit; equation put_put forall p in bool * bool (unit) :"
+        " put(fst p; \\u. put(snd p; \\v. return v)) = put(snd p; \\v. return v); }"
+    )
+    hl = parse_value_text(
+        "handler { return x -> return (fun s -> return (x, s))"
+        " | put(s2; k) -> return (fun s -> if s2 then (do f <- k () in f s2)"
+        " else (do f <- k () in f s)) }"
+    )
+    h, out = checked_handler(theory, hl)
+    # the instances with fst p false differ at a leaf the law may identify;
+    # taking the then branch at the symbol would read the family as holding
+    results = assert_loop_parity(theory, h, out)
+    assert [r.verdict for r in results] == [HandlerVerdict.UNKNOWN] * 4
+
+
+ABORT_THEORY = (SAMPLES / "state2.thy").read_text().replace(
+    "  op put : fin 2 ~> unit;\n",
+    "  op put : fin 2 ~> unit;\n  op abort : unit ~> empty;\n"
+    "  equation abort_put (unit) : abort((); \\x. put(x; \\u. return u)) = abort(());\n",
+)
+
+
+def test_an_operation_under_an_empty_arity_needs_no_clause():
+    theory = parse_theory_file(ABORT_THEORY)
+    assert theory.eqs[0].lhs.ops == frozenset({"abort"})
+    h, out = checked_handler(theory, parse_value_text((SAMPLES / "stateh.eff").read_text()))
+    result = assert_loop_parity(theory, h, out)[-1]
+    assert result == HandlerCheck(HandlerVerdict.RESPECTED, skipped=("abort_put",))
+    with_abort = (SAMPLES / "stateh.eff").read_text().replace(
+        "\n}", "\n| abort(u; k) -> return (fun s -> return (0, s))\n}")
+    h, out = checked_handler(theory, parse_value_text(with_abort))
+    assert assert_loop_parity(theory, h, out)[-1] == HandlerCheck(HandlerVerdict.RESPECTED)
+
+
+def test_a_budget_of_one_builds_one_instance_over_a_large_theory(tmp_path, monkeypatch, capsys):
+    from algeff import parser
+    from algeff.cli import main
+
+    builds = []
+    init = parser._Instances.__init__
+
+    def counting(self, build, *rest):
+        init(self, lambda env: builds.append(1) or build(env), *rest)
+
+    monkeypatch.setattr(parser._Instances, "__init__", counting)
+    path = tmp_path / "state300.thy"
+    path.write_text((SAMPLES / "state2.thy").read_text().replace("fin 2", "fin 300"))
+    monkeypatch.setenv("ALGEFF_BUDGET", "1")
+    assert main(["check", "handler", str(SAMPLES / "stateh.eff"), "--theory", str(path)]) == 1
+    assert capsys.readouterr().out == "Unknown\n"
+    # get_get's two sides: its operations, and every other family's, come
+    # from the templates, and no instance past the budget is built
+    assert len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
 # The machine: head-normal forms, demand-driven runs, depth
 
 
@@ -598,6 +695,15 @@ PUT_STATE_FUNCTIONS = [
     " handle do f <- k () in f s2",
     "with handler { return x -> return x | get(u; s) -> s 0 } handle do f <- k () in f s2",
     "with handler { return x -> return x | get(u; j) -> j s } handle do f <- k () in f s2",
+    # and some that inspect the new state s2: add to it, test it, pass it
+    # to an operation, or resume a get's continuation at it
+    "do f <- k () in f (s2 + 1)",
+    "if s2 then (do f <- k () in f s2) else (do f <- k () in f s2)",
+    "if s2 then (do f <- k () in f s2) else (do f <- k () in f s)",
+    "with handler { return x -> return x | put(q; j) -> j () }"
+    " handle do _ <- put!(s2) in do f <- k () in f s2",
+    "with handler { return x -> return x | get(u; k) -> k s2 }"
+    " handle do t <- get!(()) in do f <- k () in f t",
 ]
 
 PARITY_HANDLERS = [
@@ -613,11 +719,43 @@ PARITY_HANDLERS = [
     ("no-put-clause", state_handler_text(put=None)),
 ]
 
+
+def parsed_state_theory(state):
+    """samples/state2.thy with its state universe ``fin 2`` replaced."""
+    return parse_theory_file((SAMPLES / "state2.thy").read_text().replace("fin 2", state))
+
+
 PARITY_THEORIES = [
     *((f"fin{n}", lambda n=n: single_state_theory(Fin(n))) for n in range(1, 7)),
     *((name, lambda name=name: parse_theory_file((SAMPLES / name).read_text()))
       for name in ("state2.thy", "state10.thy")),
+    *((f"parsed-{state}", lambda state=state: parsed_state_theory(state))
+      for state in ("fin 3", "fin 6", "bool")),
 ]
+
+
+def typed_parity_handlers(theory):
+    """Each parity handler that type-checks over the theory, with its
+    closure and output type."""
+    typed = []
+    for name, handler in PARITY_HANDLERS:
+        hl = parse_value_text(handler) if isinstance(handler, str) else handler
+        try:
+            typed.append((name, *checked_handler(theory, hl)))
+        except TypeMismatch:
+            continue
+    return typed
+
+
+def test_the_parity_handlers_that_type_check_are_those_for_the_state():
+    # over an integer state, all but the two that test the state with if;
+    # over a boolean one, all but those that add to it or give an integer
+    # where a state goes
+    ints = [name for name, _, _ in typed_parity_handlers(parsed_state_theory("fin 3"))]
+    assert [name for name, _ in PARITY_HANDLERS if name not in ints] == ["put-16", "put-17"]
+    bools = [name for name, _, _ in typed_parity_handlers(parsed_state_theory("bool"))]
+    assert [name for name, _ in PARITY_HANDLERS if name not in bools] == [
+        "put-2", "put-13", "put-15", "get-ignores-state", "get-reads-state-once"]
 
 
 @pytest.mark.parametrize("theory", [t for _, t in PARITY_THEORIES],
@@ -626,9 +764,7 @@ def test_applying_a_function_once_keeps_every_handler_verdict(monkeypatch, theor
     import algeff.interp as interp
 
     theory = theory()
-    for name, handler in PARITY_HANDLERS:
-        hl = parse_value_text(handler) if isinstance(handler, str) else handler
-        h, out = checked_handler(theory, hl)
+    for name, h, out in typed_parity_handlers(theory):
         budgets = (None, 7) if name == "stateh" else (None,)
         for budget in budgets:
             with monkeypatch.context() as m:
@@ -779,8 +915,7 @@ def loop_check_handler_equations(h, theory, out_type, budget=None):
 LOOP_BUDGETS = (0, 1, 2, None)
 
 
-def assert_loop_parity(theory, hl, name=None):
-    h, out = checked_handler(theory, hl)
+def assert_loop_parity(theory, h, out, name=None):
     results = []
     for budget in LOOP_BUDGETS:
         result = check_handler_equations(h, theory, out, budget)
@@ -793,15 +928,14 @@ def assert_loop_parity(theory, hl, name=None):
                          ids=[name for name, _ in PARITY_THEORIES])
 def test_the_shared_law_checker_keeps_every_handler_check(theory):
     theory = theory()
-    for name, handler in PARITY_HANDLERS:
-        hl = parse_value_text(handler) if isinstance(handler, str) else handler
-        assert_loop_parity(theory, hl, name)
+    for name, h, out in typed_parity_handlers(theory):
+        assert_loop_parity(theory, h, out, name)
 
 
 def test_the_shared_law_checker_keeps_a_partial_handler_check():
     th = single_state_theory(Fin(2))
     hl = parse_value_text("handler { return x -> return x | get(u; k) -> k 0 }")
-    results = assert_loop_parity(th, hl)
+    results = assert_loop_parity(th, *checked_handler(th, hl))
     assert [r.skipped for r in results] == [("get_put", "put_get", "put_put")] * 4
     assert [r.verdict for r in results] == [HandlerVerdict.UNKNOWN] + [HandlerVerdict.RESPECTED] * 3
 
@@ -810,7 +944,7 @@ def test_the_shared_law_checker_keeps_an_evaluation_error_unknown():
     th = single_state_theory(Fin(2))
     # k applied outside get's arity fin 2
     hl = parse_value_text("handler { return x -> return x | get(u; k) -> k 5 }")
-    results = assert_loop_parity(th, hl)
+    results = assert_loop_parity(th, *checked_handler(th, hl))
     assert [r.verdict for r in results] == [HandlerVerdict.UNKNOWN] * 4
 
 

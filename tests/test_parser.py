@@ -1,5 +1,6 @@
 import copy
 import gc
+import importlib
 import itertools
 import pickle
 import random
@@ -34,7 +35,7 @@ from algeff.parser import (
     tokenize,
 )
 from algeff.printer import render_comp, render_elem, render_tree
-from algeff.terms import OpNode, Return, check_tree
+from algeff.terms import OpNode, Return, check_tree, tree_ops
 from algeff.theories import choice_theory, semilattice_theory, single_state_theory
 from algeff.universe import Enum, Fin, Product
 
@@ -818,6 +819,43 @@ def test_the_load_time_check_does_not_grow_with_the_forall_universe(monkeypatch)
         assert th.eqs[3].param_universe == Product(Fin(n), Fin(n))
         counts.append(len(sites))
     assert counts == [19, 19]  # one per tree written in the file
+
+
+# -- an equation side's operations, read with its template --------------------
+
+
+def _perfbench_state_theories(monkeypatch):
+    """The benchmark's generated state theory texts, with and without
+    abort."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    return [gen.state_theory_text(n, abort) for n in (1, 2, 5, 10) for abort in (False, True)]
+
+
+def test_a_side_knows_the_operations_of_all_its_instances(monkeypatch):
+    cases = [path.read_text() for path in sorted(SAMPLES.glob("*.thy"))]
+    cases += [text for text, _ in _HAND_WRITTEN.values()] + _perfbench_state_theories(monkeypatch)
+    cases += list(_mutated_samples(2000, seed=6)) + list(_generated_theories(1500, seed=10))
+    cases.append(_theory(
+        "op abort : unit ~> empty;",
+        "op put : fin 2 ~> unit;",
+        "equation e forall p in fin 2 (unit) :"
+        " abort((); \\x. put(x; \\u. return u)) = put(p; \\u. abort(()));",
+    ))
+    sides = 0
+    for text in cases:
+        try:
+            theory = parse_theory_file(text)
+        except AlgeffError:
+            continue
+        for eq in theory.eqs:
+            for side in (eq.lhs, eq.rhs):
+                params = eq.param_universe.iter_elements()
+                assert side.ops == set().union(*(tree_ops(side(p)) for p in params)), text
+                sides += 1
+    assert sides > 1000
+    assert theory.eqs[0].lhs.ops == {"abort"}  # put under the empty arity is never built
+    assert theory.eqs[0].rhs.ops == {"put", "abort"}
 
 
 # -- tables read by their entry pattern, against the token-by-token loops -----
