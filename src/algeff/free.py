@@ -6,7 +6,12 @@ equations generate.  This module provides the monad structure (eta, lift,
 sequencing, generic operations) and decides tree equality from the free
 model where it is known: a theory whose laws are exactly a built-in's gets
 that built-in's normal form (the single-state get/put form, or the sorted
-leaf set that choice and the semilattice share).  Any other theory is
+leaf set that choice and the semilattice share).  Laws are compared as
+schemes: two theories whose equation families have the same parameter
+universes and side shapes (``parser._Instances.shape``) have the same
+instances, so no instance is built.  Only a theory whose sides have no
+shape, or whose shapes differ from the built-in's, has its instances
+built and compared with the built-in's.  Any other theory is
 searched, by a budgeted congruence search, after its own 2-element models
 have had the chance to refute equality.  The search works out each
 rewrite candidate's hash from its parts, and builds the candidate only to
@@ -207,17 +212,18 @@ class _Strategy:
     laws, which refute equality soundly (``refuters``, found the first time
     the theory is searched).  ``rules`` holds the congruence search's
     rewrite rules, compiled the first time the theory is searched.  A
-    built-in's record also keeps its equation instances, to which parsed
-    theories are compared."""
+    built-in's record also keeps its equation families and, once a theory
+    whose shapes differ is compared with it, its equation instances."""
 
-    __slots__ = ("normalize", "refuters", "rules", "instances")
+    __slots__ = ("normalize", "refuters", "rules", "families", "instances")
     normalize: Callable[[Theory, Tree], Tree] | None
     refuters: tuple | None
     rules: tuple | None
+    families: frozenset | None
     instances: frozenset | None
 
     def __init__(self):
-        self.normalize = self.refuters = self.rules = self.instances = None
+        self.normalize = self.refuters = self.rules = self.families = self.instances = None
 
 
 def _single_state_twin(theory: Theory) -> Theory | None:
@@ -239,6 +245,20 @@ _BUILTIN_STRATEGIES = (
 )
 
 
+def _families(theory: Theory) -> frozenset | None:
+    """The theory's equation families as (parameter universe, unordered
+    pair of side shapes), leaving out a family whose sides have one shape,
+    since its instances are trivial; None when a side has no shape."""
+    families = set()
+    for eq in theory.eqs:
+        lhs, rhs = getattr(eq.lhs, "shape", None), getattr(eq.rhs, "shape", None)
+        if lhs is None or rhs is None:
+            return None
+        if lhs != rhs:
+            families.add((eq.param_universe, frozenset((lhs, rhs))))
+    return frozenset(families)
+
+
 def _instance_pairs(theory: Theory) -> Iterator[frozenset]:
     """The theory's non-trivial equation instances as unordered tree pairs."""
     for eq in theory.eqs:
@@ -248,12 +268,20 @@ def _instance_pairs(theory: Theory) -> Iterator[frozenset]:
                 yield pair
 
 
-def _builtin_instances(twin: Theory) -> frozenset:
-    # built-ins are memoized, so their instances are built once and kept
+def _same_laws(theory: Theory, twin: Theory) -> bool:
+    """Whether the theory's non-trivial equation instances are exactly the
+    built-in ``twin``'s: at once when their families are the same, else by
+    building both instance sets.  Built-ins are memoized, so the twin's
+    families and instances are worked out once and kept."""
     record = _strategy(twin)
+    if record.families is None:
+        record.families = _families(twin)
+    mine = _families(theory)
+    if mine is not None and mine == record.families:
+        return True
     if record.instances is None:
         record.instances = frozenset(_instance_pairs(twin))
-    return record.instances
+    return frozenset(_instance_pairs(theory)) == record.instances
 
 
 # weakly keyed, so that a theory parsed for one command does not outlive it
@@ -263,22 +291,18 @@ _STRATEGIES = weakref.WeakKeyDictionary()
 def _strategy(theory: Theory) -> _Strategy:
     """The theory's own strategy record, resolved once per theory object:
     the normalizer of the built-in whose operations and equation instances
-    are exactly the theory's, or none."""
+    are exactly the theory's, or none.  The built-ins' operations differ,
+    so at most one is compared law by law."""
     found = _STRATEGIES.get(theory)
     if found is None:
         found = _Strategy()
         ops = frozenset(theory.ops)
-        mine = None
         for twin_of, normalizer in _BUILTIN_STRATEGIES:
             twin = twin_of(theory)
             if twin is None or frozenset(twin.ops) != ops:
                 continue
-            if twin is not theory:
-                if mine is None:
-                    mine = frozenset(_instance_pairs(theory))
-                if mine != _builtin_instances(twin):
-                    continue
-            found.normalize = normalizer
+            if twin is theory or _same_laws(theory, twin):
+                found.normalize = normalizer
             break
         _STRATEGIES[theory] = found
     return found
@@ -349,8 +373,9 @@ def normalize(theory: Theory, t: Tree) -> Tree:
     equality there).  A theory whose operations and equation instances are
     exactly those of the built-in single-state theory over its own ``get``
     arity, of the built-in semilattice, or of the built-in choice theory,
-    has that built-in's normalizer, whatever the theory is called.  Raises
-    NoNormalizer for anything else.
+    has that built-in's normalizer, whatever the theory is called; its
+    instances are compared by their families' shapes where it has them.
+    Raises NoNormalizer for anything else.
     """
     if not theory.eqs:
         return t

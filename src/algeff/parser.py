@@ -46,35 +46,37 @@ that reports its errors.  A syntax error holds a place, not a position, as
 a program node does: a mark of a token or, for an unreadable token, the
 text.  Line and column are worked out, by ``tokenize`` over the same regex,
 only when one is read.  One reader reads every element, in an equation,
-a table or a ``--world`` text: as a template over the binders in scope,
-which outside an equation is read at once as its value.  An equation's two
-sides are read once, as templates, and checked once, by the universes
-their elements range over.
+a table or a ``--world`` text: as a shape over the binders in scope,
+which outside an equation is built at once into its value.  An
+equation's two sides are read once, as shapes, and checked once, by the
+universes their elements range over.  A shape is data (see
+``terms._builder``): equal shapes build equal trees, so ``free`` compares
+a theory's laws with a built-in's by their shapes, and the law checkers
+read a side's operations, its coverage, from its shape.
 Only an equation that fails that check has its instances built and checked
 one by one, to report the first defective one as ``check_theory`` would;
-otherwise an instance is built the first time ``Equation.lhs`` or
-``Equation.rhs`` asks for it, and kept.  So ``run`` and ``type`` never
-build an equation instance of a theory that loads.  Each side also
-records, as it is read, the operations its instances perform, which the
-law checkers read as its coverage, and it can be built at a value outside
-its family, such as the handler check's symbolic parameter.
+otherwise a side's shape is compiled into a builder the first time
+``Equation.lhs`` or ``Equation.rhs`` asks for an instance, and the
+instance is kept.  So ``run`` and ``type`` never compile an equation side
+of a theory that loads.  A side can also be built at a value outside its
+family, such as the handler check's symbolic parameter.  The built-ins
+whose normalizers ``free`` lends are read by ``_parse_builtin``, in which
+a name can stand for a universe.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import re
 from collections import Counter
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import lang
 from .comodels import Cointerpretation
 from .errors import ParameterOutOfUniverse, ParseError, UnboundGenerator
 from .models import FiniteModel, table_model
-from .terms import Equation, OpDecl, OpNode, Return, Theory, check_tree
+from .terms import _PARAM, Equation, OpDecl, Theory, _builder, _Instances, check_tree
 from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product
 
 # one match per token or comment; the blanks between them match nothing
@@ -284,7 +286,8 @@ class _Parser:
         self.toks.append(None)  # a second end, for a look two tokens ahead
         self.i = 0
         self.unproven = False  # whether an equation's universes leave a doubt
-        self.side_ops = set()  # the operations of the equation side being read
+        self.depth = 0  # the number of binder bodies around the tree being read
+        self.universes = {}  # universe names a built-in's text reads (_parse_builtin)
 
     def pos(self, i=None) -> tuple:
         """The (line, col) of token ``i``, by default the next one."""
@@ -499,6 +502,9 @@ class _Parser:
             out = self.universe()
             self.eat_punct(")")
             return out
+        if tok in self.universes:
+            self.i += 1
+            return self.universes[tok]
         return self.fail("expected a universe")
 
     def enum_label(self) -> str:
@@ -508,28 +514,26 @@ class _Parser:
             return tok.text
         return self.eat_ident("an enum label")
 
-    # -- elements and equation templates --------------------------------------
+    # -- elements and equation shapes -----------------------------------------
 
-    # One reader, ``elem_template``, reads every element, as a template: a
-    # function from an environment that binds the binders in scope (an
-    # equation's forall parameter and each "\x." binder) to elements.  An
-    # element outside any equation (``elem``) is its template at the empty
-    # scope.  Inside an equation, trees are read once as templates too.
-    # ``scope`` maps each binder in scope to the universe it ranges over; it
-    # is None in a body under an empty arity, which is never instantiated.
-    # Each element template comes with a universe that holds every value it
-    # takes, so an operation parameter or a leaf is checked once, against
-    # the universe it must lie in (``site``), and a bad fst or snd fails
-    # where it is read.  A template keeps no reference to the parser, so a
-    # parsed theory keeps none either.
+    # One reader, ``elem_template``, reads every element, as a shape (see
+    # ``terms._builder``) over the binders in scope: an equation's forall
+    # parameter and each "\x." binder.  An element outside any equation
+    # (``elem``) is its shape built at once.  Inside an equation, trees are
+    # read once as shapes too.  ``scope`` maps each binder in scope to its
+    # shape and the universe it ranges over; it is None in a body under an
+    # empty arity, which is never instantiated.  Each element shape comes
+    # with a universe that holds every value it takes, so an operation
+    # parameter or a leaf is checked once, against the universe it must lie
+    # in (``site``), and a bad fst or snd fails where it is read.
 
     def elem(self):
         """An element outside any equation, read as its value."""
-        template, _ = self.elem_template({})
-        return template({})
+        shape, _ = self.elem_template({})
+        return _builder(shape)({})
 
     def elem_template(self, scope) -> tuple:
-        """The template of the element read here, and a universe that holds
+        """The shape of the element read here, and a universe that holds
         each of its values (unused under an empty arity)."""
         at = self.i
         tok = self.toks[at]
@@ -549,25 +553,24 @@ class _Parser:
                 self.i += 1
                 second, right = self.elem_template(scope)
                 self.eat_punct(")")
-                return (lambda env: (first(env), second(env))), Product(left, right)
+                return ("pair", first, second), Product(left, right)
             self.eat_punct(")")
             return first, left
         if tok == "true" or tok == "false":
             return _constant(tok == "true")
         if tok == "fst" or tok == "snd":
             pair, universe = self.elem_template(scope)
-            index = 0 if tok == "fst" else 1
             if scope is not None:
                 if type(universe) is not Product:
                     # no element of another universe is a pair: the first
                     # instance fails, at the first element
                     value = next(universe.iter_elements())
                     self.error(at, f"{tok} expects a pair, got {value!r}")
-                universe = universe.right if index else universe.left
-            return (lambda env: pair(env)[index]), universe
+                universe = universe.left if tok == "fst" else universe.right
+            return (tok, pair), universe
         if scope is None or tok not in scope:
             return _constant(tok)
-        return itemgetter(tok), scope[tok]
+        return scope[tok]
 
     def site(self, scope, universe: FiniteUniverse, target: FiniteUniverse):
         """Note an operation parameter or a leaf, whose values ``universe``
@@ -576,59 +579,52 @@ class _Parser:
         if scope is not None and not _within(universe, target):
             self.unproven = True
 
-    def tree(self, theory: Theory, context: FiniteUniverse, scope):
-        """A template of the tree read here: a function of an environment
-        that builds the tree."""
+    def tree(self, theory: Theory, context: FiniteUniverse, scope) -> tuple:
+        """The shape of the tree read here."""
         at = self.i
         if self.at("return"):
             self.i += 1
             leaf, universe = self.elem_template(scope)
             self.site(scope, universe, context)
-            return lambda env: Return(leaf(env))
+            return ("return", leaf)
         name = self.eat_ident("an operation or return")
         if not theory.has_op(name):
             self.error(at, f"unknown operation {name!r}")
         decl = theory.op(name)
-        if scope is not None:
-            self.side_ops.add(name)
         self.eat_punct("(")
         param, universe = self.elem_template(scope)
         self.site(scope, universe, decl.param)
-        count, kont = 0, (lambda env: ())
+        count, shape = 0, ("op", name, param, ())
         if self.at(";"):
             self.i += 1
-            count, kont = self.konts(theory, context, decl.arity, scope)
+            count, shape = self.konts(theory, context, decl.arity, scope, name, param)
         self.eat_punct(")")
         if count != decl.arity.size():
             self.error(at, f"{name} needs {decl.arity.size()} subtrees, got {count}")
-        return lambda env: OpNode(name, param(env), kont(env))
+        return shape
 
-    def konts(self, theory: Theory, context: FiniteUniverse, arity: FiniteUniverse, scope):
-        """The subtrees after ``;``: their number, and the template of their
-        tuple."""
+    def konts(self, theory, context, arity: FiniteUniverse, scope, name, param) -> tuple:
+        """The subtrees after ``;`` of operation ``name`` at ``param``: their
+        number, and the shape of the node."""
         if self.at("\\"):
             self.i += 1
             binder = self.eat_ident("a binder")
             self.eat_punct(".")
-            elements = arity.elements()
-            inner = None if scope is None or not elements else {**scope, binder: arity}
+            size = arity.size()
+            self.depth += 1
+            inner = None
+            if scope is not None and size:
+                inner = {**scope, binder: (("var", self.depth), arity)}
             body = self.tree(theory, context, inner)
-
-            def build(env):
-                # one copy of the environment, rebound for each element:
-                # no template keeps the environment it is given
-                env, subtrees = {**env}, []
-                for a in elements:
-                    env[binder] = a
-                    subtrees.append(body(env))
-                return tuple(subtrees)
-
-            return len(elements), build
+            self.depth -= 1
+            if not size:  # a body under an empty arity is never built
+                return 0, ("op", name, param, ())
+            return size, ("bind", name, param, arity, body)
         subtrees = [self.tree(theory, context, scope)]
         while self.at(","):
             self.i += 1
             subtrees.append(self.tree(theory, context, scope))
-        return len(subtrees), lambda env: tuple([sub(env) for sub in subtrees])
+        return len(subtrees), ("op", name, param, tuple(subtrees))
 
     # -- theory files ----------------------------------------------------------
 
@@ -687,11 +683,11 @@ class _Parser:
         self.eat_punct(":")
         if param_universe.is_empty():
             self.error(self.i, "forall over an empty universe")
-        scope = {} if param_name is None else {param_name: param_universe}
+        scope = {} if param_name is None else {param_name: (_PARAM, param_universe)}
         self.unproven = False
-        lhs = self.side(theory, context, scope, param_name, param_universe)
+        lhs = _Instances(self.tree(theory, context, scope), param_universe)
         self.eat_punct("=")
-        rhs = self.side(theory, context, scope, param_name, param_universe)
+        rhs = _Instances(self.tree(theory, context, scope), param_universe)
         self.eat_punct(";")
         equation = Equation(eq_name, param_universe, context, lhs, rhs)
         if self.unproven:
@@ -703,13 +699,6 @@ class _Parser:
             except (ParameterOutOfUniverse, UnboundGenerator) as defect:
                 return equation, defect
         return equation, None
-
-    def side(self, theory, context, scope, param_name, param_universe) -> _Instances:
-        """The equation side read here, with the operations its instances
-        perform."""
-        self.side_ops = set()
-        build = self.tree(theory, context, scope)
-        return _Instances(build, param_name, param_universe, frozenset(self.side_ops))
 
     # -- model and comodel files ----------------------------------------------
 
@@ -828,8 +817,8 @@ class _Parser:
 
 
 def _constant(value) -> tuple:
-    """The template of an element that no binder binds, and its universe."""
-    return (lambda env: value), _Single(value)
+    """The shape of an element that no binder binds, and its universe."""
+    return ("const", type(value), value), _Single(value)
 
 
 class _Single(FiniteUniverse):
@@ -858,59 +847,6 @@ def _within(source: FiniteUniverse, target: FiniteUniverse) -> bool:
     if type(source) is Product and type(target) is Product:
         return _within(source.left, target.left) and _within(source.right, target.right)
     return all(map(target.contains, source.iter_elements()))
-
-
-class _Instances:
-    """One side of a parsed equation family: the tree at each parameter,
-    built from the side's template the first time it is asked for, and
-    kept.  A parameter outside the family raises KeyError.  ``ops`` are
-    the operations every instance performs, read with the template; a
-    body under an empty arity is never built, so its operations are not
-    among them.  ``at`` builds the tree at any value, such as a symbol
-    that stands for every parameter.
-
-    Its values never change, so a copy is the object itself.  A pickle
-    holds every tree, and loads as the lookup of a plain dict."""
-
-    __slots__ = ("build", "param_name", "params", "ops", "built")
-
-    def __init__(self, build, param_name, params: FiniteUniverse, ops: frozenset):
-        self.build = build
-        self.param_name = param_name  # None for a family without forall
-        self.params = params
-        self.ops = ops
-        self.built = {}
-
-    def __call__(self, p):
-        tree = self.built.get(p)
-        if tree is None:
-            if not self.params.contains(p):
-                raise KeyError(p)
-            tree = self.built[p] = self.at(p)
-        return tree
-
-    def at(self, p):
-        """The side's tree at ``p``, built anew and not kept.
-
-        A build makes no reference cycles, so the cycle collector, which
-        would otherwise examine each new node several times over (half the
-        time of a million-leaf build), pauses while it runs."""
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return self.build({} if self.param_name is None else {self.param_name: p})
-        finally:
-            if enabled:
-                gc.enable()
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __reduce__(self):
-        return getattr, ({p: self(p) for p in self.params.iter_elements()}, "__getitem__")
 
 
 def _cointerpretation(theory: Theory, world: FiniteUniverse, table: dict, covered):
@@ -1088,6 +1024,16 @@ def parse_value_text(text: str):
 
 def parse_theory_file(text: str) -> Theory:
     p = _Parser(text)
+    out = p.theory_file()
+    p.expect_eof()
+    return out
+
+
+def _parse_builtin(text: str, **universes: FiniteUniverse) -> Theory:
+    """A built-in theory written in theory syntax, in which each name of
+    ``universes`` reads as that universe; no user file binds a name."""
+    p = _Parser(text)
+    p.universes = universes
     out = p.theory_file()
     p.expect_eof()
     return out

@@ -13,12 +13,16 @@ at most 100 levels at a time and keep deeper subtrees on an explicit list,
 so trees of any depth compare and hash; they fold (``fold_tree``) and
 walk in preorder (``subtrees``) on explicit stacks too.  Their base,
 ``_Node``, is the base of every other record class in the package too.
+An equation side written in theory syntax is held as data, its shape
+(``_Instances``), and compiled into a builder (``_builder``) only when a
+tree is first built from it.
 """
 
 from __future__ import annotations
 
+import gc
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from .errors import (
@@ -246,7 +250,8 @@ class Equation(_Node):
     ``lhs``/``rhs`` map each element of ``param_universe`` to a tree whose
     leaves are elements of ``context``.  Unparameterized equations use the
     unit universe and ignore their argument.  A side may be a template, as
-    a parsed side is: then it also has ``ops``, the operations each of its
+    a side written in theory syntax is (``_Instances``): then it also has
+    ``shape``, the side as data, ``ops``, the operations each of its
     instances performs, and ``at(v)``, its tree at any value ``v``, such as
     a symbol standing for every parameter.
     """
@@ -260,6 +265,135 @@ class Equation(_Node):
 
     def __init__(self, name, param_universe, context, lhs, rhs):
         self._fill(name, param_universe, context, lhs, rhs)
+
+
+# An equation side written in theory syntax is read (``parser``) as a shape:
+# a hashable tuple, tagged by its first item, which says how to build the
+# side's tree at each parameter.
+#   ("const", type, value)  an element no binder binds, typed, so that the
+#                           shapes of true, 1 and "1" differ
+#   _PARAM                  the forall parameter, whatever its name
+#   ("var", k)              the binder of the k-th binder body, counted
+#                           from the outside, whatever its name
+#   ("pair", a, b), ("fst", e), ("snd", e)
+#   ("return", e)
+#   ("op", name, param, subtrees)     an operation node, subtrees positional
+#   ("bind", name, param, arity, body)  one body, built at each element of
+#                           the nonempty arity, in enumeration order
+# Equal shapes build equal trees at every parameter.  An operation under an
+# empty arity has no subtrees, however its text wrote them.
+_PARAM = ("param",)
+
+
+def _builder(shape: tuple, depth: int = 0):
+    """A function that builds ``shape`` from an environment: a dict that
+    maps 0 to the forall parameter and k to the value of binder k.  Each
+    body rebinds its own key, so no environment is copied."""
+    tag = shape[0]
+    if tag == "const":
+        value = shape[2]
+        return lambda env: value
+    if tag == "param":
+        return itemgetter(0)
+    if tag == "var":
+        return itemgetter(shape[1])
+    if tag == "pair":
+        first, second = _builder(shape[1]), _builder(shape[2])
+        return lambda env: (first(env), second(env))
+    if tag == "fst" or tag == "snd":
+        pair, index = _builder(shape[1]), 0 if tag == "fst" else 1
+        return lambda env: pair(env)[index]
+    if tag == "return":
+        leaf = _builder(shape[1])
+        return lambda env: Return(leaf(env))
+    name, param = shape[1], _builder(shape[2])
+    if tag == "op":
+        subtrees = [_builder(sub, depth) for sub in shape[3]]
+        return lambda env: OpNode(name, param(env), tuple([sub(env) for sub in subtrees]))
+    elements, body, key = shape[3].elements(), _builder(shape[4], depth + 1), depth + 1
+
+    def build(env):
+        at, subtrees = param(env), []
+        for a in elements:
+            env[key] = a
+            subtrees.append(body(env))
+        return OpNode(name, at, tuple(subtrees))
+
+    return build
+
+
+def _shape_ops(shape: tuple) -> frozenset:
+    """The operations of the trees a side's shape builds."""
+    found, stack = set(), [shape]
+    while stack:
+        node = stack.pop()
+        if node[0] == "op":
+            found.add(node[1])
+            stack += node[3]
+        elif node[0] == "bind":
+            found.add(node[1])
+            stack.append(node[4])
+    return frozenset(found)
+
+
+class _Instances:
+    """One side of an equation family written in theory syntax: its
+    ``shape``, and the tree at each parameter, built the first time it is
+    asked for, and kept.  The shape is compiled into a builder
+    (``_builder``) when the first tree is built.  A parameter outside the
+    family raises KeyError.  ``ops`` are
+    the operations every instance performs, read from the shape; a body
+    under an empty arity is never built, so its operations are not among
+    them.  ``at`` builds the tree at any value, such as a symbol that
+    stands for every parameter.
+
+    Its values never change, so a copy is the object itself.  A pickle
+    holds every tree, and loads as the lookup of a plain dict."""
+
+    __slots__ = ("shape", "params", "built", "build")
+
+    def __init__(self, shape: tuple, params: FiniteUniverse):
+        self.shape = shape
+        self.params = params
+        self.built = {}
+        self.build = None  # _builder(shape), once a tree is built
+
+    @property
+    def ops(self) -> frozenset:
+        return _shape_ops(self.shape)
+
+    def __call__(self, p):
+        tree = self.built.get(p)
+        if tree is None:
+            if not self.params.contains(p):
+                raise KeyError(p)
+            tree = self.built[p] = self.at(p)
+        return tree
+
+    def at(self, p):
+        """The side's tree at ``p``, built anew and not kept.
+
+        A build makes no reference cycles, so the cycle collector, which
+        would otherwise examine each new node several times over (half the
+        time of a million-leaf build), pauses while it runs."""
+        if self.build is None:
+            self.build = _builder(self.shape)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self.build({0: p})
+        finally:
+            if enabled:
+                gc.enable()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return getattr, ({p: self(p) for p in self.params.iter_elements()}, "__getitem__")
 
 
 class Theory(_Node):

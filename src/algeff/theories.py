@@ -5,8 +5,13 @@ the same object.  The single-state, semilattice, and choice theories also
 serve as references: ``free`` gives their normalizer to any theory whose
 operations and equation instances are exactly theirs (the get/put normal
 form, or the sorted leaf set that choice and the semilattice share).
-Every commutation law, ``state``'s three cross-location laws and the
-``dist_*`` laws of ``combine``, comes from one builder, ``_commutation``.
+These three are written in theory syntax and read by the parser, so their
+equation sides are shapes, as a parsed theory's are, and a theory's laws
+are compared with theirs shape by shape.  The other built-ins write their
+sides as functions of the parameter.  Every commutation law, ``state``'s
+three cross-location laws and the ``dist_*`` laws of ``combine``, comes
+from one builder, ``_commutation``, whose side condition (``trivial``) no
+shape states.
 """
 
 from __future__ import annotations
@@ -20,6 +25,43 @@ from .universe import BOOL, EMPTY, UNIT, Enum, FiniteUniverse, Product
 _X = Enum(("x",))
 _XY = Enum(("x", "y"))
 _XYZ = Enum(("x", "y", "z"))
+
+
+# The built-ins that lend their normalizers, in theory syntax; ``S`` is the
+# state universe.
+_SINGLE_STATE = r"""theory single_state {
+  op get : unit ~> S;
+  op put : S ~> unit;
+  equation get_get (S * S) : get((); \s. get((); \t. return (s, t))) = get((); \s. return (s, s));
+  equation get_put (unit) : get((); \s. put(s; \u. return u)) = return ();
+  equation put_get forall p in S (S) : put(p; \u. get((); \t. return t)) = put(p; \u. return p);
+  equation put_put forall p in S * S (unit) : put(fst p; \u. put(snd p; \v. return v)) = put(snd p; \v. return v);
+}"""
+
+# Commutativity is listed first so that validators report it first; it is
+# the law that already fails for any deterministic stream of bits.
+_CHOICE = """theory choice {
+  op choose : unit ~> bool;
+  equation comm (enum {x, y}) : choose((); return x, return y) = choose((); return y, return x);
+  equation idem (enum {x}) : choose((); return x, return x) = return x;
+  equation assoc (enum {x, y, z}) : choose((); choose((); return x, return y), return z) = choose((); return x, choose((); return y, return z));
+}"""
+
+_SEMILATTICE = """theory semilattice {
+  op bot : unit ~> empty;
+  op join : unit ~> bool;
+  equation assoc (enum {x, y, z}) : join((); return x, join((); return y, return z)) = join((); join((); return x, return y), return z);
+  equation comm (enum {x, y}) : join((); return x, return y) = join((); return y, return x);
+  equation idem (enum {x}) : join((); return x, return x) = return x;
+  equation unit (enum {x}) : join((); return x, bot(())) = return x;
+}"""
+
+
+def _read(text: str, **universes: FiniteUniverse) -> Theory:
+    # imported here: the parser imports comodels, which import this module
+    from .parser import _parse_builtin
+
+    return _parse_builtin(text, **universes)
 
 
 def _const(tree):
@@ -65,42 +107,7 @@ def single_state_theory(s: FiniteUniverse) -> Theory:
     laws (get-get, get-put, put-get, put-put)."""
     if s.is_empty():
         raise EmptyStateUniverse("a state universe must be nonempty")
-    get = lambda kont: OpNode("get", (), tuple(kont(v) for v in s.iter_elements()))
-    put = lambda v, sub: OpNode("put", v, (sub,))
-
-    get_get = Equation(
-        "get_get",
-        UNIT,
-        Product(s, s),
-        _const(get(lambda a: get(lambda b: Return((a, b))))),
-        _const(get(lambda a: Return((a, a)))),
-    )
-    get_put = Equation(
-        "get_put",
-        UNIT,
-        UNIT,
-        _const(get(lambda a: put(a, Return(())))),
-        _const(Return(())),
-    )
-    put_get = Equation(
-        "put_get",
-        s,
-        s,
-        lambda p: put(p, get(lambda b: Return(b))),
-        lambda p: put(p, Return(p)),
-    )
-    put_put = Equation(
-        "put_put",
-        Product(s, s),
-        UNIT,
-        lambda p: put(p[0], put(p[1], Return(()))),
-        lambda p: put(p[1], Return(())),
-    )
-    return Theory(
-        "single_state",
-        (OpDecl("get", UNIT, s), OpDecl("put", s, UNIT)),
-        (get_get, get_put, put_get, put_put),
-    )
+    return _read(_SINGLE_STATE, S=s)
 
 
 @lru_cache(maxsize=None)
@@ -193,39 +200,15 @@ def exception_theory() -> Theory:
 @lru_cache(maxsize=None)
 def choice_theory() -> Theory:
     """Binary nondeterministic choice: one operation returning a bit,
-    with commutativity, idempotency, and associativity.
-
-    Commutativity is listed first so that validators report it first; it is
-    the law that already fails for any deterministic stream of bits.
-    """
-    vee = lambda a, b: OpNode("choose", (), (a, b))
-    x, y, z = Return("x"), Return("y"), Return("z")
-    comm = Equation("comm", UNIT, _XY, _const(vee(x, y)), _const(vee(y, x)))
-    idem = Equation("idem", UNIT, _X, _const(vee(x, x)), _const(x))
-    assoc = Equation(
-        "assoc", UNIT, _XYZ, _const(vee(vee(x, y), z)), _const(vee(x, vee(y, z)))
-    )
-    return Theory("choice", (OpDecl("choose", UNIT, BOOL),), (comm, idem, assoc))
+    with commutativity, idempotency, and associativity."""
+    return _read(_CHOICE)
 
 
 @lru_cache(maxsize=None)
 def semilattice_theory() -> Theory:
     """A join operation with a bottom: associative, commutative, idempotent,
     with bot as the unit."""
-    vee = lambda a, b: OpNode("join", (), (a, b))
-    bot = OpNode("bot", (), ())
-    x, y, z = Return("x"), Return("y"), Return("z")
-    assoc = Equation(
-        "assoc", UNIT, _XYZ, _const(vee(x, vee(y, z))), _const(vee(vee(x, y), z))
-    )
-    comm = Equation("comm", UNIT, _XY, _const(vee(x, y)), _const(vee(y, x)))
-    idem = Equation("idem", UNIT, _X, _const(vee(x, x)), _const(x))
-    unit = Equation("unit", UNIT, _X, _const(vee(x, bot)), _const(x))
-    return Theory(
-        "semilattice",
-        (OpDecl("bot", UNIT, EMPTY), OpDecl("join", UNIT, BOOL)),
-        (assoc, comm, idem, unit),
-    )
+    return _read(_SEMILATTICE)
 
 
 @lru_cache(maxsize=None)

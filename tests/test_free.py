@@ -1,8 +1,10 @@
+import importlib
 import itertools
 from pathlib import Path
 
 import pytest
 
+from algeff import free
 from algeff.errors import NoNormalizer, ParameterOutOfUniverse, UnboundGenerator, UnknownOperation
 from algeff.free import (
     FreeElement,
@@ -14,6 +16,7 @@ from algeff.free import (
     has_normalizer,
     lift,
     normalize,
+    normalizes_to_leaf_sets,
     run_single_state,
     sequence,
     state_normal_form,
@@ -801,6 +804,184 @@ def test_strategy_resolution_does_not_keep_theories_alive():
     del th
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# Strategies resolved by comparing shapes, against the instance sets
+
+
+def reference_normalizer(theory):
+    """The normalizer that comparing whole instance sets with each built-in
+    gives, as strategies were resolved before families were compared by
+    their shapes."""
+
+    def pairs(th):
+        return frozenset(
+            frozenset((eq.lhs(p), eq.rhs(p)))
+            for eq in th.eqs
+            for p in eq.param_universe.iter_elements()
+            if eq.lhs(p) != eq.rhs(p)
+        )
+
+    ops = frozenset(theory.ops)
+    for twin_of, normalizer in free._BUILTIN_STRATEGIES:
+        twin = twin_of(theory)
+        if twin is None or frozenset(twin.ops) != ops:
+            continue
+        if twin is theory or pairs(theory) == pairs(twin):
+            return normalizer
+    return None
+
+
+def assert_resolves_as_the_reference(theory):
+    expected = reference_normalizer(theory)
+    assert free._strategy(theory).normalize is expected, theory
+    assert has_normalizer(theory) is (not theory.eqs or expected is not None)
+    assert normalizes_to_leaf_sets(theory) is (expected is free._normalize_leaf_set)
+    return expected
+
+
+def perfbench_state_theories(monkeypatch):
+    """The benchmark's generated state theory texts, fin 1 to fin 10, with
+    and without abort."""
+    monkeypatch.syspath_prepend(str(SAMPLES.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    return [gen.state_theory_text(n, abort) for n in range(1, 11) for abort in (False, True)]
+
+
+def sample_theories():
+    texts = [path.read_text() for path in sorted(SAMPLES.glob("*.thy"))]
+    return texts + [text.replace("theory ", "theory renamed_", 1) for text in texts]
+
+
+STATE2_LAWS = (SAMPLES / "state2.thy").read_text().splitlines()[3:7]
+GET_GET, GET_PUT, PUT_GET, PUT_PUT = STATE2_LAWS
+
+
+def state2_with(*laws, ops=("  op get : unit ~> fin 2;", "  op put : fin 2 ~> unit;")):
+    return "\n".join(["theory cell {", *ops, *laws, "}"])
+
+
+def swapped(law):
+    head, sides = law.split(" : ", 1)
+    lhs, rhs = sides.rstrip(";").split(" = ")
+    return f"{head} : {rhs} = {lhs};"
+
+
+# (name, text, whether it has a normalizer, whether its instances are built
+# and compared with the built-in's, because its shapes differ)
+RESOLUTION_VARIANTS = [
+    ("reordered", state2_with(PUT_PUT, GET_PUT, PUT_GET, GET_GET), True, False),
+    ("sides swapped", state2_with(*map(swapped, STATE2_LAWS)), True, False),
+    ("binders renamed", state2_with(
+        "  equation get_get (fin 2 * fin 2) : get((); \\a. get((); \\b. return (a, b))) = get((); \\c. return (c, c));",
+        "  equation get_put (unit) : get((); \\x. put(x; \\y. return y)) = return ();",
+        "  equation put_get forall cell in fin 2 (fin 2) : put(cell; \\u. get((); \\s. return s)) = put(cell; \\u. return cell);",
+        "  equation put_put forall q in fin 2 * fin 2 (unit) : put(fst q; \\s. put(snd q; \\s. return s)) = put(snd q; \\v. return v);",
+    ), True, False),
+    ("positional subtrees", state2_with(
+        GET_GET, "  equation get_put (unit) : get((); put(0; return ()), put(1; return ())) = return ();",
+        PUT_GET, PUT_PUT,
+    ), True, True),
+    ("split law", state2_with(
+        GET_GET, GET_PUT, PUT_PUT,
+        "  equation put_get0 (fin 2) : put(0; \\u. get((); \\t. return t)) = put(0; \\u. return 0);",
+        "  equation put_get1 (fin 2) : put(1; \\u. get((); \\t. return t)) = put(1; \\u. return 1);",
+    ), True, True),
+    ("extra trivial law", state2_with(
+        *STATE2_LAWS, "  equation refl (fin 2) : get((); \\s. return s) = get((); \\t. return t);",
+    ), True, False),
+    ("fst and snd swapped throughout", state2_with(
+        GET_GET, GET_PUT, PUT_GET,
+        PUT_PUT.replace("fst", "FST").replace("snd", "fst").replace("FST", "snd"),
+    ), True, True),
+    ("(t, s) in get_get", state2_with(GET_GET.replace("(s, t)", "(t, s)"), GET_PUT, PUT_GET, PUT_PUT),
+     False, True),
+    ("fst for snd in put_put's rhs", state2_with(
+        GET_GET, GET_PUT, PUT_GET, PUT_PUT.replace("= put(snd p", "= put(fst p"),
+    ), False, True),
+    ("forall over a smaller universe", state2_with(
+        GET_GET, GET_PUT, PUT_GET.replace("forall p in fin 2", "forall p in fin 1"), PUT_PUT,
+    ), False, True),
+    ("extra operation", state2_with(
+        *STATE2_LAWS, ops=("  op get : unit ~> fin 2;", "  op put : fin 2 ~> unit;",
+                           "  op abort : unit ~> empty;"),
+    ), False, False),
+    ("choice reordered and swapped", (SAMPLES / "choice.thy").read_text().replace(
+        "equation comm (enum {x, y}) : choose((); return x, return y) = choose((); return y, return x);",
+        "equation comm (enum {x, y}) : choose((); return y, return x) = choose((); return x, return y);",
+    ), True, False),
+    ("semilattice without unit", "\n".join(
+        line for line in (SAMPLES / "semilattice.thy").read_text().splitlines()
+        if "equation unit" not in line
+    ), False, True),
+]
+
+
+@pytest.mark.parametrize("name, text, resolves, by_instances", RESOLUTION_VARIANTS,
+                         ids=[v[0] for v in RESOLUTION_VARIANTS])
+def test_variants_resolve_as_their_instance_sets_do(monkeypatch, name, text, resolves, by_instances):
+    fallbacks = []
+    pairs = free._instance_pairs
+    monkeypatch.setattr(free, "_instance_pairs", lambda th: fallbacks.append(th) or pairs(th))
+    assert has_normalizer(parse_theory_file(text)) is resolves
+    assert bool(fallbacks) is by_instances
+    monkeypatch.undo()
+    assert_resolves_as_the_reference(parse_theory_file(text))
+
+
+def test_samples_and_generated_theories_resolve_as_their_instance_sets_do(monkeypatch):
+    texts = sample_theories() + perfbench_state_theories(monkeypatch)
+    resolved = [assert_resolves_as_the_reference(parse_theory_file(text)) for text in texts]
+    assert sum(r is not None for r in resolved) == 6 + 10
+
+
+def test_resolving_a_strategy_builds_no_instance(monkeypatch):
+    from algeff import terms
+
+    builds, fallbacks = [], []
+    at, pairs = terms._Instances.at, free._instance_pairs
+    monkeypatch.setattr(terms._Instances, "at", lambda side, p: builds.append(p) or at(side, p))
+    monkeypatch.setattr(free, "_instance_pairs", lambda th: fallbacks.append(th) or pairs(th))
+    for text in sample_theories() + perfbench_state_theories(monkeypatch):
+        theory = parse_theory_file(text)
+        has_normalizer(theory)
+        normalizes_to_leaf_sets(theory)
+    assert builds == [] and fallbacks == []
+
+
+def test_a_violated_handler_check_resolves_the_strategy_by_shapes(monkeypatch, tmp_path, capsys):
+    from algeff.cli import main
+
+    monkeypatch.syspath_prepend(str(SAMPLES.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    theory, handler = tmp_path / "cell.thy", tmp_path / "keeps.eff"
+    theory.write_text(gen.state_theory_text(10, False))
+    handler.write_text(gen.PUT_KEEPS_STATE_HANDLER)
+    fallbacks, resolved = [], []
+    pairs, same_laws = free._instance_pairs, free._same_laws
+    monkeypatch.setattr(free, "_instance_pairs", lambda th: fallbacks.append(th) or pairs(th))
+    monkeypatch.setattr(free, "_same_laws", lambda th, twin: resolved.append(same_laws(th, twin))
+                        or resolved[-1])
+    assert main(["check", "handler", str(handler), "--theory", str(theory)]) == 1
+    assert capsys.readouterr().out == "Violated: equation put_get, param 0\n"
+    # compare_trees met two different leaves, and resolved the theory's
+    # strategy by its shapes
+    assert resolved == [True] and fallbacks == []
+
+
+def test_constants_of_different_types_have_different_shapes():
+    theory = parse_theory_file(
+        "theory t {\n"
+        "  op o : unit ~> unit;\n"
+        '  equation b (bool) : return true = return true;\n'
+        '  equation i (fin 2) : return 1 = return 1;\n'
+        '  equation s (enum {"1"}) : return "1" = return "1";\n'
+        "}\n"
+    )
+    shapes = [eq.lhs.shape for eq in theory.eqs]
+    assert len(set(shapes)) == 3
+    assert [eq.lhs(()) for eq in theory.eqs] == [Return(True), Return(1), Return("1")]
 
 
 # ---------------------------------------------------------------------------

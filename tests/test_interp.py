@@ -40,7 +40,7 @@ from algeff.lang import (
     typecheck_value,
 )
 from algeff.parser import parse_theory_file, parse_value_text
-from algeff.terms import OpNode
+from algeff.terms import Equation, OpNode, Theory
 from algeff.terms import Return as Leaf
 from algeff.theories import (
     choice_theory,
@@ -480,16 +480,17 @@ def test_an_operation_under_an_empty_arity_needs_no_clause():
 
 
 def test_a_budget_of_one_builds_one_instance_over_a_large_theory(tmp_path, monkeypatch, capsys):
-    from algeff import parser
+    from algeff import terms
     from algeff.cli import main
 
     builds = []
-    init = parser._Instances.__init__
+    at = terms._Instances.at
 
-    def counting(self, build, *rest):
-        init(self, lambda env: builds.append(1) or build(env), *rest)
+    def counting(self, p):
+        builds.append(1)
+        return at(self, p)
 
-    monkeypatch.setattr(parser._Instances, "__init__", counting)
+    monkeypatch.setattr(terms._Instances, "at", counting)
     path = tmp_path / "state300.thy"
     path.write_text((SAMPLES / "state2.thy").read_text().replace("fin 2", "fin 300"))
     monkeypatch.setenv("ALGEFF_BUDGET", "1")
@@ -785,12 +786,23 @@ def test_the_state_handler_check_applies_its_put_functions_once(monkeypatch):
         calls.append(arg)
         return apply(fv, arg, theory)
 
+    def callables(theory):  # sides without shapes: every instance is replayed
+        return Theory(theory.name, theory.ops, tuple(
+            Equation(e.name, e.param_universe, e.context, lambda p, e=e: e.lhs(p),
+                     lambda p, e=e: e.rhs(p))
+            for e in theory.eqs
+        ))
+
     monkeypatch.setattr(interp, "apply_value", counting)
     for n in (1, 2, 5, 10):
         calls.clear()
-        assert stateh_check(single_state_theory(Fin(n))).verdict is HandlerVerdict.RESPECTED
+        assert stateh_check(callables(single_state_theory(Fin(n)))).verdict is HandlerVerdict.RESPECTED
         assert len(calls) <= 2 * n * n + 6 * n, n
     assert len(calls) == 260
+    # the built-in's sides are shapes, so put_put is replayed once
+    calls.clear()
+    assert stateh_check(single_state_theory(Fin(10))).verdict is HandlerVerdict.RESPECTED
+    assert len(calls) == 63
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from algeff import lang, parser
+from algeff import lang, parser, terms
 from algeff.comodels import Cointerpretation
 from algeff.errors import (
     AlgeffError,
@@ -224,9 +224,9 @@ def test_parse_element_rejects_punctuation_where_an_element_goes(text, col):
 
 def read_by_template(text):
     p = _Parser(text)
-    template, _ = p.elem_template({})
+    shape, _ = p.elem_template({})
     p.expect_eof()
-    return template({})
+    return terms._builder(shape)({})
 
 
 @pytest.mark.parametrize("text", ELEMENT_TEXTS + [
@@ -472,12 +472,12 @@ def test_the_fast_scan_reads_the_values_tokenize_reads():
 
 
 def _refuse_to_build(*args):
-    raise AssertionError("an equation tree was built")
+    raise AssertionError("an equation side was compiled to build its trees")
 
 
 def test_parsing_a_theory_builds_no_equation_tree(monkeypatch):
-    monkeypatch.setattr(parser, "OpNode", _refuse_to_build)
-    monkeypatch.setattr(parser, "Return", _refuse_to_build)
+    # a side is compiled into its builder before any tree is built from it
+    monkeypatch.setattr(terms, "_builder", _refuse_to_build)
     th = parse_theory_file((SAMPLES / "state10.thy").read_text())
     assert [e.name for e in th.eqs] == ["get_get", "get_put", "put_get", "put_put"]
 
@@ -549,8 +549,7 @@ _STATE10 = ("--theory", "state10.thy", "--comodel", "state10.cmod", "--world", "
 def test_run_and_type_build_no_equation_tree(monkeypatch, capsys, argv):
     from algeff.cli import main
 
-    monkeypatch.setattr(parser, "OpNode", _refuse_to_build)
-    monkeypatch.setattr(parser, "Return", _refuse_to_build)
+    monkeypatch.setattr(terms, "_builder", _refuse_to_build)
     argv = [str(SAMPLES / a) if (SAMPLES / a).is_file() else a for a in argv]
     assert main(argv) in (0, 2)
     assert "error" not in capsys.readouterr().err

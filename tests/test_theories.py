@@ -1,13 +1,14 @@
 import pytest
 
 from algeff.errors import EmptyStateUniverse
-from algeff.terms import Equation, OpNode, Return, check_theory
+from algeff.terms import Equation, OpDecl, OpNode, Return, Theory, check_theory
 from algeff.theories import (
     builtin_theory,
     choice_theory,
     combine,
     empty_theory,
     io_theory,
+    semilattice_theory,
     single_state_theory,
     state_theory,
 )
@@ -248,3 +249,84 @@ def test_distribution_laws_match_their_reference(t1, t2, names):
     reference = [reference_distribution_equation(o1, o2) for o1 in ops1 for o2 in ops2]
     assert [e.name for e in th.eqs[: len(names)]] == names
     assert_same_laws(th.eqs, [*th.eqs[: len(names)], *reference])
+
+
+# The three built-ins that lend their normalizers, as they were written
+# before they were read from theory syntax, kept as the reference that the
+# parsed built-ins must match exactly.
+
+
+def _const(tree):
+    return lambda _p: tree
+
+
+def reference_single_state(s):
+    get = lambda kont: OpNode("get", (), tuple(kont(v) for v in s.iter_elements()))
+    put = lambda v, sub: OpNode("put", v, (sub,))
+    return Theory("single_state", (OpDecl("get", UNIT, s), OpDecl("put", s, UNIT)), (
+        Equation("get_get", UNIT, Product(s, s),
+                 _const(get(lambda a: get(lambda b: Return((a, b))))),
+                 _const(get(lambda a: Return((a, a))))),
+        Equation("get_put", UNIT, UNIT, _const(get(lambda a: put(a, Return(())))),
+                 _const(Return(()))),
+        Equation("put_get", s, s, lambda p: put(p, get(lambda b: Return(b))),
+                 lambda p: put(p, Return(p))),
+        Equation("put_put", Product(s, s), UNIT, lambda p: put(p[0], put(p[1], Return(()))),
+                 lambda p: put(p[1], Return(()))),
+    ))
+
+
+_X, _XY, _XYZ = Enum(("x",)), Enum(("x", "y")), Enum(("x", "y", "z"))
+
+
+def reference_choice():
+    vee = lambda a, b: OpNode("choose", (), (a, b))
+    x, y, z = Return("x"), Return("y"), Return("z")
+    return Theory("choice", (OpDecl("choose", UNIT, BOOL),), (
+        Equation("comm", UNIT, _XY, _const(vee(x, y)), _const(vee(y, x))),
+        Equation("idem", UNIT, _X, _const(vee(x, x)), _const(x)),
+        Equation("assoc", UNIT, _XYZ, _const(vee(vee(x, y), z)), _const(vee(x, vee(y, z)))),
+    ))
+
+
+def reference_semilattice():
+    vee = lambda a, b: OpNode("join", (), (a, b))
+    bot = OpNode("bot", (), ())
+    x, y, z = Return("x"), Return("y"), Return("z")
+    return Theory("semilattice", (OpDecl("bot", UNIT, EMPTY), OpDecl("join", UNIT, BOOL)), (
+        Equation("assoc", UNIT, _XYZ, _const(vee(x, vee(y, z))), _const(vee(vee(x, y), z))),
+        Equation("comm", UNIT, _XY, _const(vee(x, y)), _const(vee(y, x))),
+        Equation("idem", UNIT, _X, _const(vee(x, x)), _const(x)),
+        Equation("unit", UNIT, _X, _const(vee(x, bot)), _const(x)),
+    ))
+
+
+def assert_same_theory(actual, expected):
+    assert (actual.name, actual.ops, actual.renames) == (expected.name, expected.ops, expected.renames)
+    assert_same_laws(actual.eqs, expected.eqs)
+
+
+@pytest.mark.parametrize("s", [
+    Fin(1), Fin(2), Fin(3), Fin(4), BOOL, UNIT, Enum(("a", "b")), Product(Fin(2), BOOL),
+], ids=str)
+def test_single_state_laws_match_their_reference(s):
+    assert_same_theory(single_state_theory(s), reference_single_state(s))
+    assert single_state_theory(s) is single_state_theory(s)
+
+
+def test_choice_and_semilattice_laws_match_their_reference():
+    assert_same_theory(choice_theory(), reference_choice())
+    assert_same_theory(semilattice_theory(), reference_semilattice())
+    assert choice_theory() is choice_theory()
+    assert semilattice_theory() is semilattice_theory()
+    with pytest.raises(EmptyStateUniverse):
+        single_state_theory(EMPTY)
+
+
+def test_the_universe_names_of_a_builtin_text_are_not_read_in_a_user_file():
+    from algeff.errors import ParseError
+    from algeff.parser import parse_theory_file
+
+    with pytest.raises(ParseError) as err:
+        parse_theory_file("theory t { op get : unit ~> S; }")
+    assert err.value.reason == "expected a universe, found 'S'"
