@@ -58,6 +58,11 @@ class UnboundGenerator(AlgeffError):
     pass
 
 
+class EvalError(AlgeffError):
+    """Raised when evaluation meets a value it cannot consume; unreachable
+    on well-typed input, except through a symbol (``terms.ParamSymbol``)."""
+
+
 class EmptyStateUniverse(AlgeffError):
     pass
 

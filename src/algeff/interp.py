@@ -19,20 +19,27 @@ recursion.  A frame is one of:
   captures the stack segment up to and including the frame as the
   clause's continuation; applying that continuation pushes the segment
   back, so handled programs do not recurse either;
-- a replay frame: selects the branch of a concrete tree node by the
-  operation's result, so trees (a handled ``FreeElement``, a continuation
-  over concrete branches) run through the same loop.
+- a replay frame: selects the branch of a tree node by the operation's
+  result, so trees (a handled ``FreeElement``, a continuation over
+  concrete branches) run through the same loop.  A node built from a
+  binder body for a replay (``terms.Branches``) builds only the branches
+  selected, and may be selected by a symbol.
 
 The handler-equation checker is the shared law checker
 (``terms._check_laws``) with the handler's clauses as its coverage: it
 replays a theory's laws through the clauses on symbolic probe
 continuations and compares the results semantically, sampling finite
 function domains; a function that never reads its argument is applied once.
-A parsed family over more than one parameter is first replayed once at a
-``ParamSymbol``, which stands for every parameter: projecting it and
-comparing it with itself are all it allows, so a replay that ends in
-agreement without raising holds at every instance.  Any other outcome
-leaves the family to a replay per instance.
+Two steps are symbolic (King, *Symbolic execution and program testing*,
+1976).  A parsed family over more than one parameter is first replayed once
+at a ``terms.ParamSymbol``, which stands for every parameter, and two
+functions are first compared once, applied at a symbol that stands for
+every sample.  A symbol may be projected, compared with itself, and passed
+to a continuation whose arity holds all it stands for, where a node built
+from a binder body takes the branch at the symbol; any other use raises.
+So a symbolic run that ends in agreement holds at every element, and any
+other outcome leaves the family to a replay per instance, or the
+functions to a comparison per sample.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from enum import Enum as PyEnum
 from functools import cached_property
 from typing import Any, Mapping
 
-from .errors import AlgeffError, ParameterOutOfUniverse
+from .errors import AlgeffError, EvalError, ParameterOutOfUniverse
 from .free import (
     FreeElement,
     default_budget,
@@ -76,14 +83,9 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, Theory, Tree, _Node, _check_laws, _set, tree_leaves
+from .terms import OpNode, ParamSymbol, Theory, Tree, _Node, _check_laws, _set, tree_leaves
 from .terms import Return as Leaf
-from .universe import Enum, Fin, FiniteUniverse, Product
-
-
-class EvalError(AlgeffError):
-    """Raised when evaluation meets a value it cannot consume; unreachable
-    on well-typed input."""
+from .universe import BOOL, UNIT, Enum, Fin, FiniteUniverse, Product, _within
 
 
 class Closure(_Node):
@@ -133,7 +135,14 @@ class KontValue:
         if branches is not None:
             self.branches = tuple(branches)
 
-    def index(self, a) -> int:
+    def index(self, a) -> int | None:
+        """``a``'s position in the arity, or None for a symbol that stands
+        only for elements of it, which a segment may be applied to: a
+        node built from a binder body takes the branch at the symbol, and
+        any other use of it inspects it."""
+        if type(a) is ParamSymbol and self.segment is not None and a.universe is not None:
+            if _within(a.universe, self.arity):
+                return None
         try:
             return self.arity.index_of(a)
         except ValueError:
@@ -169,44 +178,6 @@ class SymVal(_Node):
     def __init__(self, base, args: tuple = ()):
         _set(self, "base", base)
         _set(self, "args", args)
-
-
-class ParamSymbol:
-    """An equation family's ``forall`` parameter, standing for every
-    element at once, or a projection of it: ``path`` lists the ``fst``
-    (0) and ``snd`` (1) steps from the parameter.  It hashes by its path,
-    and ``==`` with a symbol of the same path is True.  Every other use
-    inspects the parameter, and raises EvalError: ``==`` with any other
-    value, truth, ordering, ``+``, iteration, length, indexing by it, and
-    membership of a universe, as an operation's argument or a
-    continuation's index, which ``contains`` or ``==`` refuses."""
-
-    __slots__ = ("path",)
-
-    def __init__(self, path: tuple = ()):
-        self.path = path
-
-    def __getitem__(self, i):
-        if type(i) is int and 0 <= i <= 1:
-            return ParamSymbol(self.path + (i,))
-        return self._inspect(i)
-
-    def __eq__(self, other):
-        if type(other) is ParamSymbol and other.path == self.path:
-            return True
-        return self._inspect(other)
-
-    def __hash__(self):
-        return hash((ParamSymbol, self.path))
-
-    def __repr__(self):
-        return f"ParamSymbol({self.path!r})"
-
-    def _inspect(self, *args):
-        raise EvalError(f"the equation's parameter {self!r} was inspected")
-
-    __bool__ = __iter__ = __len__ = __contains__ = __index__ = __int__ = _inspect
-    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = _inspect
 
 
 def base_env() -> dict:
@@ -362,9 +333,11 @@ def _run(theory: Theory, mode: int, x, env, stack) -> Leaf | Suspended:
                 h = frame[1]
                 mode, x, env = _EVAL, h.code.ret_body, {**h.env, h.code.ret_name: x}
             else:
-                # resume and continuation application have checked the arity
+                # resume and continuation application have checked the
+                # arity; only a node built from a binder body takes a symbol
                 _, node, arity = frame
-                mode, x = _TREE, node.kont[arity.index_of(x)]
+                x = node.kont[arity.index_of(x)] if type(node) is OpNode else node.branch(x)
+                mode = _TREE
             continue
         else:
             if isinstance(x, Leaf):
@@ -498,26 +471,34 @@ def _samples(theory: Theory) -> tuple:
     return list(range(max(sizes))), list(labels)
 
 
-def sample_values(theory: Theory, vtype) -> list | None:
-    """Finitely many inhabitants to probe a function domain with, or None
-    when the domain cannot be sampled."""
+def sample_domain(theory: Theory, vtype) -> FiniteUniverse | None:
+    """The universe of the inhabitants a function domain is probed with, or
+    None when the domain cannot be sampled."""
     if isinstance(vtype, TUnit):
-        return [()]
+        return UNIT
     if isinstance(vtype, TBool):
-        return [False, True]
-    if isinstance(vtype, TInt):
-        return _samples(theory)[0] or None
-    if isinstance(vtype, TStr):
-        return _samples(theory)[1] or None
+        return BOOL
+    if isinstance(vtype, (TInt, TStr)):
+        ints, labels = _samples(theory)
+        if isinstance(vtype, TInt):
+            return Fin(len(ints)) if ints else None
+        return Enum(labels) if labels else None
     if isinstance(vtype, TProd):
-        left = sample_values(theory, vtype.left)
-        right = sample_values(theory, vtype.right)
-        if left is None or right is None:
-            return None
-        return [(a, b) for a in left for b in right]
+        left = sample_domain(theory, vtype.left)
+        right = sample_domain(theory, vtype.right)
+        return None if left is None or right is None else Product(left, right)
     return None
 
 
+def sample_values(theory: Theory, vtype) -> list | None:
+    """Finitely many inhabitants to probe a function domain with, in
+    ``sample_domain``'s order, or None when the domain cannot be sampled."""
+    domain = sample_domain(theory, vtype)
+    return None if domain is None else domain.elements()
+
+
+# Neither test below decides a comparison for True, so the symbol a
+# comparison is first tried at (``compare_values``) fails them harmlessly.
 def _plain(v) -> bool:
     if type(v) is tuple:
         return all(_plain(x) for x in v)
@@ -593,8 +574,9 @@ def _reads(name: str, body) -> bool:
 
 class _Facts:
     """What one handler check works out once: for each value type, whether
-    it has at most one inhabitant and the samples of its function domain;
-    for each closure body, whether it reads its parameter.  It lives for
+    it has at most one inhabitant and the samples of its function domain,
+    with their universe; for each closure body, whether it reads its
+    parameter.  It lives for
     one check, so it keeps no theory alive after it.  Entries are keyed by
     identity and hold their key, so no key's id is reused while it lives."""
 
@@ -604,15 +586,18 @@ class _Facts:
         self._bodies = {}
 
     def of_type(self, vtype) -> tuple:
-        """``(_at_most_one_inhabitant(vtype), samples)``, where ``samples``
-        are ``sample_values`` of a non-trivial arrow type's argument, else
-        None."""
+        """``(_at_most_one_inhabitant(vtype), samples, domain)``, where
+        ``samples`` are ``sample_values`` of a non-trivial arrow type's
+        argument, else None, and ``domain`` is their ``sample_domain`` when
+        there is more than one, else None."""
         entry = self._types.get(id(vtype))
         if entry is None:
-            trivial, samples = _at_most_one_inhabitant(vtype), None
+            trivial, samples, domain = _at_most_one_inhabitant(vtype), None, None
             if not trivial and isinstance(vtype, TArrow):
                 samples = sample_values(self.theory, vtype.arg)
-            entry = self._types[id(vtype)] = (vtype, trivial, samples)
+                if samples is not None and len(samples) > 1:
+                    domain = sample_domain(self.theory, vtype.arg)
+            entry = self._types[id(vtype)] = (vtype, trivial, samples, domain)
         return entry[1:]
 
     def ignores_argument(self, fv) -> bool:
@@ -636,7 +621,10 @@ def compare_values(v1, v2, vtype, theory: Theory, facts: _Facts | None = None):
     values of a domain that cannot be sampled compare only when equal.  A
     closure that never reads its parameter is applied once, and that result
     stands for every sample; when both are such closures, the first sample
-    decides, since every sample gives the same sub-verdict.  Symbolic
+    decides, since every sample gives the same sub-verdict.  Otherwise,
+    over more than one sample, both are first applied once at a fresh
+    symbol for every sample (``_agree_at_a_symbol``); only if those results
+    do not compare True is each sample tried.  Symbolic
     probes apply opaquely, so they are compared the same way.  At
     first-order types a symbolic difference is separable (the probes range
     over the full free carrier), unless the type has at most one
@@ -645,7 +633,7 @@ def compare_values(v1, v2, vtype, theory: Theory, facts: _Facts | None = None):
     """
     if facts is None:
         facts = _Facts(theory)
-    trivial, samples = facts.of_type(vtype)
+    trivial, samples, domain = facts.of_type(vtype)
     if trivial:
         return True
     if isinstance(vtype, TArrow):
@@ -654,6 +642,8 @@ def compare_values(v1, v2, vtype, theory: Theory, facts: _Facts | None = None):
         once1, once2 = facts.ignores_argument(v1), facts.ignores_argument(v2)
         if once1 and once2:
             samples = samples[:1]
+        elif domain is not None and _agree_at_a_symbol(v1, v2, domain, vtype.result, theory, facts):
+            return True
         verdict, r1, r2 = True, None, None
         for s in samples:
             try:
@@ -681,6 +671,20 @@ def compare_values(v1, v2, vtype, theory: Theory, facts: _Facts | None = None):
     if _plain(v1) and _plain(v2):
         return False
     return None
+
+
+def _agree_at_a_symbol(v1, v2, domain, ctype, theory, facts) -> bool:
+    """Whether two functions, applied at a fresh symbol that stands for
+    every element of ``domain``, give results that compare True.  Then they
+    agree at every element: nothing inspected the symbol, or it would have
+    raised, so each result is the one at the symbol with the element in
+    its place (King, *Symbolic execution and program testing*, 1976)."""
+    s = ParamSymbol((), domain, object())
+    try:
+        r1, r2 = apply_value(v1, s, theory), apply_value(v2, s, theory)
+        return compare_trees(r1.tree, r2.tree, ctype, theory, facts) is True
+    except Exception:  # whatever refused the symbol, the samples decide
+        return False
 
 
 def _both(a, b):
@@ -745,7 +749,9 @@ def check_handler_equations(
     replayed once with a ``ParamSymbol`` for its parameter; when that
     replay agrees, every instance is counted as checked, and otherwise
     each is replayed, so the verdict, witness and skipped list are those
-    of the replays.  At most ``budget`` instances are checked (by default
+    of the replays.  A template's sides are built for the replay, each
+    branch of a binder body only when the replay selects it, and are not
+    kept.  At most ``budget`` instances are checked (by default
     ``default_budget()``); any left over make the verdict unknown.
     """
     # probe values stand for the generic continuation at each leaf, which
@@ -769,15 +775,16 @@ def check_handler_equations(
         return (eq.name, p) if verdict is False else verdict
 
     def holds_at_every_parameter(eq):
-        p = ParamSymbol()
+        p = ParamSymbol((), eq.param_universe, eq)
         try:
-            return check(eq, p, eq.lhs.at(p), eq.rhs.at(p)) is True
+            return check(eq, p, eq.lhs.lazy(p), eq.rhs.lazy(p)) is True
         except Exception:  # any failure leaves the family to the loop
             return False
 
     violation, skipped, unknown = _check_laws(
         theory.eqs, check, {cl.op for cl in h.code.clauses},
         default_budget() if budget is None else budget, family=holds_at_every_parameter,
+        lazy=True,
     )
     skipped = tuple(name for name, _ in skipped)
     if violation is not None:

@@ -77,7 +77,7 @@ from .comodels import Cointerpretation
 from .errors import ParameterOutOfUniverse, ParseError, UnboundGenerator
 from .models import FiniteModel, table_model
 from .terms import _PARAM, Equation, OpDecl, Theory, _builder, _Instances, check_tree
-from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product
+from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product, _within
 
 # one match per token or comment; the blanks between them match nothing
 _TOKEN = re.compile(r"""
@@ -835,18 +835,6 @@ class _Single(FiniteUniverse):
 
     def iter_elements(self):
         return iter((self.value,))
-
-
-def _within(source: FiniteUniverse, target: FiniteUniverse) -> bool:
-    """Whether every element of ``source`` is in ``target``: at once when
-    the two are equal, part by part for two products, else by listing
-    ``source`` up to its first element outside ``target``, which comes
-    within one more than ``target``'s size."""
-    if source == target:
-        return True
-    if type(source) is Product and type(target) is Product:
-        return _within(source.left, target.left) and _within(source.right, target.right)
-    return all(map(target.contains, source.iter_elements()))
 
 
 def _cointerpretation(theory: Theory, world: FiniteUniverse, table: dict, covered):

@@ -15,7 +15,9 @@ walk in preorder (``subtrees``) on explicit stacks too.  Their base,
 ``_Node``, is the base of every other record class in the package too.
 An equation side written in theory syntax is held as data, its shape
 (``_Instances``), and compiled into a builder (``_builder``) only when a
-tree is first built from it.
+tree is first built from it.  A replay of the side builds each branch of
+a binder body only when it selects it (``Branches``), at an element or at
+a symbol standing for many (``ParamSymbol``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from .errors import (
+    EvalError,
     IncompleteContinuation,
     ParameterOutOfUniverse,
     UnboundGenerator,
@@ -244,6 +247,75 @@ def _same_within(a: Tree, b: Tree, depth: int, pairs: list) -> bool:
     return True
 
 
+class ParamSymbol:
+    """A symbol standing for every element of ``universe`` at once (an
+    unknown set, when None), or a projection of one: ``path`` lists the
+    ``fst`` (0) and ``snd`` (1) steps from its ``root``, and ``universe``
+    is the projection's.  An equation family's parameter is one, and so is
+    every sample of a function's domain; each has a root of its own, so
+    two are never confused: ``==`` is True only with a symbol of the same
+    root and path, and a symbol hashes by both.  Every other use inspects
+    it and raises EvalError: ``==`` with any other value, truth, ordering,
+    ``+``, iteration, length, indexing by it, a sort key, and membership
+    of a universe, as an operation's argument or a continuation's index,
+    which ``contains`` or ``==`` refuses.  The one exception is a node
+    built from a binder body (``Branches``): a symbol whose universe lies
+    in the node's arity selects the body built at the symbol."""
+
+    __slots__ = ("path", "universe", "root")
+
+    def __init__(self, path: tuple = (), universe=None, root=None):
+        self.path = path
+        self.universe = universe
+        self.root = root
+
+    def __getitem__(self, i):
+        if type(i) is int and 0 <= i <= 1:
+            part = None
+            if self.universe is not None:
+                # only a product universe has parts
+                part = getattr(self.universe, ("left", "right")[i], None)
+                if part is None:
+                    return self._inspect(i)
+            return ParamSymbol(self.path + (i,), part, self.root)
+        return self._inspect(i)
+
+    def __eq__(self, other):
+        if type(other) is ParamSymbol and other.root is self.root and other.path == self.path:
+            return True
+        return self._inspect(other)
+
+    def __hash__(self):
+        return hash((id(self.root), self.path))
+
+    def __repr__(self):
+        return f"ParamSymbol({self.path!r})"
+
+    def _inspect(self, *args):
+        raise EvalError(f"the symbol {self!r} was inspected")
+
+    __bool__ = __iter__ = __len__ = __contains__ = __index__ = __int__ = _inspect
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = _inspect
+
+
+class Branches:
+    """An operation node of a side built for a replay (``_Instances.lazy``)
+    from a binder body.  Its branch at an element of its arity, or at a
+    symbol that stands only for elements of it, is the body built there
+    when the replay selects it (``branch``), and is not kept.  A replay is
+    all that reads such a tree."""
+
+    __slots__ = ("op", "param", "body", "env", "key")
+
+    def __init__(self, op: str, param, body: Callable, env: dict, key: int):
+        self.op, self.param, self.body, self.env, self.key = op, param, body, env, key
+
+    def branch(self, a):
+        env = self.env.copy()
+        env[self.key] = a
+        return self.body(env)
+
+
 class Equation(_Node):
     """A family of tree pairs over a shared generator context.
 
@@ -252,8 +324,8 @@ class Equation(_Node):
     unit universe and ignore their argument.  A side may be a template, as
     a side written in theory syntax is (``_Instances``): then it also has
     ``shape``, the side as data, ``ops``, the operations each of its
-    instances performs, and ``at(v)``, its tree at any value ``v``, such as
-    a symbol standing for every parameter.
+    instances performs, and ``lazy(v)``, its tree for a replay at any value
+    ``v``, such as a symbol standing for every parameter.
     """
 
     __slots__ = ("name", "param_universe", "context", "lhs", "rhs")
@@ -285,10 +357,12 @@ class Equation(_Node):
 _PARAM = ("param",)
 
 
-def _builder(shape: tuple, depth: int = 0):
+def _builder(shape: tuple, depth: int = 0, lazy: bool = False):
     """A function that builds ``shape`` from an environment: a dict that
     maps 0 to the forall parameter and k to the value of binder k.  Each
-    body rebinds its own key, so no environment is copied."""
+    body rebinds its own key, so no environment is copied.  With ``lazy``,
+    a binder body builds a ``Branches`` node instead, which copies the
+    environment for each branch it builds."""
     tag = shape[0]
     if tag == "const":
         value = shape[2]
@@ -308,9 +382,12 @@ def _builder(shape: tuple, depth: int = 0):
         return lambda env: Return(leaf(env))
     name, param = shape[1], _builder(shape[2])
     if tag == "op":
-        subtrees = [_builder(sub, depth) for sub in shape[3]]
+        subtrees = [_builder(sub, depth, lazy) for sub in shape[3]]
         return lambda env: OpNode(name, param(env), tuple([sub(env) for sub in subtrees]))
-    elements, body, key = shape[3].elements(), _builder(shape[4], depth + 1), depth + 1
+    body, key = _builder(shape[4], depth + 1, lazy), depth + 1
+    if lazy:
+        return lambda env: Branches(name, param(env), body, env, key)
+    elements = shape[3].elements()
 
     def build(env):
         at, subtrees = param(env), []
@@ -344,19 +421,20 @@ class _Instances:
     family raises KeyError.  ``ops`` are
     the operations every instance performs, read from the shape; a body
     under an empty arity is never built, so its operations are not among
-    them.  ``at`` builds the tree at any value, such as a symbol that
-    stands for every parameter.
+    them.  ``lazy`` builds the tree for a replay at any value, such as a
+    symbol that stands for every parameter, with a compiler of its own.
 
     Its values never change, so a copy is the object itself.  A pickle
     holds every tree, and loads as the lookup of a plain dict."""
 
-    __slots__ = ("shape", "params", "built", "build")
+    __slots__ = ("shape", "params", "built", "build", "replay_build")
 
     def __init__(self, shape: tuple, params: FiniteUniverse):
         self.shape = shape
         self.params = params
         self.built = {}
         self.build = None  # _builder(shape), once a tree is built
+        self.replay_build = None  # _builder(shape, lazy=True), once a replay asks
 
     @property
     def ops(self) -> frozenset:
@@ -371,7 +449,7 @@ class _Instances:
         return tree
 
     def at(self, p):
-        """The side's tree at ``p``, built anew and not kept.
+        """The side's whole tree at ``p``, built anew and not kept.
 
         A build makes no reference cycles, so the cycle collector, which
         would otherwise examine each new node several times over (half the
@@ -385,6 +463,14 @@ class _Instances:
         finally:
             if enabled:
                 gc.enable()
+
+    def lazy(self, p):
+        """The side's tree at ``p`` for a replay, built anew and not kept:
+        each node built from a binder body is a ``Branches``, which builds
+        a branch only when the replay selects it."""
+        if self.replay_build is None:
+            self.replay_build = _builder(self.shape, lazy=True)
+        return self.replay_build({0: p})
 
     def __copy__(self):
         return self
@@ -519,7 +605,7 @@ def tree_ops(t: Tree) -> set:
 
 def _check_laws(eqs, check: Callable, covered: set | None = None,
                 budget: int | None = None, stop_at_skip: bool = False,
-                family: Callable | None = None) -> tuple:
+                family: Callable | None = None, lazy: bool = False) -> tuple:
     """The one law checker: each equation of ``eqs`` in order, then each of
     its parameters.  ``check(eq, p, lhs, rhs)`` compares an instance's two
     trees at every point of its interpretation and returns True when they
@@ -528,7 +614,9 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     operation is skipped (``stop_at_skip`` ends the check there).  Its
     operations are read from its sides when they are templates (see
     ``Equation``), else from all its instances, built first.  Otherwise
-    each instance is built just before its check.  ``family(eq)``, when
+    each instance is built just before its check; with ``lazy``, a
+    template's instances are built for a replay (``_Instances.lazy``), a
+    branch at a time.  ``family(eq)``, when
     given, may vouch for every instance of an equation whose sides are
     templates over more than one parameter; then they all count as
     checked, and otherwise its instances are checked one by one.  At most
@@ -538,8 +626,9 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     """
     skipped, undecided, checked = [], False, 0
     for eq in eqs:
-        instances = ((p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements())
         templates = hasattr(eq.lhs, "ops") and hasattr(eq.rhs, "ops")
+        at_l, at_r = (eq.lhs.lazy, eq.rhs.lazy) if lazy and templates else (eq.lhs, eq.rhs)
+        instances = ((p, at_l(p), at_r(p)) for p in eq.param_universe.iter_elements())
         if covered is not None:
             if templates:
                 used = eq.lhs.ops | eq.rhs.ops
@@ -614,4 +703,6 @@ def sort_key(value) -> tuple:
         return (2, value)
     if isinstance(value, str):
         return (3, value)
+    if type(value) is ParamSymbol:  # its place in the order would be a guess
+        value._inspect()
     return (9, repr(value))

@@ -180,6 +180,18 @@ class Product(FiniteUniverse):
         return self.left.index_of(x[0]) * self.right.size() + self.right.index_of(x[1])
 
 
+def _within(source: FiniteUniverse, target: FiniteUniverse) -> bool:
+    """Whether every element of ``source`` is in ``target``: at once when
+    the two are equal, part by part for two products, else by listing
+    ``source`` up to its first element outside ``target``, which comes
+    within one more than ``target``'s size."""
+    if source == target:
+        return True
+    if type(source) is Product and type(target) is Product:
+        return _within(source.left, target.left) and _within(source.right, target.right)
+    return all(map(target.contains, source.iter_elements()))
+
+
 EMPTY = Empty()
 UNIT = Unit()
 BOOL = Bool()
