@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -97,8 +98,9 @@ def _reporting(step, stream) -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, ValueError) as exc:  # a decoding error, or a NUL in the path
         raise _CliError(f"cannot read {path}: {exc}", BAD_INPUT) from None
 
 
@@ -115,10 +117,8 @@ def _load(path: str, parse, *theory):
 
 
 def _is_path(path_or_text: str) -> bool:
-    try:
-        return bool(path_or_text) and Path(path_or_text).exists()  # pathlib reads "" as "."
-    except OSError:  # e.g. inline program text too long to be a file name
-        return False
+    # False for "", for a name too long to be a file's and for one with a NUL
+    return os.path.exists(path_or_text)
 
 
 def _typed(theory, text):

@@ -4,12 +4,15 @@ A cointerpretation equips a finite world with one cooperation
 P x |W| -> A x |W| per covered operation.  Running an effect tree against a
 world threads the world through the cooperations until a leaf is reached
 (Done) or an uncovered operation surfaces (Stuck).  Validating a comodel
-checks every equation pointwise over the world.
+checks every equation pointwise over the world: a side written in theory
+syntax is run from its shape, compiled once per check, and no instance of
+it is built.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from .errors import (
@@ -18,7 +21,7 @@ from .errors import (
     UncoveredOperation,
     UnknownOperation,
 )
-from .terms import OpNode, Return, Theory, _Node, _check_laws, _set
+from .terms import OpNode, Return, Theory, _Node, _builder, _check_laws, _set
 from .theories import choice_theory
 from .universe import Enum, Fin, FiniteUniverse
 
@@ -119,25 +122,91 @@ def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
     shared law checker (``terms._check_laws``) with the covered operations
     as its coverage; None means every law holds, otherwise the first
     failing case is the witness.  An equation that mentions an uncovered
-    operation raises UncoveredOperation before any of its runs.  Each side
-    is run from each world by the loop ``cointerpret_tree`` uses, and its
-    (leaf value, world) pair becomes a ``Done`` record only in a witness.
+    operation raises UncoveredOperation before any of its runs.  A side
+    written in theory syntax is run from its shape, compiled once
+    (``_compile``), so no instance of it is built; any other side's
+    instance is run by the loop ``cointerpret_tree`` uses.  Either way a
+    run makes the same cooperation calls, and its (leaf value, world) pair
+    becomes a ``Done`` record only in a witness.
     """
     if not isinstance(c.world, FiniteUniverse):
         raise NonEnumerableWorld("comodel validation needs an enumerable world")
+    compiled = {}
+
+    def runner(side, p):
+        run = compiled.get(side)
+        if run is None:
+            run = compiled[side] = _compile(c, side.shape)
+        return run
 
     def check(eq, p, lhs, rhs):
+        if callable(lhs):  # runners of template sides, which share one environment
+            env = {0: p}
+            lhs, rhs = partial(lhs, env), partial(rhs, env)
+        else:
+            lhs, rhs = partial(_ends, c, lhs), partial(_ends, c, rhs)
         for w in c.world.iter_elements():
-            lt, lw = _run(c, w, lhs)
-            rt, rw = _run(c, w, rhs)
-            if (lt.value, lw) != (rt.value, rw):
-                return ComodelViolation(eq.name, p, w, Done(lt.value, lw), Done(rt.value, rw))
+            lo, ro = lhs(w), rhs(w)
+            if lo != ro:
+                return ComodelViolation(eq.name, p, w, Done(*lo), Done(*ro))
         return True
 
-    violation, skipped, _ = _check_laws(c.theory.eqs, check, set(c.coops), stop_at_skip=True)
+    violation, skipped, _ = _check_laws(c.theory.eqs, check, set(c.coops), stop_at_skip=True,
+                                        build=runner)
     for name, missing in skipped:
         raise UncoveredOperation(f"equation {name!r} mentions uncovered operations {missing}")
     return violation
+
+
+def _ends(c: Cointerpretation, t, world) -> tuple:
+    """(leaf value, world) where a tree run from ``world`` ends."""
+    t, world = _run(c, world, t)
+    return t.value, world
+
+
+def _compile(c: Cointerpretation, shape: tuple, depth: int = 0) -> Callable:
+    """An equation side's shape (``terms._builder``), every operation in it
+    covered, as a function that runs it from an environment, which maps 0
+    to the parameter and k to binder k's element, and a world, as ``_run``
+    runs its instance.  Each cooperation's result is checked against the
+    arity (``index_of``, unless it is one of the arity's elements itself)
+    and selects a subtree, or is bound, as that element, for the body.
+    It returns (leaf value, world).  Each body rebinds its own key, so runs
+    share an environment."""
+    tag = shape[0]
+    if tag == "return":
+        value = _builder(shape[1])
+        return lambda env, world: (value(env), world)
+    name = shape[1]
+    coop, param, arity = c.coops[name], _builder(shape[2]), c.theory.op(name).arity
+    elements = arity.elements()
+    positions = {a: i for i, a in enumerate(elements)}
+
+    def select(a) -> int:
+        try:
+            i = positions[a]
+            if elements[i] is a:
+                return i
+        except (KeyError, TypeError):  # not an element, or not hashable: index_of says
+            pass
+        return arity.index_of(a)
+
+    if tag == "op":
+        kids = [_compile(c, sub, depth) for sub in shape[3]]
+
+        def run(env, world):
+            a, world = coop(param(env), world)
+            return kids[select(a)](env, world)
+
+        return run
+    body, key = _compile(c, shape[4], depth + 1), depth + 1
+
+    def run_body(env, world):
+        a, world = coop(param(env), world)
+        env[key] = elements[select(a)]
+        return body(env, world)
+
+    return run_body
 
 
 def tensor_run(m_tree, w0, c: Cointerpretation) -> RunOutcome:

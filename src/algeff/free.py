@@ -8,7 +8,7 @@ model where it is known: a theory whose laws are exactly a built-in's gets
 that built-in's normal form (the single-state get/put form, or the sorted
 leaf set that choice and the semilattice share).  Laws are compared as
 schemes: two theories whose equation families have the same parameter
-universes and side shapes (``parser._Instances.shape``) have the same
+universes and side shapes (``terms._Instances.shape``) have the same
 instances, so no instance is built.  Only a theory whose sides have no
 shape, or whose shapes differ from the built-in's, has its instances
 built and compared with the built-in's.  Any other theory is
@@ -32,7 +32,7 @@ from enum import Enum as PyEnum
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
-from .models import interpret_term, table_model, validate_model
+from .models import _Reader, table_model, validate_model
 from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
 from .terms import fold_tree, node_hash, sort_key, subtrees, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
@@ -395,40 +395,20 @@ class TreeEq(PyEnum):
     UNKNOWN = "unknown"
 
 
-# the most valuations of the leaves that _refutes interprets a tree at in one fold
-_BLOCK = 4096
-
-
 def _refutes(theory: Theory, t1: Tree, t2: Tree) -> bool:
     """Whether a 2-element model of the theory tells t1 and t2 apart under
     some valuation of their leaves; such a model satisfies every law, so
-    the trees are not congruent.
-
-    Each tree is interpreted once per model and block of up to _BLOCK
-    valuations, in ``itertools.product`` order: in a power of the model,
-    where leaf i is the tuple of its values in the block's valuations and
-    each operation applies its table pointwise."""
+    the trees are not congruent.  Each model reads both trees at blocks of
+    valuations at once, as model validation does (``models._Reader``), and
+    the first model raises a tree's first defect, such as an undeclared
+    operation."""
     models = _refuters(theory)
     if not models:
         return False
     gens = _distinct_leaves(itertools.chain(tree_leaves(t1), tree_leaves(t2)))
     t1, t2 = _by_index(t1, gens), _by_index(t2, gens)
-    for t in (t1, t2):  # the tree's first defect, such as an undeclared operation
-        interpret_term(models[0], t, dict.fromkeys(range(len(gens)), False))
-    valuations = itertools.product(BOOL.elements(), repeat=len(gens))
-    while block := tuple(itertools.islice(valuations, _BLOCK)):
-        width = len(block)
-        columns = dict(enumerate(zip(*block))).__getitem__  # leaf i: its values in the block
-        for model in models:
-            ops = model.ops
-
-            def node(op, param, args):
-                points = zip(*args) if args else itertools.repeat((), width)
-                return tuple(map(ops[op], itertools.repeat(param), points))
-
-            if fold_tree(t1, columns, node) != fold_tree(t2, columns, node):
-                return True
-    return False
+    indices = range(len(gens))
+    return any(_Reader(model).first_difference(t1, t2, indices) is not None for model in models)
 
 
 def _by_index(t: Tree, gens: list) -> Tree:

@@ -83,7 +83,8 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, ParamSymbol, Theory, Tree, _Node, _check_laws, _set, tree_leaves
+from .terms import OpNode, ParamSymbol, Theory, Tree, _Instances, _Node, _check_laws, _set
+from .terms import tree_leaves
 from .terms import Return as Leaf
 from .universe import BOOL, UNIT, Enum, Fin, FiniteUniverse, Product, _within
 
@@ -784,7 +785,7 @@ def check_handler_equations(
     violation, skipped, unknown = _check_laws(
         theory.eqs, check, {cl.op for cl in h.code.clauses},
         default_budget() if budget is None else budget, family=holds_at_every_parameter,
-        lazy=True,
+        build=_Instances.lazy,
     )
     skipped = tuple(name for name, _ in skipped)
     if violation is not None:

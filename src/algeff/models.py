@@ -4,17 +4,21 @@ An interpretation assigns each operation a function (param, args) -> carrier
 element, where args is a tuple indexed by the arity enumeration.  A raw
 ``Interpretation`` may live on any carrier (e.g. the reals) and supports
 term interpretation only; a ``FiniteModel`` adds an enumerable carrier and
-with it exhaustive equation validation.
+with it exhaustive equation validation.  Validation reads each side of an
+instance once for a block of valuations, as one reading in a power of the
+model (``_Reader``), and applies each operation once per distinct
+(param, args) in the whole check.  A side written in theory syntax is read
+from its shape, and no instance of it is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
-from .terms import Equation, Return, Theory, Tree, _Node, _check_laws, _set, fold_tree, subtrees
+from .terms import Equation, Return, Theory, Tree, _Instances, _Node, _check_laws, _set
+from .terms import fold_tree, subtrees
 from .universe import UNIT, FiniteUniverse, Product
 
 
@@ -64,44 +68,6 @@ class HomViolation(_Node):
         self._fill(op, param, args)
 
 
-def compile_term(interp: Interpretation, t: Tree, slots: Mapping) -> Callable:
-    """t as a function of a valuation, walked once here rather than at every
-    valuation.  A leaf reads the valuation at ``slots[value]``; a node
-    applies its operation's function to its subtrees' values, left to
-    right.  A leaf ``slots`` does not cover and an operation with no
-    function raise (UnboundGenerator, UnknownOperation) when evaluated, not
-    here, as does the TypeError of a leaf that cannot be a key."""
-    if isinstance(t, Return):
-        value = t.value
-        try:
-            return itemgetter(slots[value])
-        except (KeyError, TypeError):
-            def unbound(valuation):
-                try:
-                    return valuation[slots[value]]
-                except KeyError:
-                    raise UnboundGenerator(
-                        f"valuation does not cover generator {value!r}"
-                    ) from None
-            return unbound
-    op, param = t.op, t.param
-    if op not in interp.ops:
-        def unknown(valuation):
-            raise UnknownOperation(f"no interpretation for operation {op!r}")
-        return unknown
-    f = interp.ops[op]
-    subs = tuple(compile_term(interp, sub, slots) for sub in t.kont)
-    if not subs:
-        return lambda valuation: f(param, ())
-    if len(subs) == 1:
-        (a,) = subs
-        return lambda valuation: f(param, (a(valuation),))
-    if len(subs) == 2:
-        a, b = subs
-        return lambda valuation: f(param, (a(valuation), b(valuation)))
-    return lambda valuation: f(param, tuple([s(valuation) for s in subs]))
-
-
 def interpret_term(interp: Interpretation, t: Tree, valuation: Mapping) -> Any:
     """Interpret a tree as a carrier element under a valuation of its
     generators: leaves project, nodes apply the operation's function, by
@@ -109,7 +75,10 @@ def interpret_term(interp: Interpretation, t: Tree, valuation: Mapping) -> Any:
     preorder pass first raises the first defect: an operation with no
     function (UnknownOperation), a leaf the valuation lacks
     (UnboundGenerator), or the TypeError of a leaf that cannot be a key."""
-    ops = interp.ops
+    return _interpret(interp.ops, t, valuation)
+
+
+def _interpret(ops: Mapping, t: Tree, valuation: Mapping) -> Any:
     for sub in subtrees(t):
         if type(sub) is Return:
             if sub.value not in valuation:
@@ -133,12 +102,11 @@ def iter_equation_cases(m: FiniteModel, e: Equation) -> Iterator[tuple]:
 def validate_equation(m: FiniteModel, e: Equation) -> EquationViolation | None:
     """Exhaustively check one equation family over the cases of
     ``iter_equation_cases``, in its order, through the shared law checker
-    (``terms._check_laws``), where a point is a valuation tuple indexed
-    like the context's generators.  None means valid, otherwise the first
+    (``terms._check_laws``).  None means valid, otherwise the first
     witness is returned, its valuation a dict.  Each side of an instance is
-    fetched and compiled (``compile_term``) once, just before its cases,
-    since it is evaluated at all |carrier|^|context| of them; an empty
-    carrier fetches and compiles nothing of an equation with generators."""
+    fetched once, just before its cases, and read at all
+    |carrier|^|context| of them at once (``_Reader``); an empty carrier
+    fetches nothing of an equation with generators."""
     if not isinstance(m, FiniteModel):
         raise NonEnumerableCarrier("equation validation needs an enumerable carrier")
     return _violation(m, (e,))
@@ -152,22 +120,173 @@ def validate_model(m: FiniteModel) -> EquationViolation | None:
 
 
 def _violation(m: FiniteModel, eqs) -> EquationViolation | None:
-    carrier = m.carrier.elements()
-    if not carrier:  # no valuation: only an equation without generators has a case
+    if m.carrier.is_empty():  # no valuation: only an equation without generators has a case
         eqs = [e for e in eqs if e.context.is_empty()]
+    reader = _Reader(m)
 
     def check(e, p, lhs, rhs):
         gens = e.context.elements()
-        slots = {g: i for i, g in enumerate(gens)}
-        lhs, rhs = compile_term(m, lhs, slots), compile_term(m, rhs, slots)
-        for picks in itertools.product(carrier, repeat=len(gens)):
-            lv = lhs(picks)
-            rv = rhs(picks)
-            if lv != rv:
-                return EquationViolation(e.name, p, dict(zip(gens, picks)), lv, rv)
-        return True
+        found = reader.first_difference(lhs, rhs, gens, p)
+        if found is None:
+            return True
+        picks, lv, rv = found
+        return EquationViolation(e.name, p, dict(zip(gens, picks)), lv, rv)
 
-    return _check_laws(eqs, check)[0]
+    return _check_laws(eqs, check, build=lambda side, p: side)[0]
+
+
+# A side is read at this many valuations at once first, and each next block
+# is twice as large, up to _MOST_AT_ONCE: a defect near the start costs a
+# small block, and a long check pays a block's overhead a few times only.
+_FIRST_AT_ONCE, _MOST_AT_ONCE = 16, 4096
+
+
+class _Inexact(Exception):
+    """An operation gave a value outside the carrier."""
+
+
+class _Values(dict):
+    """One operation's values at one parameter, by argument tuple, each
+    worked out when first asked for: a model's operations are functions.
+    Carrier elements equal by ``==`` are the same element, but a value
+    outside the carrier may not be (``True`` and ``1``), so one is kept
+    and then raises _Inexact."""
+
+    __slots__ = ("f", "param", "carrier")
+
+    def __init__(self, f: Callable, param, carrier: FiniteUniverse):
+        self.f, self.param, self.carrier = f, param, carrier
+
+    def __missing__(self, args):
+        value = self[args] = self.f(self.param, args)
+        if not self.carrier.contains(value):
+            raise _Inexact
+        return value
+
+
+def _exact(value):
+    """A key that tells apart values of different types, through tuples."""
+    return (type(value), tuple(map(_exact, value)) if type(value) is tuple else value)
+
+
+class _Reader:
+    """Reads trees in a finite model at a block of valuations at once, as
+    one reading in a power of the model: a generator's column is its values
+    across the block, and a node's column is its operation applied to its
+    subtrees' columns, once per distinct (param, args) in the whole check
+    (``_Values``).  A tree with a defect, a parameter that cannot be a key,
+    an operation that raises or that leaves the carrier sends the reader to
+    one valuation at a time (``interpret_term``), for the rest of its
+    check, with every value it has worked out kept by exact arguments."""
+
+    def __init__(self, m: FiniteModel):
+        self.ops, self.carrier = m.ops, m.carrier
+        self.tables = {}  # (op, _exact(param)) -> _Values
+        self.calls = None  # _exact (op, param, args) -> value, once pointwise
+
+    def first_difference(self, lhs, rhs, gens, p=None) -> tuple | None:
+        """The first valuation of ``gens``, in ``itertools.product`` order
+        over the carrier, at which lhs and rhs differ, as a tuple of picks,
+        with the two values; None if there is none.  The sides are trees,
+        or templates (``_Instances``) at ``p``, read from their shapes and
+        built only to be read one valuation at a time."""
+        slots = {g: i for i, g in enumerate(gens)}
+        steps = None
+        if self.calls is None:
+            try:
+                steps = self._steps(lhs, p, slots), self._steps(rhs, p, slots)
+            except (KeyError, TypeError):  # a defect, or a parameter that cannot be a key
+                self._pointwise()
+        valuations = itertools.product(self.carrier.elements(), repeat=len(gens))
+        size = _FIRST_AT_ONCE
+        while block := list(itertools.islice(valuations, size)):
+            size = min(2 * size, _MOST_AT_ONCE)
+            if steps is not None:
+                try:
+                    columns = [list(c) for c in zip(*block)]
+                    lcol = _column(steps[0], columns, len(block))
+                    rcol = _column(steps[1], columns, len(block))
+                except Exception:  # read this block again, one valuation at a time
+                    self._pointwise()
+                    steps = None
+                else:
+                    if lcol != rcol:
+                        j = next(j for j, (a, b) in enumerate(zip(lcol, rcol)) if a != b)
+                        return block[j], lcol[j], rcol[j]
+                    continue
+            if type(lhs) is _Instances:
+                lhs, rhs = lhs(p), rhs(p)
+            for picks in block:
+                valuation = dict(zip(gens, picks))
+                lv = _interpret(self.calls, lhs, valuation)
+                rv = _interpret(self.calls, rhs, valuation)
+                if lv != rv:
+                    return picks, lv, rv
+        return None
+
+    def _steps(self, side, p, slots: dict) -> list:
+        """The side's nodes in preorder, last first: a leaf as its
+        generator's slot, a node as its operation's ``_Values`` at its
+        parameter and its number of subtrees."""
+        if type(side) is _Instances:
+            nodes = side.preorder(p)
+        else:
+            nodes = [n if type(n) is Return else (n.op, n.param, len(n.kont))
+                     for n in subtrees(side)]
+        steps = [slots[n.value] if type(n) is Return else (self._values(n[0], n[1]), n[2])
+                 for n in nodes]
+        steps.reverse()
+        return steps
+
+    def _values(self, op: str, param) -> _Values:
+        key = (op, _exact(param))
+        values = self.tables.get(key)
+        if values is None:
+            values = self.tables[key] = _Values(self.ops[op], param, self.carrier)
+        return values
+
+    def _pointwise(self):
+        """Read one valuation at a time from now on: ``calls`` maps each
+        operation to its function, whose values are kept by exact
+        arguments, those worked out in blocks first."""
+        if self.calls is not None:
+            return
+        kept = {(op, p, _exact(args)): value
+                for (op, p), values in self.tables.items() for args, value in values.items()}
+
+        def once(name, f):
+            def op(param, args):
+                key = (name, _exact(param), _exact(args))
+                try:
+                    return kept[key]
+                except KeyError:
+                    value = kept[key] = f(param, args)
+                    return value
+                except TypeError:  # a value that cannot be a key
+                    return f(param, args)
+            return op
+
+        self.calls = {name: once(name, f) for name, f in self.ops.items()}
+
+
+def _column(steps: list, columns: list, width: int) -> list:
+    """The column of the tree that ``steps`` lists, at a block of
+    ``width`` valuations whose generators' columns are ``columns``: read
+    from the last node of the preorder back, a node's subtrees are the top
+    of the stack, its first subtree topmost."""
+    stack = []
+    for step in steps:
+        if type(step) is int:
+            stack.append(columns[step])
+        else:
+            values, k = step
+            if k:
+                args = zip(*stack[:-k - 1:-1])
+                del stack[-k:]
+                stack.append(list(map(values.__getitem__, args)))
+            else:
+                stack.append([values[()]] * width)
+    return stack[0]
 
 
 def product_model(l: FiniteModel, m: FiniteModel) -> FiniteModel:

@@ -58,8 +58,11 @@ one by one, to report the first defective one as ``check_theory`` would;
 otherwise a side's shape is compiled into a builder the first time
 ``Equation.lhs`` or ``Equation.rhs`` asks for an instance, and the
 instance is kept.  So ``run`` and ``type`` never compile an equation side
-of a theory that loads.  A side can also be built at a value outside its
-family, such as the handler check's symbolic parameter.  The built-ins
+of a theory that loads, and ``check model`` and ``check comodel`` never
+ask for an instance: they read and run each side from its shape.  A side
+can also be built at a value outside its family, such as the handler
+check's symbolic parameter, and the handler check builds each instance it
+replays a branch at a time, without keeping it.  The built-ins
 whose normalizers ``free`` lends are read by ``_parse_builtin``, in which
 a name can stand for a universe.
 """

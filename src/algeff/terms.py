@@ -17,12 +17,14 @@ An equation side written in theory syntax is held as data, its shape
 (``_Instances``), and compiled into a builder (``_builder``) only when a
 tree is first built from it.  A replay of the side builds each branch of
 a binder body only when it selects it (``Branches``), at an element or at
-a symbol standing for many (``ParamSymbol``).
+a symbol standing for many (``ParamSymbol``).  Model and comodel checks
+read a side's shape itself and build no tree from it.
 """
 
 from __future__ import annotations
 
 import gc
+from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
@@ -324,8 +326,10 @@ class Equation(_Node):
     unit universe and ignore their argument.  A side may be a template, as
     a side written in theory syntax is (``_Instances``): then it also has
     ``shape``, the side as data, ``ops``, the operations each of its
-    instances performs, and ``lazy(v)``, its tree for a replay at any value
-    ``v``, such as a symbol standing for every parameter.
+    instances performs, ``lazy(v)``, its tree for a replay at any value
+    ``v``, such as a symbol standing for every parameter, and
+    ``preorder(p)``, the nodes of its instance at ``p``, which it does not
+    build.
     """
 
     __slots__ = ("name", "param_universe", "context", "lhs", "rhs")
@@ -399,6 +403,21 @@ def _builder(shape: tuple, depth: int = 0, lazy: bool = False):
     return build
 
 
+def _element(shape: tuple, env: dict):
+    """The value of an element's shape in an environment, as its builder
+    (``_builder``) would give it, worked out without compiling one."""
+    tag = shape[0]
+    if tag == "const":
+        return shape[2]
+    if tag == "param":
+        return env[0]
+    if tag == "var":
+        return env[shape[1]]
+    if tag == "pair":
+        return _element(shape[1], env), _element(shape[2], env)
+    return _element(shape[1], env)[0 if tag == "fst" else 1]
+
+
 def _shape_ops(shape: tuple) -> frozenset:
     """The operations of the trees a side's shape builds."""
     found, stack = set(), [shape]
@@ -418,16 +437,18 @@ class _Instances:
     ``shape``, and the tree at each parameter, built the first time it is
     asked for, and kept.  The shape is compiled into a builder
     (``_builder``) when the first tree is built.  A parameter outside the
-    family raises KeyError.  ``ops`` are
-    the operations every instance performs, read from the shape; a body
+    family raises KeyError.  ``ops`` are the operations every instance
+    performs, read from the shape when first asked for, and kept; a body
     under an empty arity is never built, so its operations are not among
     them.  ``lazy`` builds the tree for a replay at any value, such as a
     symbol that stands for every parameter, with a compiler of its own.
+    ``preorder`` lists an instance's nodes, read from the shape, and
+    neither builds nor keeps the tree.
 
     Its values never change, so a copy is the object itself.  A pickle
     holds every tree, and loads as the lookup of a plain dict."""
 
-    __slots__ = ("shape", "params", "built", "build", "replay_build")
+    __slots__ = ("shape", "params", "built", "build", "replay_build", "_ops")
 
     def __init__(self, shape: tuple, params: FiniteUniverse):
         self.shape = shape
@@ -435,10 +456,13 @@ class _Instances:
         self.built = {}
         self.build = None  # _builder(shape), once a tree is built
         self.replay_build = None  # _builder(shape, lazy=True), once a replay asks
+        self._ops = None
 
     @property
     def ops(self) -> frozenset:
-        return _shape_ops(self.shape)
+        if self._ops is None:
+            self._ops = _shape_ops(self.shape)
+        return self._ops
 
     def __call__(self, p):
         tree = self.built.get(p)
@@ -471,6 +495,32 @@ class _Instances:
         if self.replay_build is None:
             self.replay_build = _builder(self.shape, lazy=True)
         return self.replay_build({0: p})
+
+    def preorder(self, p) -> list:
+        """The nodes of the side's tree at ``p``, in preorder, read from
+        the shape without building the tree or compiling a builder: a leaf
+        as its ``Return``, an operation node as (op, param, number of
+        subtrees)."""
+        nodes = []
+
+        def read(shape, env, depth):
+            if shape[0] == "return":
+                nodes.append(Return(_element(shape[1], env)))
+                return
+            param = _element(shape[2], env)
+            if shape[0] == "op":
+                nodes.append((shape[1], param, len(shape[3])))
+                for sub in shape[3]:
+                    read(sub, env, depth)
+                return
+            elements = shape[3].elements()
+            nodes.append((shape[1], param, len(elements)))
+            for a in elements:
+                env[depth + 1] = a
+                read(shape[4], env, depth + 1)
+
+        read(self.shape, {0: p}, 0)
+        return nodes
 
     def __copy__(self):
         return self
@@ -605,18 +655,19 @@ def tree_ops(t: Tree) -> set:
 
 def _check_laws(eqs, check: Callable, covered: set | None = None,
                 budget: int | None = None, stop_at_skip: bool = False,
-                family: Callable | None = None, lazy: bool = False) -> tuple:
+                family: Callable | None = None, build: Callable | None = None) -> tuple:
     """The one law checker: each equation of ``eqs`` in order, then each of
     its parameters.  ``check(eq, p, lhs, rhs)`` compares an instance's two
-    trees at every point of its interpretation and returns True when they
+    sides at every point of its interpretation and returns True when they
     agree, None when it cannot tell, else a witness, which ends the check.
     With ``covered`` (operation names), an equation performing any other
     operation is skipped (``stop_at_skip`` ends the check there).  Its
-    operations are read from its sides when they are templates (see
-    ``Equation``), else from all its instances, built first.  Otherwise
-    each instance is built just before its check; with ``lazy``, a
-    template's instances are built for a replay (``_Instances.lazy``), a
-    branch at a time.  ``family(eq)``, when
+    operations are read from its sides when both are templates
+    (``_Instances``), once per side, else from all its instances, built
+    first.  Otherwise each instance is built just before its check, unless
+    ``build`` is given: then a template side is handed to ``check`` as
+    ``build(side, p)``, such as its tree for a replay
+    (``_Instances.lazy``), or the side itself.  ``family(eq)``, when
     given, may vouch for every instance of an equation whose sides are
     templates over more than one parameter; then they all count as
     checked, and otherwise its instances are checked one by one.  At most
@@ -626,8 +677,10 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     """
     skipped, undecided, checked = [], False, 0
     for eq in eqs:
-        templates = hasattr(eq.lhs, "ops") and hasattr(eq.rhs, "ops")
-        at_l, at_r = (eq.lhs.lazy, eq.rhs.lazy) if lazy and templates else (eq.lhs, eq.rhs)
+        templates = type(eq.lhs) is _Instances and type(eq.rhs) is _Instances
+        at_l, at_r = eq.lhs, eq.rhs
+        if templates and build is not None:
+            at_l, at_r = partial(build, at_l), partial(build, at_r)
         instances = ((p, at_l(p), at_r(p)) for p in eq.param_universe.iter_elements())
         if covered is not None:
             if templates:

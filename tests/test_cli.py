@@ -944,3 +944,17 @@ def test_type_a_handler_bound_by_do(capsys):
         "error: type error at 1:85: expected unit ! {get}, found unit ! {put} (unhandled: put)\n"
     )
     assert code == 1
+
+
+def test_loading_a_path_with_a_nul_byte_reports_it_and_the_session_goes_on(capsys, monkeypatch):
+    out = repl(capsys, monkeypatch, ":load a\0b", f":load {SAMPLES / 'state2.thy'}")
+    assert "error: cannot read a\0b: embedded null byte\n" in out
+    assert "loaded theory" in out
+
+
+def test_a_path_is_told_from_program_text_without_raising():
+    from algeff.cli import _is_path
+
+    assert _is_path(str(SAMPLES / "state2.thy"))
+    for text in ("", "return 1", "a\0b", "x" * 100_000, str(SAMPLES)):
+        assert _is_path(text) is (text == str(SAMPLES))

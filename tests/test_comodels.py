@@ -30,7 +30,7 @@ from algeff.theories import (
 from algeff.universe import UNIT, Enum, Fin, FiniteUniverse
 
 from tests.gen import tree_corpus
-from tests.test_models import outcome
+from tests.test_models import closure_copy, outcome
 
 STATE10 = single_state_theory(Fin(10))
 STATE3 = single_state_theory(Fin(3))
@@ -357,3 +357,49 @@ def test_the_first_uncovered_equation_raises_before_later_equations_run():
     assert result == ("raised", UncoveredOperation,
                       "equation 'put_get' mentions uncovered operations ['put']")
     assert log == []
+
+
+def test_a_parsed_theory_is_validated_from_its_shapes_without_building_an_instance(monkeypatch):
+    from algeff import terms
+
+    builds = []
+    for name in ("at", "lazy"):
+        build = getattr(terms._Instances, name)
+        monkeypatch.setattr(terms._Instances, name, lambda self, p, name=name, build=build:
+                            builds.append(name) or build(self, p))
+    th = parse_theory_file((SAMPLES / "state10.thy").read_text())
+    c = parse_comodel_file((SAMPLES / "state10.cmod").read_text(), th)
+    shaped_log = []
+    shaped = outcome(validate_comodel, recording(c, shaped_log))
+    assert shaped == ("returned", None, "None")
+    assert builds == [] and all(not e.lhs.built and not e.rhs.built for e in th.eqs)
+    # the same laws as closures take the tree path, and run alike
+    tree_log = []
+    trees = Cointerpretation(closure_copy(th), c.world, c.coops)
+    assert outcome(validate_comodel, recording(trees, tree_log)) == shaped
+    assert tree_log == shaped_log and builds
+
+
+@pytest.mark.parametrize("sample, theory", [
+    ("state2.cmod", "state2.thy"),
+    ("state10.cmod", "state10.thy"),
+    ("altstream.cmod", "choice.thy"),
+])
+def test_shapes_and_trees_run_alike_with_a_wrong_entry_anywhere(sample, theory):
+    th = parse_theory_file((SAMPLES / theory).read_text())
+    c = parse_comodel_file((SAMPLES / sample).read_text(), th)
+    trees, worlds, kinds = closure_copy(th), c.world.elements(), set()
+    for name, coop in c.coops.items():
+        for w in worlds:
+            for p in th.op(name).param.iter_elements():
+                a, w2 = coop(p, w)
+                moved = worlds[(worlds.index(w2) + 1) % len(worlds)]
+                for got in ((a, moved), (w2, a)):  # another world, or a result outside the arity
+                    wrong = {**c.coops, name: lambda q, v, f=coop, at=(p, w), got=got: (
+                        got if (q, v) == at else f(q, v))}
+                    logs = [], []
+                    results = [outcome(validate_comodel, recording(Cointerpretation(t, c.world, wrong), log))
+                               for t, log in zip((th, trees), logs)]
+                    assert results[0] == results[1] and logs[0] == logs[1]
+                    kinds.add(results[0][0] if results[0][0] == "raised" else type(results[0][1]))
+    assert kinds >= {"raised", ComodelViolation}

@@ -389,24 +389,29 @@ def test_refuting_models_read_valuations_past_the_first_block():
 
 
 def test_refuting_models_interpret_each_tree_once_per_block(monkeypatch):
-    import algeff.free
+    import algeff.models
+    from algeff.free import _refuters
 
-    calls = []
-    interpret = algeff.free.interpret_term
+    reads = []
+    column = algeff.models._column
+    monkeypatch.setattr(algeff.models, "_column", lambda *args: reads.append(args) or column(*args))
 
-    def counting(*args):
-        calls.append(args)
-        return interpret(*args)
+    def blocks(valuations):
+        count, size = 0, algeff.models._FIRST_AT_ONCE
+        while valuations > 0:
+            count, valuations = count + 1, valuations - size
+            size = min(2 * size, algeff.models._MOST_AT_ONCE)
+        return count
 
-    monkeypatch.setattr(algeff.free, "interpret_term", counting)
-    counts = []
+    models = len(_refuters(CHOICE_EXC))
+    assert models > 1
     for n in (8, 10, 12):
-        calls.clear()
+        reads.clear()
         chain = _choose_chain(range(n))
         reversal = _choose_chain(reversed(range(n)))
         assert tree_equal_modulo(CHOICE_EXC, chain, reversal, budget=1) is TreeEq.UNKNOWN
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2] > 0
+        # every model reads both trees once per block of valuations
+        assert len(reads) == 2 * models * blocks(2 ** n) < 2 ** n
 
 
 def test_the_model_search_is_capped_before_any_table_is_listed():

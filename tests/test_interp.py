@@ -501,6 +501,22 @@ def test_a_budget_of_one_builds_one_instance_over_a_large_theory(tmp_path, monke
     assert builds == ["lazy", "lazy", "branch", "branch", "branch"]
 
 
+def test_a_handler_check_reads_each_template_sides_operations_once(monkeypatch, capsys):
+    from algeff import terms
+    from algeff.cli import main
+
+    walks = []
+    shape_ops = terms._shape_ops
+    monkeypatch.setattr(terms, "_shape_ops", lambda shape: walks.append(shape) or shape_ops(shape))
+    for _ in range(2):  # each command reads its theory afresh
+        walks.clear()
+        assert main(["check", "handler", str(SAMPLES / "stateh.eff"),
+                     "--theory", str(SAMPLES / "state10.thy")]) == 0
+        assert capsys.readouterr().out == "Respected (bounded)\n"
+        # the four equations' eight sides, each walked once
+        assert len(walks) == 8
+
+
 def perfbench_gen(monkeypatch):
     """The benchmark's input generator, perfbench/gen.py."""
     import importlib

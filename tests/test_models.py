@@ -291,9 +291,11 @@ def test_table_model_checks_totality():
 
 
 # ---------------------------------------------------------------------------
-# Parity with the tree walk: validate_equation compiles each instance once,
-# and must give what interpreting the tree at every case gave, and make the
-# same operation calls in the same order.
+# Parity with the tree walk: validate_equation reads each instance at blocks
+# of valuations at once, and must give what interpreting the tree at every
+# case gave.  It calls each operation at most once per (param, args), and
+# only at arguments the walk meets, though it may read past the witness to
+# the end of its block.
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -346,12 +348,59 @@ def recording(m, log):
     return FiniteModel(m.theory, {name: logged(name, f) for name, f in m.ops.items()}, m.carrier)
 
 
-def assert_parity(m):
-    compiled_log, walked_log = [], []
-    compiled = outcome(validate_model, recording(m, compiled_log))
-    assert compiled == outcome(walk_validate_model, recording(m, walked_log))
-    assert compiled_log == walked_log
-    return compiled
+def calls_of_the_walk(m):
+    """The operation calls of the walk at every valuation of each instance,
+    up to and including the instance at which the walk stops: a block read
+    may go past the witness, or past a valuation that raises, but no
+    further than its instance."""
+    log = []
+    walked = recording(m, log)
+    for e in m.theory.eqs:
+        gens = e.context.elements()
+        for p in e.param_universe.iter_elements():
+            lhs, rhs, stop = e.lhs(p), e.rhs(p), False
+            for picks in itertools.product(m.carrier.elements(), repeat=len(gens)):
+                valuation = dict(zip(gens, picks))
+                try:
+                    stop = walk_term(walked, lhs, valuation) != walk_term(walked, rhs, valuation) or stop
+                except Exception:
+                    stop = True
+            if stop:
+                return log
+    return log
+
+
+def closure_copy(theory):
+    """The theory with each side a closure over the same instances, so that
+    validation takes the tree path."""
+    return Theory(theory.name, theory.ops, tuple(
+        Equation(e.name, e.param_universe, e.context, lambda p, s=e.lhs: s(p), lambda p, s=e.rhs: s(p))
+        for e in theory.eqs))
+
+
+def assert_parity(m, pointwise=False):
+    """validate_model gives what the walk gives, and reads in blocks only,
+    unless ``pointwise``: a defect, or a value outside the carrier, sends
+    it to one valuation at a time."""
+    import algeff.models
+
+    log, switched = [], []
+    reader = algeff.models._Reader
+    to_pointwise = reader._pointwise
+    reader._pointwise = lambda self: switched.append(self) or to_pointwise(self)
+    try:
+        result = outcome(validate_model, recording(m, log))
+    finally:
+        reader._pointwise = to_pointwise
+    assert bool(switched) == pointwise
+    assert result == outcome(walk_validate_model, recording(m, []))
+    calls = [repr(call) for call in log]  # the repr tells True from 1, as == does not
+    assert len(set(calls)) == len(calls), "an operation was called twice at the same point"
+    walked = {repr(call) for call in calls_of_the_walk(m)}
+    assert set(calls) <= walked
+    if result[1] is None:  # a valid model is read at every point the walk reads
+        assert set(calls) == walked
+    return result
 
 
 def powerset_table(atoms):
@@ -402,19 +451,23 @@ def test_a_violation_wins_over_errors_in_a_later_parameter():
     first = FiniteModel(theory, {"f": lambda p, ab: ab[0]}, BOOL)
     assert assert_parity(first)[1] == EquationViolation("e", 0, {"x": False, "y": True}, False, True)
     either = FiniteModel(theory, {"f": lambda p, ab: ab[0] or ab[1]}, BOOL)
-    assert assert_parity(either)[:2] == ("raised", UnboundGenerator)
+    assert assert_parity(either, pointwise=True)[:2] == ("raised", UnboundGenerator)
     # parameter 1 unbound no more: the unknown operation at parameter 2 raises
     bound = Theory("t", theory.ops, (Equation(
         "e", Fin(3), Enum(("x", "y", "z")), theory.eqs[0].lhs, theory.eqs[0].rhs),))
-    assert assert_parity(FiniteModel(bound, either.ops, BOOL))[:2] == ("raised", UnknownOperation)
+    assert assert_parity(FiniteModel(bound, either.ops, BOOL), pointwise=True)[:2] == (
+        "raised", UnknownOperation)
 
 
 def test_an_empty_carrier_compiles_nothing(monkeypatch):
     import algeff.models
 
-    compiled = []
-    monkeypatch.setattr(algeff.models, "compile_term", lambda *args: compiled.append(args))
-    m = FiniteModel(semilattice_theory(), {"bot": lambda p, a: 0, "join": lambda p, a: 0}, EMPTY)
+    read = []
+    monkeypatch.setattr(algeff.models._Reader, "first_difference",
+                        lambda self, *sides: read.append(sides))
+    log = []
+    m = recording(FiniteModel(semilattice_theory(),
+                              {"bot": lambda p, a: 0, "join": lambda p, a: 0}, EMPTY), log)
     nonempty = [e for e in m.theory.eqs if e.context.size()]
     assert nonempty
     for e in nonempty:
@@ -423,4 +476,91 @@ def test_an_empty_carrier_compiles_nothing(monkeypatch):
                            lambda p: fetched.append(p), lambda p: fetched.append(p))
         assert validate_equation(m, counted) is None
         assert fetched == []
-    assert compiled == []
+    assert validate_model(m) is None  # bot's unit law has a generator too
+    assert read == [] and log == []
+
+
+def test_a_parametric_family_matches_the_tree_walk(monkeypatch):
+    th = single_state_theory(Fin(3))
+    get_first = lambda p, a: a[0]
+    models = [
+        # put_get holds at parameter 0 only: get reads the first branch
+        FiniteModel(th, {"get": get_first, "put": lambda p, a: a[0]}, Fin(2)),
+        # a lawful model: one element
+        FiniteModel(th, {"get": get_first, "put": lambda p, a: a[0]}, Fin(1)),
+    ] + [FiniteModel(th, {"get": get_first, "put": lambda p, a, t=table: t[a[0]] if p else a[0]}, Fin(2))
+         for table in ({0: 1, 1: 0}, {0: 0, 1: 0}, {0: 1, 1: 1})]
+    results = [assert_read_from_shapes(m, monkeypatch) for m in models]
+    assert results == [assert_parity(m) for m in models]
+    assert results[0][1] == EquationViolation("put_get", 1, {0: 0, 1: 1, 2: 0}, 0, 1)
+    assert results[1][1] is None
+
+
+def test_a_value_outside_the_carrier_is_not_taken_for_an_element_equal_to_it():
+    # f(1) is True, not 1, and g tells them apart: a table of g's values by
+    # arguments equal under == would read g(1) as g(True)
+    x = Return("x")
+    g = lambda t: OpNode("g", (), (t,))
+    theory = Theory("t", (OpDecl("f", UNIT, UNIT), OpDecl("g", UNIT, UNIT)), (Equation(
+        "e", UNIT, Enum(("x",)), lambda p: g(OpNode("f", (), (x,))), lambda p: g(x)),))
+    m = FiniteModel(theory, {"f": lambda p, a: True if a[0] == 1 else 0,
+                             "g": lambda p, a: 0 if type(a[0]) is bool else a[0]}, Fin(2))
+    assert assert_parity(m, pointwise=True)[1] == EquationViolation("e", (), {"x": 1}, 0, 1)
+
+
+@pytest.mark.parametrize("at", [0, 15, 16, 4095])
+def test_a_defect_anywhere_in_a_check_of_many_blocks_matches_the_tree_walk(at):
+    # m and n agree but at valuation ``at`` of 16 ** 3, in product order
+    three = lambda name: OpNode(name, (), tuple(Return(g) for g in "xyz"))
+    theory = Theory("t", (OpDecl("m", UNIT, Fin(3)), OpDecl("n", UNIT, Fin(3))), (Equation(
+        "e", UNIT, Enum(tuple("xyz")), lambda p: three("m"), lambda p: three("n")),))
+    picks = (at // 256, at // 16 % 16, at % 16)
+    m = FiniteModel(theory, {"m": lambda p, a: a[0],
+                             "n": lambda p, a: (a[0] + (a == picks)) % 16}, Fin(16))
+    result = assert_parity(m)
+    assert result[1] == EquationViolation("e", (), dict(zip("xyz", picks)), picks[0], (picks[0] + 1) % 16)
+
+
+def assert_read_from_shapes(m, monkeypatch):
+    """Validation of a model of a theory written in theory syntax asks for
+    no instance, and gives the result, with the calls in their order, of
+    the same laws as closures, whose trees are read."""
+    from algeff import terms
+
+    asked, logs = [], ([], [])
+    call = terms._Instances.__call__
+    with monkeypatch.context() as patch:
+        patch.setattr(terms._Instances, "__call__", lambda self, p: asked.append(p) or call(self, p))
+        result = outcome(validate_model, recording(m, logs[0]))
+    assert asked == []
+    trees = FiniteModel(closure_copy(m.theory), m.ops, m.carrier)
+    assert outcome(validate_model, recording(trees, logs[1])) == result
+    assert logs[0] == logs[1]
+    return result
+
+
+@pytest.mark.parametrize("sample", ["orlattice.mod", "badlattice.mod"])
+def test_a_parsed_theory_is_read_from_its_shapes_without_building_an_instance(sample, monkeypatch):
+    theory = parse_theory_file((SAMPLES / "semilattice.thy").read_text())
+    m = parse_model_file((SAMPLES / sample).read_text(), theory)
+    assert assert_read_from_shapes(m, monkeypatch) == assert_parity(m)
+
+
+@pytest.mark.parametrize("violation, error", [(5, 9), (9, 5), (None, 40)])
+def test_an_operation_that_raises_is_met_where_the_walk_meets_it(violation, error):
+    # m and n agree but at valuation ``violation`` of 4 ** 3, where n is off
+    # by one, and n raises at valuation ``error``: the first in product order wins
+    three = lambda name: OpNode(name, (), tuple(Return(g) for g in "xyz"))
+    theory = Theory("t", (OpDecl("m", UNIT, Fin(3)), OpDecl("n", UNIT, Fin(3))), (Equation(
+        "e", UNIT, Enum(tuple("xyz")), lambda p: three("m"), lambda p: three("n")),))
+
+    def n(p, a):
+        at = a[0] * 16 + a[1] * 4 + a[2]
+        if at == error:
+            raise ValueError(f"n fails at {a}")
+        return (a[0] + (at == violation)) % 4
+
+    m = FiniteModel(theory, {"m": lambda p, a: a[0], "n": n}, Fin(4))
+    result = outcome(validate_model, m)
+    assert result == outcome(walk_validate_model, m)
+    assert result[0] == ("returned" if violation is not None and violation < error else "raised")
