@@ -169,10 +169,12 @@ def _compile(c: Cointerpretation, shape: tuple, depth: int = 0) -> Callable:
     covered, as a function that runs it from an environment, which maps 0
     to the parameter and k to binder k's element, and a world, as ``_run``
     runs its instance.  Each cooperation's result is checked against the
-    arity (``index_of``, unless it is one of the arity's elements itself)
-    and selects a subtree, or is bound, as that element, for the body.
-    It returns (leaf value, world).  Each body rebinds its own key, so runs
-    share an environment."""
+    arity (``index_of``) and selects a subtree, or is bound, as that
+    element, for the body.  It returns (leaf value, world).  Each body
+    rebinds its own key, so runs share an environment.  A run of the
+    side's tree for a replay (``_Instances.lazy``) would build the branch
+    each cooperation selects, from every world; a run of this builds
+    nothing."""
     tag = shape[0]
     if tag == "return":
         value = _builder(shape[1])
@@ -180,30 +182,19 @@ def _compile(c: Cointerpretation, shape: tuple, depth: int = 0) -> Callable:
     name = shape[1]
     coop, param, arity = c.coops[name], _builder(shape[2]), c.theory.op(name).arity
     elements = arity.elements()
-    positions = {a: i for i, a in enumerate(elements)}
-
-    def select(a) -> int:
-        try:
-            i = positions[a]
-            if elements[i] is a:
-                return i
-        except (KeyError, TypeError):  # not an element, or not hashable: index_of says
-            pass
-        return arity.index_of(a)
-
     if tag == "op":
         kids = [_compile(c, sub, depth) for sub in shape[3]]
 
         def run(env, world):
             a, world = coop(param(env), world)
-            return kids[select(a)](env, world)
+            return kids[arity.index_of(a)](env, world)
 
         return run
     body, key = _compile(c, shape[4], depth + 1), depth + 1
 
     def run_body(env, world):
         a, world = coop(param(env), world)
-        env[key] = elements[select(a)]
+        env[key] = elements[arity.index_of(a)]
         return body(env, world)
 
     return run_body

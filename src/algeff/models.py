@@ -7,8 +7,9 @@ term interpretation only; a ``FiniteModel`` adds an enumerable carrier and
 with it exhaustive equation validation.  Validation reads each side of an
 instance once for a block of valuations, as one reading in a power of the
 model (``_Reader``), and applies each operation once per distinct
-(param, args) in the whole check.  A side written in theory syntax is read
-from its shape, and no instance of it is built.
+(param, args) in the whole check.  A side written in theory syntax is
+read from its shape, and is built, and not kept, only to be read one
+valuation at a time.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class _Values(dict):
     worked out when first asked for: a model's operations are functions.
     Carrier elements equal by ``==`` are the same element, but a value
     outside the carrier may not be (``True`` and ``1``), so one is kept
-    and then raises _Inexact."""
+    and then raises _Inexact.  What the operation raises is kept too, as
+    a ``_Raised``, and raised on."""
 
     __slots__ = ("f", "param", "carrier")
 
@@ -158,10 +160,23 @@ class _Values(dict):
         self.f, self.param, self.carrier = f, param, carrier
 
     def __missing__(self, args):
-        value = self[args] = self.f(self.param, args)
+        try:
+            value = self[args] = self.f(self.param, args)
+        except Exception as error:
+            self[args] = _Raised(error)
+            raise
         if not self.carrier.contains(value):
             raise _Inexact
         return value
+
+
+class _Raised:
+    """The exception an operation raised at some arguments."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception):
+        self.error = error
 
 
 def _exact(value):
@@ -182,7 +197,7 @@ class _Reader:
     def __init__(self, m: FiniteModel):
         self.ops, self.carrier = m.ops, m.carrier
         self.tables = {}  # (op, _exact(param)) -> _Values
-        self.calls = None  # _exact (op, param, args) -> value, once pointwise
+        self.calls = None  # each operation's function, once pointwise
 
     def first_difference(self, lhs, rhs, gens, p=None) -> tuple | None:
         """The first valuation of ``gens``, in ``itertools.product`` order
@@ -215,7 +230,7 @@ class _Reader:
                         return block[j], lcol[j], rcol[j]
                     continue
             if type(lhs) is _Instances:
-                lhs, rhs = lhs(p), rhs(p)
+                lhs, rhs = lhs.at(p), rhs.at(p)
             for picks in block:
                 valuation = dict(zip(gens, picks))
                 lv = _interpret(self.calls, lhs, valuation)
@@ -247,23 +262,28 @@ class _Reader:
 
     def _pointwise(self):
         """Read one valuation at a time from now on: ``calls`` maps each
-        operation to its function, whose values are kept by exact
-        arguments, those worked out in blocks first."""
+        operation to its function, whose values, and exceptions, are kept
+        by exact arguments.  Those the blocks worked out are read from
+        their tables, whose arguments are carrier elements, which equal
+        only themselves."""
         if self.calls is not None:
             return
-        kept = {(op, p, _exact(args)): value
-                for (op, p), values in self.tables.items() for args, value in values.items()}
+        tables, contains, kept = self.tables, self.carrier.contains, {}
 
         def once(name, f):
             def op(param, args):
-                key = (name, _exact(param), _exact(args))
                 try:
-                    return kept[key]
-                except KeyError:
-                    value = kept[key] = f(param, args)
-                    return value
+                    key = (name, _exact(param), _exact(args))
+                    value = kept.get(key, kept)
+                    if value is kept and key[:2] in tables and all(map(contains, args)):
+                        value = tables[key[:2]].get(args, kept)
                 except TypeError:  # a value that cannot be a key
                     return f(param, args)
+                if value is kept:
+                    value = kept[key] = f(param, args)
+                elif type(value) is _Raised:
+                    raise value.error
+                return value
             return op
 
         self.calls = {name: once(name, f) for name, f in self.ops.items()}

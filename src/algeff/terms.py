@@ -403,21 +403,6 @@ def _builder(shape: tuple, depth: int = 0, lazy: bool = False):
     return build
 
 
-def _element(shape: tuple, env: dict):
-    """The value of an element's shape in an environment, as its builder
-    (``_builder``) would give it, worked out without compiling one."""
-    tag = shape[0]
-    if tag == "const":
-        return shape[2]
-    if tag == "param":
-        return env[0]
-    if tag == "var":
-        return env[shape[1]]
-    if tag == "pair":
-        return _element(shape[1], env), _element(shape[2], env)
-    return _element(shape[1], env)[0 if tag == "fst" else 1]
-
-
 def _shape_ops(shape: tuple) -> frozenset:
     """The operations of the trees a side's shape builds."""
     found, stack = set(), [shape]
@@ -498,16 +483,16 @@ class _Instances:
 
     def preorder(self, p) -> list:
         """The nodes of the side's tree at ``p``, in preorder, read from
-        the shape without building the tree or compiling a builder: a leaf
-        as its ``Return``, an operation node as (op, param, number of
-        subtrees)."""
+        the shape without building the tree: a leaf as its ``Return``, an
+        operation node as (op, param, number of subtrees).  Only each
+        element's shape is compiled (``_builder``), where it is read."""
         nodes = []
 
         def read(shape, env, depth):
             if shape[0] == "return":
-                nodes.append(Return(_element(shape[1], env)))
+                nodes.append(Return(_builder(shape[1])(env)))
                 return
-            param = _element(shape[2], env)
+            param = _builder(shape[2])(env)
             if shape[0] == "op":
                 nodes.append((shape[1], param, len(shape[3])))
                 for sub in shape[3]:
@@ -655,7 +640,7 @@ def tree_ops(t: Tree) -> set:
 
 def _check_laws(eqs, check: Callable, covered: set | None = None,
                 budget: int | None = None, stop_at_skip: bool = False,
-                family: Callable | None = None, build: Callable | None = None) -> tuple:
+                family: Callable | None = None, *, build: Callable) -> tuple:
     """The one law checker: each equation of ``eqs`` in order, then each of
     its parameters.  ``check(eq, p, lhs, rhs)`` compares an instance's two
     sides at every point of its interpretation and returns True when they
@@ -664,10 +649,9 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     operation is skipped (``stop_at_skip`` ends the check there).  Its
     operations are read from its sides when both are templates
     (``_Instances``), once per side, else from all its instances, built
-    first.  Otherwise each instance is built just before its check, unless
-    ``build`` is given: then a template side is handed to ``check`` as
-    ``build(side, p)``, such as its tree for a replay
-    (``_Instances.lazy``), or the side itself.  ``family(eq)``, when
+    first.  A template side is handed to ``check`` as ``build(side, p)``,
+    such as its tree for a replay (``_Instances.lazy``), or the side
+    itself; any other side as its tree at ``p``.  ``family(eq)``, when
     given, may vouch for every instance of an equation whose sides are
     templates over more than one parameter; then they all count as
     checked, and otherwise its instances are checked one by one.  At most
@@ -679,7 +663,7 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     for eq in eqs:
         templates = type(eq.lhs) is _Instances and type(eq.rhs) is _Instances
         at_l, at_r = eq.lhs, eq.rhs
-        if templates and build is not None:
+        if templates:
             at_l, at_r = partial(build, at_l), partial(build, at_r)
         instances = ((p, at_l(p), at_r(p)) for p in eq.param_universe.iter_elements())
         if covered is not None:

@@ -496,6 +496,23 @@ def test_a_parametric_family_matches_the_tree_walk(monkeypatch):
     assert results[1][1] is None
 
 
+def test_a_parametric_family_read_one_valuation_at_a_time_keeps_no_instance(monkeypatch):
+    # put leaves the carrier at parameter 2 only: from there on, the sides
+    # are built to be read one valuation at a time, and dropped
+    from algeff import terms
+
+    th = single_state_theory(Fin(3))
+    m = FiniteModel(th, {"get": lambda p, a: a[0],
+                         "put": lambda p, a: True if p == 2 else a[0]}, Fin(1))
+    asked, call = [], terms._Instances.__call__
+    with monkeypatch.context() as patch:
+        patch.setattr(terms._Instances, "__call__", lambda self, p: asked.append(p) or call(self, p))
+        result = outcome(validate_model, m)
+    assert asked == []
+    assert result == assert_parity(m, pointwise=True)
+    assert result[1] == EquationViolation("put_put", (2, 0), {(): 0}, True, 0)
+
+
 def test_a_value_outside_the_carrier_is_not_taken_for_an_element_equal_to_it():
     # f(1) is True, not 1, and g tells them apart: a table of g's values by
     # arguments equal under == would read g(1) as g(True)
@@ -528,9 +545,11 @@ def assert_read_from_shapes(m, monkeypatch):
     from algeff import terms
 
     asked, logs = [], ([], [])
-    call = terms._Instances.__call__
     with monkeypatch.context() as patch:
-        patch.setattr(terms._Instances, "__call__", lambda self, p: asked.append(p) or call(self, p))
+        for name in ("__call__", "at"):
+            build = getattr(terms._Instances, name)
+            patch.setattr(terms._Instances, name,
+                          lambda self, p, build=build: asked.append(p) or build(self, p))
         result = outcome(validate_model, recording(m, logs[0]))
     assert asked == []
     trees = FiniteModel(closure_copy(m.theory), m.ops, m.carrier)
@@ -561,6 +580,5 @@ def test_an_operation_that_raises_is_met_where_the_walk_meets_it(violation, erro
         return (a[0] + (at == violation)) % 4
 
     m = FiniteModel(theory, {"m": lambda p, a: a[0], "n": n}, Fin(4))
-    result = outcome(validate_model, m)
-    assert result == outcome(walk_validate_model, m)
+    result = assert_parity(m, pointwise=True)  # n is not called again where it raised
     assert result[0] == ("returned" if violation is not None and violation < error else "raised")
