@@ -268,18 +268,18 @@ class _Reader:
         only themselves."""
         if self.calls is not None:
             return
-        tables, contains, kept = self.tables, self.carrier.contains, {}
+        tables, contains, kept, unseen = self.tables, self.carrier.contains, {}, object()
 
         def once(name, f):
             def op(param, args):
                 try:
                     key = (name, _exact(param), _exact(args))
-                    value = kept.get(key, kept)
-                    if value is kept and key[:2] in tables and all(map(contains, args)):
-                        value = tables[key[:2]].get(args, kept)
+                    value = kept.get(key, unseen)
+                    if value is unseen and key[:2] in tables and all(map(contains, args)):
+                        value = tables[key[:2]].get(args, unseen)
                 except TypeError:  # a value that cannot be a key
                     return f(param, args)
-                if value is kept:
+                if value is unseen:
                     value = kept[key] = f(param, args)
                 elif type(value) is _Raised:
                     raise value.error

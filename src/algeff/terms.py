@@ -18,7 +18,7 @@ An equation side written in theory syntax is held as data, its shape
 tree is first built from it.  A replay of the side builds each branch of
 a binder body only when it selects it (``Branches``), at an element or at
 a symbol standing for many (``ParamSymbol``).  Model and comodel checks
-read a side's shape itself and build no tree from it.
+read a side's shape itself, and keep no tree built from it.
 """
 
 from __future__ import annotations
