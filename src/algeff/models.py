@@ -7,9 +7,8 @@ term interpretation only; a ``FiniteModel`` adds an enumerable carrier and
 with it exhaustive equation validation.  Validation reads each side of an
 instance once for a block of valuations, as one reading in a power of the
 model (``_Reader``), and applies each operation once per distinct
-(param, args) in the whole check.  A side written in theory syntax is
-read from its shape, and is built, and not kept, only to be read one
-valuation at a time.
+(param, args) in the whole check.  Each side of an instance is built
+once, just before its cases, and not kept.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import itertools
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
-from .terms import Equation, Return, Theory, Tree, _Instances, _Node, _check_laws, _set
+from .terms import Equation, Return, Theory, Tree, _Node, _check_laws, _set
 from .terms import fold_tree, subtrees
 from .universe import UNIT, FiniteUniverse, Product
 
@@ -127,13 +126,13 @@ def _violation(m: FiniteModel, eqs) -> EquationViolation | None:
 
     def check(e, p, lhs, rhs):
         gens = e.context.elements()
-        found = reader.first_difference(lhs, rhs, gens, p)
+        found = reader.first_difference(lhs, rhs, gens)
         if found is None:
             return True
         picks, lv, rv = found
         return EquationViolation(e.name, p, dict(zip(gens, picks)), lv, rv)
 
-    return _check_laws(eqs, check, build=lambda side, p: side)[0]
+    return _check_laws(eqs, check)[0]
 
 
 # A side is read at this many valuations at once first, and each next block
@@ -199,17 +198,15 @@ class _Reader:
         self.tables = {}  # (op, _exact(param)) -> _Values
         self.calls = None  # each operation's function, once pointwise
 
-    def first_difference(self, lhs, rhs, gens, p=None) -> tuple | None:
+    def first_difference(self, lhs: Tree, rhs: Tree, gens) -> tuple | None:
         """The first valuation of ``gens``, in ``itertools.product`` order
         over the carrier, at which lhs and rhs differ, as a tuple of picks,
-        with the two values; None if there is none.  The sides are trees,
-        or templates (``_Instances``) at ``p``, read from their shapes and
-        built only to be read one valuation at a time."""
+        with the two values; None if there is none."""
         slots = {g: i for i, g in enumerate(gens)}
         steps = None
         if self.calls is None:
             try:
-                steps = self._steps(lhs, p, slots), self._steps(rhs, p, slots)
+                steps = self._steps(lhs, slots), self._steps(rhs, slots)
             except (KeyError, TypeError):  # a defect, or a parameter that cannot be a key
                 self._pointwise()
         valuations = itertools.product(self.carrier.elements(), repeat=len(gens))
@@ -229,8 +226,6 @@ class _Reader:
                         j = next(j for j, (a, b) in enumerate(zip(lcol, rcol)) if a != b)
                         return block[j], lcol[j], rcol[j]
                     continue
-            if type(lhs) is _Instances:
-                lhs, rhs = lhs.at(p), rhs.at(p)
             for picks in block:
                 valuation = dict(zip(gens, picks))
                 lv = _interpret(self.calls, lhs, valuation)
@@ -239,17 +234,12 @@ class _Reader:
                     return picks, lv, rv
         return None
 
-    def _steps(self, side, p, slots: dict) -> list:
+    def _steps(self, side: Tree, slots: dict) -> list:
         """The side's nodes in preorder, last first: a leaf as its
         generator's slot, a node as its operation's ``_Values`` at its
         parameter and its number of subtrees."""
-        if type(side) is _Instances:
-            nodes = side.preorder(p)
-        else:
-            nodes = [n if type(n) is Return else (n.op, n.param, len(n.kont))
-                     for n in subtrees(side)]
-        steps = [slots[n.value] if type(n) is Return else (self._values(n[0], n[1]), n[2])
-                 for n in nodes]
+        steps = [slots[n.value] if type(n) is Return else (self._values(n.op, n.param), len(n.kont))
+                 for n in subtrees(side)]
         steps.reverse()
         return steps
 

@@ -55,16 +55,16 @@ a theory's laws with a built-in's by their shapes, and the law checkers
 read a side's operations, its coverage, from its shape.
 Only an equation that fails that check has its instances built and checked
 one by one, to report the first defective one as ``check_theory`` would;
-otherwise a side's shape is compiled into a builder the first time
-``Equation.lhs`` or ``Equation.rhs`` asks for an instance, and the
-instance is kept.  So ``run`` and ``type`` never compile an equation side
-of a theory that loads, and ``check model`` and ``check comodel`` never
-ask for an instance: they read and run each side from its shape.  A side
-can also be built at a value outside its family, such as the handler
-check's symbolic parameter, and the handler check builds each instance it
-replays a branch at a time, without keeping it.  The built-ins
-whose normalizers ``free`` lends are read by ``_parse_builtin``, in which
-a name can stand for a universe.
+otherwise a side's shape is compiled into a builder the first time a tree
+is built from it, and no tree is kept: ``Equation.lhs`` and
+``Equation.rhs`` build an instance anew at each call.  So ``run`` and
+``type`` never compile an equation side of a theory that loads, ``check
+model`` builds each side once at each parameter, and ``check comodel``
+builds none: it runs each side from its shape.  A side can also be built
+at a value outside its family, such as the handler check's symbolic
+parameter, and the handler check builds each instance it replays a branch
+at a time.  The built-ins written in theory syntax are read by
+``_parse_builtin``, in which a name can stand for a universe.
 """
 
 from __future__ import annotations

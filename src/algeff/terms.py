@@ -14,11 +14,12 @@ so trees of any depth compare and hash; they fold (``fold_tree``) and
 walk in preorder (``subtrees``) on explicit stacks too.  Their base,
 ``_Node``, is the base of every other record class in the package too.
 An equation side written in theory syntax is held as data, its shape
-(``_Instances``), and compiled into a builder (``_builder``) only when a
-tree is first built from it.  A replay of the side builds each branch of
-a binder body only when it selects it (``Branches``), at an element or at
-a symbol standing for many (``ParamSymbol``).  Model and comodel checks
-read a side's shape itself, and keep no tree built from it.
+(``_Instances``), and compiled once, when a tree is first built from it,
+into a builder (``_builder``) of its tree for a replay: a binder body
+becomes a ``Branches`` node, which builds a branch only when a replay
+selects it, at an element or at a symbol standing for many
+(``ParamSymbol``).  A whole instance is that tree with every ``Branches``
+expanded in place, built anew each time it is asked for, and not kept.
 """
 
 from __future__ import annotations
@@ -301,16 +302,18 @@ class ParamSymbol:
 
 
 class Branches:
-    """An operation node of a side built for a replay (``_Instances.lazy``)
-    from a binder body.  Its branch at an element of its arity, or at a
-    symbol that stands only for elements of it, is the body built there
-    when the replay selects it (``branch``), and is not kept.  A replay is
-    all that reads such a tree."""
+    """An operation node built from a binder body (``_builder``), over its
+    arity's ``elements``.  Its branch at an element, or at a symbol that
+    stands only for elements of the arity, is the body built there
+    (``branch``), and is not kept.  A replay (``_Instances.lazy``) reads
+    such a tree; a whole instance expands each node in place
+    (``_expand``)."""
 
-    __slots__ = ("op", "param", "body", "env", "key")
+    __slots__ = ("op", "param", "body", "env", "key", "elements")
 
-    def __init__(self, op: str, param, body: Callable, env: dict, key: int):
+    def __init__(self, op: str, param, body: Callable, env: dict, key: int, elements: tuple):
         self.op, self.param, self.body, self.env, self.key = op, param, body, env, key
+        self.elements = elements
 
     def branch(self, a):
         env = self.env.copy()
@@ -326,10 +329,8 @@ class Equation(_Node):
     unit universe and ignore their argument.  A side may be a template, as
     a side written in theory syntax is (``_Instances``): then it also has
     ``shape``, the side as data, ``ops``, the operations each of its
-    instances performs, ``lazy(v)``, its tree for a replay at any value
-    ``v``, such as a symbol standing for every parameter, and
-    ``preorder(p)``, the nodes of its instance at ``p``, which it does not
-    build.
+    instances performs, and ``lazy(v)``, its tree for a replay at any
+    value ``v``, such as a symbol standing for every parameter.
     """
 
     __slots__ = ("name", "param_universe", "context", "lhs", "rhs")
@@ -361,12 +362,10 @@ class Equation(_Node):
 _PARAM = ("param",)
 
 
-def _builder(shape: tuple, depth: int = 0, lazy: bool = False):
+def _builder(shape: tuple, depth: int = 0):
     """A function that builds ``shape`` from an environment: a dict that
-    maps 0 to the forall parameter and k to the value of binder k.  Each
-    body rebinds its own key, so no environment is copied.  With ``lazy``,
-    a binder body builds a ``Branches`` node instead, which copies the
-    environment for each branch it builds."""
+    maps 0 to the forall parameter and k to the value of binder k.  A
+    binder body builds a ``Branches`` node, which holds the environment."""
     tag = shape[0]
     if tag == "const":
         value = shape[2]
@@ -386,21 +385,28 @@ def _builder(shape: tuple, depth: int = 0, lazy: bool = False):
         return lambda env: Return(leaf(env))
     name, param = shape[1], _builder(shape[2])
     if tag == "op":
-        subtrees = [_builder(sub, depth, lazy) for sub in shape[3]]
+        subtrees = [_builder(sub, depth) for sub in shape[3]]
         return lambda env: OpNode(name, param(env), tuple([sub(env) for sub in subtrees]))
-    body, key = _builder(shape[4], depth + 1, lazy), depth + 1
-    if lazy:
-        return lambda env: Branches(name, param(env), body, env, key)
-    elements = shape[3].elements()
+    body, key, elements = _builder(shape[4], depth + 1), depth + 1, shape[3].elements()
+    return lambda env: Branches(name, param(env), body, env, key, elements)
 
-    def build(env):
-        at, subtrees = param(env), []
-        for a in elements:
-            env[key] = a
-            subtrees.append(body(env))
-        return OpNode(name, at, tuple(subtrees))
 
-    return build
+def _expand(t: OpNode | Branches) -> OpNode:
+    """The operation node ``t`` with every ``Branches`` node in it, ``t``
+    too, expanded in place into the operation node of all its branches.  A
+    node's branches are built and expanded one after another, so they
+    share its environment: each rebinds its own key, and no environment is
+    copied.  A leaf is checked for at its parent, which saves a call at
+    each of a large tree's leaves."""
+    if type(t) is OpNode:
+        kont = [sub if type(sub) is Return else _expand(sub) for sub in t.kont]
+        return OpNode(t.op, t.param, tuple(kont))
+    env, key, body, kont = t.env, t.key, t.body, []
+    for a in t.elements:
+        env[key] = a
+        sub = body(env)
+        kont.append(sub if type(sub) is Return else _expand(sub))
+    return OpNode(t.op, t.param, tuple(kont))
 
 
 def _shape_ops(shape: tuple) -> frozenset:
@@ -419,28 +425,25 @@ def _shape_ops(shape: tuple) -> frozenset:
 
 class _Instances:
     """One side of an equation family written in theory syntax: its
-    ``shape``, and the tree at each parameter, built the first time it is
-    asked for, and kept.  The shape is compiled into a builder
-    (``_builder``) when the first tree is built.  A parameter outside the
-    family raises KeyError.  ``ops`` are the operations every instance
-    performs, read from the shape when first asked for, and kept; a body
-    under an empty arity is never built, so its operations are not among
-    them.  ``lazy`` builds the tree for a replay at any value, such as a
-    symbol that stands for every parameter, with a compiler of its own.
-    ``preorder`` lists an instance's nodes, read from the shape, and
-    neither builds nor keeps the tree.
+    ``shape``, compiled into a builder (``_builder``) when the first tree
+    is built from it.  ``lazy(v)`` builds the side's tree for a replay at
+    any value, such as a symbol that stands for every parameter; calling
+    it at a parameter builds the whole instance there, that tree with
+    every ``Branches`` expanded (``_expand``).  Either is built anew each
+    time, and not kept.  A parameter outside the family raises KeyError.
+    ``ops`` are the operations every instance performs, read from the
+    shape when first asked for, and kept; a body under an empty arity is
+    never built, so its operations are not among them.
 
     Its values never change, so a copy is the object itself.  A pickle
     holds every tree, and loads as the lookup of a plain dict."""
 
-    __slots__ = ("shape", "params", "built", "build", "replay_build", "_ops")
+    __slots__ = ("shape", "params", "build", "_ops")
 
     def __init__(self, shape: tuple, params: FiniteUniverse):
         self.shape = shape
         self.params = params
-        self.built = {}
         self.build = None  # _builder(shape), once a tree is built
-        self.replay_build = None  # _builder(shape, lazy=True), once a replay asks
         self._ops = None
 
     @property
@@ -450,62 +453,29 @@ class _Instances:
         return self._ops
 
     def __call__(self, p):
-        tree = self.built.get(p)
-        if tree is None:
-            if not self.params.contains(p):
-                raise KeyError(p)
-            tree = self.built[p] = self.at(p)
-        return tree
-
-    def at(self, p):
-        """The side's whole tree at ``p``, built anew and not kept.
+        """The side's whole tree at ``p``.
 
         A build makes no reference cycles, so the cycle collector, which
         would otherwise examine each new node several times over (half the
         time of a million-leaf build), pauses while it runs."""
-        if self.build is None:
-            self.build = _builder(self.shape)
+        if not self.params.contains(p):
+            raise KeyError(p)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return self.build({0: p})
+            tree = self.lazy(p)
+            return tree if type(tree) is Return else _expand(tree)
         finally:
             if enabled:
                 gc.enable()
 
     def lazy(self, p):
-        """The side's tree at ``p`` for a replay, built anew and not kept:
-        each node built from a binder body is a ``Branches``, which builds
-        a branch only when the replay selects it."""
-        if self.replay_build is None:
-            self.replay_build = _builder(self.shape, lazy=True)
-        return self.replay_build({0: p})
-
-    def preorder(self, p) -> list:
-        """The nodes of the side's tree at ``p``, in preorder, read from
-        the shape without building the tree: a leaf as its ``Return``, an
-        operation node as (op, param, number of subtrees).  Only each
-        element's shape is compiled (``_builder``), where it is read."""
-        nodes = []
-
-        def read(shape, env, depth):
-            if shape[0] == "return":
-                nodes.append(Return(_builder(shape[1])(env)))
-                return
-            param = _builder(shape[2])(env)
-            if shape[0] == "op":
-                nodes.append((shape[1], param, len(shape[3])))
-                for sub in shape[3]:
-                    read(sub, env, depth)
-                return
-            elements = shape[3].elements()
-            nodes.append((shape[1], param, len(elements)))
-            for a in elements:
-                env[depth + 1] = a
-                read(shape[4], env, depth + 1)
-
-        read(self.shape, {0: p}, 0)
-        return nodes
+        """The side's tree at ``p`` for a replay: each node built from a
+        binder body is a ``Branches``, which builds a branch only when the
+        replay selects it."""
+        if self.build is None:
+            self.build = _builder(self.shape)
+        return self.build({0: p})
 
     def __copy__(self):
         return self
@@ -640,7 +610,7 @@ def tree_ops(t: Tree) -> set:
 
 def _check_laws(eqs, check: Callable, covered: set | None = None,
                 budget: int | None = None, stop_at_skip: bool = False,
-                family: Callable | None = None, *, build: Callable) -> tuple:
+                family: Callable | None = None, build: Callable | None = None) -> tuple:
     """The one law checker: each equation of ``eqs`` in order, then each of
     its parameters.  ``check(eq, p, lhs, rhs)`` compares an instance's two
     sides at every point of its interpretation and returns True when they
@@ -649,9 +619,9 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     operation is skipped (``stop_at_skip`` ends the check there).  Its
     operations are read from its sides when both are templates
     (``_Instances``), once per side, else from all its instances, built
-    first.  A template side is handed to ``check`` as ``build(side, p)``,
-    such as its tree for a replay (``_Instances.lazy``), or the side
-    itself; any other side as its tree at ``p``.  ``family(eq)``, when
+    first.  A side is handed to ``check`` as its tree at ``p``, or, with
+    ``build``, a template side as ``build(side, p)``, such as its tree for
+    a replay (``_Instances.lazy``).  ``family(eq)``, when
     given, may vouch for every instance of an equation whose sides are
     templates over more than one parameter; then they all count as
     checked, and otherwise its instances are checked one by one.  At most
@@ -663,7 +633,7 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     for eq in eqs:
         templates = type(eq.lhs) is _Instances and type(eq.rhs) is _Instances
         at_l, at_r = eq.lhs, eq.rhs
-        if templates:
+        if templates and build is not None:
             at_l, at_r = partial(build, at_l), partial(build, at_r)
         instances = ((p, at_l(p), at_r(p)) for p in eq.param_universe.iter_elements())
         if covered is not None:

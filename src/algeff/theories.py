@@ -4,14 +4,14 @@ Each constructor is memoized, so requesting the same theory twice returns
 the same object.  The single-state, semilattice, and choice theories also
 serve as references: ``free`` gives their normalizer to any theory whose
 operations and equation instances are exactly theirs (the get/put normal
-form, or the sorted leaf set that choice and the semilattice share).
-These three are written in theory syntax and read by the parser, so their
-equation sides are shapes, as a parsed theory's are, and a theory's laws
-are compared with theirs shape by shape.  The other built-ins write their
-sides as functions of the parameter.  Every commutation law, ``state``'s
-three cross-location laws and the ``dist_*`` laws of ``combine``, comes
-from one builder, ``_commutation``, whose side condition (``trivial``) no
-shape states.
+form, or the sorted leaf set that choice and the semilattice share), and
+a theory's laws are compared with theirs shape by shape.  These three,
+the group and the singleton theory are written in theory syntax and read
+by the parser, so their equation sides are shapes, as a parsed theory's
+are.  ``state`` and ``combine`` write their sides as functions of the
+parameter: every commutation law, ``state``'s three cross-location laws
+and the ``dist_*`` laws of ``combine``, comes from one builder,
+``_commutation``, whose side condition (``trivial``) no shape states.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from functools import lru_cache
 
 from .errors import EmptyStateUniverse
 from .terms import Equation, OpDecl, OpNode, Return, Theory, rename_tree_ops
-from .universe import BOOL, EMPTY, UNIT, Enum, FiniteUniverse, Product
-
-_X = Enum(("x",))
-_XY = Enum(("x", "y"))
-_XYZ = Enum(("x", "y", "z"))
-
+from .universe import EMPTY, UNIT, FiniteUniverse, Product
 
 # The built-ins that lend their normalizers, in theory syntax; ``S`` is the
 # state universe.
@@ -56,16 +51,29 @@ _SEMILATTICE = """theory semilattice {
   equation unit (enum {x}) : join((); return x, bot(())) = return x;
 }"""
 
+# Two built-ins that lend no normalizer, in theory syntax too.
+_SINGLETON = """theory singleton {
+  op star : unit ~> empty;
+  equation collapse (enum {x, y}) : return x = return y;
+}"""
+
+_GROUP = """theory group {
+  op u : unit ~> empty;
+  op m : unit ~> bool;
+  op i : unit ~> unit;
+  equation assoc (enum {x, y, z}) : m((); m((); return x, return y), return z) = m((); return x, m((); return y, return z));
+  equation unit_left (enum {x}) : m((); u(()), return x) = return x;
+  equation unit_right (enum {x}) : m((); return x, u(())) = return x;
+  equation inv_right (enum {x}) : m((); return x, i((); return x)) = u(());
+  equation inv_left (enum {x}) : m((); i((); return x), return x) = u(());
+}"""
+
 
 def _read(text: str, **universes: FiniteUniverse) -> Theory:
     # imported here: the parser imports comodels, which import this module
     from .parser import _parse_builtin
 
     return _parse_builtin(text, **universes)
-
-
-def _const(tree):
-    return lambda _p: tree
 
 
 def _pair(x, y):
@@ -225,29 +233,13 @@ def empty_theory() -> Theory:
 @lru_cache(maxsize=None)
 def singleton_theory() -> Theory:
     """A constant plus the equation x = y, collapsing everything."""
-    collapse = Equation("collapse", UNIT, _XY, _const(Return("x")), _const(Return("y")))
-    return Theory("singleton", (OpDecl("star", UNIT, EMPTY),), (collapse,))
+    return _read(_SINGLETON)
 
 
 @lru_cache(maxsize=None)
 def group_theory() -> Theory:
     """Unit, multiplication, and inverse with the five group laws."""
-    m = lambda a, b: OpNode("m", (), (a, b))
-    inv = lambda a: OpNode("i", (), (a,))
-    u = OpNode("u", (), ())
-    x, y, z = Return("x"), Return("y"), Return("z")
-    eqs = (
-        Equation("assoc", UNIT, _XYZ, _const(m(m(x, y), z)), _const(m(x, m(y, z)))),
-        Equation("unit_left", UNIT, _X, _const(m(u, x)), _const(x)),
-        Equation("unit_right", UNIT, _X, _const(m(x, u)), _const(x)),
-        Equation("inv_right", UNIT, _X, _const(m(x, inv(x))), _const(u)),
-        Equation("inv_left", UNIT, _X, _const(m(inv(x), x)), _const(u)),
-    )
-    return Theory(
-        "group",
-        (OpDecl("u", UNIT, EMPTY), OpDecl("m", UNIT, BOOL), OpDecl("i", UNIT, UNIT)),
-        eqs,
-    )
+    return _read(_GROUP)
 
 
 _BUILTINS = {

@@ -30,7 +30,7 @@ from algeff.theories import (
 from algeff.universe import UNIT, Enum, Fin, FiniteUniverse
 
 from tests.gen import tree_corpus
-from tests.test_models import closure_copy, outcome
+from tests.test_models import closure_copy, holds_a_tree, outcome
 
 STATE10 = single_state_theory(Fin(10))
 STATE3 = single_state_theory(Fin(3))
@@ -363,7 +363,7 @@ def test_a_parsed_theory_is_validated_from_its_shapes_without_building_an_instan
     from algeff import terms
 
     builds = []
-    for name in ("at", "lazy"):
+    for name in ("__call__", "lazy"):
         build = getattr(terms._Instances, name)
         monkeypatch.setattr(terms._Instances, name, lambda self, p, name=name, build=build:
                             builds.append(name) or build(self, p))
@@ -372,7 +372,7 @@ def test_a_parsed_theory_is_validated_from_its_shapes_without_building_an_instan
     shaped_log = []
     shaped = outcome(validate_comodel, recording(c, shaped_log))
     assert shaped == ("returned", None, "None")
-    assert builds == [] and all(not e.lhs.built and not e.rhs.built for e in th.eqs)
+    assert builds == [] and not holds_a_tree(th)
     # the same laws as closures take the tree path, and run alike
     tree_log = []
     trees = Cointerpretation(closure_copy(th), c.world, c.coops)

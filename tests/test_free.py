@@ -945,8 +945,8 @@ def test_resolving_a_strategy_builds_no_instance(monkeypatch):
     from algeff import terms
 
     builds, fallbacks = [], []
-    at, pairs = terms._Instances.at, free._instance_pairs
-    monkeypatch.setattr(terms._Instances, "at", lambda side, p: builds.append(p) or at(side, p))
+    call, pairs = terms._Instances.__call__, free._instance_pairs
+    monkeypatch.setattr(terms._Instances, "__call__", lambda side, p: builds.append(p) or call(side, p))
     monkeypatch.setattr(free, "_instance_pairs", lambda th: fallbacks.append(th) or pairs(th))
     for text in sample_theories() + perfbench_state_theories(monkeypatch):
         theory = parse_theory_file(text)

@@ -484,7 +484,7 @@ def test_a_budget_of_one_builds_one_instance_over_a_large_theory(tmp_path, monke
     from algeff.cli import main
 
     builds = []
-    for cls, name in ((terms._Instances, "at"), (terms._Instances, "lazy"),
+    for cls, name in ((terms._Instances, "__call__"), (terms._Instances, "lazy"),
                       (terms.Branches, "branch")):
         build = getattr(cls, name)
         monkeypatch.setattr(cls, name, lambda self, p, name=name, build=build:
@@ -540,7 +540,7 @@ def test_symbols_of_different_roots_are_never_confused():
             inspect()
     # a symbol selects a branch of a node built from a binder body, only
     # through a continuation over an arity that holds all it stands for
-    node = Branches("get", (), lambda env: Leaf(env[1]), {0: ()}, 1)
+    node = Branches("get", (), lambda env: Leaf(env[1]), {0: ()}, 1, Fin(3).elements())
     assert node.branch(family[1]) == Leaf(family[1])
     assert KontValue(Fin(3), segment=()).index(family[1]) is None
     assert KontValue(Fin(4), segment=()).index(family[0]) is None

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -490,7 +492,7 @@ def test_a_parametric_family_matches_the_tree_walk(monkeypatch):
         FiniteModel(th, {"get": get_first, "put": lambda p, a: a[0]}, Fin(1)),
     ] + [FiniteModel(th, {"get": get_first, "put": lambda p, a, t=table: t[a[0]] if p else a[0]}, Fin(2))
          for table in ({0: 1, 1: 0}, {0: 0, 1: 0}, {0: 1, 1: 1})]
-    results = [assert_read_from_shapes(m, monkeypatch) for m in models]
+    results = [assert_built_once_per_parameter(m, monkeypatch) for m in models]
     assert results == [assert_parity(m) for m in models]
     assert results[0][1] == EquationViolation("put_get", 1, {0: 0, 1: 1, 2: 0}, 0, 1)
     assert results[1][1] is None
@@ -498,7 +500,7 @@ def test_a_parametric_family_matches_the_tree_walk(monkeypatch):
 
 def test_a_parametric_family_read_one_valuation_at_a_time_keeps_no_instance(monkeypatch):
     # put leaves the carrier at parameter 2 only: from there on, the sides
-    # are built to be read one valuation at a time, and dropped
+    # are read one valuation at a time, each built once, and dropped
     from algeff import terms
 
     th = single_state_theory(Fin(3))
@@ -508,7 +510,9 @@ def test_a_parametric_family_read_one_valuation_at_a_time_keeps_no_instance(monk
     with monkeypatch.context() as patch:
         patch.setattr(terms._Instances, "__call__", lambda self, p: asked.append(p) or call(self, p))
         result = outcome(validate_model, m)
-    assert asked == []
+    params = [p for e in th.eqs for p in e.param_universe.iter_elements()]
+    assert asked == [p for p in params[:params.index((2, 0)) + 1] for _side in "lr"]
+    assert not holds_a_tree(th)
     assert result == assert_parity(m, pointwise=True)
     assert result[1] == EquationViolation("put_put", (2, 0), {(): 0}, True, 0)
 
@@ -538,31 +542,75 @@ def test_a_defect_anywhere_in_a_check_of_many_blocks_matches_the_tree_walk(at):
     assert result[1] == EquationViolation("e", (), dict(zip("xyz", picks)), picks[0], (picks[0] + 1) % 16)
 
 
-def assert_read_from_shapes(m, monkeypatch):
-    """Validation of a model of a theory written in theory syntax asks for
-    no instance, and gives the result, with the calls in their order, of
-    the same laws as closures, whose trees are read."""
+def reaches(root, found) -> bool:
+    """Whether ``root`` holds an object for which ``found`` is true, through
+    fields, containers and closures, but not through a function's module
+    globals."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if found(obj):
+            return True
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return False
+
+
+def holds_a_tree(root) -> bool:
+    return reaches(root, lambda obj: type(obj) in (OpNode, Return))
+
+
+def assert_built_once_per_parameter(m, monkeypatch):
+    """Validation of a model of a theory written in theory syntax builds
+    each side once at each parameter it checks, and keeps none, and gives
+    the result, with the calls and builds in their order, of the same laws
+    as closures over those sides."""
     from algeff import terms
 
-    asked, logs = [], ([], [])
-    with monkeypatch.context() as patch:
-        for name in ("__call__", "at"):
-            build = getattr(terms._Instances, name)
-            patch.setattr(terms._Instances, name,
-                          lambda self, p, build=build: asked.append(p) or build(self, p))
-        result = outcome(validate_model, recording(m, logs[0]))
-    assert asked == []
-    trees = FiniteModel(closure_copy(m.theory), m.ops, m.carrier)
-    assert outcome(validate_model, recording(trees, logs[1])) == result
-    assert logs[0] == logs[1]
+    call = terms._Instances.__call__
+
+    def checked(theory):
+        built, log = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(terms._Instances, "__call__",
+                          lambda self, p: built.append((self, p)) or call(self, p))
+            result = outcome(validate_model, recording(FiniteModel(theory, m.ops, m.carrier), log))
+        return result, built, log
+
+    result, built, log = checked(m.theory)
+    assert checked(closure_copy(m.theory)) == (result, built, log)
+    sides = [(side, p) for e in m.theory.eqs for p in e.param_universe.iter_elements()
+             for side in (e.lhs, e.rhs)]
+    # each side once per parameter, in order, up to the witness's instance
+    assert built == sides[:len(built)] and (result[1] is not None or built == sides)
+    assert not holds_a_tree(m.theory)
     return result
 
 
 @pytest.mark.parametrize("sample", ["orlattice.mod", "badlattice.mod"])
-def test_a_parsed_theory_is_read_from_its_shapes_without_building_an_instance(sample, monkeypatch):
+def test_a_parsed_theory_is_read_from_sides_built_per_parameter(sample, monkeypatch):
     theory = parse_theory_file((SAMPLES / "semilattice.thy").read_text())
     m = parse_model_file((SAMPLES / sample).read_text(), theory)
-    assert assert_read_from_shapes(m, monkeypatch) == assert_parity(m)
+    assert assert_built_once_per_parameter(m, monkeypatch) == assert_parity(m)
+
+
+def test_binder_bodies_are_built_once_per_parameter_and_kept_nowhere(monkeypatch):
+    # over a parsed fin 3 cell theory: one lawful model, and one that
+    # breaks put_get, past the binder bodies of get_get and get_put
+    theory = parse_theory_file((SAMPLES / "state2.thy").read_text().replace("fin 2", "fin 3"))
+    get_first = lambda p, a: a[0]
+    models = [FiniteModel(theory, {"get": get_first, "put": lambda p, a: a[0]}, Fin(1)),
+              FiniteModel(theory, {"get": get_first, "put": lambda p, a: 0 if p == 2 else a[0]},
+                          Fin(2))]
+    results = [assert_built_once_per_parameter(m, monkeypatch) for m in models]
+    assert results == [assert_parity(m) for m in models]
+    assert results[0][1] is None
+    assert results[1][1] == EquationViolation("put_get", 1, {0: 0, 1: 1, 2: 0}, 0, 1)
 
 
 @pytest.mark.parametrize("violation, error", [(5, 9), (9, 5), (None, 40)])

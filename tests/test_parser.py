@@ -1,5 +1,4 @@
 import copy
-import gc
 import importlib
 import itertools
 import pickle
@@ -36,8 +35,16 @@ from algeff.parser import (
 )
 from algeff.printer import render_comp, render_elem, render_tree
 from algeff.terms import OpNode, Return, check_tree, tree_ops
-from algeff.theories import choice_theory, semilattice_theory, single_state_theory
+from algeff.theories import (
+    choice_theory,
+    group_theory,
+    semilattice_theory,
+    single_state_theory,
+    singleton_theory,
+)
 from algeff.universe import Enum, Fin, Product
+
+from tests.test_models import reaches
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -468,7 +475,7 @@ def test_the_fast_scan_reads_the_values_tokenize_reads():
         assert got == expected, text
 
 
-# -- equation instances, built on first use ----------------------------------
+# -- equation instances, built anew at each call -----------------------------
 
 
 def _refuse_to_build(*args):
@@ -482,15 +489,81 @@ def test_parsing_a_theory_builds_no_equation_tree(monkeypatch):
     assert [e.name for e in th.eqs] == ["get_get", "get_put", "put_get", "put_put"]
 
 
-def test_an_equation_instance_is_built_once_and_kept():
+def test_an_equation_instance_is_built_anew_at_each_call():
     th = parse_theory_file((SAMPLES / "state10.thy").read_text())
     put_put = th.eqs[3]
     first = put_put.lhs((3, 4))
-    assert put_put.lhs((3, 4)) is first
+    again = put_put.lhs((3, 4))
+    assert again == first and again is not first
     assert first == OpNode("put", 3, (OpNode("put", 4, (Return(()),)),))
-    assert put_put.rhs((3, 4)) is put_put.rhs((3, 4))
+    assert put_put.rhs((3, 4)) == put_put.rhs((3, 4))
     with pytest.raises(KeyError):
         put_put.lhs((3, 10))
+
+
+def eager_builder(shape, depth=0):
+    """A builder of whole instances that builds each binder body at every
+    element of its arity as it goes, sharing one environment: the
+    reference that a whole instance (``terms._Instances``) must match."""
+    tag = shape[0]
+    if tag in ("const", "param", "var", "pair", "fst", "snd"):
+        return terms._builder(shape)
+    if tag == "return":
+        leaf = terms._builder(shape[1])
+        return lambda env: Return(leaf(env))
+    name, param = shape[1], terms._builder(shape[2])
+    if tag == "op":
+        subtrees = [eager_builder(sub, depth) for sub in shape[3]]
+        return lambda env: OpNode(name, param(env), tuple([sub(env) for sub in subtrees]))
+    body, key, elements = eager_builder(shape[4], depth + 1), depth + 1, shape[3].elements()
+
+    def build(env):
+        at, subtrees = param(env), []
+        for a in elements:
+            env[key] = a
+            subtrees.append(body(env))
+        return OpNode(name, at, tuple(subtrees))
+
+    return build
+
+
+def assert_instances_match_the_eager_reference(theory):
+    """Each side's instance at each parameter, by repr, which tells leaves
+    such as 1 and True apart, as == does not inside pairs."""
+    sides = 0
+    for eq in theory.eqs:
+        for side in (eq.lhs, eq.rhs):
+            build = eager_builder(side.shape)
+            for p in eq.param_universe.iter_elements():
+                assert repr(side(p)) == repr(build({0: p})), (theory.name, eq.name, p)
+            sides += 1
+    return sides
+
+
+def test_whole_instances_match_the_eager_reference(monkeypatch):
+    texts = [path.read_text() for path in sorted(SAMPLES.glob("*.thy"))]
+    texts += _perfbench_state_theories(monkeypatch)
+    texts.append(_theory(  # binder bodies under an empty arity, one unread
+        "op abort : unit ~> empty;",
+        "op put : fin 2 ~> unit;",
+        "equation e forall p in fin 2 (unit) :"
+        " abort((); \\x. put(x; \\u. return u)) = put(p; \\u. abort((); \\y. return ()));",
+    ))
+    texts.append(_theory(  # binder bodies side by side, as positional subtrees
+        "op choose : unit ~> bool;",
+        "op get : unit ~> fin 2;",
+        "equation e forall p in fin 2 (fin 2) : choose((); get((); \\s. return s),"
+        " get((); \\t. choose((); return t, get((); \\s. return p)))) = return p;",
+    ))
+    theories = [parse_theory_file(text) for text in texts]
+    theories += [single_state_theory(s) for s in (Fin(1), Fin(3), Enum(("a", "b")),
+                                                  Product(Fin(2), Fin(2)))]
+    theories += [choice_theory(), semilattice_theory(), group_theory(), singleton_theory()]
+    sides = [assert_instances_match_the_eager_reference(theory) for theory in theories]
+    assert sum(sides) > 100
+    abort = theories[len(texts) - 2].eqs[0]
+    assert abort.lhs(0) == OpNode("abort", (), ())
+    assert abort.rhs(1) == OpNode("put", 1, (OpNode("abort", (), ()),))
 
 
 def _instances_of(eq):
@@ -511,21 +584,7 @@ def test_a_parsed_theory_copies_and_pickles_with_its_instances():
 
 
 def _reaches_a_parser(root) -> bool:
-    """Whether ``root`` holds a ``_Parser``, through fields, containers and
-    closures, but not through a function's module globals."""
-    seen, stack = set(), [root]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, _Parser):
-            return True
-        if isinstance(obj, types.FunctionType):
-            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
-        else:
-            stack.extend(gc.get_referents(obj))
-    return False
+    return reaches(root, lambda obj: isinstance(obj, _Parser))
 
 
 def test_a_parsed_theory_keeps_no_parser():

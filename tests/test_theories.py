@@ -7,9 +7,11 @@ from algeff.theories import (
     choice_theory,
     combine,
     empty_theory,
+    group_theory,
     io_theory,
     semilattice_theory,
     single_state_theory,
+    singleton_theory,
     state_theory,
 )
 from algeff.universe import BOOL, EMPTY, UNIT, Enum, Fin, Product
@@ -251,9 +253,9 @@ def test_distribution_laws_match_their_reference(t1, t2, names):
     assert_same_laws(th.eqs, [*th.eqs[: len(names)], *reference])
 
 
-# The three built-ins that lend their normalizers, as they were written
-# before they were read from theory syntax, kept as the reference that the
-# parsed built-ins must match exactly.
+# The built-ins written in theory syntax, as they were written before they
+# were read from it, kept as the reference that the parsed built-ins must
+# match exactly.
 
 
 def _const(tree):
@@ -301,6 +303,26 @@ def reference_semilattice():
     ))
 
 
+def reference_singleton():
+    return Theory("singleton", (OpDecl("star", UNIT, EMPTY),), (
+        Equation("collapse", UNIT, _XY, _const(Return("x")), _const(Return("y"))),
+    ))
+
+
+def reference_group():
+    m = lambda a, b: OpNode("m", (), (a, b))
+    inv = lambda a: OpNode("i", (), (a,))
+    u = OpNode("u", (), ())
+    x, y, z = Return("x"), Return("y"), Return("z")
+    return Theory("group", (OpDecl("u", UNIT, EMPTY), OpDecl("m", UNIT, BOOL), OpDecl("i", UNIT, UNIT)), (
+        Equation("assoc", UNIT, _XYZ, _const(m(m(x, y), z)), _const(m(x, m(y, z)))),
+        Equation("unit_left", UNIT, _X, _const(m(u, x)), _const(x)),
+        Equation("unit_right", UNIT, _X, _const(m(x, u)), _const(x)),
+        Equation("inv_right", UNIT, _X, _const(m(x, inv(x))), _const(u)),
+        Equation("inv_left", UNIT, _X, _const(m(inv(x), x)), _const(u)),
+    ))
+
+
 def assert_same_theory(actual, expected):
     assert (actual.name, actual.ops, actual.renames) == (expected.name, expected.ops, expected.renames)
     assert_same_laws(actual.eqs, expected.eqs)
@@ -321,6 +343,14 @@ def test_choice_and_semilattice_laws_match_their_reference():
     assert semilattice_theory() is semilattice_theory()
     with pytest.raises(EmptyStateUniverse):
         single_state_theory(EMPTY)
+
+
+def test_group_and_singleton_laws_match_their_reference():
+    assert_same_theory(group_theory(), reference_group())
+    assert_same_theory(singleton_theory(), reference_singleton())
+    assert group_theory() is group_theory() and singleton_theory() is singleton_theory()
+    for theory in (group_theory(), singleton_theory()):
+        assert all(e.lhs.shape and e.rhs.shape for e in theory.eqs)
 
 
 def test_the_universe_names_of_a_builtin_text_are_not_read_in_a_user_file():
