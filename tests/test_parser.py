@@ -543,7 +543,7 @@ def assert_instances_match_the_eager_reference(theory):
 def test_whole_instances_match_the_eager_reference(monkeypatch):
     texts = [path.read_text() for path in sorted(SAMPLES.glob("*.thy"))]
     texts += _perfbench_state_theories(monkeypatch)
-    texts.append(_theory(  # binder bodies under an empty arity, one unread
+    texts.append(_theory(  # binder bodies under an empty arity, never built
         "op abort : unit ~> empty;",
         "op put : fin 2 ~> unit;",
         "equation e forall p in fin 2 (unit) :"
