@@ -164,7 +164,8 @@ def _run(theory, program, comodel, world_text: str) -> int:
 
 
 def _normalize(theory, program) -> int:
-    print(render_tree(normalize(theory, run_program(program, theory).tree)))
+    # the normalizer resumes only the branches its free model's value reads
+    print(render_tree(normalize(theory, evaluate(program, base_env(), theory))))
     return OK
 
 

@@ -5,17 +5,21 @@ are represented by trees over X, understood up to the congruence the
 equations generate.  This module provides the monad structure (eta, lift,
 sequencing, generic operations) and decides tree equality from the free
 model where it is known: a theory whose laws are exactly a built-in's gets
-that built-in's normal form (the single-state get/put form, or the sorted
-leaf set that choice and the semilattice share).  Laws are compared as
-schemes: two theories whose equation families have the same parameter
-universes and side shapes (``terms._Instances.shape``) have the same
-instances, so no instance is built.  Only a theory whose sides have no
-shape, or whose shapes differ from the built-in's, has its instances
-built and compared with the built-in's.  Any other theory is
-searched, by a budgeted congruence search, after its own 2-element models
-have had the chance to refute equality.  The search works out each
-rewrite candidate's hash from its parts, and builds the candidate only to
-expand it or to compare it with a tree of the same hash.  Trees of any
+that built-in's normalizer (``_Normalizer``), which evaluates a tree, or a
+head-normal computation (``interp.evaluate``), into its value in the free
+model: for single state, its run from every state; for choice and the
+semilattice, its sorted set of distinct leaves.  Two trees are equal when
+their values are, and ``normalize`` builds the normal-form tree of a value
+(the get/put form, or the chain of leaves), and no other tree.  Laws are
+compared as schemes: two theories whose equation families have the same
+parameter universes and side shapes (``terms._Instances.shape``) have the
+same instances, so no instance is built.  Only a theory whose sides have
+no shape, or whose shapes differ from the built-in's, has its instances
+built and compared with the built-in's.  Any other theory is searched,
+by a budgeted congruence search, after its own 2-element models have had
+the chance to refute equality.  The search works out each rewrite
+candidate's hash from its parts, and builds the candidate only to expand
+it or to compare it with a tree of the same hash.  Trees of any
 depth are folded or walked on explicit stacks; only the search's rewrite
 rules recurse (``_compile``, which gives each rule's builder and hash
 function, and ``_match``), as deep as an equation side.
@@ -29,10 +33,11 @@ import os
 import weakref
 from collections import deque
 from enum import Enum as PyEnum
+from functools import partial
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
-from .models import _Reader, table_model, validate_model
+from .models import FiniteModel, _Reader
 from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
 from .terms import fold_tree, node_hash, sort_key, subtrees, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
@@ -108,7 +113,36 @@ def sequence(t: FreeElement, h) -> FreeElement:
 
 
 # ---------------------------------------------------------------------------
-# State normal form
+# Normal forms by evaluation
+
+
+_END = object()
+
+
+def materialize(head) -> Tree:
+    """The whole effect tree of a tree or a head-normal computation (the
+    ``Return`` or ``interp.Suspended`` that ``interp.evaluate`` gives),
+    built by resuming every branch in arity order; a tree is itself.
+    Iterative, so deep trees need no recursion."""
+    open_nodes = []  # (suspended operation, arity elements left, subtrees so far)
+    while True:
+        if type(head) is Return or type(head) is OpNode:
+            tree = head
+        else:
+            open_nodes.append((head, iter(head.arity.iter_elements()), []))
+            tree = None
+        while open_nodes:
+            node, elements, subtrees = open_nodes[-1]
+            if tree is not None:
+                subtrees.append(tree)
+            a = next(elements, _END)
+            if a is not _END:
+                head = node.resume(a)
+                break
+            open_nodes.pop()
+            tree = OpNode(node.op, node.param, tuple(subtrees))
+        else:
+            return tree
 
 
 class StateNormalForm(_Node):
@@ -130,51 +164,63 @@ def _single_state_universe(theory: Theory):
     return s
 
 
-def run_single_state(theory: Theory, t: Tree, s) -> tuple:
-    """Execute a get/put tree from state s, yielding (final state, value)."""
-    s_univ = _single_state_universe(theory)
-    while isinstance(t, OpNode):
+def _run_from(states, t, s) -> tuple:
+    """(final state, leaf value) of t, a tree or a head-normal computation,
+    run from state s: a get selects the branch at the state, and a put sets
+    the state.  A computation is resumed along that one branch only."""
+    while type(t) is not Return:
         if t.op == "get":
-            t = t.kont[s_univ.index_of(s)]
+            t = t.kont[states.index_of(s)] if type(t) is OpNode else t.resume(s)
         elif t.op == "put":
             s = t.param
-            t = t.kont[0]
+            t = t.kont[0] if type(t) is OpNode else t.resume(())
         else:
             raise UnknownOperation(f"not a single-state operation: {t.op!r}")
     return s, t.value
 
 
-def state_normal_form(theory: Theory, t: Tree) -> StateNormalForm:
+def run_single_state(theory: Theory, t, s) -> tuple:
+    """Execute a get/put tree, or a head-normal computation, from state s,
+    yielding (final state, value)."""
+    return _run_from(_single_state_universe(theory), t, s)
+
+
+def _runs(theory: Theory, t) -> tuple:
+    """t's value in the free model of single state: its run from each
+    state, in state order, as (final state, leaf value) pairs."""
+    states = _single_state_universe(theory)
+    return tuple([_run_from(states, t, s) for s in states.iter_elements()])
+
+
+def _runs_tree(theory: Theory, runs: tuple) -> Tree:
+    """The normal-form tree of runs from every state: get the state, put
+    the final state, return the leaf."""
+    return OpNode("get", (), tuple([OpNode("put", s, (Return(v),)) for s, v in runs]))
+
+
+def state_normal_form(theory: Theory, t) -> StateNormalForm:
     """The unique (f, g) with t congruent to get((); s. put(f(s); _. return g(s))),
     computed denotationally: (f(s), g(s)) is the run of t from s."""
-    s_univ = _single_state_universe(theory)
+    states = _single_state_universe(theory).iter_elements()
+    runs = _runs(theory, t)
     f, g = {}, {}
-    for s in s_univ.iter_elements():
-        f[s], g[s] = run_single_state(theory, t, s)
+    for s, (final, value) in zip(states, runs):
+        f[s], g[s] = final, value
     return StateNormalForm(f, g)
 
 
 def state_normal_form_tree(theory: Theory, nf: StateNormalForm) -> Tree:
-    s_univ = _single_state_universe(theory)
-    return OpNode(
-        "get",
-        (),
-        tuple(
-            OpNode("put", nf.f[s], (Return(nf.g[s]),))
-            for s in s_univ.iter_elements()
-        ),
-    )
-
-
-def _normalize_single_state(theory: Theory, t: Tree) -> Tree:
-    return state_normal_form_tree(theory, state_normal_form(theory, t))
+    states = _single_state_universe(theory).iter_elements()
+    return _runs_tree(theory, tuple((nf.f[s], nf.g[s]) for s in states))
 
 
 def _distinct_leaves(values: Iterator) -> list:
     """The values in sort_key order, each once.  Duplicates are found with
     same_value among values of equal key, never by hashing, so 1 and True
-    stay apart and closures with environments need no hash."""
-    decorated = sorted(((sort_key(v), v) for v in values), key=operator.itemgetter(0))
+    stay apart and closures with environments need no hash; only a value
+    met again as the same object is dropped before it is sorted."""
+    unique = {id(v): v for v in values}.values()
+    decorated = sorted(zip(map(sort_key, unique), unique), key=operator.itemgetter(0))
     out: list = []
     run_key, run = None, []
     for key, v in decorated:
@@ -186,18 +232,36 @@ def _distinct_leaves(values: Iterator) -> list:
     return out
 
 
-def _normalize_leaf_set(theory: Theory, t: Tree) -> Tree:
-    # the free model of an associative, commutative, idempotent operation
-    # is the finite non-empty subsets of the generators, and with a unit all
-    # finite subsets: a tree's class is its set of leaves, rebuilt as a
-    # right-nested chain of the binary operation, or the unit when empty
+def _leaf_set(theory: Theory, t) -> tuple:
+    """t's value in the free model of an associative, commutative,
+    idempotent operation (with or without a unit): its distinct leaves, in
+    sort_key order.  A computation's branches are resumed one after another,
+    in materialize's order, and no node is built."""
+    leaves, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Return:
+            leaves.append(t.value)
+        elif type(t) is OpNode:
+            stack += reversed(t.kont)
+        elif type(t) is map:  # a computation's branches still to be resumed
+            branch = next(t, _END)
+            if branch is not _END:
+                stack += (t, branch)
+        else:
+            stack.append(map(t.resume, t.arity.iter_elements()))
+    return tuple(_distinct_leaves(leaves))
+
+
+def _leaf_set_tree(theory: Theory, leaves: tuple) -> Tree:
+    """The normal-form tree of a leaf set: a right-nested chain of the
+    binary operation, or the unit when there is no leaf."""
     join = bot = None
     for o in theory.ops:
         if o.arity.size() == 2:
             join = o.name
         else:
             bot = o.name
-    leaves = _distinct_leaves(tree_leaves(t))
     if not leaves:
         return OpNode(bot, (), ())
     out = Return(leaves[-1])
@@ -206,17 +270,35 @@ def _normalize_leaf_set(theory: Theory, t: Tree) -> Tree:
     return out
 
 
+class _Normalizer(_Node):
+    """A normal form read off the free model: ``value(theory, t)``
+    evaluates a tree or a head-normal computation into the free model's
+    values, which are tuples that compare by ``same_value``, and
+    ``tree(theory, value)`` is the normal-form tree of a value."""
+
+    __slots__ = ("value", "tree")
+    value: Callable[[Theory, object], tuple]
+    tree: Callable[[Theory, tuple], Tree]
+
+    def __init__(self, value, tree):
+        self._fill(value, tree)
+
+
+_RUNS = _Normalizer(_runs, _runs_tree)
+_LEAF_SETS = _Normalizer(_leaf_set, _leaf_set_tree)
+
+
 class _Strategy:
-    """The proof strategies of one theory: a normalizer, which it earns by
-    having exactly a built-in's laws, or else the 2-element models of its
-    laws, which refute equality soundly (``refuters``, found the first time
-    the theory is searched).  ``rules`` holds the congruence search's
+    """The proof strategies of one theory: a normalizer (``_Normalizer``),
+    which it earns by having exactly a built-in's laws, or else the
+    2-element models of its laws, which refute equality soundly
+    (``refuters``, found the first time the theory is searched).  ``rules`` holds the congruence search's
     rewrite rules, compiled the first time the theory is searched.  A
     built-in's record also keeps its equation families and, once a theory
     whose shapes differ is compared with it, its equation instances."""
 
     __slots__ = ("normalize", "refuters", "rules", "families", "instances")
-    normalize: Callable[[Theory, Tree], Tree] | None
+    normalize: _Normalizer | None
     refuters: tuple | None
     rules: tuple | None
     families: frozenset | None
@@ -239,9 +321,9 @@ def _single_state_twin(theory: Theory) -> Theory | None:
 # one over the theory's own get arity), so a match depends on the laws
 # alone, never on what the theory is called.
 _BUILTIN_STRATEGIES = (
-    (_single_state_twin, _normalize_single_state),
-    (lambda theory: semilattice_theory(), _normalize_leaf_set),
-    (lambda theory: choice_theory(), _normalize_leaf_set),
+    (_single_state_twin, _RUNS),
+    (lambda theory: semilattice_theory(), _LEAF_SETS),
+    (lambda theory: choice_theory(), _LEAF_SETS),
 )
 
 
@@ -333,7 +415,10 @@ def _few_tables(theory: Theory) -> bool:
 
 def _two_element_models(theory: Theory) -> tuple:
     """Every model of the theory on BOOL, by trying each tuple of operation
-    tables, in the style of McCune's Mace4; none past the cap."""
+    tables, in the style of McCune's Mace4; none past the cap.  Each side
+    of each equation instance is built once, and every candidate reads
+    those trees in ``validate_model``'s order (``_Reader``); a candidate's
+    tables are total by construction, so their domains are not walked."""
     if not _few_tables(theory):
         return ()
     keys = [
@@ -342,12 +427,24 @@ def _two_element_models(theory: Theory) -> tuple:
         for p in o.param.iter_elements()
         for args in itertools.product(BOOL.elements(), repeat=o.arity.size())
     ]
+    instances = [
+        (eq.lhs(p), eq.rhs(p), eq.context.elements())
+        for eq in theory.eqs
+        for p in eq.param_universe.iter_elements()
+    ]
     found = []
     for values in itertools.product(BOOL.elements(), repeat=len(keys)):
-        model = table_model(theory, BOOL, dict(zip(keys, values)))
-        if validate_model(model) is None:
+        table = dict(zip(keys, values))
+        ops = {o.name: partial(_entry, table, o.name) for o in theory.ops}
+        model = FiniteModel(theory, ops, BOOL)
+        reader = _Reader(model)
+        if all(reader.first_difference(lhs, rhs, gens) is None for lhs, rhs, gens in instances):
             found.append(model)
     return tuple(found)
+
+
+def _entry(table: dict, name: str, p, args: tuple):
+    return table[(name, p, args)]
 
 
 def _refuters(theory: Theory) -> tuple:
@@ -363,26 +460,33 @@ def has_normalizer(theory: Theory) -> bool:
 
 def normalizes_to_leaf_sets(theory: Theory) -> bool:
     """Whether the theory's normal form is the set of a tree's leaves."""
-    return _strategy(theory).normalize is _normalize_leaf_set
+    return _strategy(theory).normalize is _LEAF_SETS
 
 
-def normalize(theory: Theory, t: Tree) -> Tree:
-    """A canonical representative of t's congruence class.
+def normalize(theory: Theory, t) -> Tree:
+    """A canonical representative of the congruence class of t, a tree or a
+    head-normal computation (``interp.evaluate``): the normal-form tree of
+    its value in the free model.
 
-    Equation-free theories normalize to the tree itself (the congruence is
-    equality there).  A theory whose operations and equation instances are
-    exactly those of the built-in single-state theory over its own ``get``
-    arity, of the built-in semilattice, or of the built-in choice theory,
-    has that built-in's normalizer, whatever the theory is called; its
-    instances are compared by their families' shapes where it has them.
-    Raises NoNormalizer for anything else.
+    Equation-free theories normalize to the whole tree (the congruence is
+    equality there), built by ``materialize``.  A theory whose operations
+    and equation instances are exactly those of the built-in single-state
+    theory over its own ``get`` arity, of the built-in semilattice, or of
+    the built-in choice theory, has that built-in's normalizer, whatever
+    the theory is called; its instances are compared by their families'
+    shapes where it has them.  Single state reads t's run from every state,
+    so a computation is resumed only along the branches some run takes;
+    the leaf set resumes every branch.  Neither builds a tree but the one
+    returned.  Raises NoNormalizer for anything else, once every branch of
+    a computation has been evaluated, so a runtime error comes first.
     """
     if not theory.eqs:
-        return t
-    strategy = _strategy(theory).normalize
-    if strategy is None:
+        return materialize(t)
+    normalizer = _strategy(theory).normalize
+    if normalizer is None:
+        materialize(t)
         raise NoNormalizer(f"no normalization strategy for theory {theory.name!r}")
-    return strategy(theory, t)
+    return normalizer.tree(theory, normalizer.value(theory, t))
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +695,16 @@ def _tree(entry) -> Tree:
 def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = None) -> TreeEq:
     """Decide t1 ~ t2 modulo the theory's equations.
 
-    With a normalizer (see ``normalize``) the answer is exact.  Otherwise
-    equality is searched for by applying equation instances breadth-first
-    from both trees until the frontiers meet or the budget runs out; the
-    budget counts the trees taken off the two frontiers and expanded
-    (``ALGEFF_BUDGET`` sets the default, see ``default_budget``).  Each
-    rewrite candidate is hashed from its parts (the rule's target from its
+    An equation-free theory compares the trees.  With a normalizer (see
+    ``normalize``) the answer is exact, and read from the two trees'
+    values in the free model (runs from every state, or leaf sets), both
+    worked out in full and compared by ``same_value``; no normal-form tree
+    is built.  Otherwise equality is searched for by applying equation
+    instances breadth-first from both trees until the frontiers meet or
+    the budget runs out; the budget counts the trees taken off the two
+    frontiers and expanded (``ALGEFF_BUDGET`` sets the default, see
+    ``default_budget``, read only when the search starts).  Each rewrite
+    candidate is hashed from its parts (the rule's target from its
     generators' hashes, each ancestor from its other subtrees' cached
     hashes) and built only when that hash is already on one side, where
     ``==`` decides, so ``Return(1)`` and ``Return(True)`` stay apart, or
@@ -612,10 +720,15 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
     all tuples of operation tables over ``BOOL``, unless there are more
     than 4096 tuples, as for ``state(fin 2, fin 2)``.
     """
+    if not theory.eqs:
+        return TreeEq.EQUAL if t1 == t2 else TreeEq.DISTINCT
+    normalizer = _strategy(theory).normalize
+    if normalizer is not None:
+        # both values in full, so a defect in either tree is raised
+        v1, v2 = normalizer.value(theory, t1), normalizer.value(theory, t2)
+        return TreeEq.EQUAL if same_value(v1, v2) else TreeEq.DISTINCT
     if budget is None:
         budget = default_budget()
-    if has_normalizer(theory):
-        return TreeEq.EQUAL if normalize(theory, t1) == normalize(theory, t2) else TreeEq.DISTINCT
     if t1 == t2:
         return TreeEq.EQUAL
     if _refutes(theory, t1, t2):

@@ -4,9 +4,11 @@ A computation evaluates to head-normal form: a ``Return`` leaf, or a
 ``Suspended`` operation (op, param, arity) whose ``resume(a)`` runs the
 machine on from the operation's result ``a``.  Consumers pull only what
 they need: ``comodels.cointerpret_tree`` resumes the one branch each
-cooperation picks, while ``materialize`` resumes every branch to build the
-whole effect tree (``eval_pure``/``run_program``, ``handle``,
-normalization, the handler check and printing).
+cooperation picks, ``free.normalize`` the branches its free model's value
+reads (one per start state for single state, every branch for a leaf set),
+while ``free.materialize`` resumes every branch to build the whole effect
+tree (``eval_pure``/``run_program``, ``handle``, the handler check and
+printing).
 
 The machine keeps its continuation on a linked stack of frames rather than
 on Python frames, so the depth of a computation costs memory, not
@@ -53,6 +55,7 @@ from .free import (
     FreeElement,
     default_budget,
     has_normalizer,
+    materialize,
     normalize,
     normalizes_to_leaf_sets,
 )
@@ -217,8 +220,9 @@ def _adapt(value, u: FiniteUniverse):
     """Fit an integer-valued parameter into its Fin range by wrapping.
 
     Range integers are modular, so put!(x+1) stays total on the last state
-    too: ``normalize`` and the handler check still build every branch, and
-    a program's meaning must not depend on which branches a consumer pulls.
+    too: the handler check, and ``normalize`` over a leaf set or an
+    equation-free theory, still evaluate every branch, and a program's
+    meaning must not depend on which branches a consumer pulls.
     """
     if isinstance(u, Fin) and type(value) is int:
         return value % u.n
@@ -363,34 +367,6 @@ def _run(theory: Theory, mode: int, x, env, stack) -> Leaf | Suspended:
                     break
         else:
             return Suspended(op, param, decl.arity, stack, theory)
-
-
-_END = object()
-
-
-def materialize(head: Leaf | Suspended) -> Tree:
-    """The whole effect tree of a head-normal computation, built by resuming
-    every branch in arity order; iterative, so deep trees need no
-    recursion."""
-    open_nodes = []  # (suspended operation, arity elements left, subtrees so far)
-    while True:
-        if isinstance(head, Suspended):
-            open_nodes.append((head, iter(head.arity.iter_elements()), []))
-            tree = None
-        else:
-            tree = head
-        while open_nodes:
-            node, elements, subtrees = open_nodes[-1]
-            if tree is not None:
-                subtrees.append(tree)
-            a = next(elements, _END)
-            if a is not _END:
-                head = node.resume(a)
-                break
-            open_nodes.pop()
-            tree = OpNode(node.op, node.param, tuple(subtrees))
-        else:
-            return tree
 
 
 def evaluate(c, env: Mapping, theory: Theory) -> Leaf | Suspended:

@@ -635,8 +635,8 @@ class _Parser:
         self.eat_word("theory")
         name = self.eat_ident("a theory name")
         self.eat_punct("{")
-        ops = []
-        partial = Theory(name, ())
+        ops = {}
+        partial = None  # the operations so far, as a theory, once an equation needs them
         equations = []
         defects = []
         while not self.at("}"):
@@ -644,17 +644,19 @@ class _Parser:
                 self.i += 1
                 at = self.i
                 op_name = self.eat_ident("an operation name")
-                if partial.has_op(op_name):
+                if op_name in ops:
                     self.error(at, f"duplicate operation {op_name!r}")
                 self.eat_punct(":")
                 param = self.universe()
                 self.eat_punct("~>")
                 arity = self.universe()
                 self.eat_punct(";")
-                ops.append(OpDecl(op_name, param, arity))
-                partial = Theory(name, tuple(ops))
+                ops[op_name] = OpDecl(op_name, param, arity)
+                partial = None
             elif self.at("equation"):
                 self.i += 1
+                if partial is None:
+                    partial = Theory(name, tuple(ops.values()))
                 equation, defect = self.equation_decl(partial, {eq.name for eq in equations})
                 equations.append(equation)
                 if defect is not None:
@@ -664,7 +666,7 @@ class _Parser:
         self.eat_punct("}")
         if defects:
             raise defects[0]
-        return Theory(name, tuple(ops), tuple(equations))
+        return Theory(name, tuple(ops.values()), tuple(equations))
 
     def equation_decl(self, theory: Theory, taken) -> tuple:
         """The equation read here, and the first defect of its instances, in

@@ -405,6 +405,20 @@ def test_run_reports_no_error_from_a_branch_it_never_takes(capsys, tmp_path):
     assert "'zzz' is not a parameter of 'print'" in err
 
 
+def test_normalize_over_single_state_follows_the_runs_from_every_state(capsys):
+    # k is applied outside its arity only where the get reads 1, and after
+    # put 0 no run from any state reaches that branch; an equation-free
+    # theory, as in the test above, and a leaf set still evaluate every
+    # branch
+    program = ("do u <- put!(0) in do x <- get!() in with handler "
+               "{ return r -> return r | get(v; k) -> k (x + 1) } handle get!()")
+    code, out, err = invoke(capsys, "normalize", program, "--theory", SAMPLES / "state2.thy")
+    assert (code, out, err) == (0, "get((); put(0; return 1), put(0; return 1))\n", "")
+    # a branch that some run reaches still reports its error
+    code, _, err = invoke(capsys, "normalize", program.replace("put!(0)", "put!(1)"),
+                          "--theory", SAMPLES / "state2.thy")
+    assert (code, err) == (1, "error: continuation applied outside its arity: 2\n")
+
 def test_fst_of_a_non_pair_in_a_theory_file_exits_3(capsys, tmp_path):
     theory = tmp_path / "bad.thy"
     theory.write_text(

@@ -24,7 +24,7 @@ from algeff.free import (
     tree_equal_modulo,
 )
 from algeff.parser import parse_theory_file
-from algeff.terms import OpNode, Return, tree_leaves, tree_ops
+from algeff.terms import OpNode, Return, fold_tree, tree_leaves, tree_ops
 from algeff.theories import (
     choice_theory,
     combine,
@@ -842,7 +842,7 @@ def assert_resolves_as_the_reference(theory):
     expected = reference_normalizer(theory)
     assert free._strategy(theory).normalize is expected, theory
     assert has_normalizer(theory) is (not theory.eqs or expected is not None)
-    assert normalizes_to_leaf_sets(theory) is (expected is free._normalize_leaf_set)
+    assert normalizes_to_leaf_sets(theory) is (expected is free._LEAF_SETS)
     return expected
 
 
@@ -1139,3 +1139,173 @@ def test_searching_does_not_keep_theories_alive():
     del th
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# Normal forms by evaluation: equality reads free-model values
+
+
+def parity_theories():
+    """The theories with a normalizer, built-in and parsed under another
+    name."""
+    return [STATE2, STATE3, parsed_sample("state2.thy", rename="cell"),
+            choice_theory(), semilattice_theory()]
+
+
+MIXED_LEAVES = [1, True, (0, True)]
+
+
+def test_equality_by_free_model_values_agrees_with_normal_form_trees():
+    for theory in parity_theories():
+        corpus = tree_corpus(theory, MIXED_LEAVES, 30, 4, seed=41)
+        # each tree also against its normal form, and with 1 read as True
+        swapped = [fold_tree(t, lambda v: Return(True if v == 1 else v), OpNode) for t in corpus]
+        pairs = itertools.chain(
+            itertools.combinations(corpus, 2),
+            ((t, normalize(theory, t)) for t in corpus),
+            zip(corpus, swapped),
+        )
+        verdicts = set()
+        for t1, t2 in pairs:
+            same = normalize(theory, t1) == normalize(theory, t2)
+            verdict = tree_equal_modulo(theory, t1, t2)
+            assert verdict is (TreeEq.EQUAL if same else TreeEq.DISTINCT), (theory.name, t1, t2)
+            verdicts.add(verdict)
+        assert verdicts == {TreeEq.EQUAL, TreeEq.DISTINCT}, theory.name
+
+
+def test_a_foreign_operation_raises_though_an_earlier_state_already_differs():
+    flip = OpNode("flip", (), (Return(1), Return(True)))
+    for theory in parity_theories()[:3]:
+        # from state 0 the runs differ, 1 against True; from state 1 the
+        # first tree performs flip
+        t1 = get(theory, lambda s: Return(1) if s == 0 else flip)
+        t2 = Return(True)
+        with pytest.raises(UnknownOperation) as want:
+            normalize(theory, t1)
+        for pair in ((t1, t2), (t2, t1)):
+            with pytest.raises(UnknownOperation) as got:
+                tree_equal_modulo(theory, *pair)
+            assert str(got.value) == str(want.value) == "not a single-state operation: 'flip'"
+
+
+def random_program(rng, theory, depth):
+    """A well-typed program over a theory with a normalizer, whose leaves
+    are all of one type: integers, booleans or (integer, boolean) pairs.
+    Some of it runs under a handler that answers the theory's first
+    operation with a fixed element of its arity."""
+    state = theory.has_op("get")
+    n = theory.op("get").arity.size() if state else 2
+    kind = rng.choice(["int", "bool", "pair"])
+    names = []
+
+    def leaf():
+        x = rng.choice(names) if names and state and rng.random() < 0.5 else str(rng.randrange(n))
+        b = rng.choice(["true", "false"])
+        return {"int": x, "bool": b, "pair": f"({x}, {b})"}[kind]
+
+    def comp(d):
+        pick = rng.random()
+        if d == 0 or pick < 0.15:
+            return f"return {leaf()}"
+        name = f"x{len(names)}"
+        if state:
+            if pick < 0.6:
+                names.append(name)
+                return f"do {name} <- get!() in {comp(d - 1)}"
+            if pick < 0.85:
+                value = rng.choice(names) if names and rng.random() < 0.5 else rng.randrange(n)
+                return f"do u <- put!({value}) in {comp(d - 1)}"
+            clause = f"get(v; k) -> k {rng.randrange(n)}"
+        else:
+            op = theory.ops[-1].name  # choose, or join
+            if pick < 0.75:
+                return f"do {name} <- {op}!() in if {name} then {comp(d - 1)} else {comp(d - 1)}"
+            if pick < 0.8 and theory.has_op("bot"):
+                return f"do {name} <- bot!() in {comp(d - 1)}"
+            clause = f"{op}(v; k) -> k {rng.choice(['true', 'false'])}"
+        return f"with handler {{ return r -> return r | {clause} }} handle {comp(d - 1)}"
+
+    return comp(depth)
+
+
+def test_normalizing_a_computation_reads_as_normalizing_its_whole_tree():
+    import random
+
+    from algeff.interp import base_env, evaluate, run_program
+    from algeff.lang import typecheck_comp
+    from algeff.parser import parse_program
+
+    rng = random.Random(43)
+    for theory in parity_theories():
+        for _ in range(40):
+            program = parse_program(random_program(rng, theory, 6))
+            typecheck_comp(theory, program)
+            expected = normalize(theory, run_program(program, theory).tree)
+            assert normalize(theory, evaluate(program, base_env(), theory)) == expected, program
+
+
+def test_without_a_strategy_a_runtime_error_comes_before_the_missing_normalizer():
+    from algeff.errors import EvalError
+    from algeff.interp import base_env, evaluate
+    from algeff.parser import parse_program
+
+    theory = parsed_sample("state10.thy")
+    # only the branch where the cell holds 9 applies k outside its arity
+    program = ("do x <- get!() in with handler "
+               "{ return r -> return r | get(v; k) -> k (x + 1) } handle get!()")
+    with pytest.raises(EvalError, match="continuation applied outside its arity: 10"):
+        normalize(theory, evaluate(parse_program(program), base_env(), theory))
+    with pytest.raises(NoNormalizer):
+        normalize(theory, evaluate(parse_program("do x <- get!() in return x"), base_env(), theory))
+
+
+# ---------------------------------------------------------------------------
+# The 2-element models: each side built once
+
+
+def two_element_models_by_brute_force(theory):
+    """The tables over BOOL that ``validate_model`` accepts, tried one
+    after another; the reference for ``free._two_element_models``."""
+    from algeff.models import table_model, validate_model
+    from algeff.universe import BOOL
+
+    keys = [
+        (o.name, p, args)
+        for o in theory.ops
+        for p in o.param.iter_elements()
+        for args in itertools.product(BOOL.elements(), repeat=o.arity.size())
+    ]
+    found = []
+    for values in itertools.product(BOOL.elements(), repeat=len(keys)):
+        table = dict(zip(keys, values))
+        if validate_model(table_model(theory, BOOL, table)) is None:
+            found.append(table)
+    return found
+
+
+def test_the_2_element_models_build_each_side_once_and_are_the_brute_force_ones():
+    from algeff.terms import Equation, Theory
+    from algeff.theories import group_theory
+
+    found = 0
+    for theory in (group_theory(), CHOICE_EXC, STATE2, semilattice_theory()):
+        builds = []
+
+        def counted(name, side):
+            return lambda p: builds.append((name, p)) or side(p)
+
+        eqs = tuple(
+            Equation(e.name, e.param_universe, e.context,
+                     counted((e.name, 0), e.lhs), counted((e.name, 1), e.rhs))
+            for e in theory.eqs
+        )
+        models = free._two_element_models(Theory(theory.name, theory.ops, eqs))
+        # one build per side and parameter, however many tables are tried
+        assert len(builds) == len(set(builds)) == 2 * sum(e.param_universe.size() for e in theory.eqs)
+        tables = two_element_models_by_brute_force(theory)
+        assert [{key: m.ops[key[0]](*key[1:]) for key in table} for m, table in zip(models, tables)] \
+            == tables, theory.name
+        assert len(models) == len(tables), theory.name
+        found += len(models)
+    assert found == 2 + 4 + 0 + 2  # xor/xnor, or/and with abort false/true, none, or/and

@@ -1381,3 +1381,35 @@ def test_a_type_error_is_reported_at_any_depth_the_type_checker_reaches():
             lang.typecheck_comp(theory, parse_program(nested(low, tail)))
         assert type(err.value) is kind
         assert str(err.value) == message.format(col)
+
+
+def test_a_theory_file_builds_its_partial_theory_once_per_run_of_operations(monkeypatch):
+    built = []
+    monkeypatch.setattr(parser, "Theory", lambda *args: built.append(args) or terms.Theory(*args))
+
+    def constructions(text):
+        built.clear()
+        theory = parse_theory_file(text)
+        assert type(theory) is terms.Theory
+        return len(built)
+
+    # state10.thy's three operations are read before its first equation:
+    # one partial theory for its equations, and the theory itself
+    assert constructions((SAMPLES / "state10.thy").read_text()) == 2
+    assert constructions("theory t { op a : unit ~> bool; op b : unit ~> bool; }") == 1
+    interleaved = (
+        "theory t {\n"
+        "  op a : unit ~> bool;\n"
+        "  equation e (enum {x}) : a((); return x, return x) = return x;\n"
+        "  equation f (enum {x}) : return x = return x;\n"
+        "  op b : unit ~> bool;\n"
+        "  equation g (enum {x}) : b((); return x, return x) = a((); return x, return x);\n"
+        "}\n"
+    )
+    assert constructions(interleaved) == 3
+    # an equation sees only the operations declared above it
+    early = interleaved.replace("equation f (enum {x}) : return x = return x;",
+                                "equation f (enum {x}) : b((); return x, return x) = return x;")
+    with pytest.raises(ParseError, match="unknown operation"):
+        parse_theory_file(early)
+
