@@ -33,11 +33,10 @@ import os
 import weakref
 from collections import deque
 from enum import Enum as PyEnum
-from functools import partial
 from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
-from .models import FiniteModel, _Reader
+from .models import FiniteModel, _from_table, _Reader
 from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
 from .terms import fold_tree, node_hash, sort_key, subtrees, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
@@ -217,10 +216,8 @@ def state_normal_form_tree(theory: Theory, nf: StateNormalForm) -> Tree:
 def _distinct_leaves(values: Iterator) -> list:
     """The values in sort_key order, each once.  Duplicates are found with
     same_value among values of equal key, never by hashing, so 1 and True
-    stay apart and closures with environments need no hash; only a value
-    met again as the same object is dropped before it is sorted."""
-    unique = {id(v): v for v in values}.values()
-    decorated = sorted(zip(map(sort_key, unique), unique), key=operator.itemgetter(0))
+    stay apart and closures with environments need no hash."""
+    decorated = sorted(((sort_key(v), v) for v in values), key=operator.itemgetter(0))
     out: list = []
     run_key, run = None, []
     for key, v in decorated:
@@ -435,16 +432,12 @@ def _two_element_models(theory: Theory) -> tuple:
     found = []
     for values in itertools.product(BOOL.elements(), repeat=len(keys)):
         table = dict(zip(keys, values))
-        ops = {o.name: partial(_entry, table, o.name) for o in theory.ops}
+        ops = {o.name: _from_table(table, o.name) for o in theory.ops}
         model = FiniteModel(theory, ops, BOOL)
         reader = _Reader(model)
         if all(reader.first_difference(lhs, rhs, gens) is None for lhs, rhs, gens in instances):
             found.append(model)
     return tuple(found)
-
-
-def _entry(table: dict, name: str, p, args: tuple):
-    return table[(name, p, args)]
 
 
 def _refuters(theory: Theory) -> tuple:

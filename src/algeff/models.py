@@ -364,7 +364,9 @@ def table_model(theory: Theory, carrier: FiniteUniverse, table: Mapping) -> Fini
                         f"model table maps {key!r} outside the carrier: {table[key]!r}"
                     )
 
-    def from_table(name):
-        return lambda p, args: table[(name, p, args)]
+    return FiniteModel(theory, {o.name: _from_table(table, o.name) for o in theory.ops}, carrier)
 
-    return FiniteModel(theory, {o.name: from_table(o.name) for o in theory.ops}, carrier)
+
+def _from_table(table: Mapping, name: str) -> Callable:
+    """Operation name of a model, read from a table {(op, param, args): result}."""
+    return lambda p, args: table[(name, p, args)]

@@ -418,6 +418,13 @@ def test_normalize_over_single_state_follows_the_runs_from_every_state(capsys):
     code, _, err = invoke(capsys, "normalize", program.replace("put!(0)", "put!(1)"),
                           "--theory", SAMPLES / "state2.thy")
     assert (code, err) == (1, "error: continuation applied outside its arity: 2\n")
+    # when both branches of a get fail, the error reported is that of the
+    # branch the runs take (y = 1 after put 1), not the first branch
+    program = ("do u <- put!(1) in do y <- get!() in with handler "
+               "{ return r -> return r | get(v; k) -> k (y + 2) } handle get!()")
+    code, _, err = invoke(capsys, "normalize", program, "--theory", SAMPLES / "state2.thy")
+    assert (code, err) == (1, "error: continuation applied outside its arity: 3\n")
+
 
 def test_fst_of_a_non_pair_in_a_theory_file_exits_3(capsys, tmp_path):
     theory = tmp_path / "bad.thy"
