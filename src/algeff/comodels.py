@@ -21,7 +21,7 @@ from .errors import (
     UncoveredOperation,
     UnknownOperation,
 )
-from .terms import OpNode, Return, Theory, _Node, _builder, _check_laws, _set
+from .terms import OpNode, Return, Theory, _Node, _builder, _check_laws
 from .theories import choice_theory
 from .universe import Enum, Fin, FiniteUniverse
 
@@ -58,8 +58,7 @@ class Done(_Node):
     world: Any
 
     def __init__(self, value, world):
-        _set(self, "value", value)
-        _set(self, "world", world)
+        self._fill(value, world)
 
 
 class Stuck(_Node):

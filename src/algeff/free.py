@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
 from .models import FiniteModel, _from_table, _Reader
-from .terms import OpNode, Return, Theory, Tree, _Node, _set, make_tree_op, same_value
+from .terms import OpNode, Return, Theory, Tree, _Node, make_tree_op, same_value
 from .terms import fold_tree, node_hash, sort_key, subtrees, tree_leaves
 from .theories import choice_theory, semilattice_theory, single_state_theory
 from .universe import BOOL
@@ -67,8 +67,7 @@ class FreeElement(_Node):
     tree: Tree
 
     def __init__(self, theory: Theory, tree: Tree):
-        _set(self, "theory", theory)
-        _set(self, "tree", tree)
+        self._fill(theory, tree)
 
 
 def eta(theory: Theory, x) -> FreeElement:
@@ -216,17 +215,34 @@ def state_normal_form_tree(theory: Theory, nf: StateNormalForm) -> Tree:
 def _distinct_leaves(values: Iterator) -> list:
     """The values in sort_key order, each once.  Duplicates are found with
     same_value among values of equal key, never by hashing, so 1 and True
-    stay apart and closures with environments need no hash."""
+    stay apart and closures with environments need no hash.  A plain value
+    (``_plain``) is the same as another of equal key exactly when that one
+    is plain too, so it is kept only as the first plain value of its key,
+    with no same_value scan."""
     decorated = sorted(((sort_key(v), v) for v in values), key=operator.itemgetter(0))
     out: list = []
-    run_key, run = None, []
+    run_key, run, plain_seen = None, [], False
     for key, v in decorated:
         if key != run_key:
-            run_key, run = key, []
-        if not any(same_value(v, w) for w in run):
-            run.append(v)
-            out.append(v)
+            run_key, run, plain_seen = key, [], False
+        if type(v) in _PLAIN or type(v) is tuple and _plain(v):
+            if plain_seen:
+                continue
+            plain_seen = True
+        elif any(same_value(v, w) for w in run):
+            continue
+        run.append(v)
+        out.append(v)
     return out
+
+
+_PLAIN = frozenset((bool, int, str))
+
+
+def _plain(v) -> bool:
+    """Whether ``v`` is exactly a bool, an int or a str, or a tuple of plain
+    values: for such values, equal sort_keys mean the same value."""
+    return type(v) in _PLAIN or type(v) is tuple and all(map(_plain, v))
 
 
 def _leaf_set(theory: Theory, t) -> tuple:

@@ -86,7 +86,7 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, ParamSymbol, Theory, Tree, _Instances, _Node, _check_laws, _set
+from .terms import OpNode, ParamSymbol, Theory, Tree, _Instances, _Node, _check_laws
 from .terms import tree_leaves
 from .terms import Return as Leaf
 from .universe import BOOL, UNIT, Enum, Fin, FiniteUniverse, Product, _within
@@ -99,9 +99,7 @@ class Closure(_Node):
     env: dict
 
     def __init__(self, param: str, body, env: dict):
-        _set(self, "param", param)
-        _set(self, "body", body)
-        _set(self, "env", env)
+        self._fill(param, body, env)
 
 
 class HandlerClosure(_Node):
@@ -180,8 +178,7 @@ class SymVal(_Node):
     args: tuple
 
     def __init__(self, base, args: tuple = ()):
-        _set(self, "base", base)
-        _set(self, "args", args)
+        self._fill(base, args)
 
 
 def base_env() -> dict:
@@ -257,11 +254,7 @@ class Suspended(_Node):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, op: str, param, arity: FiniteUniverse, stack, theory: Theory):
-        _set(self, "op", op)
-        _set(self, "param", param)
-        _set(self, "arity", arity)
-        _set(self, "stack", stack)
-        _set(self, "theory", theory)
+        self._fill(op, param, arity, stack, theory)
 
     def resume(self, a) -> Leaf | Suspended:
         if not self.arity.contains(a):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional
 
 from .errors import TypeMismatch, UnboundVariable, UnknownOperation
-from .terms import Theory, _Node, _set
+from .terms import Theory, _Node
 from .universe import Bool, Empty, Enum, Fin, FiniteUniverse, Product, Unit
 
 Pos = Optional[tuple]
@@ -149,9 +149,7 @@ class OpCall(_Syntax):
     arg: Any
 
     def __init__(self, op, arg, *, pos: Pos = None):
-        _set(self, "op", op)
-        _set(self, "arg", arg)
-        _set(self, "_at", pos)
+        self._fill(op, arg, pos)
 
 
 class Do(_Syntax):
@@ -161,10 +159,7 @@ class Do(_Syntax):
     rest: Any
 
     def __init__(self, name, first, rest, *, pos: Pos = None):
-        _set(self, "name", name)
-        _set(self, "first", first)
-        _set(self, "rest", rest)
-        _set(self, "_at", pos)
+        self._fill(name, first, rest, pos)
 
 
 class If(_Syntax):
@@ -266,8 +261,7 @@ class CompType(_Node):
     dirt: frozenset
 
     def __init__(self, value, dirt):
-        _set(self, "value", value)
-        _set(self, "dirt", dirt)
+        self._fill(value, dirt)
 
     def __str__(self):
         return f"{self.value} ! {{{', '.join(sorted(self.dirt))}}}"
@@ -308,26 +302,24 @@ T_STR = TStr()
 
 def universe_type(u: FiniteUniverse) -> ValueType:
     """The value type whose inhabitants include the universe's elements."""
-    if isinstance(u, Empty):
-        return T_EMPTY
-    if isinstance(u, Unit):
-        return T_UNIT
-    if isinstance(u, Bool):
-        return T_BOOL
-    if isinstance(u, Fin):
-        return T_INT
-    if isinstance(u, Enum):
-        return T_STR
-    if isinstance(u, Product):
+    t = _LEAF_TYPES.get(type(u))
+    if t is not None:
+        return t
+    if type(u) is Product:
         return TProd(universe_type(u.left), universe_type(u.right))
     raise TypeError(f"not a universe: {u!r}")
 
+
+_LEAF_TYPES = {Empty: T_EMPTY, Unit: T_UNIT, Bool: T_BOOL, Fin: T_INT, Enum: T_STR}
 
 PRIMITIVES = ("fst", "snd")
 
 
 class _Mismatch(Exception):
     pass
+
+
+_UNBOUND = object()  # an undo log's mark for a name the context did not bind
 
 
 class Checker:
@@ -393,6 +385,8 @@ class Checker:
     def unify(self, found, expected, node, fallback=None):
         """Unify, or report a mismatch at ``node``, or else, if it has no
         place, at ``fallback``."""
+        if found is expected:
+            return
         try:
             self._unify(found, expected)
         except _Mismatch:
@@ -447,16 +441,35 @@ class Checker:
         if isinstance(c, Return):
             return CompType(self.synth_value(ctx, c.value), frozenset())
         if isinstance(c, OpCall):
-            if not self.theory.has_op(c.op):
+            decl = self.theory._by_name.get(c.op)
+            if decl is None:
                 raise UnknownOperation.at(c, c.op)
-            decl = self.theory.op(c.op)
             arg = self.synth_value(ctx, c.arg)
             self.unify(arg, universe_type(decl.param), c.arg, c)
             return CompType(universe_type(decl.arity), frozenset({c.op}))
         if isinstance(c, Do):
-            first = self.synth_comp(ctx, c.first)
-            rest = self.synth_comp({**ctx, c.name: first.value}, c.rest)
-            return CompType(rest.value, first.dirt | rest.dirt)
+            # the chain of do steps in rest position, checked by a loop that
+            # joins their dirt: only a do in first position nests.  Each
+            # binder extends ctx in place, and an undo log puts back what it
+            # shadowed when the chain is done.
+            dirt = frozenset()
+            undo = []
+            try:
+                while type(c) is Do:
+                    first = self.synth_comp(ctx, c.first)
+                    dirt |= first.dirt
+                    name = c.name
+                    undo.append((name, ctx.get(name, _UNBOUND)))
+                    ctx[name] = first.value
+                    c = c.rest
+                rest = self.synth_comp(ctx, c)
+            finally:
+                for name, shadowed in reversed(undo):
+                    if shadowed is _UNBOUND:
+                        del ctx[name]
+                    else:
+                        ctx[name] = shadowed
+            return CompType(rest.value, dirt | rest.dirt)
         if isinstance(c, If):
             self.unify(self.synth_value(ctx, c.cond), T_BOOL, c.cond, c)
             then = self.synth_comp(ctx, c.then)

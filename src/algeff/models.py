@@ -34,7 +34,8 @@ class Interpretation(_Node):
                 raise UnknownOperation(
                     f"interpretation lacks operation {o.name!r} of theory {theory.name!r}"
                 )
-        self._fill(theory, ops)
+        # this class's own two slots: a FiniteModel sets its carrier after
+        Interpretation._fill(self, theory, ops)
 
 
 class FiniteModel(Interpretation):

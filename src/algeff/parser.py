@@ -35,24 +35,28 @@ cooperation entry:
     model <name>   { carrier <universe>; <op>(<param>; <args,...>) = <elem>; ... }
     comodel <name> { world <universe>;   <op>(<param>; <world>) = (<elem>; <world'>); ... }
 
-The parser reads token values from one regex pass.  A model or comodel file
-is read by its entry pattern instead: after its header, each entry is
-matched whole by one regex, straight from the text, and each element is
-looked up once in the universe it must lie in.  A file with anything the
-pattern does not cover (a comment among the entries, a pair, ``fst``, a
-keyword, a non-member, a duplicate or missing entry, or text after the
-closing brace) is read again from the start, token by token, by the reader
-that reports its errors.  A syntax error holds a place, not a position, as
-a program node does: a mark of a token or, for an unreadable token, the
-text.  Line and column are worked out, by ``tokenize`` over the same regex,
-only when one is read.  One reader reads every element, in an equation,
-a table or a ``--world`` text: as a shape over the binders in scope,
-which outside an equation is built at once into its value.  An
-equation's two sides are read once, as shapes, and checked once, by the
-universes their elements range over.  A shape is data (see
-``terms._builder``): equal shapes build equal trees, so ``free`` compares
-a theory's laws with a built-in's by their shapes, and the law checkers
-read a side's operations, its coverage, from its shape.
+The parser reads token values from one regex pass, in which each match is a
+token with the blanks before it, so no match is tried at a blank; each
+distinct token text is read once.  A ``do`` chain is read by a loop, so
+only a ``do`` in first position, or any other nesting, costs the parser a
+level of recursion.  A model or comodel file is read by its entry pattern
+instead: after its header, each entry is matched whole by one regex,
+straight from the text, and each element is looked up once in the universe
+it must lie in.  A file with anything the pattern does not cover (a comment
+among the entries, a pair, ``fst``, a keyword, a non-member, a duplicate or
+missing entry, or text after the closing brace) is read again from the
+start, token by token, by the reader that reports its errors.  A syntax
+error holds a place, not a position, as a program node does: a mark of a
+token or, for an unreadable token, the text.  Line and column are worked
+out, by ``tokenize`` over the same regex (a token's start is its group's),
+only when one is read.  One reader reads every element, in an equation, a
+table or a ``--world`` text: as a shape over the binders in scope, which
+outside an equation is built at once into its value.  An equation's two
+sides are read once, as shapes, and checked once, by the universes their
+elements range over.  A shape is data (see ``terms._builder``): equal
+shapes build equal trees, so ``free`` compares a theory's laws with a
+built-in's by their shapes, and the law checkers read a side's operations,
+its coverage, from its shape.
 Only an equation that fails that check has its instances built and checked
 one by one, to report the first defective one as ``check_theory`` would;
 otherwise a side's shape is compiled into a builder the first time a tree
@@ -72,7 +76,9 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import sys
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import lang
@@ -82,15 +88,28 @@ from .models import FiniteModel, table_model
 from .terms import _PARAM, Equation, OpDecl, Theory, _builder, _Instances, check_tree
 from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product, _within
 
-# one match per token or comment; the blanks between them match nothing
-_TOKEN = re.compile(r"""
+# A run of blanks, possessive where the re module has it (3.11 on): what
+# follows the run is never a blank, so only the speed differs.
+_B = r"[ \t\r\n]*+" if sys.version_info >= (3, 11) else r"[ \t\r\n]*"
+
+# one match per token or comment, with the blanks before it; its group is
+# the token's text.  The blanks after the last token are left out of the
+# scan (``_scanned``), where a match would be tried at each of them.
+_TOKEN = re.compile(_B + r""" (
       [(){};,!|*.\\+:] | =>? | ~> | <- | ->
     | \d+
-    | [^\W\d]\w*                  # an identifier, or a numeral: see _value
+    | \w+                         # after \d+: an identifier, or a numeral (see _value)
     | " [^"\\\n]* (?: \\. [^"\\\n]* )* "?   # a string, maybe without its closing quote
     | \#[^\n]*
     | [^ \t\r\n]                  # any other character is unexpected
-    """, re.VERBOSE | re.DOTALL)
+    )""", re.VERBOSE | re.DOTALL)
+_BLANKS = " \t\r\n"
+
+
+def _scanned(text: str) -> int:
+    """Where the scan of ``text`` ends: after its last token."""
+    return len(text.rstrip(_BLANKS))
+
 
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
@@ -152,14 +171,16 @@ def _value(raw: str):
     """The value of one token's text: an int, a ``_Quoted`` string, an
     identifier or punctuation as itself, or ``_COMMENT``.  Raises
     ``_Unreadable`` for a token no value reads."""
+    if raw in _PUNCT:
+        return raw
     first = raw[0]
+    if first.isalpha() or first == "_":
+        return raw
     if first.isdecimal():
         try:
             return int(raw)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise _Unreadable from None
-    if raw in _PUNCT:
-        return raw
     if first == '"':
         body = raw[1:-1]
         # closed when the last quote is not itself escaped
@@ -168,8 +189,6 @@ def _value(raw: str):
         return _Quoted(_unescaped(body))
     if first == "#":
         return _COMMENT
-    if first.isalpha() or first == "_":
-        return raw
     # a digit or numeral that int() does not read, such as "²", or a stray
     # character
     raise _Unreadable
@@ -193,14 +212,14 @@ def tokenize(text: str) -> list:
     trailing comment."""
     toks = []
     line, line_start, end, last_end = 1, 0, 0, 0
-    for m in _TOKEN.finditer(text):
-        start = m.start()
+    for m in _TOKEN.finditer(text, 0, _scanned(text)):
+        start = m.start(1)
         newline = text.rfind("\n", end, start)
         if newline >= 0:
             line += text.count("\n", end, newline + 1)
             line_start = newline + 1
         end = m.end()
-        raw, col = m[0], start - line_start + 1
+        raw, col = m[1], start - line_start + 1
         try:
             value = _value(raw)
         except _Unreadable:
@@ -210,7 +229,7 @@ def tokenize(text: str) -> list:
                 ) from None
             if raw[0] != '"':
                 raise ParseError(line, col, f"unexpected character {raw[0]!r}") from None
-            if text.startswith("\\", end):
+            if text[end:] == "\\":  # the text's last character
                 raise ParseError(line, col + len(raw), "dangling escape") from None
             raise ParseError(line, col, "unterminated string") from None
         if value is _COMMENT:
@@ -236,9 +255,10 @@ def _scan(text: str) -> list:
     """The token values of ``text``, comments left out, then None for the
     end: ``tokenize``'s values, without their positions.  A token no value
     reads raises a ParseError at the text's first unreadable token."""
-    raws = _TOKEN.findall(text)
+    raws = _TOKEN.findall(text, 0, _scanned(text))
+    texts = set(raws)
     try:
-        values = {raw: _value(raw) for raw in set(raws)}
+        values = dict(zip(texts, map(_value, texts)))
     except _Unreadable:
         raise ParseError.at(_FirstUnreadable(text)) from None
     toks = list(map(values.__getitem__, raws))
@@ -345,13 +365,22 @@ class _Parser:
             self.i += 1
             return lang.Return(self.value(), pos=self.mark(at))
         if tok == "do":
-            self.i += 1
-            name = self.eat_ident("a binder")
-            self.eat_punct("<-")
-            first = self.comp()
-            self.eat_word("in")
-            rest = self.comp()
-            return lang.Do(name, first, rest, pos=self.mark(at))
+            # the chain of do steps in rest position, read by a loop: only a
+            # do in first position nests, a level deeper
+            steps = []
+            toks = self.toks
+            while toks[at] == "do":
+                self.i = at + 1
+                name = self.eat_ident("a binder")
+                self.eat_punct("<-")
+                first = self.comp()
+                self.eat_word("in")
+                steps.append((name, first, at))
+                at = self.i
+            out = self.comp()
+            for name, first, at in reversed(steps):
+                out = lang.Do(name, first, out, pos=self.mark(at))
+            return out
         if tok == "if":
             self.i += 1
             cond = self.value()
@@ -368,7 +397,7 @@ class _Parser:
         if type(tok) is str and tok not in _RESERVED and self.toks[at + 1] == "!":
             self.i += 2
             self.eat_punct("(")
-            arg = lang.UnitLit(pos=self.mark()) if self.at(")") else self.value()
+            arg = lang.UnitLit(pos=self.mark()) if self.toks[self.i] == ")" else self.value()
             self.eat_punct(")")
             return lang.OpCall(tok, arg, pos=self.mark(at))
         # application, or a parenthesized computation
@@ -388,7 +417,7 @@ class _Parser:
     def value(self):
         at = self.i
         out = self.atom()
-        while self.at("+"):
+        while self.toks[self.i] == "+":
             self.i += 1
             out = lang.Plus(out, self.atom(), pos=self.mark(at))
         return out
@@ -526,9 +555,12 @@ class _Parser:
     # read once as shapes too.  ``scope`` maps each binder in scope to its
     # shape and the universe it ranges over; it is None in a body under an
     # empty arity, which is never instantiated.  Each element shape comes
-    # with a universe that holds every value it takes, so an operation
-    # parameter or a leaf is checked once, against the universe it must lie
-    # in (``site``), and a bad fst or snd fails where it is read.
+    # with a universe that holds every value it takes, or None for a
+    # constant, whose one value is in its shape.  So an operation parameter
+    # or a leaf is checked once, against the universe it must lie in
+    # (``site``), and a bad fst or snd fails where it is read.  The tree
+    # readers keep the token list in a local and look each operation up
+    # once.
 
     def elem(self):
         """An element outside any equation, read as its value."""
@@ -537,33 +569,37 @@ class _Parser:
 
     def elem_template(self, scope) -> tuple:
         """The shape of the element read here, and a universe that holds
-        each of its values (unused under an empty arity)."""
-        at = self.i
-        tok = self.toks[at]
+        each of its values, or None for a constant (unused under an empty
+        arity)."""
+        toks, at = self.toks, self.i
+        tok = toks[at]
         if tok is None or tok in _PUNCT and tok != "(":
             self.fail("expected an element")
-        self.i += 1
+        self.i = at + 1
         if type(tok) is int:
-            return _constant(tok)
+            return ("const", int, tok), None
         if type(tok) is _Quoted:
-            return _constant(tok.text)
+            return ("const", str, tok.text), None
         if tok == "(":
-            if self.at(")"):
-                self.i += 1
-                return _constant(())
+            if toks[at + 1] == ")":
+                self.i = at + 2
+                return _UNIT_SHAPE, None
             first, left = self.elem_template(scope)
-            if self.at(","):
+            if toks[self.i] == ",":
                 self.i += 1
                 second, right = self.elem_template(scope)
                 self.eat_punct(")")
-                return ("pair", first, second), Product(left, right)
+                if scope is None:
+                    return ("pair", first, second), None
+                return ("pair", first, second), Product(_held(first, left), _held(second, right))
             self.eat_punct(")")
             return first, left
         if tok == "true" or tok == "false":
-            return _constant(tok == "true")
+            return ("const", bool, tok == "true"), None
         if tok == "fst" or tok == "snd":
             pair, universe = self.elem_template(scope)
             if scope is not None:
+                universe = _held(pair, universe)
                 if type(universe) is not Product:
                     # no element of another universe is a pair: the first
                     # instance fails, at the first element
@@ -572,33 +608,36 @@ class _Parser:
                 universe = universe.left if tok == "fst" else universe.right
             return (tok, pair), universe
         if scope is None or tok not in scope:
-            return _constant(tok)
+            return ("const", str, tok), None
         return scope[tok]
 
-    def site(self, scope, universe: FiniteUniverse, target: FiniteUniverse):
-        """Note an operation parameter or a leaf, whose values ``universe``
-        holds and must lie in ``target``; unless they do, every instance of
-        the equation is checked."""
-        if scope is not None and not _within(universe, target):
+    def site(self, shape, universe, target: FiniteUniverse):
+        """Note an operation parameter or a leaf read as ``shape``, whose
+        values ``universe`` holds (or, for a constant, its shape) and must
+        lie in ``target``; unless they do, every instance of the equation is
+        checked.  Not called under an empty arity."""
+        if not (target.contains(shape[2]) if universe is None else _within(universe, target)):
             self.unproven = True
 
     def tree(self, theory: Theory, context: FiniteUniverse, scope) -> tuple:
         """The shape of the tree read here."""
-        at = self.i
-        if self.at("return"):
-            self.i += 1
+        toks, at = self.toks, self.i
+        if toks[at] == "return":
+            self.i = at + 1
             leaf, universe = self.elem_template(scope)
-            self.site(scope, universe, context)
+            if scope is not None:
+                self.site(leaf, universe, context)
             return ("return", leaf)
         name = self.eat_ident("an operation or return")
-        if not theory.has_op(name):
+        decl = theory._by_name.get(name)
+        if decl is None:
             self.error(at, f"unknown operation {name!r}")
-        decl = theory.op(name)
         self.eat_punct("(")
         param, universe = self.elem_template(scope)
-        self.site(scope, universe, decl.param)
+        if scope is not None:
+            self.site(param, universe, decl.param)
         count, shape = 0, ("op", name, param, ())
-        if self.at(";"):
+        if toks[self.i] == ";":
             self.i += 1
             count, shape = self.konts(theory, context, decl.arity, scope, name, param)
         self.eat_punct(")")
@@ -609,7 +648,8 @@ class _Parser:
     def konts(self, theory, context, arity: FiniteUniverse, scope, name, param) -> tuple:
         """The subtrees after ``;`` of operation ``name`` at ``param``: their
         number, and the shape of the node."""
-        if self.at("\\"):
+        toks = self.toks
+        if toks[self.i] == "\\":
             self.i += 1
             binder = self.eat_ident("a binder")
             self.eat_punct(".")
@@ -624,7 +664,7 @@ class _Parser:
                 return 0, ("op", name, param, ())
             return size, ("bind", name, param, arity, body)
         subtrees = [self.tree(theory, context, scope)]
-        while self.at(","):
+        while toks[self.i] == ",":
             self.i += 1
             subtrees.append(self.tree(theory, context, scope))
         return len(subtrees), ("op", name, param, tuple(subtrees))
@@ -635,12 +675,13 @@ class _Parser:
         self.eat_word("theory")
         name = self.eat_ident("a theory name")
         self.eat_punct("{")
+        toks = self.toks
         ops = {}
         partial = None  # the operations so far, as a theory, once an equation needs them
-        equations = []
+        equations = {}
         defects = []
-        while not self.at("}"):
-            if self.at("op"):
+        while toks[self.i] != "}":
+            if toks[self.i] == "op":
                 self.i += 1
                 at = self.i
                 op_name = self.eat_ident("an operation name")
@@ -653,12 +694,12 @@ class _Parser:
                 self.eat_punct(";")
                 ops[op_name] = OpDecl(op_name, param, arity)
                 partial = None
-            elif self.at("equation"):
+            elif toks[self.i] == "equation":
                 self.i += 1
                 if partial is None:
                     partial = Theory(name, tuple(ops.values()))
-                equation, defect = self.equation_decl(partial, {eq.name for eq in equations})
-                equations.append(equation)
+                equation, defect = self.equation_decl(partial, equations)
+                equations[equation.name] = equation
                 if defect is not None:
                     defects.append(defect)
             else:
@@ -666,7 +707,7 @@ class _Parser:
         self.eat_punct("}")
         if defects:
             raise defects[0]
-        return Theory(name, tuple(ops.values()), tuple(equations))
+        return Theory(name, tuple(ops.values()), tuple(equations.values()))
 
     def equation_decl(self, theory: Theory, taken) -> tuple:
         """The equation read here, and the first defect of its instances, in
@@ -677,15 +718,14 @@ class _Parser:
             self.error(at, f"duplicate equation {eq_name!r}")
         param_name = None
         param_universe = UNIT
-        if self.at("forall"):
+        if self.toks[self.i] == "forall":
             self.i += 1
             param_name = self.eat_ident("a parameter name")
             self.eat_word("in")
             param_universe = self.universe()
         self.eat_punct("(")
         context = self.universe()
-        self.eat_punct(")")
-        self.eat_punct(":")
+        self.eat_punct(")", ":")
         if param_universe.is_empty():
             self.error(self.i, "forall over an empty universe")
         scope = {} if param_name is None else {param_name: (_PARAM, param_universe)}
@@ -821,14 +861,18 @@ class _Parser:
                 self.error(at, f"{what} {value!r} is not in {universe}")
 
 
-def _constant(value) -> tuple:
-    """The shape of an element that no binder binds, and its universe."""
-    return ("const", type(value), value), _Single(value)
+_UNIT_SHAPE = ("const", tuple, ())
+
+
+def _held(shape: tuple, universe):
+    """A universe that holds each value of an element read as ``shape``:
+    ``universe``, or for a constant (None) the universe of its one value."""
+    return _Single(shape[2]) if universe is None else universe
 
 
 class _Single(FiniteUniverse):
-    """The universe of one constant, or of a name no binder binds; it only
-    ever holds a template's values, for ``_within``."""
+    """The universe of one constant, or of a name no binder binds, inside a
+    pair; it only ever holds a template's values, for ``_within``."""
 
     __slots__ = ("value",)
 
@@ -858,15 +902,16 @@ def _cointerpretation(theory: Theory, world: FiniteUniverse, table: dict, covere
 # text.  Its blanks are the tokenizer's, so each atom and punctuation mark
 # spans the text its token would.  The last row of a table's ``findall`` is
 # the closing brace, at the end of the text; any other character that no
-# entry starts with makes a row with no operation.  The patterns are compiled
-# when a table is first read (``_pattern``).
-_B = r"[ \t\r\n]*"
+# entry starts with makes a row with no operation.  The blanks before an
+# entry are never matched possessively (see ``_B``), so that one at the end
+# of the text makes a row rather than a failed match at each later blank.
+# The patterns are compiled when a table is first read (``_pattern``).
 _STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
 _ATOM = r"\(%s\)|\d+|[^\W\d]\w*|%s" % (_B, _STRING)
 _ROW_END = r"| (\})%s\Z | ." % _B
-_COMODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}=
+_COMODEL_ENTRY = rf"""[ \t\r\n]*(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}=
     {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}; {_ROW_END})"""
-_MODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};
+_MODEL_ENTRY = rf"""[ \t\r\n]*(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};
     {_B} ((?:{_ATOM})(?:{_B},{_B}(?:{_ATOM}))*)? {_B}\){_B}={_B} ({_ATOM}) {_B}; {_ROW_END})"""
 # a table's header: its text up to the first ";" outside strings and comments
 _HEADER = r'(?: [^;"\#] | %s | \#[^\n]* )* ;' % _STRING
@@ -886,6 +931,8 @@ def _atom(raw: str):
         value = _value(raw)
     except _Unreadable:
         raise KeyError(raw) from None
+    if type(value) is int:
+        return value
     if type(value) is _Quoted:
         return value.text
     if value == "true":
@@ -962,8 +1009,9 @@ def _comodel_by_pattern(text: str, theory: Theory):
     if read is None:
         return None
     world, rows = read
-    worlds = _members(world)
-    coops = {d.name: (_members(d.param), _members(d.arity)) for d in theory.ops}
+    members = _Read(_members)  # one reader per universe, so each atom is read once
+    worlds = members[world]
+    coops = {d.name: (members[d.param], members[d.arity]) for d in theory.ops}
     table = {}
     try:
         for op, p, w, result, w2, _ in rows:
@@ -971,7 +1019,7 @@ def _comodel_by_pattern(text: str, theory: Theory):
             table[op, params[p], worlds[w]] = results[result], worlds[w2]
     except KeyError:  # an unknown operation, a row that does not fit, a non-member
         return None
-    covered = Counter([row[0] for row in rows])
+    covered = Counter(map(itemgetter(0), rows))
     size = world.size()
     if len(table) != len(rows) or any(
         count != theory.op(name).param.size() * size for name, count in covered.items()
@@ -987,8 +1035,9 @@ def _model_by_pattern(text: str, theory: Theory):
     if read is None:
         return None
     carrier, rows = read
-    carriers = _members(carrier)
-    ops = {d.name: (_members(d.param), _arguments(carriers, d.arity.size())) for d in theory.ops}
+    members = _Read(_members)  # one reader per universe, so each atom is read once
+    carriers = members[carrier]
+    ops = {d.name: (members[d.param], _arguments(carriers, d.arity.size())) for d in theory.ops}
     table = {}
     try:
         for op, p, args, result, _ in rows:

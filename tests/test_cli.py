@@ -1,11 +1,16 @@
+import collections
 import itertools
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from algeff import lang
 from algeff.cli import main
+from algeff.parser import parse_program, parse_theory_file
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -344,6 +349,12 @@ def puts(n, modulus):
     return "".join(f"do u <- put!({i % modulus}) in " for i in range(n))
 
 
+def nested_puts(n, modulus):
+    """n puts, each in the first position of the do around it: a chain the
+    parser and type checker read by recursion, one level per do."""
+    return "do u <- " * (n - 1) + f"put!({(n - 1) % modulus})" + " in return u" * (n - 1)
+
+
 def test_run_deep_straight_line_program(capsys, tmp_path):
     prog = tmp_path / "deep.eff"
     prog.write_text(puts(400, 10) + "return ()")
@@ -356,6 +367,43 @@ def test_run_deep_straight_line_program(capsys, tmp_path):
     )
     assert out == "() @ 9\n"
     assert code == 0
+
+
+def test_a_straight_chain_of_ten_thousand_steps_runs_at_the_default_recursion_limit(
+    capsys, tmp_path
+):
+    # a do in rest position is read and type-checked by a loop, and
+    # evaluated on the machine's stack
+    assert sys.getrecursionlimit() <= 1000
+    prog = tmp_path / "chain.eff"
+    prog.write_text(puts(10_000, 10) + "return ()")
+    assert lang.typecheck_comp(
+        parse_theory_file((SAMPLES / "state10.thy").read_text()),
+        parse_program(prog.read_text()),
+    ) == lang.CompType(lang.T_UNIT, frozenset({"put"}))
+    code, out, err = invoke(
+        capsys,
+        "run", prog,
+        "--theory", SAMPLES / "state10.thy",
+        "--comodel", SAMPLES / "state10.cmod",
+        "--world", "5",
+    )
+    assert (code, out, err) == (0, "() @ 9\n", "")
+
+
+def test_a_do_nested_in_first_position_costs_one_level_of_recursion(capsys, tmp_path):
+    # the parser and type checker recurse once per first-position do, as per
+    # any other nesting level, so 800 levels fit the default limit
+    prog = tmp_path / "nested.eff"
+    prog.write_text(nested_puts(800, 10))
+    code, out, err = invoke(
+        capsys,
+        "run", prog,
+        "--theory", SAMPLES / "state10.thy",
+        "--comodel", SAMPLES / "state10.cmod",
+        "--world", "5",
+    )
+    assert (code, out, err) == (0, "() @ 9\n", "")
 
 
 def test_normalize_deep_program(capsys, tmp_path):
@@ -447,7 +495,7 @@ def test_program_too_deep_to_parse_exits_3_without_a_traceback(tmp_path):
     import sys
 
     prog = tmp_path / "deep.eff"
-    prog.write_text(puts(2000, 10) + "return ()")
+    prog.write_text(nested_puts(2000, 10))
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -467,7 +515,7 @@ def test_repl_survives_a_program_too_deep_to_parse(capsys, monkeypatch):
     lines = iter(
         [
             f":load {SAMPLES / 'state2.thy'}",
-            f":normalize {puts(2000, 2)}return ()",
+            f":normalize {nested_puts(2000, 2)}",
             "return true",
             ":q",
         ]
@@ -979,3 +1027,102 @@ def test_a_path_is_told_from_program_text_without_raising():
     assert _is_path(str(SAMPLES / "state2.thy"))
     for text in ("", "return 1", "a\0b", "x" * 100_000, str(SAMPLES)):
         assert _is_path(text) is (text == str(SAMPLES))
+
+
+# -- seeded token mutants of the samples, through every command ---------------
+
+# each sample with the commands that read it: "{}" stands for the mutant's path
+_RUN_STATE10 = ("run", "{}", "--theory", "state10.thy", "--comodel", "state10.cmod", "--world", "5")
+_MUTANT_COMMANDS = {
+    "increment.eff": [
+        _RUN_STATE10,
+        ("normalize", "{}", "--theory", "state10.thy"),
+        ("type", "{}", "--theory", "state10.thy"),
+        ("check", "handler", "{}", "--theory", "state2.thy"),
+    ],
+    "abort.eff": [_RUN_STATE10, ("type", "{}", "--theory", "state10.thy")],
+    "hello.eff": [
+        ("run", "{}", "--theory", "io_hello.thy", "--comodel", "hello.cmod", "--world", "[]"),
+        ("normalize", "{}", "--theory", "io_hello.thy"),
+    ],
+    "stateh.eff": [
+        ("check", "handler", "{}", "--theory", "state2.thy"),
+        ("type", "{}", "--theory", "state2.thy"),
+    ],
+    "state10.thy": [
+        ("run", "increment.eff", "--theory", "{}", "--comodel", "state10.cmod", "--world", "5"),
+        ("normalize", "increment.eff", "--theory", "{}"),
+        ("check", "comodel", "state10.cmod", "--theory", "{}"),
+    ],
+    "state2.thy": [
+        ("check", "handler", "stateh.eff", "--theory", "{}"),
+        ("check", "comodel", "state2.cmod", "--theory", "{}"),
+        ("type", "increment.eff", "--theory", "{}"),
+    ],
+    "io_hello.thy": [
+        ("run", "hello.eff", "--theory", "{}", "--comodel", "hello.cmod", "--world", "[]"),
+        ("check", "comodel", "hello.cmod", "--theory", "{}"),
+    ],
+    "semilattice.thy": [
+        ("check", "model", "orlattice.mod", "--theory", "{}"),
+        ("check", "model", "badlattice.mod", "--theory", "{}"),
+    ],
+    "choice.thy": [
+        ("check", "comodel", "altstream.cmod", "--theory", "{}"),
+        ("normalize", "do b <- choose!() in return b", "--theory", "{}"),
+    ],
+    "state10.cmod": [
+        _RUN_STATE10[:5] + ("{}",) + _RUN_STATE10[6:],
+        ("check", "comodel", "{}", "--theory", "state10.thy"),
+    ],
+    "state2.cmod": [("check", "comodel", "{}", "--theory", "state2.thy")],
+    "hello.cmod": [
+        ("run", "hello.eff", "--theory", "io_hello.thy", "--comodel", "{}", "--world", "[]"),
+    ],
+    "altstream.cmod": [("check", "comodel", "{}", "--theory", "choice.thy")],
+    "orlattice.mod": [("check", "model", "{}", "--theory", "semilattice.thy")],
+    "badlattice.mod": [("check", "model", "{}", "--theory", "semilattice.thy")],
+}
+# a token as a reader of any of the file kinds splits the text, comments aside
+_MUTANT_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|#[^\n]*|\w+|->|<-|~>|=>|\S')
+
+
+def token_mutants(text, rng, count):
+    """``count`` copies of ``text``, each with one token dropped, doubled,
+    or swapped with the next one."""
+    spans = [m.span() for m in _MUTANT_TOKEN.finditer(text) if not m[0].startswith("#")]
+    for _ in range(count):
+        i = rng.randrange(len(spans) - 1)
+        (a, b), (c, d) = spans[i], spans[i + 1]
+        kind = rng.choice(("drop", "double", "swap"))
+        if kind == "drop":
+            yield text[:a] + text[b:]
+        elif kind == "double":
+            yield text[:b] + " " + text[a:b] + text[b:]
+        else:
+            yield text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+
+
+def test_token_mutants_of_the_samples_end_in_an_exit_code_and_one_error_line(capsys, tmp_path):
+    rng = random.Random(27)
+    codes = collections.Counter()
+    for sample, commands in sorted(_MUTANT_COMMANDS.items()):
+        mutant = tmp_path / sample
+        original = (SAMPLES / sample).read_text()
+        for text in (original, *token_mutants(original, rng, 30)):
+            mutant.write_text(text)
+            for command in commands:
+                argv = [str(mutant) if a == "{}" else a for a in command]
+                argv = [str(SAMPLES / a) if (SAMPLES / a).is_file() else a for a in argv]
+                code, out, err = invoke(capsys, *argv)
+                assert code in (0, 1, 2, 3), (argv, text)
+                assert "Traceback" not in out + err, (argv, text)
+                if code in (0, 2):
+                    assert err == "", (argv, text)
+                else:  # a one-line error, or a verdict on stdout
+                    assert (err.startswith("error: ") and err.count("\n") == 1
+                            and err.endswith("\n")) or (code == 1 and err == ""), (argv, text)
+                codes[code] += 1
+    # with the samples themselves, every outcome is reached: success, a
+    # verdict or error, a stuck run and an input error
+    assert all(codes[code] for code in (0, 1, 2, 3)), codes

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import operator
 from pathlib import Path
 
 import pytest
@@ -1125,6 +1126,47 @@ def test_search_verdicts_match_the_reference_search_on_state_chains():
 def test_booleans_and_integers_are_distinct_leaves():
     assert tree_equal_modulo(empty_theory(), Return(1), Return(True)) is TreeEq.DISTINCT
     assert tree_equal_modulo(empty_theory(), Return((0, 1)), Return((0, True))) is TreeEq.DISTINCT
+
+
+def distinct_leaves_reference(values):
+    """``free._distinct_leaves`` as it was before plain values skipped the
+    same_value scan: every value is compared with same_value against the
+    kept values of its key."""
+    from algeff.terms import same_value, sort_key
+
+    decorated = sorted(((sort_key(v), v) for v in values), key=operator.itemgetter(0))
+    out, run_key, run = [], None, []
+    for key, v in decorated:
+        if key != run_key:
+            run_key, run = key, []
+        if not any(same_value(v, w) for w in run):
+            run.append(v)
+            out.append(v)
+    return out
+
+
+class Count(int):
+    """An int subclass: its sort key is an int's, but it is never the same
+    value as an int."""
+
+
+class Label(str):
+    pass
+
+
+def test_distinct_leaves_match_the_same_value_scan():
+    import random
+
+    rng = random.Random(4)
+    pool = [0, 1, 2, True, False, Count(1), Count(0), Count(1), "a", "b", Label("a"), (),
+            (0, True), (0, 1), (0, True), (Count(0), True), ((0, "a"), 1), ((0, Label("a")), 1),
+            (True,), (1,), [1], None]
+    cases = [[1, True, Count(1), (0, True)], [Count(1), 1, Count(1), 1], []]
+    cases += [[rng.choice(pool) for _ in range(rng.randint(0, 12))] for _ in range(3000)]
+    for values in cases:
+        got, expected = free._distinct_leaves(iter(values)), distinct_leaves_reference(values)
+        # the same objects, in the same order, as the scan keeps
+        assert len(got) == len(expected) and all(map(operator.is_, got, expected)), values
 
 
 def test_searching_does_not_keep_theories_alive():

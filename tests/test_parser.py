@@ -700,7 +700,7 @@ def _reference_theory(text):
     every family built and checked in ``check_theory``'s order, after the
     closing brace and before the end of input."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parser, "_within", lambda source, target: True)  # trust every site
+        patch.setattr(_Parser, "site", lambda self, *site: None)  # trust every site
         p = _Parser(text)
         theory = p.theory_file()
     for eq in theory.eqs:
@@ -839,7 +839,7 @@ def test_the_check_by_universes_matches_the_per_instance_loop(check, monkeypatch
     if check == "every instance":
         # no site is settled by its universes, so every equation is checked
         # instance by instance
-        monkeypatch.setattr(parser, "_within", lambda source, target: False)
+        monkeypatch.setattr(_Parser, "site", lambda self, *site: setattr(self, "unproven", True))
     cases = [path.read_text() for path in sorted(SAMPLES.iterdir())]
     cases += [text for text, _ in _HAND_WRITTEN.values()] + list(_DEFECTIVE_THEORIES.values())
     cases += list(_mutated_samples(2000, seed=6)) + list(_generated_theories(1500, seed=10))
@@ -1330,9 +1330,14 @@ def test_a_parsed_program_keeps_its_positions_and_no_parser():
     assert type(pickle.loads(pickle.dumps(prog))._at) is tuple
 
 
+# an else branch nests by recursion in the parser and the type checker (a
+# do in rest position is read by a loop, at any length)
+ELSE = "if true then return x else "
+
+
 def test_a_syntax_error_is_reported_at_any_depth_the_parser_reaches():
     def nested(n, tail):
-        return "do x <- get!() in " * n + tail
+        return ELSE * n + tail
 
     def parses(n):
         try:
@@ -1350,18 +1355,21 @@ def test_a_syntax_error_is_reported_at_any_depth_the_parser_reaches():
                               ("return", 7, "expected a value, found 'end of input'")):
         with pytest.raises(ParseError) as err:
             parse_program(nested(low, tail))
-        assert (err.value.line, err.value.col, err.value.reason) == (1, 18 * low + col, reason)
+        assert (err.value.line, err.value.col, err.value.reason) == (
+            1, len(ELSE) * low + col, reason
+        )
 
 
 def test_a_type_error_is_reported_at_any_depth_the_type_checker_reaches():
     theory = parse_theory_file((SAMPLES / "state2.thy").read_text())
+    x_bound = {"x": lang.T_INT}  # as a get of state2.thy would bind it
 
     def nested(n, tail):
-        return "do x <- get!() in " * n + tail
+        return ELSE * n + tail
 
     def checks(n):
         try:
-            lang.typecheck_comp(theory, parse_program(nested(n, "return x")))
+            lang.typecheck_comp(theory, parse_program(nested(n, "return x")), x_bound)
         except RecursionError:
             return False
         return True
@@ -1376,9 +1384,9 @@ def test_a_type_error_is_reported_at_any_depth_the_type_checker_reaches():
         ("return y", UnboundVariable, "unbound variable at 1:{}: y"),
         ("foo!()", UnknownOperation, "unknown operation at 1:{}: foo"),
     ):
-        col = 18 * low + {TypeMismatch: 12, UnboundVariable: 8, UnknownOperation: 1}[kind]
+        col = len(ELSE) * low + {TypeMismatch: 12, UnboundVariable: 8, UnknownOperation: 1}[kind]
         with pytest.raises(AlgeffError) as err:
-            lang.typecheck_comp(theory, parse_program(nested(low, tail)))
+            lang.typecheck_comp(theory, parse_program(nested(low, tail)), x_bound)
         assert type(err.value) is kind
         assert str(err.value) == message.format(col)
 

@@ -4,6 +4,7 @@ position), print as ``Name(field=value, ...)``, refuse assignment, and
 survive copying and pickling."""
 
 import copy
+import operator
 import pickle
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from algeff import terms
 from algeff.comodels import Done, Stuck
 from algeff.interp import Closure, Suspended, SymVal
 from algeff.lang import T_INT, TBool, CompType, Do, Return, TInt, Var
@@ -193,3 +195,193 @@ def test_constructors_take_fields_by_position_and_keyword():
         Theory("t", (OpDecl("get", UNIT, BOOL), OpDecl("get", UNIT, UNIT)))
     with pytest.raises(ValueError):
         Fin(0)
+
+
+# -- every record class, against the fill that set slots by name -------------
+
+
+def _package_records():
+    """Every ``_Node`` subclass the package defines, found by walking
+    ``__subclasses__`` after importing every module."""
+    import importlib
+    import pkgutil
+
+    import algeff
+    from algeff.terms import _Node
+
+    for info in pkgutil.iter_modules(algeff.__path__):
+        importlib.import_module(f"algeff.{info.name}")
+    found, waiting = [], [_Node]
+    while waiting:
+        for sub in waiting.pop().__subclasses__():
+            if sub.__module__.startswith("algeff."):
+                found.append(sub)
+                waiting.append(sub)
+    return found
+
+
+def _samples():
+    """A maker of one record of each class, by class: each field a value
+    that pickles, so every record can be copied and pickled."""
+    from operator import add, neg
+
+    from algeff import comodels, free, interp, lang, models, parser, terms, universe
+
+    t = theory()
+    eq = Equation("refl", UNIT, UNIT, Leaf, Leaf)  # a side is any callable
+    code = lang.HandlerLit("x", lang.Return(lang.Var("x")), ())
+    return {
+        terms.OpDecl: lambda: OpDecl("get", UNIT, BOOL),
+        terms.Return: lambda: Leaf((0, True)),
+        terms.OpNode: lambda: terms.OpNode("get", (), (Leaf(0), Leaf(1))),
+        terms.Equation: lambda: eq,
+        terms.Theory: lambda: Theory("t", (OpDecl("get", UNIT, BOOL),), (eq,), (("a", "b"),)),
+        universe.FiniteUniverse: universe.FiniteUniverse,
+        universe.Empty: universe.Empty,
+        universe.Unit: Unit,
+        universe.Bool: Bool,
+        universe.Fin: lambda: Fin(3),
+        universe.Enum: lambda: universe.Enum(("a", "b")),
+        universe.Product: lambda: Product(Fin(2), BOOL),
+        parser._Single: lambda: parser._Single(7),
+        comodels.Cointerpretation: lambda: comodels.Cointerpretation(t, Fin(2), {"put": add}),
+        comodels.Done: lambda: Done(1, 2),
+        comodels.Stuck: lambda: Stuck("get", (), 0),
+        comodels.ComodelViolation: lambda: comodels.ComodelViolation("e", (), 0, Done(1, 0)),
+        models.Interpretation: lambda: models.Interpretation(t, {"get": add, "put": add}),
+        models.FiniteModel: lambda: FiniteModel(t, {"get": add, "put": add}, BOOL),
+        models.EquationViolation: lambda: models.EquationViolation("e", (), {"x": 1}, 1, 2),
+        models.HomViolation: lambda: models.HomViolation("get", (), (True, False)),
+        free.FreeElement: lambda: free.FreeElement(t, Leaf(1)),
+        free.StateNormalForm: lambda: free.StateNormalForm({0: 1}, {0: "x"}),
+        free._Normalizer: lambda: free._Normalizer(neg, add),
+        free._Rule: lambda: free._Rule(Leaf("x"), frozenset({"x"}), ("y",), add, neg),
+        lang._Syntax: lang._Syntax,
+        lang.Var: lambda: Var("x", pos=(1, 2)),
+        lang.BoolLit: lambda: lang.BoolLit(True, pos=(1, 1)),
+        lang.UnitLit: lambda: lang.UnitLit(pos=(2, 3)),
+        lang.IntLit: lambda: lang.IntLit(5),
+        lang.StrLit: lambda: lang.StrLit("s", pos=(1, 4)),
+        lang.Pair: lambda: lang.Pair(lang.IntLit(1), Var("y"), pos=(1, 1)),
+        lang.Plus: lambda: lang.Plus(lang.IntLit(1), lang.IntLit(2)),
+        lang.Fun: lambda: lang.Fun("x", Return(Var("x")), pos=(3, 1)),
+        lang.OpClause: lambda: lang.OpClause("get", "p", "k", Return(Var("p")), pos=(1, 9)),
+        lang.HandlerLit: lambda: code,
+        lang.Return: lambda: Return(Var("x"), pos=(1, 1)),
+        lang.OpCall: lambda: lang.OpCall("get", lang.UnitLit(), pos=(1, 1)),
+        lang.Do: lambda: Do("x", Return(Var("y")), Return(Var("x")), pos=(1, 1)),
+        lang.If: lambda: lang.If(lang.BoolLit(True), Return(Var("x")), Return(Var("y"))),
+        lang.App: lambda: lang.App(Var("f"), Var("x"), pos=(4, 4)),
+        lang.WithHandle: lambda: lang.WithHandle(Var("h"), Return(Var("x"))),
+        lang.TEmpty: lang.TEmpty,
+        lang.TUnit: lang.TUnit,
+        lang.TBool: TBool,
+        lang.TInt: TInt,
+        lang.TStr: lang.TStr,
+        lang.TProd: lambda: lang.TProd(T_INT, lang.T_BOOL),
+        lang.TVar: lambda: lang.TVar(3),
+        lang.CompType: comp_type,
+        lang.TArrow: lambda: lang.TArrow(T_INT, comp_type()),
+        lang.THandler: lambda: lang.THandler(comp_type(), comp_type()),
+        interp.Closure: lambda: Closure("x", Return(Var("x")), {"y": 1}),
+        interp.HandlerClosure: lambda: interp.HandlerClosure(code, {}),
+        interp.PrimFun: lambda: interp.PrimFun("fst", neg),
+        interp.SymVal: lambda: SymVal(("kont", "x"), (1,)),
+        interp.Suspended: lambda: Suspended("get", (), BOOL, None, t),
+        interp.HandlerCheck: lambda: interp.HandlerCheck(
+            interp.HandlerVerdict.VIOLATED, "e", (), ("put",)
+        ),
+    }
+
+
+def _parent_fill(record, values):
+    """The fill records had before slot setters: each slot set by name."""
+    for name, value in zip(record._state, values):
+        object.__setattr__(record, name, value)
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the type of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # an unhashable field, say
+        return type(exc)
+
+
+def _state(record):
+    return tuple(getattr(record, name) for name in record._state)
+
+
+def test_the_samples_cover_every_record_class():
+    assert set(_package_records()) == set(_samples())
+
+
+@pytest.mark.parametrize("cls", sorted(_samples(), key=lambda c: (c.__module__, c.__qualname__)),
+                         ids=lambda c: f"{c.__module__}.{c.__qualname__}")
+def test_every_record_class_behaves_as_with_slots_set_by_name(cls):
+    record = _samples()[cls]()
+    assert type(record) is cls
+    values = _state(record)  # every slot is set: an unset one raises here
+    # a record filled the old way, from the same values, is indistinguishable
+    old = object.__new__(cls)
+    _parent_fill(old, values)
+    by_value = cls.__eq__ is not object.__eq__
+    assert _state(old) == values
+    assert (old == record) is by_value and (record == old) is by_value
+    assert repr(old) == repr(record)
+    if by_value:
+        assert _outcome(hash, old) == _outcome(hash, record)
+    # restoring fills every slot, as copies and pickles do
+    again = terms._restore(cls, values)
+    assert _state(again) == values and repr(again) == repr(record)
+    fields = record._values(record)
+    for round_trip in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        twin = round_trip(record)
+        assert type(twin) is cls and repr(twin) == repr(record)
+        if by_value:
+            # equal exactly when the fields are: a theory in a field, which
+            # compares by identity, is not equal to its deep copy
+            same = twin._values(twin) == fields
+            assert (twin == record) is same
+            if same:
+                assert _outcome(hash, twin) == _outcome(hash, record)
+        else:
+            assert (twin == record) is (twin is record)
+    shallow = copy.copy(record)
+    assert shallow is record or all(map(operator.is_, shallow._values(shallow), fields))
+    # no field can be assigned or deleted, nor a new attribute added
+    for name in (*record._state, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        if name != "extra":
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert all(map(operator.is_, record._values(record), fields))
+
+
+def test_a_finite_model_fills_its_base_slots_then_its_carrier():
+    from algeff.models import Interpretation
+
+    t = theory()
+    ops = {"get": len, "put": len}
+    base = Interpretation(t, ops)
+    assert (base.theory, base.ops) == (t, ops) and not hasattr(base, "carrier")
+    model = FiniteModel(t, ops, BOOL)
+    assert (model.theory, model.ops, model.carrier) == (t, ops, BOOL)
+    assert _state(model) == (t, ops, BOOL)
+    again = pickle.loads(pickle.dumps(model))
+    assert (again.theory.name, again.ops, again.carrier) == ("cell", ops, BOOL)
+
+
+def test_a_record_of_more_than_five_slots_is_filled_by_a_loop():
+    from algeff.terms import _Node
+
+    class Wide(_Node):
+        __slots__ = ("a", "b", "c", "d", "e", "f")
+
+        def __init__(self, *values):
+            self._fill(*values)
+
+    wide = Wide(1, 2, 3, 4, 5, 6)
+    assert repr(wide) == f"{Wide.__qualname__}(a=1, b=2, c=3, d=4, e=5, f=6)"
+    assert wide == Wide(1, 2, 3, 4, 5, 6) != Wide(1, 2, 3, 4, 5, 7)
