@@ -237,3 +237,29 @@ def test_handler_forwarding_dirt_reaches_the_output():
     h = HandlerLit("x", Return(Var("x")), (OpClause("abort", "u", "k", OpCall("get", UnitLit())),))
     t = typecheck_comp(th, WithHandle(h, body))
     assert t.dirt == frozenset({"get"})
+
+
+def test_a_chain_binds_its_names_only_over_its_rest():
+    from algeff.parser import parse_program
+
+    def typed(text, ctx=None):
+        try:
+            return str(typecheck_comp(STATE10, parse_program(text), ctx))
+        except (TypeMismatch, UnboundVariable) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    # a chain nested in first position restores the names it shadowed
+    assert typed("do x <- return 1 in do y <- (do x <- return true in return x) in "
+                 "return x + 1") == "int ! {}"
+    # and binds nothing past its end
+    assert typed("do a <- (do y <- return 1 in return y) in return y") == (
+        "UnboundVariable: unbound variable at 1:50: y"
+    )
+    # a binder that shadows a name of the given context is put back too
+    ctx = {"x": T_BOOL}
+    assert typed("do u <- (do x <- get!() in return x) in return x", ctx) == "bool ! {get}"
+    assert ctx == {"x": T_BOOL}
+    # a chain's dirt is the union of its steps' dirt
+    assert typed("do u <- get!() in do v <- put!(u) in do w <- return 1 in return w") == (
+        "int ! {get, put}"
+    )

@@ -429,6 +429,14 @@ _TOKENIZER_CASES = [
     "\u00bdx",
     "1\u00b2",
     "\u00b2",
+    # the scan ends at the last token, so blanks after it are no token's:
+    # an escaped blank before them is still part of an unterminated string
+    '"abc\\ ',
+    '"abc\\\t \n',
+    '"abc  \n\n',
+    "x # c  \n \t",
+    "x \r\n",
+    "  ",
 ]
 
 
