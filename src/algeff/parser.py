@@ -613,9 +613,10 @@ class _Parser:
 
     def site(self, shape, universe, target: FiniteUniverse):
         """Note an operation parameter or a leaf read as ``shape``, whose
-        values ``universe`` holds (or, for a constant, its shape) and must
-        lie in ``target``; unless they do, every instance of the equation is
-        checked.  Not called under an empty arity."""
+        values ``universe`` holds (None for a constant, whose one value is
+        in its shape) and must lie in ``target``; unless they do, every
+        instance of the equation is checked.  Not called under an empty
+        arity."""
         if not (target.contains(shape[2]) if universe is None else _within(universe, target)):
             self.unproven = True
 
