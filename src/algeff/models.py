@@ -17,7 +17,7 @@ import itertools
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import NonEnumerableCarrier, TheoryMismatch, UnboundGenerator, UnknownOperation
-from .terms import Equation, Return, Theory, Tree, _Node, _check_laws, _set
+from .terms import Equation, Return, Theory, Tree, _Node, _check_laws
 from .terms import fold_tree, subtrees
 from .universe import UNIT, FiniteUniverse, Product
 
@@ -44,7 +44,11 @@ class FiniteModel(Interpretation):
 
     def __init__(self, theory: Theory, ops: Mapping, carrier: FiniteUniverse):
         super().__init__(theory, ops)
-        _set(self, "carrier", carrier)
+        _set_carrier(self, carrier)
+
+
+# the one slot FiniteModel adds to Interpretation's
+_set_carrier = FiniteModel.carrier.__set__
 
 
 class EquationViolation(_Node):

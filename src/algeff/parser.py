@@ -76,9 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-import sys
 from collections import Counter
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import lang
@@ -88,9 +86,7 @@ from .models import FiniteModel, table_model
 from .terms import _PARAM, Equation, OpDecl, Theory, _builder, _Instances, check_tree
 from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product, _within
 
-# A run of blanks, possessive where the re module has it (3.11 on): what
-# follows the run is never a blank, so only the speed differs.
-_B = r"[ \t\r\n]*+" if sys.version_info >= (3, 11) else r"[ \t\r\n]*"
+_B = r"[ \t\r\n]*"  # a run of blanks
 
 # one match per token or comment, with the blanks before it; its group is
 # the token's text.  The blanks after the last token are left out of the
@@ -903,16 +899,14 @@ def _cointerpretation(theory: Theory, world: FiniteUniverse, table: dict, covere
 # text.  Its blanks are the tokenizer's, so each atom and punctuation mark
 # spans the text its token would.  The last row of a table's ``findall`` is
 # the closing brace, at the end of the text; any other character that no
-# entry starts with makes a row with no operation.  The blanks before an
-# entry are never matched possessively (see ``_B``), so that one at the end
-# of the text makes a row rather than a failed match at each later blank.
-# The patterns are compiled when a table is first read (``_pattern``).
+# entry starts with makes a row with no operation.  The patterns are compiled
+# when a table is first read (``_pattern``).
 _STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
 _ATOM = r"\(%s\)|\d+|[^\W\d]\w*|%s" % (_B, _STRING)
 _ROW_END = r"| (\})%s\Z | ." % _B
-_COMODEL_ENTRY = rf"""[ \t\r\n]*(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}=
+_COMODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}=
     {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}; {_ROW_END})"""
-_MODEL_ENTRY = rf"""[ \t\r\n]*(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};
+_MODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};
     {_B} ((?:{_ATOM})(?:{_B},{_B}(?:{_ATOM}))*)? {_B}\){_B}={_B} ({_ATOM}) {_B}; {_ROW_END})"""
 # a table's header: its text up to the first ";" outside strings and comments
 _HEADER = r'(?: [^;"\#] | %s | \#[^\n]* )* ;' % _STRING
@@ -932,8 +926,6 @@ def _atom(raw: str):
         value = _value(raw)
     except _Unreadable:
         raise KeyError(raw) from None
-    if type(value) is int:
-        return value
     if type(value) is _Quoted:
         return value.text
     if value == "true":
@@ -1010,9 +1002,8 @@ def _comodel_by_pattern(text: str, theory: Theory):
     if read is None:
         return None
     world, rows = read
-    members = _Read(_members)  # one reader per universe, so each atom is read once
-    worlds = members[world]
-    coops = {d.name: (members[d.param], members[d.arity]) for d in theory.ops}
+    worlds = _members(world)
+    coops = {d.name: (_members(d.param), _members(d.arity)) for d in theory.ops}
     table = {}
     try:
         for op, p, w, result, w2, _ in rows:
@@ -1020,7 +1011,7 @@ def _comodel_by_pattern(text: str, theory: Theory):
             table[op, params[p], worlds[w]] = results[result], worlds[w2]
     except KeyError:  # an unknown operation, a row that does not fit, a non-member
         return None
-    covered = Counter(map(itemgetter(0), rows))
+    covered = Counter([row[0] for row in rows])
     size = world.size()
     if len(table) != len(rows) or any(
         count != theory.op(name).param.size() * size for name, count in covered.items()
@@ -1036,9 +1027,8 @@ def _model_by_pattern(text: str, theory: Theory):
     if read is None:
         return None
     carrier, rows = read
-    members = _Read(_members)  # one reader per universe, so each atom is read once
-    carriers = members[carrier]
-    ops = {d.name: (members[d.param], _arguments(carriers, d.arity.size())) for d in theory.ops}
+    carriers = _members(carrier)
+    ops = {d.name: (_members(d.param), _arguments(carriers, d.arity.size())) for d in theory.ops}
     table = {}
     try:
         for op, p, args, result, _ in rows:

@@ -41,9 +41,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .universe import FiniteUniverse
 
-# sets a slot past _Node.__setattr__, which refuses every assignment
-_set = object.__setattr__
-
 
 class _Node:
     """An immutable record, with no generated code.
@@ -51,10 +48,11 @@ class _Node:
     A subclass lists its fields in ``__slots__`` and sets them in its own
     ``__init__`` with ``_fill``, since assignment raises AttributeError.
     Its ``_fill`` takes one value per slot of ``_state``, its base's slots
-    first, and sets each through the slot descriptor's own setter: a call
-    per slot, written out for up to five slots (``_filler``).  A base that
-    sets only its own slots calls its own class's ``_fill``, as
-    ``Interpretation`` does under ``FiniteModel``.  Its ``_fields``,
+    first, and sets each through the slot descriptor's own setter, which
+    ``_Node.__setattr__`` does not stand in the way of.  A base that sets
+    only its own slots calls its own class's ``_fill``, as
+    ``Interpretation`` does under ``FiniteModel``, which then sets its
+    carrier through that slot's setter.  Its ``_fields``,
     unless it lists them, are its public slots, its base's first.  Records
     of one class are equal when their fields are; the hash is the fields'
     tuple's, the repr ``Name(field=value, ...)``.  A class that compares by
@@ -74,7 +72,13 @@ class _Node:
         get = attrgetter(*cls._fields) if cls._fields else lambda self: ()
         # a tuple for one field too, as for any other number
         cls._values = staticmethod((lambda self: (get(self),)) if len(cls._fields) == 1 else get)
-        cls._fill = _filler(tuple(getattr(cls, name).__set__ for name in cls._state))
+        setters = tuple(getattr(cls, name).__set__ for name in cls._state)
+
+        def fill(self, *values):
+            for setter, value in zip(setters, values):
+                setter(self, value)
+
+        cls._fill = fill
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,27 +100,6 @@ class _Node:
 
     def __reduce__(self):
         return _restore, (type(self), tuple(getattr(self, name) for name in self._state))
-
-
-def _filler(setters: tuple):
-    """A ``_fill`` that calls each setter with the record and its value, in
-    order.  A setter returns None, so ``or`` makes every call."""
-    if len(setters) > 5:
-        def fill(self, *values):
-            for setter, value in zip(setters, values):
-                setter(self, value)
-        return fill
-    a, b, c, d, e = setters + (None,) * (5 - len(setters))
-    return (
-        lambda self: None,
-        lambda self, v: a(self, v),
-        lambda self, v, w: a(self, v) or b(self, w),
-        lambda self, v, w, x: a(self, v) or b(self, w) or c(self, x),
-        lambda self, v, w, x, y: a(self, v) or b(self, w) or c(self, x) or d(self, y),
-        lambda self, v, w, x, y, z: (
-            a(self, v) or b(self, w) or c(self, x) or d(self, y) or e(self, z)
-        ),
-    )[len(setters)]
 
 
 def _restore(cls, values):

@@ -372,16 +372,3 @@ def test_a_finite_model_fills_its_base_slots_then_its_carrier():
     again = pickle.loads(pickle.dumps(model))
     assert (again.theory.name, again.ops, again.carrier) == ("cell", ops, BOOL)
 
-
-def test_a_record_of_more_than_five_slots_is_filled_by_a_loop():
-    from algeff.terms import _Node
-
-    class Wide(_Node):
-        __slots__ = ("a", "b", "c", "d", "e", "f")
-
-        def __init__(self, *values):
-            self._fill(*values)
-
-    wide = Wide(1, 2, 3, 4, 5, 6)
-    assert repr(wide) == f"{Wide.__qualname__}(a=1, b=2, c=3, d=4, e=5, f=6)"
-    assert wide == Wide(1, 2, 3, 4, 5, 6) != Wide(1, 2, 3, 4, 5, 7)
