@@ -44,11 +44,7 @@ class FiniteModel(Interpretation):
 
     def __init__(self, theory: Theory, ops: Mapping, carrier: FiniteUniverse):
         super().__init__(theory, ops)
-        _set_carrier(self, carrier)
-
-
-# the one slot FiniteModel adds to Interpretation's
-_set_carrier = FiniteModel.carrier.__set__
+        FiniteModel.carrier.__set__(self, carrier)  # the one slot it adds
 
 
 class EquationViolation(_Node):

@@ -49,15 +49,16 @@ class _Node:
     ``__init__`` with ``_fill``, since assignment raises AttributeError.
     Its ``_fill`` takes one value per slot of ``_state``, its base's slots
     first, and sets each through the slot descriptor's own setter, which
-    ``_Node.__setattr__`` does not stand in the way of.  A base that sets
-    only its own slots calls its own class's ``_fill``, as
-    ``Interpretation`` does under ``FiniteModel``, which then sets its
-    carrier through that slot's setter.  Its ``_fields``,
-    unless it lists them, are its public slots, its base's first.  Records
-    of one class are equal when their fields are; the hash is the fields'
-    tuple's, the repr ``Name(field=value, ...)``.  A class that compares by
-    identity takes ``object``'s ``__eq__`` and ``__hash__``.  Copies and
-    pickles refill every slot (``_state``) without calling ``__init__``.
+    ``_Node.__setattr__`` does not stand in the way of; a record has at
+    most five slots (``_filler``).  A base that sets only its own slots
+    calls its own class's ``_fill``, as ``Interpretation`` does under
+    ``FiniteModel``, which then sets its carrier through that slot's
+    setter.  Its ``_fields``, unless it lists them, are its public slots,
+    its base's first.  Records of one class are equal when their fields
+    are; the hash is the fields' tuple's, the repr ``Name(field=value,
+    ...)``.  A class that compares by identity takes ``object``'s
+    ``__eq__`` and ``__hash__``.  Copies and pickles refill every slot
+    (``_state``) without calling ``__init__``.
     """
 
     __slots__ = ()
@@ -72,13 +73,7 @@ class _Node:
         get = attrgetter(*cls._fields) if cls._fields else lambda self: ()
         # a tuple for one field too, as for any other number
         cls._values = staticmethod((lambda self: (get(self),)) if len(cls._fields) == 1 else get)
-        setters = tuple(getattr(cls, name).__set__ for name in cls._state)
-
-        def fill(self, *values):
-            for setter, value in zip(setters, values):
-                setter(self, value)
-
-        cls._fill = fill
+        cls._fill = _filler(tuple(getattr(cls, name).__set__ for name in cls._state))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,6 +95,23 @@ class _Node:
 
     def __reduce__(self):
         return _restore, (type(self), tuple(getattr(self, name) for name in self._state))
+
+
+def _filler(setters: tuple):
+    """A ``_fill`` that calls each slot's setter with the record and its
+    value.  The calls are written out: a loop over the setters costs about
+    twice as much per record, and a ``run`` round builds thousands."""
+    if len(setters) > 5:
+        raise TypeError(f"a record has at most five slots, not {len(setters)}")
+    a, b, c, d, e = setters + (None,) * (5 - len(setters))
+    return (
+        lambda self: None,
+        lambda self, v: a(self, v),
+        lambda self, v, w: (a(self, v), b(self, w)),
+        lambda self, v, w, x: (a(self, v), b(self, w), c(self, x)),
+        lambda self, v, w, x, y: (a(self, v), b(self, w), c(self, x), d(self, y)),
+        lambda self, v, w, x, y, z: (a(self, v), b(self, w), c(self, x), d(self, y), e(self, z)),
+    )[len(setters)]
 
 
 def _restore(cls, values):

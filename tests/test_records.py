@@ -372,3 +372,19 @@ def test_a_finite_model_fills_its_base_slots_then_its_carrier():
     again = pickle.loads(pickle.dumps(model))
     assert (again.theory.name, again.ops, again.carrier) == ("cell", ops, BOOL)
 
+
+
+def test_a_record_class_of_more_than_five_slots_is_refused():
+    from algeff.terms import _Node
+
+    with pytest.raises(TypeError, match="at most five slots"):
+
+        class Wide(_Node):
+            __slots__ = ("a", "b", "c", "d", "e", "f")
+
+
+def test_a_fill_with_the_wrong_number_of_values_raises():
+    with pytest.raises(TypeError):
+        Fin(3)._fill(1, 2)
+    with pytest.raises(TypeError):
+        Product(BOOL, BOOL)._fill(BOOL)
