@@ -99,8 +99,8 @@ class _Node:
 
 def _filler(setters: tuple):
     """A ``_fill`` that calls each slot's setter with the record and its
-    value.  The calls are written out: a loop over the setters costs about
-    twice as much per record, and a ``run`` round builds thousands."""
+    value.  The calls are written out: a ``run`` round builds thousands of
+    records, and with a loop over the setters it takes about 3% longer."""
     if len(setters) > 5:
         raise TypeError(f"a record has at most five slots, not {len(setters)}")
     a, b, c, d, e = setters + (None,) * (5 - len(setters))

@@ -373,7 +373,6 @@ def test_a_finite_model_fills_its_base_slots_then_its_carrier():
     assert (again.theory.name, again.ops, again.carrier) == ("cell", ops, BOOL)
 
 
-
 def test_a_record_class_of_more_than_five_slots_is_refused():
     from algeff.terms import _Node
 
