@@ -5,8 +5,8 @@ P x |W| -> A x |W| per covered operation.  Running an effect tree against a
 world threads the world through the cooperations until a leaf is reached
 (Done) or an uncovered operation surfaces (Stuck).  Validating a comodel
 checks every equation pointwise over the world: a side written in theory
-syntax is run from its shape, compiled once per check, and no instance of
-it is built.
+syntax is run from its shape, read once per check in a runner algebra
+(``_runner``), and no instance of it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     UncoveredOperation,
     UnknownOperation,
 )
-from .terms import OpNode, Return, Theory, _Node, _builder, _check_laws
+from .terms import OpNode, Return, Theory, _element, _Node, _check_laws, compile
 from .theories import choice_theory
 from .universe import Enum, Fin, FiniteUniverse
 
@@ -122,21 +122,18 @@ def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
     as its coverage; None means every law holds, otherwise the first
     failing case is the witness.  An equation that mentions an uncovered
     operation raises UncoveredOperation before any of its runs.  A side
-    written in theory syntax is run from its shape, compiled once
-    (``_compile``), so no instance of it is built; any other side's
-    instance is run by the loop ``cointerpret_tree`` uses.  Either way a
-    run makes the same cooperation calls, and its (leaf value, world) pair
-    becomes a ``Done`` record only in a witness.
+    written in theory syntax is run from its shape, read once in the
+    comodel's runner algebra (``_runner``), so no instance of it is built;
+    any other side's instance is run by the loop ``cointerpret_tree``
+    uses.  Either way a run makes the same cooperation calls, and its
+    (leaf value, world) pair becomes a ``Done`` record only in a witness.
     """
     if not isinstance(c.world, FiniteUniverse):
         raise NonEnumerableWorld("comodel validation needs an enumerable world")
-    compiled = {}
+    algebra, runs = _runner(c), {}
 
-    def runner(side, p):
-        run = compiled.get(side)
-        if run is None:
-            run = compiled[side] = _compile(c, side.shape)
-        return run
+    def run_of(side, p):  # each side compiled once
+        return runs.get(side) or runs.setdefault(side, compile(side.shape, algebra))
 
     def check(eq, p, lhs, rhs):
         if callable(lhs):  # runners of template sides, which share one environment
@@ -151,7 +148,7 @@ def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
         return True
 
     violation, skipped, _ = _check_laws(c.theory.eqs, check, set(c.coops), stop_at_skip=True,
-                                        build=runner)
+                                        build=run_of)
     for name, missing in skipped:
         raise UncoveredOperation(f"equation {name!r} mentions uncovered operations {missing}")
     return violation
@@ -163,40 +160,36 @@ def _ends(c: Cointerpretation, t, world) -> tuple:
     return t.value, world
 
 
-def _compile(c: Cointerpretation, shape: tuple, depth: int = 0) -> Callable:
-    """An equation side's shape (``terms._builder``), every operation in it
-    covered, as a function that runs it from an environment, which maps 0
-    to the parameter and k to binder k's element, and a world, as ``_run``
-    runs its instance.  Each cooperation's result is checked against the
-    arity (``index_of``) and selects a subtree, or is bound, as that
-    element, for the body.  It returns (leaf value, world).  Each body
-    rebinds its own key, so runs share an environment.  A run of the
-    side's tree for a replay (``_Instances.lazy``) would build the branch
-    each cooperation selects, from every world; a run of this builds
-    nothing."""
-    tag = shape[0]
-    if tag == "return":
-        value = _builder(shape[1])
+def _runner(c: Cointerpretation) -> tuple:
+    """The runner algebra of ``c``, its model on (X x W)^W (Plotkin &
+    Power, MFPS 2008): a covered side as a function from an environment and
+    a world to (leaf value, world), making ``_run``'s cooperation calls and
+    arity checks (``index_of``).  Each body rebinds its own key, so runs
+    share an environment; nothing is built."""
+
+    def leaf(value):
         return lambda env, world: (value(env), world)
-    name = shape[1]
-    coop, param, arity = c.coops[name], _builder(shape[2]), c.theory.op(name).arity
-    elements = arity.elements()
-    if tag == "op":
-        kids = [_compile(c, sub, depth) for sub in shape[3]]
+
+    def node(op, param, kids):
+        coop, arity = c.coops[op], c.theory.op(op).arity
 
         def run(env, world):
             a, world = coop(param(env), world)
             return kids[arity.index_of(a)](env, world)
 
         return run
-    body, key = _compile(c, shape[4], depth + 1), depth + 1
 
-    def run_body(env, world):
-        a, world = coop(param(env), world)
-        env[key] = elements[arity.index_of(a)]
-        return body(env, world)
+    def bind(op, param, arity, body, key):
+        coop, elements = c.coops[op], arity.elements()
 
-    return run_body
+        def run_body(env, world):
+            a, world = coop(param(env), world)
+            env[key] = elements[arity.index_of(a)]
+            return body(env, world)
+
+        return run_body
+
+    return _element, leaf, node, bind
 
 
 def tensor_run(m_tree, w0, c: Cointerpretation) -> RunOutcome:

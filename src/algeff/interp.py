@@ -58,6 +58,7 @@ from .free import (
     materialize,
     normalize,
     normalizes_to_leaf_sets,
+    _plain,
 )
 from .lang import (
     App,
@@ -467,14 +468,8 @@ def sample_values(theory: Theory, vtype) -> list | None:
     return None if domain is None else domain.elements()
 
 
-# Neither test below decides a comparison for True, so the symbol a
-# comparison is first tried at (``compare_values``) fails them harmlessly.
-def _plain(v) -> bool:
-    if type(v) is tuple:
-        return all(_plain(x) for x in v)
-    return type(v) in (bool, int, str)
-
-
+# Neither ``_plain`` nor ``_first_order`` decides a comparison for True, so the
+# symbol a comparison is first tried at (``compare_values``) fails them harmlessly.
 def _first_order(v) -> bool:
     if type(v) is tuple:
         return all(_first_order(x) for x in v)

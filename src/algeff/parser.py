@@ -53,22 +53,21 @@ only when one is read.  One reader reads every element, in an equation, a
 table or a ``--world`` text: as a shape over the binders in scope, which
 outside an equation is built at once into its value.  An equation's two
 sides are read once, as shapes, and checked once, by the universes their
-elements range over.  A shape is data (see ``terms._builder``): equal
-shapes build equal trees, so ``free`` compares a theory's laws with a
-built-in's by their shapes, and the law checkers read a side's operations,
-its coverage, from its shape.
-Only an equation that fails that check has its instances built and checked
-one by one, to report the first defective one as ``check_theory`` would;
-otherwise a side's shape is compiled into a builder the first time a tree
-is built from it, and no tree is kept: ``Equation.lhs`` and
-``Equation.rhs`` build an instance anew at each call.  So ``run`` and
-``type`` never compile an equation side of a theory that loads, ``check
-model`` builds each side once at each parameter, and ``check comodel``
-builds none: it runs each side from its shape.  A side can also be built
-at a value outside its family, such as the handler check's symbolic
-parameter, and the handler check builds each instance it replays a branch
-at a time.  The built-ins written in theory syntax are read by
-``_parse_builtin``, in which a name can stand for a universe.
+elements range over.  A shape is data, written here and read only by
+``terms`` (``terms.compile``): equal shapes build equal trees, so ``free``
+compares a theory's laws with a built-in's by their shapes, and the law
+checkers read a side's operations, its coverage, from its shape.  Only an
+equation that fails that check has its instances built and checked one by
+one, to report the first defective one as ``check_theory`` would;
+otherwise a side is compiled the first time a tree is built from it, and
+no tree is kept: ``Equation.lhs`` and ``Equation.rhs`` build an instance
+anew at each call.  So ``run`` and ``type`` never compile an equation side
+of a theory that loads, ``check model`` builds each side once at each
+parameter, and ``check comodel`` builds none: it runs each side from its
+shape.  A side can also be built at a value outside its family, such as
+the handler check's symbol, which replays it a branch at a time.  The
+built-ins written in theory syntax are read by ``_parse_builtin``, in
+which a name can stand for a universe.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from . import lang
 from .comodels import Cointerpretation
 from .errors import ParameterOutOfUniverse, ParseError, UnboundGenerator
 from .models import FiniteModel, table_model
-from .terms import _PARAM, Equation, OpDecl, Theory, _builder, _Instances, check_tree
+from .terms import _PARAM, Equation, OpDecl, Theory, _element, _Instances, check_tree
 from .universe import BOOL, EMPTY, UNIT, Enum, Fin, FiniteUniverse, Product, _within
 
 _B = r"[ \t\r\n]*"  # a run of blanks
@@ -545,23 +544,23 @@ class _Parser:
     # -- elements and equation shapes -----------------------------------------
 
     # One reader, ``elem_template``, reads every element, as a shape (see
-    # ``terms._builder``) over the binders in scope: an equation's forall
-    # parameter and each "\x." binder.  An element outside any equation
-    # (``elem``) is its shape built at once.  Inside an equation, trees are
-    # read once as shapes too.  ``scope`` maps each binder in scope to its
-    # shape and the universe it ranges over; it is None in a body under an
-    # empty arity, which is never instantiated.  Each element shape comes
-    # with a universe that holds every value it takes, or None for a
-    # constant, whose one value is in its shape.  So an operation parameter
-    # or a leaf is checked once, against the universe it must lie in
-    # (``site``), and a bad fst or snd fails where it is read.  The tree
-    # readers keep the token list in a local and look each operation up
-    # once.
+    # ``terms``) over the binders in scope: an equation's forall parameter
+    # and each "\x." binder.  An element outside any equation (``elem``) is
+    # its shape built at once, by the element compiler (``terms._element``).
+    # Inside an equation, trees are read once as shapes too.  ``scope`` maps
+    # each binder in scope to its shape and the universe it ranges over; it
+    # is None in a body under an empty arity, which is never instantiated.
+    # Each element shape comes with a universe that holds every value it
+    # takes, or None for a constant, whose one value is in its shape.  So an
+    # operation parameter or a leaf is checked once, against the universe it
+    # must lie in (``site``), and a bad fst or snd fails where it is read.
+    # The tree readers keep the token list in a local and look each
+    # operation up once.
 
     def elem(self):
         """An element outside any equation, read as its value."""
         shape, _ = self.elem_template({})
-        return _builder(shape)({})
+        return _element(shape)({})
 
     def elem_template(self, scope) -> tuple:
         """The shape of the element read here, and a universe that holds

@@ -14,10 +14,10 @@ so trees of any depth compare and hash; they fold (``fold_tree``) and
 walk in preorder (``subtrees``) on explicit stacks too.  Their base,
 ``_Node``, is the base of every other record class in the package too.
 An equation side written in theory syntax is held as data, its shape
-(``_Instances``), and compiled once, when a tree is first built from it,
-into a builder (``_builder``) of its tree for a replay: a binder body
-becomes a ``Branches`` node, which builds a branch only when a replay
-selects it, at an element or at a symbol standing for many
+(``_Instances``), read by one walk in an algebra (``compile``).  In the
+free algebra (``FREE``), once a tree is built from it, it is a builder of
+its tree for a replay: a binder body is a ``Branches`` node, which builds
+a branch only when a replay selects it, at an element or at a symbol
 (``ParamSymbol``).  A whole instance is that tree with every ``Branches``
 expanded in place, built anew each time it is asked for, and not kept.
 """
@@ -318,7 +318,7 @@ class ParamSymbol:
 
 
 class Branches:
-    """An operation node built from a binder body (``_builder``), over its
+    """An operation node built from a binder body (``FREE``), over its
     arity's ``elements``.  Its branch at an element, or at a symbol that
     stands only for elements of the arity, is the body built there
     (``branch``), and is not kept.  A replay (``_Instances.lazy``) reads
@@ -378,10 +378,9 @@ class Equation(_Node):
 _PARAM = ("param",)
 
 
-def _builder(shape: tuple, depth: int = 0):
-    """A function that builds ``shape`` from an environment: a dict that
-    maps 0 to the forall parameter and k to the value of binder k.  A
-    binder body builds a ``Branches`` node, which holds the environment."""
+def _element(shape: tuple):
+    """The one element compiler: ``shape`` as a function of an environment,
+    a dict that maps 0 to the forall parameter and k to binder k's value."""
     tag = shape[0]
     if tag == "const":
         value = shape[2]
@@ -391,20 +390,47 @@ def _builder(shape: tuple, depth: int = 0):
     if tag == "var":
         return itemgetter(shape[1])
     if tag == "pair":
-        first, second = _builder(shape[1]), _builder(shape[2])
+        first, second = _element(shape[1]), _element(shape[2])
         return lambda env: (first(env), second(env))
-    if tag == "fst" or tag == "snd":
-        pair, index = _builder(shape[1]), 0 if tag == "fst" else 1
-        return lambda env: pair(env)[index]
+    pair, index = _element(shape[1]), 0 if tag == "fst" else 1
+    return lambda env: pair(env)[index]
+
+
+def compile(shape: tuple, algebra: tuple):
+    """The side ``shape`` read in ``algebra``, ``(element, leaf, node,
+    bind)``, parts first: ``element(e)`` an element (``_element`` where
+    values count), ``leaf(value)`` a return, ``node(op, param, kids)`` an
+    operation with positional subtrees, and ``bind(op, param, arity, body,
+    key)`` one with ``body`` at each element of ``arity``, bound to ``key``."""
+    return _read(shape, algebra, 0)
+
+
+def _read(shape: tuple, algebra: tuple, depth: int):
+    # a module-level function, since a nested one that calls itself is a
+    # reference cycle per compile, which made a handler check 8% slower
+    element, leaf, node, bind = algebra
+    tag = shape[0]
     if tag == "return":
-        leaf = _builder(shape[1])
-        return lambda env: Return(leaf(env))
-    name, param = shape[1], _builder(shape[2])
+        return leaf(element(shape[1]))
+    name, param = shape[1], element(shape[2])
     if tag == "op":
-        subtrees = [_builder(sub, depth) for sub in shape[3]]
-        return lambda env: OpNode(name, param(env), tuple([sub(env) for sub in subtrees]))
-    body, key, elements = _builder(shape[4], depth + 1), depth + 1, shape[3].elements()
-    return lambda env: Branches(name, param(env), body, env, key, elements)
+        return node(name, param, [_read(sub, algebra, depth) for sub in shape[3]])
+    return bind(name, param, shape[3], _read(shape[4], algebra, depth + 1), depth + 1)
+
+
+def _free_bind(op, param, arity, body, key):
+    elements = arity.elements()
+    return lambda env: Branches(op, param(env), body, env, key, elements)
+
+
+# The free algebra: a side's tree for a replay, with a ``Branches`` at each binder body.
+FREE = (_element, lambda value: lambda env: Return(value(env)),
+        lambda op, param, kids: lambda env: OpNode(op, param(env), tuple([kid(env) for kid in kids])),
+        _free_bind)
+# The operations the trees of a side perform; it reads no element.
+OPS = (lambda e: None, lambda value: frozenset(),
+       lambda op, param, kids: frozenset((op,)).union(*kids),
+       lambda op, param, arity, body, key: body | {op})
 
 
 def _expand(t: OpNode | Branches) -> OpNode:
@@ -425,30 +451,16 @@ def _expand(t: OpNode | Branches) -> OpNode:
     return OpNode(t.op, t.param, tuple(kont))
 
 
-def _shape_ops(shape: tuple) -> frozenset:
-    """The operations of the trees a side's shape builds."""
-    found, stack = set(), [shape]
-    while stack:
-        node = stack.pop()
-        if node[0] == "op":
-            found.add(node[1])
-            stack += node[3]
-        elif node[0] == "bind":
-            found.add(node[1])
-            stack.append(node[4])
-    return frozenset(found)
-
-
 class _Instances:
     """One side of an equation family written in theory syntax: its
-    ``shape``, compiled into a builder (``_builder``) when the first tree
+    ``shape``, compiled in the free algebra (``FREE``) when the first tree
     is built from it.  ``lazy(v)`` builds the side's tree for a replay at
     any value, such as a symbol that stands for every parameter; calling
     it at a parameter builds the whole instance there, that tree with
     every ``Branches`` expanded (``_expand``).  Either is built anew each
     time, and not kept.  A parameter outside the family raises KeyError.
-    ``ops`` are the operations every instance performs, read from the
-    shape when first asked for, and kept; a body under an empty arity is
+    ``ops`` are the operations every instance performs, the shape read in
+    ``OPS`` when first asked for, and kept; a body under an empty arity is
     never built, so its operations are not among them.
 
     Its values never change, so a copy is the object itself.  A pickle
@@ -459,13 +471,13 @@ class _Instances:
     def __init__(self, shape: tuple, params: FiniteUniverse):
         self.shape = shape
         self.params = params
-        self.build = None  # _builder(shape), once a tree is built
+        self.build = None  # compile(shape, FREE), once a tree is built
         self._ops = None
 
     @property
     def ops(self) -> frozenset:
         if self._ops is None:
-            self._ops = _shape_ops(self.shape)
+            self._ops = compile(self.shape, OPS)
         return self._ops
 
     def __call__(self, p):
@@ -490,7 +502,7 @@ class _Instances:
         binder body is a ``Branches``, which builds a branch only when the
         replay selects it."""
         if self.build is None:
-            self.build = _builder(self.shape)
+            self.build = compile(self.shape, FREE)
         return self.build({0: p})
 
     def __copy__(self):

@@ -403,3 +403,89 @@ def test_shapes_and_trees_run_alike_with_a_wrong_entry_anywhere(sample, theory):
                     assert results[0] == results[1] and logs[0] == logs[1]
                     kinds.add(results[0][0] if results[0][0] == "raised" else type(results[0][1]))
     assert kinds >= {"raised", ComodelViolation}
+
+
+# ---------------------------------------------------------------------------
+# The runner algebra against the compiler it replaced: each side's shape
+# compiled by its own walk into a function of (environment, world).
+
+
+def reference_compile(c, shape, depth=0):
+    """A side's shape, every operation in it covered, as a function that
+    runs it from an environment and a world to (leaf value, world): the
+    reference that ``terms.compile`` in ``comodels._runner(c)`` must match."""
+    from algeff import terms
+
+    tag = shape[0]
+    if tag == "return":
+        value = terms._element(shape[1])
+        return lambda env, world: (value(env), world)
+    name = shape[1]
+    coop, param, arity = c.coops[name], terms._element(shape[2]), c.theory.op(name).arity
+    elements = arity.elements()
+    if tag == "op":
+        kids = [reference_compile(c, sub, depth) for sub in shape[3]]
+
+        def run(env, world):
+            a, world = coop(param(env), world)
+            return kids[arity.index_of(a)](env, world)
+
+        return run
+    body, key = reference_compile(c, shape[4], depth + 1), depth + 1
+
+    def run_body(env, world):
+        a, world = coop(param(env), world)
+        env[key] = elements[arity.index_of(a)]
+        return body(env, world)
+
+    return run_body
+
+
+def assert_runs_match_the_reference(c):
+    """Each side of each equation, at every parameter and every world, run
+    by the runner algebra and by the reference: the same outcome, and the
+    same cooperation calls in the same order.  Returns the runs made."""
+    from algeff.comodels import _runner
+    from algeff.terms import compile
+
+    logs = [], []
+    ours, ref = recording(c, logs[0]), recording(c, logs[1])
+    runs = 0
+    for eq in c.theory.eqs:
+        for side in (eq.lhs, eq.rhs):
+            run, expected = compile(side.shape, _runner(ours)), reference_compile(ref, side.shape)
+            for p in eq.param_universe.iter_elements():
+                for w in c.world.iter_elements():
+                    got = outcome(run, {0: p}, w)
+                    assert got == outcome(expected, {0: p}, w), (eq.name, p, w)
+                    assert logs[0] == logs[1], (eq.name, p, w)
+                    runs += 1
+    return runs
+
+
+def _cell_comodels(monkeypatch):
+    """The benchmark's fin 3, 6 and 10 cell comodels, each lawful and with
+    one wrong get entry and one wrong put entry."""
+    import importlib
+
+    monkeypatch.syspath_prepend(str(SAMPLES.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    for n in (3, 6, 10):
+        theory = parse_theory_file(gen.state_theory_text(n, abort=False))
+        get, put = gen.cell_tables(n)
+        wrong_get, wrong_put = {**get, 1: (2, 0)}, {**put, (0, n - 1): 1}
+        for tables in ((get, put), (wrong_get, put), (get, wrong_put)):
+            yield parse_comodel_file(gen.state_comodel_text(n, *tables), theory)
+
+
+def test_the_runner_algebra_runs_each_side_as_the_reference_compiler(monkeypatch):
+    comodels = [parse_comodel_file((SAMPLES / sample).read_text(),
+                                   parse_theory_file((SAMPLES / theory).read_text()))
+                for sample, theory in (("state10.cmod", "state10.thy"),
+                                       ("hello.cmod", "io_hello.thy"),
+                                       ("altstream.cmod", "choice.thy"))]
+    comodels += _cell_comodels(monkeypatch)
+    verdicts = [validate_comodel(c) is None for c in comodels]
+    assert verdicts == [True, True, False] + [True, False, False] * 3
+    runs = [assert_runs_match_the_reference(c) for c in comodels]
+    assert runs[1] == 0 and min(runs[:1] + runs[2:]) > 0 and sum(runs) > 10_000

@@ -506,8 +506,9 @@ def test_a_handler_check_reads_each_template_sides_operations_once(monkeypatch, 
     from algeff.cli import main
 
     walks = []
-    shape_ops = terms._shape_ops
-    monkeypatch.setattr(terms, "_shape_ops", lambda shape: walks.append(shape) or shape_ops(shape))
+    compile = terms.compile
+    monkeypatch.setattr(terms, "compile", lambda shape, algebra: (
+        algebra is terms.OPS and walks.append(shape)) or compile(shape, algebra))
     for _ in range(2):  # each command reads its theory afresh
         walks.clear()
         assert main(["check", "handler", str(SAMPLES / "stateh.eff"),

@@ -233,7 +233,7 @@ def read_by_template(text):
     p = _Parser(text)
     shape, _ = p.elem_template({})
     p.expect_eof()
-    return terms._builder(shape)({})
+    return terms._element(shape)({})
 
 
 @pytest.mark.parametrize("text", ELEMENT_TEXTS + [
@@ -492,7 +492,7 @@ def _refuse_to_build(*args):
 
 def test_parsing_a_theory_builds_no_equation_tree(monkeypatch):
     # a side is compiled into its builder before any tree is built from it
-    monkeypatch.setattr(terms, "_builder", _refuse_to_build)
+    monkeypatch.setattr(terms, "compile", _refuse_to_build)
     th = parse_theory_file((SAMPLES / "state10.thy").read_text())
     assert [e.name for e in th.eqs] == ["get_get", "get_put", "put_get", "put_put"]
 
@@ -515,11 +515,11 @@ def eager_builder(shape, depth=0):
     reference that a whole instance (``terms._Instances``) must match."""
     tag = shape[0]
     if tag in ("const", "param", "var", "pair", "fst", "snd"):
-        return terms._builder(shape)
+        return terms._element(shape)
     if tag == "return":
-        leaf = terms._builder(shape[1])
+        leaf = terms._element(shape[1])
         return lambda env: Return(leaf(env))
-    name, param = shape[1], terms._builder(shape[2])
+    name, param = shape[1], terms._element(shape[2])
     if tag == "op":
         subtrees = [eager_builder(sub, depth) for sub in shape[3]]
         return lambda env: OpNode(name, param(env), tuple([sub(env) for sub in subtrees]))
@@ -574,6 +574,39 @@ def test_whole_instances_match_the_eager_reference(monkeypatch):
     assert abort.rhs(1) == OpNode("put", 1, (OpNode("abort", (), ()),))
 
 
+def reference_shape_ops(shape):
+    """The operations of the trees a side's shape builds, by a walk of its
+    own: the reference that a side's ``ops`` (``terms.OPS``) must match."""
+    found, stack = set(), [shape]
+    while stack:
+        node = stack.pop()
+        if node[0] == "op":
+            found.add(node[1])
+            stack += node[3]
+        elif node[0] == "bind":
+            found.add(node[1])
+            stack.append(node[4])
+    return frozenset(found)
+
+
+def test_the_operations_algebra_reads_each_side_as_the_reference_walk(monkeypatch):
+    texts = [path.read_text() for path in sorted(SAMPLES.glob("*.thy"))]
+    texts += _perfbench_state_theories(monkeypatch)
+    theories = [parse_theory_file(text) for text in texts]
+    theories += [single_state_theory(s) for s in (Fin(1), Fin(3), Enum(("a", "b")),
+                                                  Product(Fin(2), Fin(2)))]
+    theories += [choice_theory(), semilattice_theory(), group_theory(), singleton_theory()]
+    sides = 0
+    for theory in theories:
+        for eq in theory.eqs:
+            for side in (eq.lhs, eq.rhs):
+                expected = reference_shape_ops(side.shape)
+                assert terms.compile(side.shape, terms.OPS) == expected, (theory.name, eq.name)
+                assert side.ops == expected and type(side.ops) is frozenset
+                sides += 1
+    assert sides > 100
+
+
 def _instances_of(eq):
     params = eq.param_universe.elements()
     return [eq.lhs(p) for p in params], [eq.rhs(p) for p in params]
@@ -616,7 +649,7 @@ _STATE10 = ("--theory", "state10.thy", "--comodel", "state10.cmod", "--world", "
 def test_run_and_type_build_no_equation_tree(monkeypatch, capsys, argv):
     from algeff.cli import main
 
-    monkeypatch.setattr(terms, "_builder", _refuse_to_build)
+    monkeypatch.setattr(terms, "compile", _refuse_to_build)
     argv = [str(SAMPLES / a) if (SAMPLES / a).is_file() else a for a in argv]
     assert main(argv) in (0, 2)
     assert "error" not in capsys.readouterr().err
