@@ -130,16 +130,14 @@ def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
     """
     if not isinstance(c.world, FiniteUniverse):
         raise NonEnumerableWorld("comodel validation needs an enumerable world")
-    algebra, runs = _runner(c), {}
+    algebra = _runner(c)
 
-    def run_of(side, p):  # each side compiled once
-        return runs.get(side) or runs.setdefault(side, compile(side.shape, algebra))
+    def build(side):  # a template side's runner at each parameter
+        run = compile(side.shape, algebra)
+        return lambda p: partial(run, {0: p})
 
     def check(eq, p, lhs, rhs):
-        if callable(lhs):  # runners of template sides, which share one environment
-            env = {0: p}
-            lhs, rhs = partial(lhs, env), partial(rhs, env)
-        else:
+        if not callable(lhs):  # trees of sides written as functions
             lhs, rhs = partial(_ends, c, lhs), partial(_ends, c, rhs)
         for w in c.world.iter_elements():
             lo, ro = lhs(w), rhs(w)
@@ -148,7 +146,7 @@ def validate_comodel(c: Cointerpretation) -> ComodelViolation | None:
         return True
 
     violation, skipped, _ = _check_laws(c.theory.eqs, check, set(c.coops), stop_at_skip=True,
-                                        build=run_of)
+                                        build=build)
     for name, missing in skipped:
         raise UncoveredOperation(f"equation {name!r} mentions uncovered operations {missing}")
     return violation

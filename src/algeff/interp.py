@@ -87,7 +87,7 @@ from .lang import (
     Var,
     WithHandle,
 )
-from .terms import OpNode, ParamSymbol, Theory, Tree, _Instances, _Node, _check_laws
+from .terms import OpNode, ParamSymbol, Theory, Tree, _Node, _check_laws
 from .terms import tree_leaves
 from .terms import Return as Leaf
 from .universe import BOOL, UNIT, Enum, Fin, FiniteUniverse, Product, _within
@@ -749,7 +749,7 @@ def check_handler_equations(
     violation, skipped, unknown = _check_laws(
         theory.eqs, check, {cl.op for cl in h.code.clauses},
         default_budget() if budget is None else budget, family=holds_at_every_parameter,
-        build=_Instances.lazy,
+        build=lambda side: side.lazy,
     )
     skipped = tuple(name for name, _ in skipped)
     if violation is not None:

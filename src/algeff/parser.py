@@ -595,7 +595,7 @@ class _Parser:
             pair, universe = self.elem_template(scope)
             if scope is not None:
                 universe = _held(pair, universe)
-                if type(universe) is not Product:
+                if not isinstance(universe, Product):  # an Apart too
                     # no element of another universe is a pair: the first
                     # instance fails, at the first element
                     value = next(universe.iter_elements())
@@ -722,7 +722,8 @@ class _Parser:
         self.eat_punct("(")
         context = self.universe()
         self.eat_punct(")", ":")
-        if param_universe.is_empty():
+        if param_universe.is_empty() and not self.universes:
+            # a built-in's side condition may hold nowhere: state's at one location
             self.error(self.i, "forall over an empty universe")
         scope = {} if param_name is None else {param_name: (_PARAM, param_universe)}
         self.unproven = False

@@ -25,7 +25,6 @@ expanded in place, built anew each time it is asked for, and not kept.
 from __future__ import annotations
 
 import gc
-from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
@@ -648,8 +647,9 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     operations are read from its sides when both are templates
     (``_Instances``), once per side, else from all its instances, built
     first.  A side is handed to ``check`` as its tree at ``p``, or, with
-    ``build``, a template side as ``build(side, p)``, such as its tree for
-    a replay (``_Instances.lazy``).  ``family(eq)``, when
+    ``build``, a template side as ``build(side)(p)``, such as its tree for
+    a replay (``_Instances.lazy``); ``build`` is called once per side of
+    each equation checked, after its coverage.  ``family(eq)``, when
     given, may vouch for every instance of an equation whose sides are
     templates over more than one parameter; then they all count as
     checked, and otherwise its instances are checked one by one.  At most
@@ -660,21 +660,23 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     skipped, undecided, checked = [], False, 0
     for eq in eqs:
         templates = type(eq.lhs) is _Instances and type(eq.rhs) is _Instances
-        at_l, at_r = eq.lhs, eq.rhs
-        if templates and build is not None:
-            at_l, at_r = partial(build, at_l), partial(build, at_r)
-        instances = ((p, at_l(p), at_r(p)) for p in eq.param_universe.iter_elements())
+        instances = None
         if covered is not None:
             if templates:
                 used = eq.lhs.ops | eq.rhs.ops
             else:
-                instances = list(instances)
+                instances = [(p, eq.lhs(p), eq.rhs(p)) for p in eq.param_universe.iter_elements()]
                 used = set().union(*(tree_ops(t) for _, lhs, rhs in instances for t in (lhs, rhs)))
             if not used <= covered:
                 skipped.append((eq.name, sorted(used - covered)))
                 if stop_at_skip:
                     break
                 continue
+        if instances is None:
+            at_l, at_r = eq.lhs, eq.rhs
+            if templates and build is not None:
+                at_l, at_r = build(at_l), build(at_r)
+            instances = ((p, at_l(p), at_r(p)) for p in eq.param_universe.iter_elements())
         size = eq.param_universe.size()
         left = size if budget is None else min(size, budget - checked)
         if family is not None and templates and size > 1 and left and family(eq):

@@ -5,13 +5,12 @@ the same object.  The single-state, semilattice, and choice theories also
 serve as references: ``free`` gives their normalizer to any theory whose
 operations and equation instances are exactly theirs (the get/put normal
 form, or the sorted leaf set that choice and the semilattice share), and
-a theory's laws are compared with theirs shape by shape.  These three,
-the group and the singleton theory are written in theory syntax and read
-by the parser, so their equation sides are shapes, as a parsed theory's
-are.  ``state`` and ``combine`` write their sides as functions of the
-parameter: every commutation law, ``state``'s three cross-location laws
-and the ``dist_*`` laws of ``combine``, comes from one builder,
-``_commutation``, whose side condition (``trivial``) no shape states.
+a theory's laws are compared with theirs shape by shape.  Every built-in
+with laws is written in theory syntax and read by the parser, so its
+equation sides are shapes, as a parsed theory's are; ``state``'s side
+conditions are parameter universes (``Apart``).  ``combine`` keeps them
+shapes: it renames operations by reading a shape in a renaming algebra,
+and builds each ``dist_*`` law as a pair of shapes (``_dist``).
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EmptyStateUniverse
-from .terms import Equation, OpDecl, OpNode, Return, Theory, rename_tree_ops
-from .universe import EMPTY, UNIT, FiniteUniverse, Product
+from .terms import _PARAM, Equation, OpDecl, Theory, _Instances, compile, rename_tree_ops
+from .universe import EMPTY, UNIT, Apart, FiniteUniverse, Product
 
 # The built-ins that lend their normalizers, in theory syntax; ``S`` is the
 # state universe.
@@ -31,6 +30,20 @@ _SINGLE_STATE = r"""theory single_state {
   equation get_put (unit) : get((); \s. put(s; \u. return u)) = return ();
   equation put_get forall p in S (S) : put(p; \u. get((); \t. return t)) = put(p; \u. return p);
   equation put_put forall p in S * S (unit) : put(fst p; \u. put(snd p; \v. return v)) = put(snd p; \v. return v);
+}"""
+
+# ``L`` is the location universe; ``LL``, ``UL`` and ``UU`` hold the pairs of
+# lookups and updates at distinct locations, ordered ones for a symmetric law.
+_STATE = r"""theory state {
+  op lookup : L ~> S;
+  op update : L * S ~> unit;
+  equation lookup_lookup forall l in L (S * S) : lookup(l; \a. lookup(l; \b. return (a, b))) = lookup(l; \a. return (a, a));
+  equation lookup_update forall l in L (unit) : lookup(l; \a. update((l, a); return ())) = return ();
+  equation update_lookup forall p in L * S (S) : update(p; lookup(fst p; \b. return b)) = update(p; return snd p);
+  equation update_update forall p in L * S * S (unit) : update(fst p; update((fst fst p, snd p); return ())) = update((fst fst p, snd p); return ());
+  equation lookup_lookup_comm forall p in LL (S * S) : lookup(fst p; \a. lookup(snd p; \b. return (a, b))) = lookup(snd p; \b. lookup(fst p; \a. return (a, b)));
+  equation update_lookup_comm forall p in UL (S) : update(fst p; lookup(snd p; \b. return b)) = lookup(snd p; \b. update(fst p; return b));
+  equation update_update_comm forall p in UU (unit) : update(fst p; update(snd p; return ())) = update(snd p; update(fst p; return ()));
 }"""
 
 # Commutativity is listed first so that validators report it first; it is
@@ -76,39 +89,6 @@ def _read(text: str, **universes: FiniteUniverse) -> Theory:
     return _parse_builtin(text, **universes)
 
 
-def _pair(x, y):
-    return (x, y)
-
-
-def _commutation(name: str, context, first: OpDecl, second: OpDecl, leaf, trivial=None):
-    """The law that operations ``first`` and ``second`` commute, at each
-    pair ``p`` of their parameters:
-
-        first(p[0]; x. second(p[1]; y. return leaf(x, y)))
-          = second(p[1]; y. first(p[0]; x. return leaf(x, y)))
-
-    where ``context`` holds every ``leaf(x, y)``.  Where ``trivial(p)``
-    holds, both sides are the lhs.  The tensor of two theories adds this
-    law for each operation pair across them (Hyland, Plotkin & Power,
-    *Combining effects: sum and tensor*, 2006).
-    """
-    xs, ys = first.arity.elements(), second.arity.elements()
-
-    def lhs(p):
-        return OpNode(first.name, p[0], tuple(
-            OpNode(second.name, p[1], tuple(Return(leaf(x, y)) for y in ys)) for x in xs
-        ))
-
-    def rhs(p):
-        if trivial is not None and trivial(p):
-            return lhs(p)
-        return OpNode(second.name, p[1], tuple(
-            OpNode(first.name, p[0], tuple(Return(leaf(x, y)) for x in xs)) for y in ys
-        ))
-
-    return Equation(name, Product(first.param, second.param), context, lhs, rhs)
-
-
 @lru_cache(maxsize=None)
 def single_state_theory(s: FiniteUniverse) -> Theory:
     """One memory cell holding an element of ``s``: get/put with the four
@@ -124,73 +104,16 @@ def state_theory(l: FiniteUniverse, s: FiniteUniverse) -> Theory:
     with the four per-location laws and the three cross-location
     distributivity laws.
 
-    The distributivity laws are commutation laws (``_commutation``),
-    quantified over all location pairs; on pairs the law does not cover
-    (equal locations, or the mirror order of a symmetric law) both sides are
-    the same tree, so the instance is trivial.
+    The distributivity laws are commutation laws, which hold at distinct
+    locations, and are stated once per unordered pair when they are
+    symmetric: their parameters range over an ``Apart`` universe, which
+    leaves out the instances whose two sides would be the same tree.
     """
     if s.is_empty():
         raise EmptyStateUniverse("a state universe must be nonempty")
-    lookup = lambda loc, kont: OpNode(
-        "lookup", loc, tuple(kont(v) for v in s.iter_elements())
-    )
-    update = lambda loc, v, sub: OpNode("update", (loc, v), (sub,))
-
-    lookup_lookup = Equation(
-        "lookup_lookup",
-        l,
-        Product(s, s),
-        lambda loc: lookup(loc, lambda a: lookup(loc, lambda b: Return((a, b)))),
-        lambda loc: lookup(loc, lambda a: Return((a, a))),
-    )
-    lookup_update = Equation(
-        "lookup_update",
-        l,
-        UNIT,
-        lambda loc: lookup(loc, lambda a: update(loc, a, Return(()))),
-        lambda loc: Return(()),
-    )
-    update_lookup = Equation(
-        "update_lookup",
-        Product(l, s),
-        s,
-        lambda p: update(p[0], p[1], lookup(p[0], lambda b: Return(b))),
-        lambda p: update(p[0], p[1], Return(p[1])),
-    )
-    update_update = Equation(
-        "update_update",
-        Product(Product(l, s), s),
-        UNIT,
-        lambda p: update(p[0][0], p[0][1], update(p[0][0], p[1], Return(()))),
-        lambda p: update(p[0][0], p[1], Return(())),
-    )
-
-    lookup_op, update_op = OpDecl("lookup", l, s), OpDecl("update", Product(l, s), UNIT)
-    mirror = lambda a, b: l.index_of(a) >= l.index_of(b)
-    lookup_lookup_comm = _commutation(
-        "lookup_lookup_comm", Product(s, s), lookup_op, lookup_op, _pair, lambda p: mirror(*p)
-    )
-    update_lookup_comm = _commutation(
-        "update_lookup_comm", s, update_op, lookup_op, lambda _, w: w, lambda p: p[0][0] == p[1]
-    )
-    update_update_comm = _commutation(
-        "update_update_comm", UNIT, update_op, update_op, lambda _, __: (),
-        lambda p: mirror(p[0][0], p[1][0]),
-    )
-
-    return Theory(
-        "state",
-        (lookup_op, update_op),
-        (
-            lookup_lookup,
-            lookup_update,
-            update_lookup,
-            update_update,
-            lookup_lookup_comm,
-            update_lookup_comm,
-            update_update_comm,
-        ),
-    )
+    cell = Product(l, s)
+    return _read(_STATE, L=l, S=s, LL=Apart(l, l, (0,), (1,), True), UL=Apart(cell, l, (0, 0), (1,)),
+                 UU=Apart(cell, cell, (0, 0), (1, 0), True))
 
 
 @lru_cache(maxsize=None)
@@ -280,6 +203,19 @@ def _fresh(name: str, taken: set) -> str:
     return candidate
 
 
+def _renamed_side(side, mapping: dict):
+    """``side`` with its operations renamed by ``mapping``: its shape read
+    in an algebra (``terms.compile``) that renames each node, or, for a
+    side written as a function by hand, each tree it builds."""
+    if type(side) is not _Instances:
+        return lambda p: rename_tree_ops(side(p), mapping)
+    rename = mapping.get
+    return _Instances(compile(side.shape, (
+        lambda e: e, lambda value: ("return", value),
+        lambda op, param, kids: ("op", rename(op, op), param, tuple(kids)),
+        lambda op, param, arity, body, key: ("bind", rename(op, op), param, arity, body))), side.params)
+
+
 def _renamed(theory: Theory, colliding: set, taken: set) -> tuple:
     """Rename ``theory``'s colliding ops, returning (ops, eqs, renames)."""
     mapping = {}
@@ -293,20 +229,31 @@ def _renamed(theory: Theory, colliding: set, taken: set) -> tuple:
     ops = tuple(
         OpDecl(mapping.get(o.name, o.name), o.param, o.arity) for o in theory.ops
     )
+    eqs = theory.eqs
     if mapping:
         eqs = tuple(
-            Equation(
-                eq.name,
-                eq.param_universe,
-                eq.context,
-                lambda p, eq=eq: rename_tree_ops(eq.lhs(p), mapping),
-                lambda p, eq=eq: rename_tree_ops(eq.rhs(p), mapping),
-            )
+            Equation(eq.name, eq.param_universe, eq.context,
+                     _renamed_side(eq.lhs, mapping), _renamed_side(eq.rhs, mapping))
             for eq in theory.eqs
         )
-    else:
-        eqs = theory.eqs
     return ops, eqs, tuple(sorted(mapping.items()))
+
+
+def _dist(name: str, o1: OpDecl, o2: OpDecl) -> Equation:
+    """The law that ``o1`` and ``o2`` commute, at each pair ``p`` of their
+    parameters, ``o1(fst p; \\x. o2(snd p; \\y. return (x, y))) = o2(snd p;
+    \\y. o1(fst p; \\x. return (x, y)))``, as shapes, whose binders are
+    numbered by depth.  The tensor of two theories adds it for each
+    operation pair across them (Hyland, Plotkin & Power, *Combining
+    effects: sum and tensor*, 2006)."""
+    def node(o, param, body):  # no subtrees under an empty arity
+        return ("bind", o.name, param, o.arity, body) if o.arity.size() else ("op", o.name, param, ())
+
+    first, second, params = ("fst", _PARAM), ("snd", _PARAM), Product(o1.param, o2.param)
+    lhs = node(o1, first, node(o2, second, ("return", ("pair", ("var", 1), ("var", 2)))))
+    rhs = node(o2, second, node(o1, first, ("return", ("pair", ("var", 2), ("var", 1)))))
+    return Equation(name, params, Product(o1.arity, o2.arity), _Instances(lhs, params),
+                    _Instances(rhs, params))
 
 
 def combine(t1: Theory, t2: Theory, distribute: bool = False) -> Theory:
@@ -314,8 +261,8 @@ def combine(t1: Theory, t2: Theory, distribute: bool = False) -> Theory:
 
     Colliding operation names are suffixed with their theory's name; the
     renaming is recorded on the result.  With ``distribute`` set, a
-    commutation law (``_commutation``), ``dist_<op1>_<op2>``, is added for
-    every operation pair across the two theories.
+    commutation law (``_dist``), ``dist_<op1>_<op2>``, is added for every
+    operation pair across the two theories.
     """
     colliding = set(t1.op_names()) & set(t2.op_names())
     taken = (set(t1.op_names()) | set(t2.op_names())) - colliding
@@ -328,10 +275,7 @@ def combine(t1: Theory, t2: Theory, distribute: bool = False) -> Theory:
         seen_eq_names.add(name)
         eqs.append(Equation(name, eq.param_universe, eq.context, eq.lhs, eq.rhs))
     if distribute:
-        for o1 in ops1:
-            for o2 in ops2:
-                name = f"dist_{o1.name}_{o2.name}"
-                eqs.append(_commutation(name, Product(o1.arity, o2.arity), o1, o2, _pair))
+        eqs += (_dist(f"dist_{o1.name}_{o2.name}", o1, o2) for o1 in ops1 for o2 in ops2)
     return Theory(
         f"{t1.name}+{t2.name}",
         ops1 + ops2,

@@ -8,6 +8,8 @@ their labels, and product elements are pairs.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import getitem
 from typing import Iterator
 
 from .terms import _Node
@@ -178,6 +180,47 @@ class Product(FiniteUniverse):
         if not self.contains(x):
             raise ValueError(f"{x!r} is not in {self}")
         return self.left.index_of(x[0]) * self.right.size() + self.right.index_of(x[1])
+
+
+class Apart(Product):
+    """The elements of the product of ``left`` and ``right`` whose
+    components at the paths ``first`` and ``second`` differ, or, with
+    ``ascending``, come in that order in the universe both lie in.  A path
+    lists ``[0]`` and ``[1]`` steps, and neither path extends the other.
+    The elements come in the product's order, and its parts, as ``fst``,
+    ``snd`` and a symbol's projections read them, are the product's: a
+    law's side condition, such as ``state``'s distinct locations."""
+
+    __slots__ = ("first", "second", "ascending")
+    first: tuple
+    second: tuple
+    ascending: bool
+
+    def __init__(self, left, right, first: tuple, second: tuple, ascending: bool = False):
+        self._fill(left, right, first, second, ascending)
+
+    def _part(self) -> FiniteUniverse:
+        return reduce(lambda u, step: u.right if step else u.left, self.first, self)
+
+    def _keeps(self, x) -> bool:
+        part = self._part()
+        i, j = (part.index_of(reduce(getitem, path, x)) for path in (self.first, self.second))
+        return i < j if self.ascending else i != j
+
+    def size(self):
+        n = self._part().size()
+        return n and super().size() // (n * n) * n * (n - 1) // (1 + self.ascending)
+
+    def iter_elements(self):
+        return filter(self._keeps, super().iter_elements())
+
+    def contains(self, x):
+        return super().contains(x) and self._keeps(x)
+
+    def index_of(self, x):
+        if not self.contains(x):
+            raise ValueError(f"{x!r} is not in {self}")
+        return self.elements().index(x)
 
 
 def _within(source: FiniteUniverse, target: FiniteUniverse) -> bool:

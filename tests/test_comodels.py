@@ -380,6 +380,18 @@ def test_a_parsed_theory_is_validated_from_its_shapes_without_building_an_instan
     assert tree_log == shaped_log and builds
 
 
+def test_a_cell_comodel_validation_compiles_each_side_once(monkeypatch):
+    from algeff import comodels
+
+    compiled, compile_ = [], comodels.compile
+    monkeypatch.setattr(comodels, "compile", lambda shape, algebra:
+                        compiled.append(shape) or compile_(shape, algebra))
+    get_table = {w: (w, w) for w in range(10)}
+    put_table = {(p, w): ((), p) for p in range(10) for w in range(10)}
+    assert validate_comodel(cell_comodel(10, get_table, put_table)) is None
+    assert compiled == [side.shape for e in STATE10.eqs for side in (e.lhs, e.rhs)]
+
+
 @pytest.mark.parametrize("sample, theory", [
     ("state2.cmod", "state2.thy"),
     ("state10.cmod", "state10.thy"),

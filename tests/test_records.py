@@ -243,6 +243,7 @@ def _samples():
         universe.Fin: lambda: Fin(3),
         universe.Enum: lambda: universe.Enum(("a", "b")),
         universe.Product: lambda: Product(Fin(2), BOOL),
+        universe.Apart: lambda: universe.Apart(Fin(2), Product(Fin(2), BOOL), (0,), (1, 0), True),
         parser._Single: lambda: parser._Single(7),
         comodels.Cointerpretation: lambda: comodels.Cointerpretation(t, Fin(2), {"put": add}),
         comodels.Done: lambda: Done(1, 2),

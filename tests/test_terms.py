@@ -230,3 +230,19 @@ def test_trees_are_immutable_and_copy():
         Return(0).value = 1
     assert copy.deepcopy(t) == t
     assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_a_budget_1_law_check_over_a_large_state_theory_builds_one_instance_pair(monkeypatch):
+    # coverage is read from the sides' shapes: over its 176,840 instances,
+    # building each took seconds and hundreds of MiB
+    from algeff import terms
+    from algeff.theories import state_theory
+
+    builds, call = [], terms._Instances.__call__
+    monkeypatch.setattr(terms._Instances, "__call__", lambda self, p: builds.append(p) or call(self, p))
+    checked = []
+    verdict = terms._check_laws(state_theory(Fin(20), Fin(20)).eqs,
+                                lambda eq, p, lhs, rhs: checked.append(p) or True,
+                                {"lookup", "update"}, budget=1)
+    assert verdict == (None, [], True)
+    assert checked == [0] and builds == [0, 0]

@@ -1,6 +1,6 @@
 import pytest
 
-from algeff.universe import BOOL, EMPTY, UNIT, Enum, Fin, Product
+from algeff.universe import BOOL, EMPTY, UNIT, Apart, Enum, Fin, Product
 
 ALL = [
     EMPTY,
@@ -82,3 +82,36 @@ def test_unit_element_is_empty_tuple():
     assert UNIT.elements() == [()]
     assert UNIT.contains(())
     assert not UNIT.contains(0)
+
+
+APART = [
+    Apart(Fin(3), Fin(3), (0,), (1,)),
+    Apart(Fin(3), Fin(3), (0,), (1,), True),
+    Apart(Fin(1), Fin(1), (0,), (1,)),
+    Apart(Product(Fin(2), BOOL), Fin(2), (0, 0), (1,)),
+    Apart(Product(Enum(("a", "b", "c")), BOOL), Product(Enum(("a", "b", "c")), UNIT),
+          (0, 0), (1, 0), True),
+    Apart(Product(BOOL, Fin(2)), Product(Fin(3), Fin(2)), (0, 1), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("u", APART, ids=repr)
+def test_apart_lists_the_product_s_elements_that_keep_apart(u):
+    product = Product(u.left, u.right)
+    at = lambda x, path: x[path[0]] if len(path) == 1 else at(x[path[0]], path[1:])
+    part = product
+    for step in u.first:
+        part = (part.left, part.right)[step]
+    keep = ((lambda i, j: i < j) if u.ascending else (lambda i, j: i != j))
+    expected = [x for x in product.elements()
+                if keep(part.index_of(at(x, u.first)), part.index_of(at(x, u.second)))]
+    assert u.elements() == expected
+    assert u.size() == len(expected) and u.is_empty() == (not expected)
+    for i, x in enumerate(expected):
+        assert u.contains(x) and u.index_of(x) == i
+    for x in product.elements():
+        if x not in expected:
+            assert not u.contains(x)
+            with pytest.raises(ValueError):
+                u.index_of(x)
+    assert not u.contains(None) and not u.contains((0,))
