@@ -8,9 +8,11 @@ model where it is known: a theory whose laws are exactly a built-in's gets
 that built-in's normalizer (``_Normalizer``), which evaluates a tree, or a
 head-normal computation (``interp.evaluate``), into its value in the free
 model: for single state, its run from every state; for choice and the
-semilattice, its sorted set of distinct leaves.  Two trees are equal when
-their values are, and ``normalize`` builds the normal-form tree of a value
-(the get/put form, or the chain of leaves), and no other tree.  Laws are
+semilattice, the set of its leaves, hashed when they are plain values,
+else a tuple of its distinct leaves (``_leaf_set``).  Two trees are equal
+when their values are, and ``normalize`` builds the normal-form tree of a
+value (the get/put form, or the chain of leaves in sort_key order, the
+only place a hashed leaf set is sorted), and no other tree.  Laws are
 compared as schemes: two theories whose equation families have the same
 parameter universes and side shapes (``terms._Instances.shape``) have the
 same instances, so no instance is built.  Only a theory whose sides have
@@ -177,12 +179,6 @@ def _run_from(states, t, s) -> tuple:
     return s, t.value
 
 
-def run_single_state(theory: Theory, t, s) -> tuple:
-    """Execute a get/put tree, or a head-normal computation, from state s,
-    yielding (final state, value)."""
-    return _run_from(_single_state_universe(theory), t, s)
-
-
 def _runs(theory: Theory, t) -> tuple:
     """t's value in the free model of single state: its run from each
     state, in state order, as (final state, leaf value) pairs."""
@@ -205,11 +201,6 @@ def state_normal_form(theory: Theory, t) -> StateNormalForm:
     for s, (final, value) in zip(states, runs):
         f[s], g[s] = final, value
     return StateNormalForm(f, g)
-
-
-def state_normal_form_tree(theory: Theory, nf: StateNormalForm) -> Tree:
-    states = _single_state_universe(theory).iter_elements()
-    return _runs_tree(theory, tuple((nf.f[s], nf.g[s]) for s in states))
 
 
 def _distinct_leaves(values: Iterator) -> list:
@@ -245,36 +236,54 @@ def _plain(v) -> bool:
     return type(v) in _PLAIN or type(v) is tuple and all(map(_plain, v))
 
 
-def _leaf_set(theory: Theory, t) -> tuple:
+def _leaf_set(theory: Theory, t) -> frozenset | tuple:
     """t's value in the free model of an associative, commutative,
-    idempotent operation (with or without a unit): its distinct leaves, in
-    sort_key order.  A computation's branches are resumed one after another,
-    in materialize's order, and no node is built."""
+    idempotent operation (with or without a unit): the set of its leaves.
+    When every leaf is exactly a bool, an int or a str, and not both bools
+    and ints (``1 == True``), the set is hashed: the frozenset of the
+    leaves and their types.  A type object is never ``==`` to such a leaf,
+    so two such sets are equal exactly when their leaves are the same
+    values.  Any other set is the tuple of its distinct leaves, in sort_key
+    order, found by same_value (``_distinct_leaves``), so leaves need no
+    hash.  A tuple is never ``same_value`` to a frozenset, and which kind a
+    value is depends on its leaves alone.  A tree is walked in any order;
+    a computation's branches are resumed one after another, in
+    materialize's order, and no node is built."""
     leaves, stack = [], [t]
     while stack:
-        t = stack.pop()
-        if type(t) is Return:
-            leaves.append(t.value)
-        elif type(t) is OpNode:
-            stack += reversed(t.kont)
-        elif type(t) is map:  # a computation's branches still to be resumed
-            branch = next(t, _END)
+        node = stack.pop()
+        if type(node) is Return:
+            leaves.append(node.value)
+        elif type(node) is OpNode:  # a tree, whose leaves come in any order
+            stack += node.kont
+        elif type(node) is map:  # a computation's branches still to be resumed
+            branch = next(node, _END)
             if branch is not _END:
-                stack += (t, branch)
+                stack += (node, branch)
         else:
-            stack.append(map(t.resume, t.arity.iter_elements()))
+            stack.append(map(node.resume, node.arity.iter_elements()))
+    types = set(map(type, leaves))
+    if types <= _PLAIN and not (bool in types and int in types):
+        types.update(leaves)
+        return frozenset(types)
+    if type(t) is Return or type(t) is OpNode:  # a tree's leaves again, in preorder
+        leaves = tree_leaves(t)
     return tuple(_distinct_leaves(leaves))
 
 
-def _leaf_set_tree(theory: Theory, leaves: tuple) -> Tree:
+def _leaf_set_tree(theory: Theory, leaves: frozenset | tuple) -> Tree:
     """The normal-form tree of a leaf set: a right-nested chain of the
-    binary operation, or the unit when there is no leaf."""
+    binary operation over its leaves in sort_key order, or the unit when
+    there is no leaf.  A hashed set's leaves are sorted here, and only
+    here."""
     join = bot = None
     for o in theory.ops:
         if o.arity.size() == 2:
             join = o.name
         else:
             bot = o.name
+    if type(leaves) is frozenset:
+        leaves = sorted([v for v in leaves if type(v) is not type], key=sort_key)
     if not leaves:
         return OpNode(bot, (), ())
     out = Return(leaves[-1])
@@ -286,12 +295,13 @@ def _leaf_set_tree(theory: Theory, leaves: tuple) -> Tree:
 class _Normalizer(_Node):
     """A normal form read off the free model: ``value(theory, t)``
     evaluates a tree or a head-normal computation into the free model's
-    values, which are tuples that compare by ``same_value``, and
-    ``tree(theory, value)`` is the normal-form tree of a value."""
+    values, which compare by ``same_value`` (tuples, or a leaf set's
+    frozenset), and ``tree(theory, value)`` is the normal-form tree of a
+    value."""
 
     __slots__ = ("value", "tree")
-    value: Callable[[Theory, object], tuple]
-    tree: Callable[[Theory, tuple], Tree]
+    value: Callable[[Theory, object], tuple | frozenset]
+    tree: Callable[[Theory, tuple | frozenset], Tree]
 
     def __init__(self, value, tree):
         self._fill(value, tree)

@@ -114,6 +114,7 @@ _KEYWORDS = frozenset(
 )
 _PUNCT = frozenset("~> <- -> => ( ) { } ; , ! | * . \\ + = :".split())
 _RESERVED = _KEYWORDS | _PUNCT  # no identifier names one of these
+_GOES_ON = frozenset("+ ( true false fun handler".split())  # may follow a value's ')'
 
 
 class _Quoted:
@@ -306,6 +307,7 @@ class _Parser:
         self.unproven = False  # whether an equation's universes leave a doubt
         self.depth = 0  # the number of binder bodies around the tree being read
         self.universes = {}  # universe names a built-in's text reads (_parse_builtin)
+        self.closers = None  # the matching ')' of each '(' (``closing``)
 
     def pos(self, i=None) -> tuple:
         """The (line, col) of token ``i``, by default the next one."""
@@ -395,19 +397,45 @@ class _Parser:
             arg = lang.UnitLit(pos=self.mark()) if self.toks[self.i] == ")" else self.value()
             self.eat_punct(")")
             return lang.OpCall(tok, arg, pos=self.mark(at))
-        # application, or a parenthesized computation
-        try:
-            fn = self.value()
-            arg = self.value()
-            return lang.App(fn, arg, pos=self.mark(at))
-        except ParseError:
-            self.i = at
+        # application, or a parenthesized computation: a value in parentheses
+        # ends at the matching ')', so an application needs a '+' or a value
+        # there, and without one only the computation is tried
+        if tok != "(" or self.may_go_on(self.closing(at)):
+            try:
+                fn = self.value()
+                arg = self.value()
+                return lang.App(fn, arg, pos=self.mark(at))
+            except ParseError:
+                self.i = at
         if tok == "(":
             self.i += 1
             inner = self.comp()
             self.eat_punct(")")
             return inner
         return self.fail("expected a computation")
+
+    def closing(self, at: int) -> int | None:
+        """The index of the ')' that matches the '(' at token ``at``, if any;
+        the matches are found in one pass over the tokens, when first
+        needed."""
+        if self.closers is None:
+            self.closers, opened = {}, []
+            for k, tok in enumerate(self.toks):
+                if tok == "(":
+                    opened.append(k)
+                elif tok == ")" and opened:
+                    self.closers[opened.pop()] = k
+        return self.closers.get(at)
+
+    def may_go_on(self, close: int | None) -> bool:
+        """Whether a value in parentheses that ends at token ``close`` may
+        be followed by more of an application: a '+' or a value."""
+        if close is None:
+            return False
+        tok = self.toks[close + 1]
+        if type(tok) is not str:
+            return tok is not None
+        return tok in _GOES_ON or tok not in _RESERVED
 
     def value(self):
         at = self.i

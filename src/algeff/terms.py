@@ -694,10 +694,6 @@ def _check_laws(eqs, check: Callable, covered: set | None = None,
     return None, skipped, undecided
 
 
-def tree_depth(t: Tree) -> int:
-    return fold_tree(t, lambda x: 0, lambda op, p, depths: 1 + max(depths, default=0))
-
-
 def rename_tree_ops(t: Tree, mapping: Mapping) -> Tree:
     return fold_tree(t, Return, lambda op, p, kont: OpNode(mapping.get(op, op), p, kont))
 

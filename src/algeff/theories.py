@@ -190,10 +190,6 @@ def builtin_theory(key: str, *universes: FiniteUniverse) -> Theory:
     return make(*universes)
 
 
-def builtin_names() -> tuple:
-    return tuple(sorted(_BUILTINS))
-
-
 def _fresh(name: str, taken: set) -> str:
     candidate = name
     n = 2

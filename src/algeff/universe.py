@@ -207,20 +207,82 @@ class Apart(Product):
         i, j = (part.index_of(reduce(getitem, path, x)) for path in (self.first, self.second))
         return i < j if self.ascending else i != j
 
+    def _order(self) -> tuple:
+        """The two paths in the product's order: a path to the left of the
+        other comes first, and neither extends the other."""
+        return tuple(sorted((self.first, self.second)))
+
+    def _later(self, i: int, n: int) -> range | list:
+        """The part's indices the later path may take when the earlier one
+        takes index i."""
+        if not self.ascending:
+            return [*range(i), *range(i + 1, n)]
+        return range(i + 1, n) if self.first < self.second else range(i)
+
+    def _stride(self, path: tuple) -> int:
+        """How far apart, in the product's order, two elements lie that
+        differ only in the part at ``path``, there by one index."""
+        u, stride = self, 1
+        for step in path:
+            if step:
+                u = u.right
+            else:
+                stride *= u.right.size()
+                u = u.left
+        return stride
+
     def size(self):
         n = self._part().size()
         return n and super().size() // (n * n) * n * (n - 1) // (1 + self.ascending)
 
     def iter_elements(self):
-        return filter(self._keeps, super().iter_elements())
+        part = self._part().elements()
+        earlier, later = self._order()
+
+        def walk(u, here, i):
+            # u's elements, u being the universe at path ``here``, each with
+            # the earlier path's index: taken in u, or ``i``, taken before u
+            if here == earlier:
+                return enumerate(part)
+            if here == later:
+                return ((i, part[j]) for j in self._later(i, len(part)))
+            if here != earlier[: len(here)] and here != later[: len(here)]:
+                return ((i, x) for x in u.iter_elements())
+            return (
+                (k, (a, b))
+                for h, a in walk(u.left, here + (0,), i)
+                for k, b in walk(u.right, here + (1,), h)
+            )
+
+        return (x for _, x in walk(self, (), None))
 
     def contains(self, x):
         return super().contains(x) and self._keeps(x)
 
     def index_of(self, x):
+        """x's index in the product, less the elements before it that the
+        side condition leaves out.  With i and j the earlier and the later
+        path's indices, the product's index is read as the mixed-radix
+        number (a, i, b, j, c), where a, b and c count the elements of the
+        parts before, between and after the two paths."""
         if not self.contains(x):
             raise ValueError(f"{x!r} is not in {self}")
-        return self.elements().index(x)
+        part = self._part()
+        n = part.size()
+        earlier, later = self._order()
+        i, j = (part.index_of(reduce(getitem, path, x)) for path in (earlier, later))
+        wi, wj = self._stride(earlier), self._stride(later)
+        rest = super().index_of(x) - i * wi - j * wj
+        a, b, c = rest // (n * wi), rest % wi // (n * wj), rest % wj
+        between = wi // (n * wj)  # the elements of the parts between the paths
+        if not self.ascending:
+            before, at, below = i * (n - 1), n - 1, j - (i < j)
+        elif earlier == self.first:  # j ranges over i + 1 .. n - 1
+            before, at, below = i * (n - 1) - i * (i - 1) // 2, n - 1 - i, j - i - 1
+        else:  # j ranges over 0 .. i - 1
+            before, at, below = i * (i - 1) // 2, i, j
+        pairs = n * (n - 1) // (1 + self.ascending)
+        return (((a * pairs + before) * between + b * at) + below) * wj + c
 
 
 def _within(source: FiniteUniverse, target: FiniteUniverse) -> bool:

@@ -2,7 +2,12 @@
 
 import random
 
-from algeff.terms import OpNode, Return
+from algeff.terms import OpNode, Return, fold_tree
+
+
+def tree_depth(t) -> int:
+    """The number of operation nodes on t's longest path."""
+    return fold_tree(t, lambda x: 0, lambda op, p, depths: 1 + max(depths, default=0))
 
 
 def random_tree(theory, gen_values, max_depth, rng):

@@ -406,6 +406,23 @@ def test_a_do_nested_in_first_position_costs_one_level_of_recursion(capsys, tmp_
     assert (code, out, err) == (0, "() @ 9\n", "")
 
 
+def test_a_parenthesized_computation_costs_one_level_of_recursion(capsys, tmp_path):
+    # whether '(' opens a value or a computation is told from the token
+    # after its matching ')', without reading the value first, so 900
+    # levels fit the default limit, as 900 nested ifs do
+    assert sys.getrecursionlimit() <= 1000
+    prog = tmp_path / "parens.eff"
+    prog.write_text("(" * 900 + "return ()" + ")" * 900)
+    code, out, err = invoke(
+        capsys,
+        "run", prog,
+        "--theory", SAMPLES / "state10.thy",
+        "--comodel", SAMPLES / "state10.cmod",
+        "--world", "5",
+    )
+    assert (code, out, err) == (0, "() @ 5\n", "")
+
+
 def test_normalize_deep_program(capsys, tmp_path):
     prog = tmp_path / "deep.eff"
     prog.write_text(puts(400, 2) + "do x <- get!() in return x")

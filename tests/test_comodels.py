@@ -19,7 +19,7 @@ from algeff.comodels import (
 from algeff.errors import ImpossibleCooperation, NonEnumerableWorld, UncoveredOperation
 from algeff.free import FreeElement, eta, sequence, generic_op, state_normal_form
 from algeff.parser import parse_comodel_file, parse_theory_file
-from algeff.terms import Equation, OpNode, Return, Theory, tree_depth, tree_ops
+from algeff.terms import Equation, OpNode, Return, Theory, tree_ops
 from algeff.theories import (
     choice_theory,
     combine,
@@ -29,7 +29,7 @@ from algeff.theories import (
 )
 from algeff.universe import UNIT, Enum, Fin, FiniteUniverse
 
-from tests.gen import tree_corpus
+from tests.gen import tree_corpus, tree_depth
 from tests.test_models import closure_copy, holds_a_tree, outcome
 
 STATE10 = single_state_theory(Fin(10))

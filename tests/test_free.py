@@ -18,10 +18,8 @@ from algeff.free import (
     lift,
     normalize,
     normalizes_to_leaf_sets,
-    run_single_state,
     sequence,
     state_normal_form,
-    state_normal_form_tree,
     tree_equal_modulo,
 )
 from algeff.parser import parse_theory_file
@@ -248,12 +246,20 @@ def test_state_normal_form_get_put_identity():
     assert nf.g == {0: 0, 1: 1, 2: 2}
 
 
+def run_single_state(t, s):
+    """(final state, leaf value) of a get/put tree over ``fin n``, run from
+    state s: a get takes branch s, and a put sets the state."""
+    while type(t) is not Return:
+        s, t = (s, t.kont[s]) if t.op == "get" else (t.param, t.kont[0])
+    return s, t.value
+
+
 def test_state_normal_form_matches_execution_oracle():
     for t in tree_corpus(STATE3, [0, 1], 80, 4, seed=14):
         nf = state_normal_form(STATE3, t)
-        rebuilt = state_normal_form_tree(STATE3, nf)
+        rebuilt = get(STATE3, lambda s: put(nf.f[s], Return(nf.g[s])))
         for s in range(3):
-            assert run_single_state(STATE3, t, s) == run_single_state(STATE3, rebuilt, s)
+            assert run_single_state(t, s) == run_single_state(rebuilt, s) == (nf.f[s], nf.g[s])
 
 
 def test_tree_equal_modulo_reflexivity():
@@ -459,6 +465,36 @@ def test_the_rules_are_both_directions_of_every_non_trivial_instance(theory, cou
     assert len(rules) == 2 * len(instances) == count
     for k, (lhs, rhs) in enumerate(instances):
         assert (rules[2 * k].source, rules[2 * k + 1].source) == (lhs, rhs)
+
+
+def test_the_store_s_rules_are_those_over_its_side_conditions_by_filter():
+    from algeff.free import _rules
+    from algeff.terms import Equation, Theory
+    from algeff.theories import state_theory
+    from algeff.universe import Apart, Product
+
+    class FilteredApart(Apart):
+        """``Apart`` as the product's elements filtered one by one."""
+
+        def iter_elements(self):
+            return filter(self._keeps, Product.iter_elements(self))
+
+    def filtered(u):
+        return FilteredApart(u.left, u.right, u.first, u.second, u.ascending) if type(u) is Apart else u
+
+    def described(theory):
+        out = []
+        for rule in _rules(theory):
+            bound = {g: (hash(Return(g)), Return(g)) for g in rule.gens}
+            fillers = tuple((hash(Return(g)), Return(g)) for g in rule.fresh)
+            out.append(repr((rule.source, rule.fresh, rule.build(bound, fillers))))
+        return out
+
+    th = state_theory(Fin(2), Fin(2))
+    eqs = tuple(Equation(e.name, filtered(e.param_universe), e.context, e.lhs, e.rhs) for e in th.eqs)
+    assert any(type(e.param_universe) is FilteredApart for e in eqs)
+    reference = described(Theory(th.name, th.ops, eqs))
+    assert len(reference) == 50 and described(th) == reference
 
 
 def build_everything(theory, t, pool):
@@ -1167,6 +1203,148 @@ def test_distinct_leaves_match_the_same_value_scan():
         got, expected = free._distinct_leaves(iter(values)), distinct_leaves_reference(values)
         # the same objects, in the same order, as the scan keeps
         assert len(got) == len(expected) and all(map(operator.is_, got, expected)), values
+
+
+def leaf_set_reference(t):
+    """``free._leaf_set`` as it was before leaf sets were hashed: the leaves
+    in preorder (a computation's in materialize's order), then each distinct
+    one in sort_key order, found by same_value."""
+    leaves, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Return:
+            leaves.append(t.value)
+        elif type(t) is OpNode:
+            stack += reversed(t.kont)
+        elif type(t) is map:  # a computation's branches still to be resumed
+            branch = next(t, None)
+            if branch is not None:
+                stack += (t, branch)
+        else:
+            stack.append(map(t.resume, t.arity.iter_elements()))
+    return tuple(distinct_leaves_reference(leaves))
+
+
+def leaf_set_tree_reference(theory, leaves):
+    """The chain of the binary operation over the leaves, or the unit."""
+    join = next(o.name for o in theory.ops if o.arity.size() == 2)
+    if not leaves:
+        return OpNode(next(o.name for o in theory.ops if o.arity.size() == 0), (), ())
+    out = Return(leaves[-1])
+    for v in reversed(leaves[:-1]):
+        out = OpNode(join, (), (Return(v), out))
+    return out
+
+
+# Leaves of every kind a leaf set meets: bools and ints that are == to each
+# other, strs, tuples of these, lists (unhashable), and the frozensets and
+# type objects that a hashed leaf set is made of.
+PLAIN_LEAVES = [False, True, 0, 1, 2, "a", "b", "1"]
+ODD_LEAVES = [(0, True), (0, 1), ("a",), (), [1], [True], frozenset(), frozenset({1, int}),
+              frozenset({True, bool}), frozenset({"a", str}), int, bool, str, (int,), Count(1)]
+TWINS = {0: False, 1: True, False: 0, True: 1}
+
+
+def as_computation(theory, t):
+    """A head-normal computation (``interp.evaluate``) whose whole tree is
+    t: each leaf a variable bound to the leaf's value."""
+    from algeff.interp import base_env, evaluate
+    from algeff.parser import parse_program
+
+    env = base_env()
+
+    def comp(t):
+        if type(t) is Return:
+            name = f"x{len(env)}"
+            env[name] = t.value
+            return f"return {name}"
+        if not t.kont:
+            return f"{t.op}!()"
+        return f"do b <- {t.op}!() in if b then {comp(t.kont[1])} else {comp(t.kont[0])}"
+
+    return evaluate(parse_program(comp(t)), env, theory)
+
+
+def test_leaf_set_verdicts_and_normal_forms_match_the_sorted_leaf_sets():
+    import random
+
+    from algeff.free import materialize
+    from algeff.terms import same_value
+
+    rng = random.Random(31)
+
+    def tree(theory, leaves, depth):
+        pick = rng.random()
+        if depth <= 0 or pick < 0.3:
+            return Return(rng.choice(leaves))
+        unit = [o.name for o in theory.ops if o.arity.size() == 0]
+        if unit and pick < 0.38:
+            return OpNode(unit[0], (), ())
+        join = next(o.name for o in theory.ops if o.arity.size() == 2)
+        return OpNode(join, (), (tree(theory, leaves, depth - 1), tree(theory, leaves, depth - 1)))
+
+    def regroup(theory, t):
+        """A tree over the same leaves, shuffled, one repeated, bracketed anew."""
+        items = [Return(v) for v in tree_leaves(t)]
+        if items:
+            items.append(rng.choice(items))
+        rng.shuffle(items)
+        if not items:
+            return t
+        join = next(o.name for o in theory.ops if o.arity.size() == 2)
+        while len(items) > 1:
+            k = rng.randrange(len(items) - 1)
+            items[k : k + 2] = [OpNode(join, (), tuple(items[k : k + 2]))]
+        return items[0]
+
+    def partner(theory, t, leaves):
+        pick = rng.random()
+        if pick < 0.4:
+            return regroup(theory, t)
+        if pick < 0.6:  # 1 read as True, False as 0, and so on
+            return fold_tree(t, lambda v: Return(TWINS.get(v, v) if type(v) in (bool, int) else v), OpNode)
+        if pick < 0.7:  # an equal list, not the same object
+            return fold_tree(t, lambda v: Return(list(v) if type(v) is list else v), OpNode)
+        return tree(theory, leaves, 4)
+
+    theories = [choice_theory(), semilattice_theory(),
+                parsed_sample("choice.thy", rename="pick"), parsed_sample("semilattice.thy", rename="lub")]
+    verdicts, kinds = [], set()
+    for theory in theories:
+        for _ in range(250):
+            leaves = rng.sample(PLAIN_LEAVES, rng.randint(1, 4))
+            if rng.random() < 0.4:
+                leaves += rng.sample(ODD_LEAVES, rng.randint(1, 2))
+            t1 = tree(theory, leaves, 4)
+            t2 = partner(theory, t1, leaves)
+            x, y = (as_computation(theory, t) if rng.random() < 0.4 else t for t in (t1, t2))
+            if type(x) is not type(t1):
+                assert materialize(x) == t1
+            rx, ry = leaf_set_reference(x), leaf_set_reference(y)
+            expected = TreeEq.EQUAL if same_value(rx, ry) else TreeEq.DISTINCT
+            assert tree_equal_modulo(theory, x, y) is expected, (t1, t2)
+            assert tree_equal_modulo(theory, y, x) is expected, (t2, t1)
+            for t, ref in ((x, rx), (y, ry)):
+                assert repr(normalize(theory, t)) == repr(leaf_set_tree_reference(theory, ref))
+            verdicts.append(expected)
+            kinds |= {type(free._leaf_set(theory, t)) for t in (x, y)}
+    assert kinds == {frozenset, tuple}
+    assert 0.25 < verdicts.count(TreeEq.EQUAL) / len(verdicts) < 0.75
+
+
+def test_a_computation_and_a_tree_with_the_same_leaves_are_equal():
+    from algeff.interp import base_env, evaluate
+    from algeff.parser import parse_program
+
+    theory = choice_theory()
+    program = parse_program("do b <- choose!(()) in if b then return 1 else return 2")
+    computation = evaluate(program, base_env(), theory)
+    choose = lambda a, b: OpNode("choose", (), (Return(a), Return(b)))
+    assert tree_equal_modulo(theory, computation, choose(2, 1)) is TreeEq.EQUAL
+    assert tree_equal_modulo(theory, choose(1, 2), computation) is TreeEq.EQUAL
+    assert tree_equal_modulo(theory, computation, choose(True, 2)) is TreeEq.DISTINCT
+    assert tree_equal_modulo(theory, computation, choose([1], 2)) is TreeEq.DISTINCT
+    assert normalize(theory, computation) == choose(1, 2)
 
 
 def test_searching_does_not_keep_theories_alive():

@@ -17,12 +17,11 @@ from algeff.terms import (
     make_tree_op,
     rename_tree_ops,
     substitute,
-    tree_depth,
     tree_leaves,
     tree_ops,
 )
 from algeff.theories import (
-    builtin_names,
+    _BUILTINS,
     builtin_theory,
     choice_theory,
     exception_theory,
@@ -30,6 +29,8 @@ from algeff.theories import (
     single_state_theory,
 )
 from algeff.universe import Enum, Fin
+
+from tests.gen import tree_depth
 
 
 def vee(a, b):
@@ -135,7 +136,7 @@ def test_builtin_theories_are_well_formed(theory):
 
 
 def test_builtin_names_cover_the_registry():
-    assert set(builtin_names()) == {
+    assert set(_BUILTINS) == {
         "state",
         "single_state",
         "io",

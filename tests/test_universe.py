@@ -95,16 +95,41 @@ APART = [
 ]
 
 
-@pytest.mark.parametrize("u", APART, ids=repr)
-def test_apart_lists_the_product_s_elements_that_keep_apart(u):
+def apart_by_filter(u):
+    """The reference for ``Apart``: the product's elements, filtered by the
+    side condition on the two paths' indices in their part."""
     product = Product(u.left, u.right)
     at = lambda x, path: x[path[0]] if len(path) == 1 else at(x[path[0]], path[1:])
     part = product
     for step in u.first:
         part = (part.left, part.right)[step]
     keep = ((lambda i, j: i < j) if u.ascending else (lambda i, j: i != j))
-    expected = [x for x in product.elements()
-                if keep(part.index_of(at(x, u.first)), part.index_of(at(x, u.second)))]
+    return [x for x in product.elements()
+            if keep(part.index_of(at(x, u.first)), part.index_of(at(x, u.second)))]
+
+
+# paths of depth 1 and 2, in either order, over parts of size 1 to 4
+APART_FAMILY = [
+    Apart(left, right, first, second, ascending)
+    for n in range(1, 5)
+    for ascending in (False, True)
+    for left, right, first, second in (
+        (Fin(n), Fin(n), (0,), (1,)),
+        (Fin(n), Fin(n), (1,), (0,)),
+        (Product(Fin(n), BOOL), Fin(n), (0, 0), (1,)),
+        (Product(Fin(n), BOOL), Fin(n), (1,), (0, 0)),
+        (Product(Fin(n), Fin(3)), Product(Fin(n), UNIT), (1, 0), (0, 0)),
+        (Product(Fin(n), Fin(n)), Fin(2), (0, 0), (0, 1)),
+        (Fin(2), Product(Fin(n), Fin(n)), (1, 1), (1, 0)),
+        (Product(Fin(2), Fin(n)), Product(Fin(n), Fin(3)), (0, 1), (1, 0)),
+    )
+]
+
+
+@pytest.mark.parametrize("u", APART + APART_FAMILY, ids=repr)
+def test_apart_lists_the_product_s_elements_that_keep_apart(u):
+    product = Product(u.left, u.right)
+    expected = apart_by_filter(u)
     assert u.elements() == expected
     assert u.size() == len(expected) and u.is_empty() == (not expected)
     for i, x in enumerate(expected):
