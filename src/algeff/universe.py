@@ -207,11 +207,6 @@ class Apart(Product):
         i, j = (part.index_of(reduce(getitem, path, x)) for path in (self.first, self.second))
         return i < j if self.ascending else i != j
 
-    def _order(self) -> tuple:
-        """The two paths in the product's order: a path to the left of the
-        other comes first, and neither extends the other."""
-        return tuple(sorted((self.first, self.second)))
-
     def _later(self, i: int, n: int) -> range | list:
         """The part's indices the later path may take when the earlier one
         takes index i."""
@@ -237,7 +232,7 @@ class Apart(Product):
 
     def iter_elements(self):
         part = self._part().elements()
-        earlier, later = self._order()
+        earlier, later = sorted((self.first, self.second))  # in the product's order
 
         def walk(u, here, i):
             # u's elements, u being the universe at path ``here``, each with
@@ -269,7 +264,7 @@ class Apart(Product):
             raise ValueError(f"{x!r} is not in {self}")
         part = self._part()
         n = part.size()
-        earlier, later = self._order()
+        earlier, later = sorted((self.first, self.second))  # in the product's order
         i, j = (part.index_of(reduce(getitem, path, x)) for path in (earlier, later))
         wi, wj = self._stride(earlier), self._stride(later)
         rest = super().index_of(x) - i * wi - j * wj
