@@ -4,27 +4,27 @@ Computations returning values from X while performing a theory's operations
 are represented by trees over X, understood up to the congruence the
 equations generate.  This module provides the monad structure (eta, lift,
 sequencing, generic operations) and decides tree equality from the free
-model where it is known: a theory whose laws are exactly a built-in's gets
-that built-in's normalizer (``_Normalizer``), which evaluates a tree, or a
-head-normal computation (``interp.evaluate``), into its value in the free
-model: for single state, its run from every state; for choice and the
-semilattice, the set of its leaves, hashed when they are plain values,
-else a tuple of its distinct leaves (``_leaf_set``).  Two trees are equal
-when their values are, and ``normalize`` builds the normal-form tree of a
-value (the get/put form, or the chain of leaves in sort_key order, the
-only place a hashed leaf set is sorted), and no other tree.  Laws are
-compared as schemes: two theories whose equation families have the same
-parameter universes and side shapes (``terms._Instances.shape``) have the
-same instances, so no instance is built.  Only a theory whose sides have
-no shape, or whose shapes differ from the built-in's, has its instances
-built and compared with the built-in's.  Any other theory is searched,
-by a budgeted congruence search, after its own 2-element models have had
-the chance to refute equality.  The search works out each rewrite
-candidate's hash from its parts, and builds the candidate only to expand
-it or to compare it with a tree of the same hash.  Trees of any
-depth are folded or walked on explicit stacks; only the search's rewrite
-rules recurse (``_compile``, which gives each rule's builder and hash
-function, and ``_match``), as deep as an equation side.
+model where it is known: a theory whose laws are a built-in's, up to a
+renaming of operations, gets that built-in's normalizer (``_Normalizer``),
+which evaluates a tree, or a head-normal computation (``interp.evaluate``),
+into its value in the free model: for single state, its run from every
+state; for choice and the semilattice, the set of its leaves, hashed when
+they are plain values, else a tuple of its distinct leaves (``_leaf_set``).
+Two trees are equal when their values are, and ``normalize`` builds, in the
+theory's own names, the normal-form tree of a value (the get/put form, or
+the chain of leaves in sort_key order, the only place a hashed leaf set is
+sorted), and no other tree.  Laws are compared as schemes: two theories
+whose renamed equation families have the same parameter universes and side
+shapes (``terms._Instances.shape``) have the same instances, so no instance
+is built.  Only a theory whose sides have no shape, or whose shapes differ
+from the built-in's, has its instances built and compared.  Any other
+theory is searched, by a budgeted congruence search, after its own
+2-element models have had the chance to refute equality.  The search
+works out each rewrite candidate's hash from its parts, and builds the
+candidate only to expand it or to compare it with a tree of the same
+hash.  Trees of any depth are folded or walked on explicit stacks; only
+the search's rewrite rules recurse (``_compile``, which gives each rule's
+builder and hash function, and ``_match``), as deep as an equation side.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import EmptyStateUniverse, NoNormalizer, UnboundGenerator, UnknownOperation
 from .models import FiniteModel, _from_table, _Reader
-from .terms import OpNode, Return, Theory, Tree, _Node, make_tree_op, same_value
+from .terms import Equation, OpNode, Return, Theory, Tree, _Node, make_tree_op, same_value
 from .terms import fold_tree, node_hash, sort_key, subtrees, tree_leaves
-from .theories import choice_theory, semilattice_theory, single_state_theory
-from .universe import BOOL
+from .theories import _renamed_side, choice_theory, semilattice_theory, single_state_theory
+from .universe import BOOL, EMPTY, UNIT
 
 DEFAULT_BUDGET = 10000
 
@@ -157,21 +157,14 @@ class StateNormalForm(_Node):
         self._fill(f, g)
 
 
-def _single_state_universe(theory: Theory):
-    s = theory.op("get").arity
-    if s.is_empty():
-        raise EmptyStateUniverse("single-state normal forms need a nonempty state universe")
-    return s
-
-
-def _run_from(states, t, s) -> tuple:
+def _run_from(states, get: str, put: str, t, s) -> tuple:
     """(final state, leaf value) of t, a tree or a head-normal computation,
     run from state s: a get selects the branch at the state, and a put sets
     the state.  A computation is resumed along that one branch only."""
     while type(t) is not Return:
-        if t.op == "get":
+        if t.op == get:
             t = t.kont[states.index_of(s)] if type(t) is OpNode else t.resume(s)
-        elif t.op == "put":
+        elif t.op == put:
             s = t.param
             t = t.kont[0] if type(t) is OpNode else t.resume(())
         else:
@@ -179,41 +172,50 @@ def _run_from(states, t, s) -> tuple:
     return s, t.value
 
 
-def _runs(theory: Theory, t) -> tuple:
-    """t's value in the free model of single state: its run from each
-    state, in state order, as (final state, leaf value) pairs."""
-    states = _single_state_universe(theory)
-    return tuple([_run_from(states, t, s) for s in states.iter_elements()])
+def _runs(theory: Theory, names: tuple, t) -> tuple:
+    """t's value in the free model of single state, get and put called
+    ``names``: its run from each state, as (final state, leaf value) pairs."""
+    get, put = names
+    states = theory.op(get).arity
+    return tuple([_run_from(states, get, put, t, s) for s in states.iter_elements()])
 
 
-def _runs_tree(theory: Theory, runs: tuple) -> Tree:
+def _runs_tree(theory: Theory, names: tuple, runs: tuple) -> Tree:
     """The normal-form tree of runs from every state: get the state, put
     the final state, return the leaf."""
-    return OpNode("get", (), tuple([OpNode("put", s, (Return(v),)) for s, v in runs]))
+    return OpNode(names[0], (), tuple([OpNode(names[1], s, (Return(v),)) for s, v in runs]))
 
 
 def state_normal_form(theory: Theory, t) -> StateNormalForm:
     """The unique (f, g) with t congruent to get((); s. put(f(s); _. return g(s))),
-    computed denotationally: (f(s), g(s)) is the run of t from s."""
-    states = _single_state_universe(theory).iter_elements()
-    runs = _runs(theory, t)
-    f, g = {}, {}
-    for s, (final, value) in zip(states, runs):
-        f[s], g[s] = final, value
-    return StateNormalForm(f, g)
+    computed denotationally: (f(s), g(s)) is the run of t from s, for a
+    theory with single state's laws up to a renaming of operations."""
+    strategy = _strategy(theory)
+    if strategy.normalize is not _RUNS:
+        if {(UNIT, EMPTY), (EMPTY, UNIT)} <= {(o.param, o.arity) for o in theory.ops}:
+            raise EmptyStateUniverse("single-state normal forms need a nonempty state universe")
+        raise NoNormalizer(f"theory {theory.name!r} does not have single state's laws")
+    finals, values = zip(*_runs(theory, strategy.names, t))
+    states = theory.op(strategy.names[0]).arity.elements()
+    return StateNormalForm(dict(zip(states, finals)), dict(zip(states, values)))
+
+
+def _type_key(v) -> tuple:
+    """The names of v's type and, through tuples, of its parts' types."""
+    return (type(v).__module__, type(v).__qualname__, *(map(_type_key, v) if type(v) is tuple else ()))
 
 
 def _distinct_leaves(values: Iterator) -> list:
-    """The values in sort_key order, each once.  Duplicates are found with
-    same_value among values of equal key, never by hashing, so 1 and True
-    stay apart and closures with environments need no hash.  A plain value
-    (``_plain``) is the same as another of equal key exactly when that one
-    is plain too, so it is kept only as the first plain value of its key,
-    with no same_value scan."""
-    decorated = sorted(((sort_key(v), v) for v in values), key=operator.itemgetter(0))
+    """The values in sort_key order, ties by their types (``_type_key``),
+    each once.  Duplicates are found with same_value among values of equal
+    key, never by hashing, so 1 and True stay apart and closures with
+    environments need no hash.  A plain value (``_plain``) is the same as
+    another of equal key exactly when that one is plain too, so it is kept
+    only as the first plain value of its key, with no same_value scan."""
+    decorated = sorted(((sort_key(v), _type_key(v), v) for v in values), key=operator.itemgetter(0, 1))
     out: list = []
     run_key, run, plain_seen = None, [], False
-    for key, v in decorated:
+    for key, _, v in decorated:
         if key != run_key:
             run_key, run, plain_seen = key, [], False
         if type(v) in _PLAIN or type(v) is tuple and _plain(v):
@@ -236,7 +238,7 @@ def _plain(v) -> bool:
     return type(v) in _PLAIN or type(v) is tuple and all(map(_plain, v))
 
 
-def _leaf_set(theory: Theory, t) -> frozenset | tuple:
+def _leaf_set(theory: Theory, names: tuple, t) -> frozenset | tuple:
     """t's value in the free model of an associative, commutative,
     idempotent operation (with or without a unit): the set of its leaves.
     When every leaf is exactly a bool, an int or a str, and not both bools
@@ -271,21 +273,16 @@ def _leaf_set(theory: Theory, t) -> frozenset | tuple:
     return tuple(_distinct_leaves(leaves))
 
 
-def _leaf_set_tree(theory: Theory, leaves: frozenset | tuple) -> Tree:
+def _leaf_set_tree(theory: Theory, names: tuple, leaves: frozenset | tuple) -> Tree:
     """The normal-form tree of a leaf set: a right-nested chain of the
     binary operation over its leaves in sort_key order, or the unit when
     there is no leaf.  A hashed set's leaves are sorted here, and only
-    here."""
-    join = bot = None
-    for o in theory.ops:
-        if o.arity.size() == 2:
-            join = o.name
-        else:
-            bot = o.name
+    here.  ``names`` end with the binary operation's, after the unit's."""
+    *bot, join = names
     if type(leaves) is frozenset:
         leaves = sorted([v for v in leaves if type(v) is not type], key=sort_key)
     if not leaves:
-        return OpNode(bot, (), ())
+        return OpNode(bot[0], (), ())
     out = Return(leaves[-1])
     for v in reversed(leaves[:-1]):
         out = OpNode(join, (), (Return(v), out))
@@ -293,15 +290,15 @@ def _leaf_set_tree(theory: Theory, leaves: frozenset | tuple) -> Tree:
 
 
 class _Normalizer(_Node):
-    """A normal form read off the free model: ``value(theory, t)``
+    """A normal form read off the free model: ``value(theory, names, t)``
     evaluates a tree or a head-normal computation into the free model's
     values, which compare by ``same_value`` (tuples, or a leaf set's
-    frozenset), and ``tree(theory, value)`` is the normal-form tree of a
-    value."""
+    frozenset), and ``tree(theory, names, value)`` is the normal-form tree
+    of a value; ``names`` are the theory's (``_Strategy``)."""
 
     __slots__ = ("value", "tree")
-    value: Callable[[Theory, object], tuple | frozenset]
-    tree: Callable[[Theory, tuple | frozenset], Tree]
+    value: Callable[[Theory, tuple, object], tuple | frozenset]
+    tree: Callable[[Theory, tuple, tuple | frozenset], Tree]
 
     def __init__(self, value, tree):
         self._fill(value, tree)
@@ -313,36 +310,37 @@ _LEAF_SETS = _Normalizer(_leaf_set, _leaf_set_tree)
 
 class _Strategy:
     """The proof strategies of one theory: a normalizer (``_Normalizer``),
-    which it earns by having exactly a built-in's laws, or else the
-    2-element models of its laws, which refute equality soundly
-    (``refuters``, found the first time the theory is searched).  ``rules`` holds the congruence search's
-    rewrite rules, compiled the first time the theory is searched.  A
-    built-in's record also keeps its equation families and, once a theory
-    whose shapes differ is compared with it, its equation instances."""
+    which it earns by having exactly a built-in's laws up to a renaming,
+    with ``names``, its own for the built-in's operations, in their order,
+    or else the 2-element models of its laws, which refute equality soundly
+    (``refuters``, found the first time the theory is searched).  ``rules``
+    holds the congruence search's rewrite rules, compiled the first time
+    the theory is searched.  A built-in's record also keeps its equation
+    families and, once a theory whose shapes differ is compared with it,
+    its equation instances."""
 
-    __slots__ = ("normalize", "refuters", "rules", "families", "instances")
+    __slots__ = ("normalize", "names", "refuters", "rules", "families", "instances")
     normalize: _Normalizer | None
+    names: tuple | None
     refuters: tuple | None
     rules: tuple | None
     families: frozenset | None
     instances: frozenset | None
 
     def __init__(self):
-        self.normalize = self.refuters = self.rules = self.families = self.instances = None
+        self.normalize = self.names = self.refuters = self.rules = self.families = self.instances = None
 
 
 def _single_state_twin(theory: Theory) -> Theory | None:
-    if not theory.has_op("get"):
-        return None
-    try:
-        return single_state_theory(theory.op("get").arity)
-    except EmptyStateUniverse:
-        return None
+    """Single state over S, when the theory has ``unit ~> S`` and ``S ~> unit``, S nonempty."""
+    sig = {(o.param, o.arity) for o in theory.ops}
+    s = next((o.arity for o in theory.ops if o.param == UNIT and (o.arity, UNIT) in sig), EMPTY)
+    return None if s.is_empty() else single_state_theory(s)
 
 
 # Each entry builds the built-in a theory is compared with (the single-state
-# one over the theory's own get arity), so a match depends on the laws
-# alone, never on what the theory is called.
+# one over the theory's own state universe), so a match depends on the laws
+# alone, never on what the theory or its operations are called.
 _BUILTIN_STRATEGIES = (
     (_single_state_twin, _RUNS),
     (lambda theory: semilattice_theory(), _LEAF_SETS),
@@ -350,12 +348,22 @@ _BUILTIN_STRATEGIES = (
 )
 
 
-def _families(theory: Theory) -> frozenset | None:
-    """The theory's equation families as (parameter universe, unordered
-    pair of side shapes), leaving out a family whose sides have one shape,
-    since its instances are trivial; None when a side has no shape."""
+def _renamings(theory: Theory, twin: Theory) -> Iterator[tuple]:
+    """The theory's operation names in the order of the twin's operations,
+    for each bijection of the two signatures that keeps every operation's
+    universes: at most two, since a twin has at most two operations."""
+    if twin is not None and len(theory.ops) == len(twin.ops):
+        for ops in itertools.permutations(theory.ops):
+            if all(o.param == t.param and o.arity == t.arity for o, t in zip(ops, twin.ops)):
+                yield tuple(o.name for o in ops)
+
+
+def _families(eqs) -> frozenset | None:
+    """The equation families as (parameter universe, unordered pair of side
+    shapes), leaving out a family whose sides have one shape, since its
+    instances are trivial; None when a side has no shape."""
     families = set()
-    for eq in theory.eqs:
+    for eq in eqs:
         lhs, rhs = getattr(eq.lhs, "shape", None), getattr(eq.rhs, "shape", None)
         if lhs is None or rhs is None:
             return None
@@ -364,29 +372,35 @@ def _families(theory: Theory) -> frozenset | None:
     return frozenset(families)
 
 
-def _instance_pairs(theory: Theory) -> Iterator[frozenset]:
-    """The theory's non-trivial equation instances as unordered tree pairs."""
-    for eq in theory.eqs:
+def _instance_pairs(eqs) -> Iterator[frozenset]:
+    """The equations' non-trivial instances as unordered tree pairs."""
+    for eq in eqs:
         for p in eq.param_universe.iter_elements():
             pair = frozenset((eq.lhs(p), eq.rhs(p)))
             if len(pair) == 2:
                 yield pair
 
 
-def _same_laws(theory: Theory, twin: Theory) -> bool:
-    """Whether the theory's non-trivial equation instances are exactly the
-    built-in ``twin``'s: at once when their families are the same, else by
+def _same_laws(theory: Theory, twin: Theory, names: tuple) -> bool:
+    """Whether the theory's non-trivial equation instances, its operations
+    ``names`` renamed to the built-in ``twin``'s (``_renamed_side``), are
+    exactly the twin's: at once when their families are the same, else by
     building both instance sets.  Built-ins are memoized, so the twin's
     families and instances are worked out once and kept."""
     record = _strategy(twin)
     if record.families is None:
-        record.families = _families(twin)
-    mine = _families(theory)
+        record.families = _families(twin.eqs)
+    eqs = theory.eqs
+    if names != twin.op_names():
+        renaming = dict(zip(names, twin.op_names()))
+        eqs = [Equation(eq.name, eq.param_universe, eq.context, _renamed_side(eq.lhs, renaming),
+                        _renamed_side(eq.rhs, renaming)) for eq in eqs]
+    mine = _families(eqs)
     if mine is not None and mine == record.families:
         return True
     if record.instances is None:
-        record.instances = frozenset(_instance_pairs(twin))
-    return frozenset(_instance_pairs(theory)) == record.instances
+        record.instances = frozenset(_instance_pairs(twin.eqs))
+    return frozenset(_instance_pairs(eqs)) == record.instances
 
 
 # weakly keyed, so that a theory parsed for one command does not outlive it
@@ -395,20 +409,19 @@ _STRATEGIES = weakref.WeakKeyDictionary()
 
 def _strategy(theory: Theory) -> _Strategy:
     """The theory's own strategy record, resolved once per theory object:
-    the normalizer of the built-in whose operations and equation instances
-    are exactly the theory's, or none.  The built-ins' operations differ,
-    so at most one is compared law by law."""
+    the normalizer of the built-in whose equation instances are exactly the
+    theory's under the first renaming that makes them so (``_renamings``),
+    or none; a theory without laws is compared with none."""
     found = _STRATEGIES.get(theory)
     if found is None:
         found = _Strategy()
-        ops = frozenset(theory.ops)
-        for twin_of, normalizer in _BUILTIN_STRATEGIES:
+        for twin_of, normalizer in _BUILTIN_STRATEGIES if theory.eqs else ():
             twin = twin_of(theory)
-            if twin is None or frozenset(twin.ops) != ops:
-                continue
-            if twin is theory or _same_laws(theory, twin):
+            found.names = next((names for names in _renamings(theory, twin)
+                                if twin is theory or _same_laws(theory, twin, names)), None)
+            if found.names is not None:
                 found.normalize = normalizer
-            break
+                break
         _STRATEGIES[theory] = found
     return found
 
@@ -488,12 +501,13 @@ def normalize(theory: Theory, t) -> Tree:
     its value in the free model.
 
     Equation-free theories normalize to the whole tree (the congruence is
-    equality there), built by ``materialize``.  A theory whose operations
-    and equation instances are exactly those of the built-in single-state
-    theory over its own ``get`` arity, of the built-in semilattice, or of
-    the built-in choice theory, has that built-in's normalizer, whatever
-    the theory is called; its instances are compared by their families'
-    shapes where it has them.  Single state reads t's run from every state,
+    equality there), built by ``materialize``.  A theory whose equation
+    instances are exactly those of the built-in single-state theory over
+    its own state universe, of the built-in semilattice, or of the built-in
+    choice theory, up to a renaming of operations that keeps their
+    universes, has that built-in's normalizer, in its own names, whatever
+    it and its operations are called; its instances are compared by their
+    families' shapes where it has them.  Single state reads t's run from every state,
     so a computation is resumed only along the branches some run takes;
     the leaf set resumes every branch.  Neither builds a tree but the one
     returned.  Raises NoNormalizer for anything else, once every branch of
@@ -501,11 +515,12 @@ def normalize(theory: Theory, t) -> Tree:
     """
     if not theory.eqs:
         return materialize(t)
-    normalizer = _strategy(theory).normalize
+    strategy = _strategy(theory)
+    normalizer, names = strategy.normalize, strategy.names
     if normalizer is None:
         materialize(t)
         raise NoNormalizer(f"no normalization strategy for theory {theory.name!r}")
-    return normalizer.tree(theory, normalizer.value(theory, t))
+    return normalizer.tree(theory, names, normalizer.value(theory, names, t))
 
 
 # ---------------------------------------------------------------------------
@@ -741,10 +756,11 @@ def tree_equal_modulo(theory: Theory, t1: Tree, t2: Tree, budget: int | None = N
     """
     if not theory.eqs:
         return TreeEq.EQUAL if t1 == t2 else TreeEq.DISTINCT
-    normalizer = _strategy(theory).normalize
+    strategy = _strategy(theory)
+    normalizer, names = strategy.normalize, strategy.names
     if normalizer is not None:
         # both values in full, so a defect in either tree is raised
-        v1, v2 = normalizer.value(theory, t1), normalizer.value(theory, t2)
+        v1, v2 = normalizer.value(theory, names, t1), normalizer.value(theory, names, t2)
         return TreeEq.EQUAL if same_value(v1, v2) else TreeEq.DISTINCT
     if budget is None:
         budget = default_budget()

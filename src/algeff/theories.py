@@ -3,9 +3,9 @@
 Each constructor is memoized, so requesting the same theory twice returns
 the same object.  The single-state, semilattice, and choice theories also
 serve as references: ``free`` gives their normalizer to any theory whose
-operations and equation instances are exactly theirs (the get/put normal
-form, or the sorted leaf set that choice and the semilattice share), and
-a theory's laws are compared with theirs shape by shape.  Every built-in
+equation instances are theirs up to a renaming of operations (the get/put
+normal form, or the sorted leaf set of choice and the semilattice), its
+laws renamed by ``_renamed_side`` and compared shape by shape.  Every built-in
 with laws is written in theory syntax and read by the parser, so its
 equation sides are shapes, as a parsed theory's are; ``state``'s side
 conditions are parameter universes (``Apart``).  ``combine`` keeps them

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import operator
+import re
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from algeff.free import (
     tree_equal_modulo,
 )
 from algeff.parser import parse_theory_file
-from algeff.terms import OpNode, Return, fold_tree, tree_leaves, tree_ops
+from algeff.terms import OpNode, Return, fold_tree, rename_tree_ops, tree_leaves, tree_ops
 from algeff.theories import (
     choice_theory,
     combine,
@@ -853,31 +854,39 @@ def test_strategy_resolution_does_not_keep_theories_alive():
 
 
 def reference_normalizer(theory):
-    """The normalizer that comparing whole instance sets with each built-in
-    gives, as strategies were resolved before families were compared by
-    their shapes."""
+    """The normalizer, and the theory's names for the built-in's operations,
+    that comparing whole instance sets with each built-in gives, as
+    strategies were resolved before families were compared by their shapes:
+    the built-in's instances against the theory's, renamed tree by tree by
+    each bijection of the operations that keeps their universes, tried in
+    the order of the permutations of the theory's operations."""
+    from algeff.universe import UNIT
 
-    def pairs(th):
+    def pairs(th, renaming):
         return frozenset(
-            frozenset((eq.lhs(p), eq.rhs(p)))
+            frozenset((rename_tree_ops(eq.lhs(p), renaming), rename_tree_ops(eq.rhs(p), renaming)))
             for eq in th.eqs
             for p in eq.param_universe.iter_elements()
             if eq.lhs(p) != eq.rhs(p)
         )
 
-    ops = frozenset(theory.ops)
-    for twin_of, normalizer in free._BUILTIN_STRATEGIES:
-        twin = twin_of(theory)
-        if twin is None or frozenset(twin.ops) != ops:
-            continue
-        if twin is theory or pairs(theory) == pairs(twin):
-            return normalizer
-    return None
+    twins = [(single_state_theory(o.arity), free._RUNS) for o in theory.ops
+             if o.param == UNIT and o.arity.size()]
+    twins += [(semilattice_theory(), free._LEAF_SETS), (choice_theory(), free._LEAF_SETS)]
+    for twin, normalizer in twins:
+        for ops in itertools.permutations(theory.ops):
+            if [(o.param, o.arity) for o in ops] != [(o.param, o.arity) for o in twin.ops]:
+                continue
+            renaming = {o.name: t.name for o, t in zip(ops, twin.ops)}
+            if twin is theory or pairs(theory, renaming) == pairs(twin, {}):
+                return normalizer, tuple(o.name for o in ops)
+    return None, None
 
 
 def assert_resolves_as_the_reference(theory):
-    expected = reference_normalizer(theory)
+    expected, names = reference_normalizer(theory)
     assert free._strategy(theory).normalize is expected, theory
+    assert free._strategy(theory).names == names, theory
     assert has_normalizer(theory) is (not theory.eqs or expected is not None)
     assert normalizes_to_leaf_sets(theory) is (expected is free._LEAF_SETS)
     return expected
@@ -894,6 +903,24 @@ def perfbench_state_theories(monkeypatch):
 def sample_theories():
     texts = [path.read_text() for path in sorted(SAMPLES.glob("*.thy"))]
     return texts + [text.replace("theory ", "theory renamed_", 1) for text in texts]
+
+
+def with_ops_renamed(text, renaming):
+    """The theory text with each operation named in ``renaming`` renamed,
+    all at once, so that two names can swap; an equation name such as
+    ``get_put`` keeps its name."""
+    return re.sub(r"\b(%s)\b" % "|".join(renaming), lambda m: renaming[m[0]], text)
+
+
+# (sample, a renaming of its operations): each copy keeps its normalizer
+OP_RENAMINGS = [
+    ("state2.thy", {"get": "read", "put": "write"}),
+    ("state2.thy", {"get": "put", "put": "get"}),
+    ("choice.thy", {"choose": "pick"}),
+    ("semilattice.thy", {"join": "lub", "bot": "least"}),
+]
+RENAMED_SAMPLES = [with_ops_renamed((SAMPLES / name).read_text(), renaming)
+                   for name, renaming in OP_RENAMINGS]
 
 
 STATE2_LAWS = (SAMPLES / "state2.thy").read_text().splitlines()[3:7]
@@ -953,6 +980,10 @@ RESOLUTION_VARIANTS = [
         "equation comm (enum {x, y}) : choose((); return x, return y) = choose((); return y, return x);",
         "equation comm (enum {x, y}) : choose((); return y, return x) = choose((); return x, return y);",
     ), True, False),
+    ("operations renamed", RENAMED_SAMPLES[0], True, False),
+    ("get and put swapped", RENAMED_SAMPLES[1], True, False),
+    ("operations renamed, (t, s) in get_get", with_ops_renamed(state2_with(
+        GET_GET.replace("(s, t)", "(t, s)"), GET_PUT, PUT_GET, PUT_PUT), OP_RENAMINGS[0][1]), False, True),
     ("semilattice without unit", "\n".join(
         line for line in (SAMPLES / "semilattice.thy").read_text().splitlines()
         if "equation unit" not in line
@@ -965,7 +996,7 @@ RESOLUTION_VARIANTS = [
 def test_variants_resolve_as_their_instance_sets_do(monkeypatch, name, text, resolves, by_instances):
     fallbacks = []
     pairs = free._instance_pairs
-    monkeypatch.setattr(free, "_instance_pairs", lambda th: fallbacks.append(th) or pairs(th))
+    monkeypatch.setattr(free, "_instance_pairs", lambda eqs: fallbacks.append(eqs) or pairs(eqs))
     assert has_normalizer(parse_theory_file(text)) is resolves
     assert bool(fallbacks) is by_instances
     monkeypatch.undo()
@@ -973,9 +1004,43 @@ def test_variants_resolve_as_their_instance_sets_do(monkeypatch, name, text, res
 
 
 def test_samples_and_generated_theories_resolve_as_their_instance_sets_do(monkeypatch):
-    texts = sample_theories() + perfbench_state_theories(monkeypatch)
+    texts = sample_theories() + RENAMED_SAMPLES + perfbench_state_theories(monkeypatch)
     resolved = [assert_resolves_as_the_reference(parse_theory_file(text)) for text in texts]
-    assert sum(r is not None for r in resolved) == 6 + 10
+    assert sum(r is not None for r in resolved) == 6 + 4 + 10
+
+
+@pytest.mark.parametrize("sample, renaming", OP_RENAMINGS, ids=["read-write", "swapped", "pick", "lub-least"])
+def test_renaming_operations_keeps_every_verdict_and_normal_form(sample, renaming):
+    text = (SAMPLES / sample).read_text()
+    original, renamed = parse_theory_file(text), parse_theory_file(with_ops_renamed(text, renaming))
+    corpus = tree_corpus(original, [0, 1, "x"], 40, 4, seed=34)
+    pairs = list(zip(corpus[::2], corpus[1::2])) + [(t, normalize(original, t)) for t in corpus[:10]]
+    verdicts = set()
+    for t1, t2 in pairs:
+        r1, r2 = rename_tree_ops(t1, renaming), rename_tree_ops(t2, renaming)
+        verdict = tree_equal_modulo(original, t1, t2, budget=30)
+        assert tree_equal_modulo(renamed, r1, r2, budget=30) is verdict, (t1, t2)
+        assert tree_equal_modulo(renamed, r2, r1, budget=30) is verdict, (t2, t1)
+        verdicts.add(verdict)
+        for t, r in ((t1, r1), (t2, r2)):
+            assert normalize(renamed, r) == rename_tree_ops(normalize(original, t), renaming), t
+    assert verdicts == {TreeEq.EQUAL, TreeEq.DISTINCT}
+
+
+def test_state_normal_form_answers_up_to_a_renaming_of_operations():
+    text = (SAMPLES / "state2.thy").read_text()
+    original = parse_theory_file(text)
+    for renaming in (r for name, r in OP_RENAMINGS if name == "state2.thy"):
+        renamed = parse_theory_file(with_ops_renamed(text, renaming))
+        for t in tree_corpus(original, ["a", "b"], 40, 4, seed=35):
+            assert state_normal_form(renamed, rename_tree_ops(t, renaming)) == state_normal_form(original, t)
+
+
+def test_state_normal_form_needs_single_states_laws():
+    # state10.thy adds abort, and io has single state's signature but no law
+    for theory in (parsed_sample("state10.thy"), io_theory(Fin(2))):
+        with pytest.raises(NoNormalizer):
+            state_normal_form(theory, Return(0))
 
 
 def test_resolving_a_strategy_builds_no_instance(monkeypatch):
@@ -984,7 +1049,7 @@ def test_resolving_a_strategy_builds_no_instance(monkeypatch):
     builds, fallbacks = [], []
     call, pairs = terms._Instances.__call__, free._instance_pairs
     monkeypatch.setattr(terms._Instances, "__call__", lambda side, p: builds.append(p) or call(side, p))
-    monkeypatch.setattr(free, "_instance_pairs", lambda th: fallbacks.append(th) or pairs(th))
+    monkeypatch.setattr(free, "_instance_pairs", lambda eqs: fallbacks.append(eqs) or pairs(eqs))
     for text in sample_theories() + perfbench_state_theories(monkeypatch):
         theory = parse_theory_file(text)
         has_normalizer(theory)
@@ -1002,9 +1067,9 @@ def test_a_violated_handler_check_resolves_the_strategy_by_shapes(monkeypatch, t
     handler.write_text(gen.PUT_KEEPS_STATE_HANDLER)
     fallbacks, resolved = [], []
     pairs, same_laws = free._instance_pairs, free._same_laws
-    monkeypatch.setattr(free, "_instance_pairs", lambda th: fallbacks.append(th) or pairs(th))
-    monkeypatch.setattr(free, "_same_laws", lambda th, twin: resolved.append(same_laws(th, twin))
-                        or resolved[-1])
+    monkeypatch.setattr(free, "_instance_pairs", lambda eqs: fallbacks.append(eqs) or pairs(eqs))
+    monkeypatch.setattr(free, "_same_laws", lambda th, twin, names: resolved.append(
+        same_laws(th, twin, names)) or resolved[-1])
     assert main(["check", "handler", str(handler), "--theory", str(theory)]) == 1
     assert capsys.readouterr().out == "Violated: equation put_get, param 0\n"
     # compare_trees met two different leaves, and resolved the theory's
@@ -1164,13 +1229,19 @@ def test_booleans_and_integers_are_distinct_leaves():
     assert tree_equal_modulo(empty_theory(), Return((0, 1)), Return((0, True))) is TreeEq.DISTINCT
 
 
+def type_names(v):
+    """The names of v's type and, through tuples, of its parts' types."""
+    return type(v).__module__, type(v).__qualname__, tuple(map(type_names, v)) if type(v) is tuple else ()
+
+
 def distinct_leaves_reference(values):
     """``free._distinct_leaves`` as it was before plain values skipped the
     same_value scan: every value is compared with same_value against the
-    kept values of its key."""
+    kept values of its key.  Values of equal key are ordered by their types'
+    names, so the order they come in does not show."""
     from algeff.terms import same_value, sort_key
 
-    decorated = sorted(((sort_key(v), v) for v in values), key=operator.itemgetter(0))
+    decorated = sorted(((sort_key(v), v) for v in values), key=lambda d: (d[0], type_names(d[1])))
     out, run_key, run = [], None, []
     for key, v in decorated:
         if key != run_key:
@@ -1203,6 +1274,16 @@ def test_distinct_leaves_match_the_same_value_scan():
         got, expected = free._distinct_leaves(iter(values)), distinct_leaves_reference(values)
         # the same objects, in the same order, as the scan keeps
         assert len(got) == len(expected) and all(map(operator.is_, got, expected)), values
+
+
+@pytest.mark.parametrize("theory", [choice_theory(), semilattice_theory()], ids=["choice", "semilattice"])
+def test_a_leaf_set_met_in_two_orders_is_one_set(theory):
+    join = next(o.name for o in theory.ops if o.arity.size() == 2)
+    t1, t2 = (OpNode(join, (), (Return(a), Return(b))) for a, b in ((1, Count(1)), (Count(1), 1)))
+    assert tree_equal_modulo(theory, t1, t2) is TreeEq.EQUAL
+    assert tree_equal_modulo(theory, t2, t1) is TreeEq.EQUAL
+    assert normalize(theory, t1) == normalize(theory, t2)
+    assert [type(v) for v in tree_leaves(normalize(theory, t1))] == [int, Count]
 
 
 def leaf_set_reference(t):
@@ -1327,7 +1408,7 @@ def test_leaf_set_verdicts_and_normal_forms_match_the_sorted_leaf_sets():
             for t, ref in ((x, rx), (y, ry)):
                 assert repr(normalize(theory, t)) == repr(leaf_set_tree_reference(theory, ref))
             verdicts.append(expected)
-            kinds |= {type(free._leaf_set(theory, t)) for t in (x, y)}
+            kinds |= {type(free._leaf_set(theory, free._strategy(theory).names, t)) for t in (x, y)}
     assert kinds == {frozenset, tuple}
     assert 0.25 < verdicts.count(TreeEq.EQUAL) / len(verdicts) < 0.75
 
