@@ -29,19 +29,18 @@ recursion.  A frame is one of:
 
 The handler-equation checker is the shared law checker
 (``terms._check_laws``) with the handler's clauses as its coverage: it
-replays a theory's laws through the clauses on symbolic probe
-continuations and compares the results semantically, sampling finite
-function domains; a function that never reads its argument is applied once.
+replays a theory's laws through the clauses on symbolic probe continuations
+and compares the results semantically, sampling finite function domains.
 Two steps are symbolic (King, *Symbolic execution and program testing*,
 1976).  A parsed family over more than one parameter is first replayed once
 at a ``terms.ParamSymbol``, which stands for every parameter, and two
 functions are first compared once, applied at a symbol that stands for
 every sample.  A symbol may be projected, compared with itself, and passed
 to a continuation whose arity holds all it stands for, where a node built
-from a binder body takes the branch at the symbol; any other use raises.
-So a symbolic run that ends in agreement holds at every element, and any
-other outcome leaves the family to a replay per instance, or the
-functions to a comparison per sample.
+from a binder body takes the branch at the symbol; any other use raises.  So
+a symbolic run that ends in agreement holds at every element, and any other
+outcome leaves the family to a replay per instance, or the functions to a
+comparison per sample.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .lang import (
     If,
     IntLit,
     OpCall,
-    OpClause,
     Pair,
     Plus,
     Return,
@@ -461,13 +459,6 @@ def sample_domain(theory: Theory, vtype) -> FiniteUniverse | None:
     return None
 
 
-def sample_values(theory: Theory, vtype) -> list | None:
-    """Finitely many inhabitants to probe a function domain with, in
-    ``sample_domain``'s order, or None when the domain cannot be sampled."""
-    domain = sample_domain(theory, vtype)
-    return None if domain is None else domain.elements()
-
-
 # Neither ``_plain`` nor ``_first_order`` decides a comparison for True, so the
 # symbol a comparison is first tried at (``compare_values``) fails them harmlessly.
 def _first_order(v) -> bool:
@@ -488,113 +479,49 @@ def _at_most_one_inhabitant(vtype) -> bool:
     return False
 
 
-def _reads(name: str, body) -> bool:
-    """Whether ``name`` occurs free in the core syntax ``body``.
-
-    An iterative walk, so a long ``do`` chain needs no recursion.  Binders
-    are ``fun`` parameters, ``do`` names (in ``rest`` only), a handler's
-    return name and each clause's parameter and continuation names.  A node
-    the walk does not know counts as a read.
-    """
-    todo = [body]
-    while todo:
-        x = todo.pop()
-        kind = type(x)
-        if kind is Var:
-            if x.name == name:
-                return True
-        elif kind is Do:
-            todo.append(x.first)
-            if x.name != name:
-                todo.append(x.rest)
-        elif kind is Return:
-            todo.append(x.value)
-        elif kind is App:
-            todo += (x.fn, x.arg)
-        elif kind is OpCall:
-            todo.append(x.arg)
-        elif kind is Pair:
-            todo += (x.first, x.second)
-        elif kind is Plus:
-            todo += (x.left, x.right)
-        elif kind is If:
-            todo += (x.cond, x.then, x.orelse)
-        elif kind is WithHandle:
-            todo += (x.handler, x.comp)
-        elif kind is Fun:
-            if x.param != name:
-                todo.append(x.body)
-        elif kind is HandlerLit:
-            if x.ret_name != name:
-                todo.append(x.ret_body)
-            for clause in x.clauses:
-                if type(clause) is not OpClause:
-                    return True
-                if name != clause.param_name and name != clause.kont_name:
-                    todo.append(clause.body)
-        elif kind not in (BoolLit, IntLit, StrLit, UnitLit):
-            return True
-    return False
-
-
 class _Facts:
     """What one handler check works out once: for each value type, whether
     it has at most one inhabitant and the samples of its function domain,
-    with their universe; for each closure body, whether it reads its
-    parameter.  It lives for
-    one check, so it keeps no theory alive after it.  Entries are keyed by
-    identity and hold their key, so no key's id is reused while it lives."""
+    with their universe.  It lives for one check, so it keeps no theory
+    alive after it.  Entries are keyed by identity and hold their key, so
+    no key's id is reused while it lives."""
 
     def __init__(self, theory: Theory):
         self.theory = theory
         self._types = {}
-        self._bodies = {}
 
     def of_type(self, vtype) -> tuple:
         """``(_at_most_one_inhabitant(vtype), samples, domain)``, where
-        ``samples`` are ``sample_values`` of a non-trivial arrow type's
-        argument, else None, and ``domain`` is their ``sample_domain`` when
-        there is more than one, else None."""
+        ``samples`` are the elements of the ``sample_domain`` of a
+        non-trivial arrow type's argument, else None, and ``domain`` is that
+        universe when there is more than one sample, else None."""
         entry = self._types.get(id(vtype))
         if entry is None:
             trivial, samples, domain = _at_most_one_inhabitant(vtype), None, None
             if not trivial and isinstance(vtype, TArrow):
-                samples = sample_values(self.theory, vtype.arg)
-                if samples is not None and len(samples) > 1:
-                    domain = sample_domain(self.theory, vtype.arg)
+                domain = sample_domain(self.theory, vtype.arg)
+                if domain is not None:
+                    samples = domain.elements()
+                    if len(samples) <= 1:
+                        domain = None
             entry = self._types[id(vtype)] = (vtype, trivial, samples, domain)
         return entry[1:]
-
-    def ignores_argument(self, fv) -> bool:
-        """Whether ``fv`` is a closure whose parameter is not free in its
-        body: the core language is pure apart from its effect trees, so
-        such a closure gives the same result at every argument."""
-        if type(fv) is not Closure:
-            return False
-        key = (id(fv.body), fv.param)
-        entry = self._bodies.get(key)
-        if entry is None:
-            entry = self._bodies[key] = (fv.body, not _reads(fv.param, fv.body))
-        return entry[1]
 
 
 def compare_values(v1, v2, vtype, theory: Theory, facts: _Facts | None = None):
     """Semantic comparison at a type: True, False (separable), or None.
 
     Functions are compared extensionally: both are applied at every sample
-    of a finite domain (``sample_values``) and their results compared, and
-    values of a domain that cannot be sampled compare only when equal.  A
-    closure that never reads its parameter is applied once, and that result
-    stands for every sample; when both are such closures, the first sample
-    decides, since every sample gives the same sub-verdict.  Otherwise,
-    over more than one sample, both are first applied once at a fresh
-    symbol for every sample (``_agree_at_a_symbol``); only if those results
-    do not compare True is each sample tried.  Symbolic
+    of a finite domain (the elements of ``sample_domain``) and their
+    results compared, and values of a domain that cannot be sampled compare
+    only when equal.  Over more than one sample, both are first applied
+    once at a fresh symbol for every sample (``_agree_at_a_symbol``); only
+    if those results do not compare True is each sample tried.  Symbolic
     probes apply opaquely, so they are compared the same way.  At
     first-order types a symbolic difference is separable (the probes range
     over the full free carrier), unless the type has at most one
     inhabitant.  ``facts`` carries what a check has already worked out
-    about types and closure bodies; by default nothing is known.
+    about types; by default nothing is known.
     """
     if facts is None:
         facts = _Facts(theory)
@@ -604,18 +531,12 @@ def compare_values(v1, v2, vtype, theory: Theory, facts: _Facts | None = None):
     if isinstance(vtype, TArrow):
         if samples is None:
             return True if v1 == v2 else None
-        once1, once2 = facts.ignores_argument(v1), facts.ignores_argument(v2)
-        if once1 and once2:
-            samples = samples[:1]
-        elif domain is not None and _agree_at_a_symbol(v1, v2, domain, vtype.result, theory, facts):
+        if domain is not None and _agree_at_a_symbol(v1, v2, domain, vtype.result, theory, facts):
             return True
-        verdict, r1, r2 = True, None, None
+        verdict = True
         for s in samples:
             try:
-                if r1 is None or not once1:
-                    r1 = apply_value(v1, s, theory)
-                if r2 is None or not once2:
-                    r2 = apply_value(v2, s, theory)
+                r1, r2 = apply_value(v1, s, theory), apply_value(v2, s, theory)
             except AlgeffError:
                 return None
             sub = compare_trees(r1.tree, r2.tree, vtype.result, theory, facts)
@@ -708,16 +629,16 @@ def check_handler_equations(
     sides, on probe leaves (one fresh symbolic value per context generator,
     passing the return clause untouched), are handled by the clauses and
     compared at the output type by ``compare_trees``, which keeps what it
-    works out about types and closure bodies for the rest of the check.  A
-    violation is a definite counterexample; an instance whose handling
-    raises is unknown.  A family whose sides are templates is first
-    replayed once with a ``ParamSymbol`` for its parameter; when that
-    replay agrees, every instance is counted as checked, and otherwise
-    each is replayed, so the verdict, witness and skipped list are those
-    of the replays.  A template's sides are built for the replay, each
-    branch of a binder body only when the replay selects it, and are not
-    kept.  At most ``budget`` instances are checked (by default
-    ``default_budget()``); any left over make the verdict unknown.
+    works out about types for the rest of the check.  A violation is a
+    definite counterexample; an instance whose handling raises is unknown.
+    A family whose sides are templates is first replayed once with a
+    ``ParamSymbol`` for its parameter; when that replay agrees, every
+    instance is counted as checked, and otherwise each is replayed, so the
+    verdict, witness and skipped list are those of the replays.  A
+    template's sides are built for the replay, each branch of a binder body
+    only when the replay selects it, and are not kept.  At most ``budget``
+    instances are checked (by default ``default_budget()``); any left over
+    make the verdict unknown.
     """
     # probe values stand for the generic continuation at each leaf, which
     # the return clause must not see: the clauses, with a return clause that

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from algeff.lang import (
     Pair,
     Plus,
     Return,
+    StrLit,
     UnitLit,
     Var,
     WithHandle,
@@ -672,23 +674,24 @@ def test_handled_continuations_compare_by_their_branches():
 
 
 # ---------------------------------------------------------------------------
-# Functions that never read their argument are applied once
+# Functions are first compared at a symbol for every sample: the reference
+# applies both at each sample, and must give every check the same verdict
 
 
 def reference_compare_values(v1, v2, vtype, theory):
-    """compare_values as it was before closures that never read their
-    argument were applied once: both functions at every sample."""
-    from algeff.interp import _at_most_one_inhabitant, _both, _plain, sample_values
+    """compare_values without the symbol for every sample: both functions
+    applied at each sample."""
+    from algeff.interp import _at_most_one_inhabitant, _both, _plain, sample_domain
     from algeff.lang import TArrow, THandler, TProd
 
     if _at_most_one_inhabitant(vtype):
         return True
     if isinstance(vtype, TArrow):
-        samples = sample_values(theory, vtype.arg)
-        if samples is None:
+        domain = sample_domain(theory, vtype.arg)
+        if domain is None:
             return True if v1 == v2 else None
         verdict = True
-        for s in samples:
+        for s in domain.elements():
             try:
                 r1 = apply_value(v1, s, theory)
                 r2 = apply_value(v2, s, theory)
@@ -851,7 +854,7 @@ def test_the_parity_handlers_that_type_check_are_those_for_the_state():
 
 @pytest.mark.parametrize("theory", [t for _, t in PARITY_THEORIES],
                          ids=[name for name, _ in PARITY_THEORIES])
-def test_applying_a_function_once_keeps_every_handler_verdict(monkeypatch, theory):
+def test_comparing_functions_at_a_symbol_keeps_every_handler_verdict(monkeypatch, theory):
     import algeff.interp as interp
 
     theory = theory()
@@ -892,70 +895,55 @@ def test_the_state_handler_check_applies_its_put_functions_once(monkeypatch):
         assert len(calls) <= 2 * n * n + 6 * n + 2, n
     assert len(calls) == 262
     # the built-in's sides are shapes, so each family is replayed once, at
-    # a symbol, and each function is applied once, at a symbol when it
-    # reads its argument
+    # a symbol, and each function is applied once, at a symbol for every
+    # sample
     calls.clear()
     assert stateh_check(single_state_theory(Fin(10))).verdict is HandlerVerdict.RESPECTED
     assert len(calls) == 8
 
 
-@pytest.mark.parametrize(
-    "body, reads",
-    [
-        (Return(Var("s")), True),
-        (Return(Var("t")), False),
-        (Return(Pair(IntLit(1), Var("s"))), True),
-        (Return(Plus(Var("s"), IntLit(1))), True),
-        (If(Var("s"), Return(UnitLit()), Return(UnitLit())), True),
-        (If(BoolLit(True), Return(UnitLit()), Return(Var("s"))), True),
-        (App(Var("s"), UnitLit()), True),
-        (App(Var("f"), Var("s")), True),
-        (OpCall("put", Var("s")), True),
-        (WithHandle(Var("s"), Return(UnitLit())), True),
-        (WithHandle(Var("h"), Return(Var("s"))), True),
-        (Return(Fun("s", Return(Var("s")))), False),
-        (Return(Fun("t", Return(Var("s")))), True),
-        (Do("s", Return(IntLit(1)), Return(Var("s"))), False),
-        (Do("s", Return(Var("s")), Return(IntLit(1))), True),
-        (Do("t", Return(IntLit(1)), Return(Var("s"))), True),
-        (Return(HandlerLit("s", Return(Var("s")), ())), False),
-        (Return(HandlerLit("x", Return(Var("s")), ())), True),
-        (Return(HandlerLit("x", Return(Var("x")),
-                           (OpClause("get", "s", "k", App(Var("k"), Var("s"))),))), False),
-        (Return(HandlerLit("x", Return(Var("x")),
-                           (OpClause("get", "u", "s", App(Var("s"), IntLit(0))),))), False),
-        (Return(HandlerLit("x", Return(Var("x")),
-                           (OpClause("get", "u", "k", App(Var("k"), Var("s"))),))), True),
-        (Return(object()), True),  # a node the walk does not know counts as a read
-    ],
-)
-def test_the_free_variable_walk(body, reads):
-    from algeff.interp import _reads
+@pytest.mark.parametrize("old, new, expected", [
+    ("return (x, s))", "return (x, 0))", HandlerCheck(HandlerVerdict.RESPECTED)),
+    ("do f <- k s in f s", "do f <- k 0 in f 0",
+     HandlerCheck(HandlerVerdict.VIOLATED, "get_put", ())),
+], ids=["return-ignores-state", "get-ignores-state"])
+def test_a_function_that_ignores_its_argument_costs_the_same_at_every_size(
+        monkeypatch, old, new, expected):
+    import algeff.interp as interp
 
-    assert _reads("s", body) is reads
+    calls = []
+    apply = interp.apply_value
 
+    def counting(fv, arg, theory):
+        calls.append(arg)
+        return apply(fv, arg, theory)
 
-def test_the_free_variable_walk_has_no_depth_limit():
-    from algeff.interp import _reads
-
-    for last, reads in ((Return(Var("s")), True), (Return(UnitLit()), False)):
-        prog = last
-        for i in reversed(range(10000)):
-            prog = Do(f"x{i}", OpCall("put", IntLit(i)), prog)
-        assert _reads("s", prog) is reads
+    monkeypatch.setattr(interp, "apply_value", counting)
+    text = (SAMPLES / "stateh.eff").read_text()
+    assert text.count(old) == 1
+    counts = []
+    for n in (2, 10, 90):
+        theory = parsed_state_theory(f"fin {n}")
+        h, out = checked_handler(theory, parse_value_text(text.replace(old, new)))
+        calls.clear()
+        assert check_handler_equations(h, theory, out) == expected, n
+        counts.append(len(calls))
+    # a state function that never reads the state agrees with itself at the
+    # symbol for every state, so no sample is tried, however many there are
+    assert counts[0] == counts[1] == counts[2] <= 8, counts
 
 
 def test_a_handler_check_samples_each_function_domain_once(monkeypatch):
     import algeff.interp as interp
 
     calls = []
-    sample_values = interp.sample_values
+    sample_domain = interp.sample_domain
 
     def counting(theory, vtype):
         calls.append(vtype)
-        return sample_values(theory, vtype)
+        return sample_domain(theory, vtype)
 
-    monkeypatch.setattr(interp, "sample_values", counting)
+    monkeypatch.setattr(interp, "sample_domain", counting)
     for n in (2, 10):
         calls.clear()
         assert stateh_check(single_state_theory(Fin(n))).verdict is HandlerVerdict.RESPECTED
@@ -1061,7 +1049,7 @@ def test_the_shared_law_checker_keeps_an_evaluation_error_unknown():
 
 
 def reference_sample_ints(theory):
-    """sample_values' integers as one walk of the universes gave them."""
+    """The sampled integers as one walk of the universes gave them."""
     sizes = set()
 
     def scan(u):
@@ -1078,7 +1066,7 @@ def reference_sample_ints(theory):
 
 
 def reference_sample_strs(theory):
-    """sample_values' strings as a second walk of the universes gave them."""
+    """The sampled strings as a second walk of the universes gave them."""
     labels = []
 
     def scan(u):
@@ -1095,10 +1083,14 @@ def reference_sample_strs(theory):
 
 
 def test_one_walk_samples_the_integers_and_strings_the_two_walks_did():
-    from algeff.interp import sample_values
+    from algeff.interp import sample_domain
     from algeff.lang import TInt, TProd, TStr
     from algeff.terms import OpDecl, Theory
     from algeff.universe import BOOL, UNIT
+
+    def sampled(theory, vtype):
+        domain = sample_domain(theory, vtype)
+        return None if domain is None else domain.elements()
 
     mixed = Theory("mixed", (
         OpDecl("a", Product(Enum(("x", "y")), Fin(3)), Product(Fin(5), Enum(("z", "x")))),
@@ -1110,9 +1102,125 @@ def test_one_walk_samples_the_integers_and_strings_the_two_walks_did():
                   for name in ("state2.thy", "state10.thy", "io_hello.thy", "semilattice.thy"))]
     for theory in theories:
         ints, strs = reference_sample_ints(theory) or None, reference_sample_strs(theory) or None
-        assert sample_values(theory, TInt()) == ints
-        assert sample_values(theory, TStr()) == strs
+        assert sampled(theory, TInt()) == ints
+        assert sampled(theory, TStr()) == strs
         pairs = None if ints is None or strs is None else [(i, s) for i in ints for s in strs]
-        assert sample_values(theory, TProd(TInt(), TStr())) == pairs
-    assert sample_values(mixed, TStr()) == ["x", "y", "z", "w", "v"]
-    assert sample_values(mixed, TInt()) == [0, 1, 2, 3, 4]
+        assert sampled(theory, TProd(TInt(), TStr())) == pairs
+    assert sampled(mixed, TStr()) == ["x", "y", "z", "w", "v"]
+    assert sampled(mixed, TInt()) == [0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: changes to a theory or handler that must not change
+# the check's verdict (Chen, Cheung & Yiu, *Metamorphic testing*, 1998)
+
+
+def parity_checks(theory):
+    """Each parity handler that type-checks over the theory, with its output
+    type and its check's result."""
+    return [(name, h, out, check_handler_equations(h, theory, out))
+            for name, h, out in typed_parity_handlers(theory)]
+
+
+def with_equations(theory, eqs, ops=()):
+    return Theory(theory.name, theory.ops + ops, tuple(eqs))
+
+
+def alpha_renamed(x, names=None, fresh=None):
+    """The syntax ``x`` with each bound name replaced by a fresh one."""
+    names = {} if names is None else names
+    fresh = itertools.count() if fresh is None else fresh
+
+    def renamed(y, more=None):
+        return alpha_renamed(y, {**names, **(more or {})}, fresh)
+
+    def new():
+        return f"a{next(fresh)}"
+
+    if type(x) is Var:
+        return Var(names.get(x.name, x.name))
+    if type(x) is Fun:
+        param = new()
+        return Fun(param, renamed(x.body, {x.param: param}))
+    if type(x) is Do:
+        name = new()
+        return Do(name, renamed(x.first), renamed(x.rest, {x.name: name}))
+    if type(x) is HandlerLit:
+        ret = new()
+        clauses = []
+        for c in x.clauses:
+            p, k = new(), new()
+            body = renamed(c.body, {c.param_name: p, c.kont_name: k})
+            clauses.append(OpClause(c.op, p, k, body))
+        return HandlerLit(ret, renamed(x.ret_body, {x.ret_name: ret}), tuple(clauses))
+    if type(x) in (BoolLit, IntLit, StrLit, UnitLit):
+        return x
+    # Return, OpCall, Pair, Plus, If, App, WithHandle: no binders
+    fields = (getattr(x, name) for name in x._fields)
+    return type(x)(*(f if type(f) is str else renamed(f) for f in fields))
+
+
+def test_alpha_renaming_renames_every_binder_and_keeps_free_names():
+    hl = parse_value_text(
+        "handler { return x -> return (fun s -> fst (x, s))"
+        " | get(u; k) -> return (fun s -> do f <- k s in f s) }")
+    renamed = alpha_renamed(hl)
+    assert renamed == parse_value_text(
+        "handler { return a0 -> return (fun a5 -> fst (a0, a5))"
+        " | get(a1; a2) -> return (fun a3 -> do a4 <- a2 a3 in a4 a3) }")
+
+
+THEORY_PARAMS = dict(argvalues=[t for _, t in PARITY_THEORIES],
+                     ids=[name for name, _ in PARITY_THEORIES])
+
+
+@pytest.mark.parametrize("theory", **THEORY_PARAMS)
+def test_swapping_every_equations_sides_keeps_the_check(theory):
+    theory = theory()
+    swapped = with_equations(theory, (Equation(e.name, e.param_universe, e.context, e.rhs, e.lhs)
+                                      for e in theory.eqs))
+    for name, h, out, before in parity_checks(theory):
+        assert check_handler_equations(h, swapped, out) == before, name
+
+
+@pytest.mark.parametrize("theory", **THEORY_PARAMS)
+def test_renaming_the_equations_renames_only_the_witness(theory):
+    theory = theory()
+    renamed = with_equations(theory, (Equation("r_" + e.name, e.param_universe, e.context,
+                                               e.lhs, e.rhs) for e in theory.eqs))
+    for name, h, out, before in parity_checks(theory):
+        after = check_handler_equations(h, renamed, out)
+        equation = None if before.equation is None else "r_" + before.equation
+        skipped = tuple("r_" + eq for eq in before.skipped)
+        assert after == HandlerCheck(before.verdict, equation, before.param, skipped), name
+
+
+@pytest.mark.parametrize("theory", **THEORY_PARAMS)
+def test_reversing_the_equations_keeps_the_verdict(theory):
+    theory = theory()
+    reversed_ = with_equations(theory, reversed(theory.eqs))
+    for name, h, out, before in parity_checks(theory):
+        assert check_handler_equations(h, reversed_, out).verdict is before.verdict, name
+
+
+@pytest.mark.parametrize("theory", **THEORY_PARAMS)
+def test_alpha_renaming_a_handler_keeps_the_check(theory):
+    theory = theory()
+    for name, h, out, before in parity_checks(theory):
+        renamed = HandlerClosure(alpha_renamed(h.code), h.env)
+        assert renamed.code != h.code
+        assert check_handler_equations(renamed, theory, out) == before, name
+
+
+@pytest.mark.parametrize("theory", **THEORY_PARAMS)
+def test_an_operation_no_equation_mentions_flips_no_decided_verdict(theory):
+    from algeff.terms import OpDecl
+
+    theory = theory()
+    extended = with_equations(theory, theory.eqs, (OpDecl("noise", UNIT, UNIT),))
+    decided = {HandlerVerdict.RESPECTED, HandlerVerdict.VIOLATED}
+    for name, h, out, before in parity_checks(theory):
+        # without the theory's normalizer, leaves that differ may still be
+        # identified by the equations, so a violation may become unknown
+        after = check_handler_equations(h, extended, out)
+        assert {before.verdict, after.verdict} != decided, name
