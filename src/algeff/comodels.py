@@ -11,7 +11,6 @@ syntax is run from its shape, read once per check in a runner algebra
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from typing import Any, Callable, Mapping
 
@@ -228,6 +227,8 @@ def alternating_choice_comodel() -> Cointerpretation:
 
 
 def transcript_label(items: tuple) -> str:
+    import json  # here, so that importing algeff does not load it
+
     return "[" + ", ".join(json.dumps(x) for x in items) + "]"
 
 

@@ -925,16 +925,24 @@ def _cointerpretation(theory: Theory, world: FiniteUniverse, table: dict, covere
 
 # A table entry whose elements are atoms is matched whole, straight from the
 # text.  Its blanks are the tokenizer's, so each atom and punctuation mark
-# spans the text its token would.  The last row of a table's ``findall`` is
-# the closing brace, at the end of the text; any other character that no
-# entry starts with makes a row with no operation.  The patterns are compiled
-# when a table is first read (``_pattern``).
+# spans the text its token would, and so are the comments it skips between
+# entries and after the closing brace.  The last row of a table's
+# ``findall`` is the closing brace, at the end of the text; any other
+# character that no entry starts with makes a row with no operation.  The
+# patterns are compiled when a table is first read (``_pattern``).
 _STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
 _ATOM = r"\(%s\)|\d+|[^\W\d]\w*|%s" % (_B, _STRING)
-_ROW_END = r"| (\})%s\Z | ." % _B
-_COMODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}=
+# blanks and comments, as between two tokens.  Each comment runs to the end
+# of its line, so a run of them matches one way only.  The first comment is
+# written out in a branch of its own, which fails at once on any character
+# but "#"; a repeated group in its place read state10.cmod's entries about
+# 5% slower.
+_COMMENT = r"\#[^\n]*(?![^\n])"
+_GAP = rf"{_B}(?: {_COMMENT}{_B} (?:{_COMMENT}{_B})* | )"
+_ROW_END = r"| (\})%s\Z | ." % _GAP
+_COMODEL_ENTRY = rf"""{_GAP}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}=
     {_B}\({_B} ({_ATOM}) {_B};{_B} ({_ATOM}) {_B}\){_B}; {_ROW_END})"""
-_MODEL_ENTRY = rf"""{_B}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};
+_MODEL_ENTRY = rf"""{_GAP}(?: ([^\W\d]\w*) {_B}\({_B} ({_ATOM}) {_B};
     {_B} ((?:{_ATOM})(?:{_B},{_B}(?:{_ATOM}))*)? {_B}\){_B}={_B} ({_ATOM}) {_B}; {_ROW_END})"""
 # a table's header: its text up to the first ";" outside strings and comments
 _HEADER = r'(?: [^;"\#] | %s | \#[^\n]* )* ;' % _STRING

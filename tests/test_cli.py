@@ -872,6 +872,18 @@ def test_importing_the_cli_builds_no_argument_parser():
     assert (done.returncode, done.stdout, done.stderr) == (0, "int ! {}\nint ! {}\n[0, 6, 6]\n", "")
 
 
+def test_importing_algeff_loads_no_json():
+    # only transcript labels use json; -S keeps site's own imports out
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import algeff, algeff.cli\n"
+        "print('json' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 # -- integer literals int() cannot read ---------------------------------------
 
 _LONG = "9" * 5000

@@ -1,7 +1,10 @@
+import functools
 import importlib
 import itertools
 import operator
+import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,17 @@ from algeff.free import (
     tree_equal_modulo,
 )
 from algeff.parser import parse_theory_file
-from algeff.terms import OpNode, Return, fold_tree, rename_tree_ops, tree_leaves, tree_ops
+from algeff.terms import (
+    Equation,
+    OpDecl,
+    OpNode,
+    Return,
+    Theory,
+    fold_tree,
+    rename_tree_ops,
+    tree_leaves,
+    tree_ops,
+)
 from algeff.theories import (
     choice_theory,
     combine,
@@ -35,8 +48,9 @@ from algeff.theories import (
     semilattice_theory,
     single_state_theory,
     singleton_theory,
+    state_theory,
 )
-from algeff.universe import Enum, Fin
+from algeff.universe import UNIT, Enum, Fin
 
 from tests.gen import tree_corpus
 
@@ -1610,3 +1624,111 @@ def test_the_2_element_models_build_each_side_once_and_are_the_brute_force_ones(
         assert len(models) == len(tables), theory.name
         found += len(models)
     assert found == 2 + 4 + 0 + 2  # xor/xnor, or/and with abort false/true, none, or/and
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: a theory and both trees changed together, in ways
+# that must not flip a verdict (Chen, Cheung & Yiu, *Metamorphic testing*,
+# 1998)
+
+
+def _with_laws(theory, eqs, name=None, ops=()):
+    return Theory(theory.name if name is None else name, theory.ops + ops, tuple(eqs))
+
+
+# each change: the changed theory, and whether the two trees swap
+METAMORPHIC = {
+    "swap the trees": (lambda th: th, True),
+    "reverse the equations": (lambda th: _with_laws(th, reversed(th.eqs)), False),
+    "swap every equation's sides": (lambda th: _with_laws(
+        th, (Equation(e.name, e.param_universe, e.context, e.rhs, e.lhs) for e in th.eqs)), False),
+    "rename the theory and its equations": (lambda th: _with_laws(
+        th, (Equation("r_" + e.name, e.param_universe, e.context, e.lhs, e.rhs) for e in th.eqs),
+        name="r_" + th.name), False),
+    "add an operation no equation mentions": (lambda th: _with_laws(
+        th, th.eqs, ops=(OpDecl("noise", UNIT, UNIT),)), False),
+    "combine with exceptions": (lambda th: combine(th, exception_theory()), False),
+}
+# the two conservative extensions, which leave a theory without its normalizer
+EXTENSIONS = ("add an operation no equation mentions", "combine with exceptions")
+
+
+@functools.cache
+def state22_corpus():
+    """state(fin 2, fin 2), with the search workload's first ten
+    state-random pairs at budget 3, both directions of every non-trivial
+    law instance at budget 300, and four state chains at budget 30."""
+    theory = state_theory(Fin(2), Fin(2))
+    fixed = random.Random("state-random")  # as perfbench/gen.py draws them
+    pairs = [(state_chain(fixed, 4), state_chain(fixed, 4), 3) for _ in range(10)]
+    for e in theory.eqs:
+        for p in e.param_universe.iter_elements():
+            lhs, rhs = e.lhs(p), e.rhs(p)
+            pairs += [(lhs, rhs, 300), (rhs, lhs, 300)] if lhs != rhs else []
+    rng = random.Random(5)
+    pairs += [(state_chain(rng, 2), state_chain(rng, 2), 30) for _ in range(4)]
+    return theory, tuple(pairs)
+
+
+# the tests/gen corpora over theories with a normalizer: the theory, its
+# leaves, the number of trees and their depth, and the budget the search
+# spends once a conservative extension has dropped the normalizer
+NORMALIZED = {
+    "choice": (choice_theory(), ["x", "y", "z"], 12, 3, 3),
+    "semilattice": (semilattice_theory(), ["x", "y"], 12, 3, 3),
+    "state fin 2": (STATE2, [0, 1], 12, 3, 3),
+    "state fin 3": (STATE3, [0, 1, 2], 8, 2, 1),
+}
+
+
+@functools.cache
+def normalized_corpus(name):
+    theory, leaves, count, depth, budget = NORMALIZED[name]
+    trees = tree_corpus(theory, leaves, count, depth, seed=3)
+    return theory, tuple((t1, t2, budget) for i, t1 in enumerate(trees) for t2 in trees[i + 1 : i + 4])
+
+
+@functools.cache
+def verdicts(corpus, change=None):
+    theory, pairs = state22_corpus() if corpus == "state22" else normalized_corpus(corpus)
+    swap = False
+    if change is not None:
+        changed, swap = METAMORPHIC[change]
+        theory = changed(theory)
+    return tuple(tree_equal_modulo(theory, *((t2, t1) if swap else (t1, t2)), budget)
+                 for t1, t2, budget in pairs)
+
+
+def moves(corpus, change):
+    """How many verdicts the change moves, by (before, after) names."""
+    return Counter((b.name, a.name) for b, a in zip(verdicts(corpus), verdicts(corpus, change))
+                   if b is not a)
+
+
+def test_the_metamorphic_corpora_reach_every_verdict():
+    assert Counter(verdicts("state22")) == {TreeEq.EQUAL: 50, TreeEq.UNKNOWN: 14}
+    decided = [v for name in NORMALIZED for v in verdicts(name)]
+    assert set(decided) == {TreeEq.EQUAL, TreeEq.DISTINCT}
+
+
+@pytest.mark.parametrize("change", METAMORPHIC)
+def test_no_change_moves_a_verdict_over_multi_location_state(change):
+    assert moves("state22", change) == {}
+
+
+# verdicts the conservative extensions move, all to UNKNOWN: without the
+# normalizer, an equal pair is left to the budgeted search, and a distinct
+# one to the 2-element models, of which single state has none
+EXTENSION_MOVES = {
+    "choice": {("EQUAL", "UNKNOWN"): 9},
+    "semilattice": {("EQUAL", "UNKNOWN"): 3},
+    "state fin 2": {("DISTINCT", "UNKNOWN"): 26, ("EQUAL", "UNKNOWN"): 4},
+    "state fin 3": {("DISTINCT", "UNKNOWN"): 16, ("EQUAL", "UNKNOWN"): 1},
+}
+
+
+@pytest.mark.parametrize("change", METAMORPHIC)
+@pytest.mark.parametrize("corpus", NORMALIZED)
+def test_only_a_conservative_extension_moves_a_normalized_verdict(corpus, change):
+    expected = EXTENSION_MOVES[corpus] if change in EXTENSIONS else {}
+    assert moves(corpus, change) == expected

@@ -1101,6 +1101,18 @@ _SHADOWED = ('"do"', "x", '"in"', '"true"', '"fst"')
 # (theory, text) pairs that each stop the entry pattern at a different place
 _HAND_WRITTEN_TABLES = {
     "a comment between entries": ("state2", _comodel("fin 2", *_STATE2[:3], "# a", *_STATE2[3:])),
+    "comment lines among entries": ("state2", _comodel(
+        "fin 2", "# first; (); = {", *_STATE2[:2], "#", "# a # b", "##", *_STATE2[2:], "# last }")),
+    "a comment at the end of the text": ("state2", _state2(end="} # done")),
+    "a comment line after the table": ("state2", _state2(end="}\n# done\n\n")),
+    "a comment and junk after the table": ("state2", _state2(end="} # done\nx\n")),
+    # each comment runs to the end of its line, so forty of them on one line
+    # are not tried as 2^40 ways of splitting it before the junk
+    "a line of '#'s and junk after the table": ("state2", _state2(end="}" + " #" * 40 + "\nx\n")),
+    "a '#' in a quoted world label": ("keywords", _comodel(
+        'enum {"a#b", "#"}', '# "a#b"', 'say("do"; "a#b") = ((); "#"); # "#"', '# "a#b"',
+        'say("do"; "#") = ((); "a#b");')),
+    "a '#' in a label left open": ("keywords", _comodel('enum {"a#b"}', 'say("do"; "a#b) = ((); "a#b");')),
     "a comment after an entry": ("state2", _state2(_STATE2[0] + " # x;")),
     "a comment in the header": ("state2", "# a table; of state\ncomodel c { # here; too\n"
                                 "  world fin 2; # and here\n" + "\n".join(_STATE2) + "\n}\n"),
@@ -1240,13 +1252,32 @@ def _refuse_entries(*args):
     raise AssertionError("a table was read token by token")
 
 
-@pytest.mark.parametrize("name", ["state10.cmod", "hello.cmod", "orlattice.mod", "io.cmod"])
+def _with_comment_lines(text):
+    """text with a comment line after every line of its entries, and a
+    comment after its closing brace."""
+    head, _, rest = text.partition(";\n")
+    body, _, _ = rest.rpartition("}")
+    lines = [line + "\n  # " + line.replace(";", ",") for line in body.splitlines()]
+    return head + ";\n# entries\n" + "\n".join(lines) + "\n# end\n} # done\n"
+
+
+@pytest.mark.parametrize("name", ["state10.cmod", "hello.cmod", "orlattice.mod", "io.cmod",
+                                  "state10.cmod with comments", "orlattice.mod with comments",
+                                  "a '#' in a label"])
 def test_sample_tables_never_reach_the_entry_loops(name, monkeypatch):
     monkeypatch.setattr(_Parser, "comodel_entries", _refuse_entries)
     monkeypatch.setattr(_Parser, "model_entries", _refuse_entries)
     if name == "io.cmod":
         theory_text, text = _io_files()
         theory = parse_theory_file(theory_text)
+    elif name == "a '#' in a label":
+        theory_text, text = _io_files(("#", "a # b"), 2)
+        theory = parse_theory_file(theory_text)
+    elif name.endswith(" with comments"):
+        name = name.split()[0]
+        theory_name = {"state10.cmod": "state10.thy", "orlattice.mod": "semilattice.thy"}[name]
+        theory = parse_theory_file((SAMPLES / theory_name).read_text())
+        text = _with_comment_lines((SAMPLES / name).read_text())
     else:
         theory_name = {"state10.cmod": "state10.thy", "hello.cmod": "io_hello.thy",
                        "orlattice.mod": "semilattice.thy"}[name]
